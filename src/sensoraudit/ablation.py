@@ -127,12 +127,14 @@ def ablated_matrix(
     cfg: FeatureConfig,
     window_len: int,
     fs: float,
+    constants: np.ndarray | None = None,
 ) -> FeatureMatrix:
     """Feature matrix after nullifying ``sensors`` in every window.
 
     Features are per-channel, so the ablated matrix equals the baseline
     with the nullified channels' column blocks replaced by the all-zero
-    window's feature values.
+    window's feature values. Pass ``constants`` (the result of
+    ``zero_window_features``) to reuse them across calls.
     """
     n_features = len(cfg.enabled_features)
     channel_count = baseline.n_columns // n_features
@@ -142,7 +144,8 @@ def ablated_matrix(
             raise IndexOutOfRangeError(f"sensor {s} outside [0, {channel_count})")
     values = baseline.values.copy()
     if idx:
-        constants = zero_window_features(cfg, window_len, fs)
+        if constants is None:
+            constants = zero_window_features(cfg, window_len, fs)
         for s in idx:
             values[:, s * n_features : (s + 1) * n_features] = constants
     return FeatureMatrix(values, baseline.class_label, baseline.column_index, baseline.row_provenance)
@@ -320,10 +323,11 @@ def run_ablation_audit(
         resolved[label] = matrix
 
     tasks = [(label, subset) for label in classes for subset in subsets]
+    constants = zero_window_features(fcfg, window_len, fs)
 
     def shift_of(task: tuple[str, tuple[int, ...]]) -> float:
         label, subset = task
-        ablated = ablated_matrix(resolved[label], subset, fcfg, window_len, fs)
+        ablated = ablated_matrix(resolved[label], subset, fcfg, window_len, fs, constants)
         return separability_score(resolved[label], ablated).by_metric(spec.shift_metric)
 
     if jobs > 1:

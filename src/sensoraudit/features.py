@@ -8,7 +8,7 @@ inputs map to fixed finite values so that a matrix built from nullified
 extractor             constant-signal value
 ====================  =======================================
 shannon_entropy       0.0
-sample_entropy        0.0 (all templates match)
+sample_entropy        -0.0 (all templates match: -ln 1)
 zero_crossings        0
 waveform_length       0.0
 rms                   |c|
@@ -52,6 +52,10 @@ FEATURE_NAMES: tuple[str, ...] = (
 )
 
 _SQRT2 = math.sqrt(2.0)
+_EPS = float(np.finfo(float).eps)
+
+# Candidate template pairs that sample_entropy confirms per step.
+SAMPEN_CHUNK_PAIRS = 1 << 18
 
 # Near-unreachable guard: the Katz denominator can only collapse for
 # degenerate float cases; curve extent never exceeds curve length.
@@ -136,25 +140,73 @@ def sample_entropy(
     """Sample entropy with Chebyshev distance and tolerance r_coeff * SD.
 
     Counts ordered template pairs (self-matches excluded) of length m (B)
-    and m+1 (A) within tolerance and returns -ln(A/B). When either count
+    and m+1 (A) within tolerance r and returns -ln(A/B), as defined by
+    Richman & Moorman 2000 (Am J Physiol 278:H2039). When either count
     is zero the analytic cap ln((n-m)(n-m-1)) is returned; pass
     ``with_flag=True`` to also receive that cappedness as a boolean.
+
+    Pairs are prefiltered on the first template coordinate, as in Manis,
+    Aktaruzzaman & Sassi 2018 (Entropy 20:61): the first values of the
+    templates are sorted and a binary search finds, for each one, the
+    later sorted values that may lie within r. The search tolerance is
+    widened by a few ulps, so it can only add candidates. Each candidate
+    pair is then confirmed coordinate by coordinate with the same
+    ``|x[i] - x[j]| <= r`` comparisons as the definition, so the integer
+    counts are exact. Unordered pairs are counted once; the ordered
+    counts are twice these, which leaves A/B unchanged.
+
+    Cost is about W log W for the sort plus the candidate pairs, which
+    stays far below W^2 on signals that spread over more than r; it
+    reaches W^2 only when almost every value lies within r of every
+    other. Candidates are confirmed in chunks of ``SAMPEN_CHUNK_PAIRS``,
+    so working memory is O(W + chunk) either way. A window whose values
+    are all equal returns -ln(1) = -0.0 at once.
     """
     x = np.asarray(signal, dtype=float)
     n = x.size
     if n <= m + 1:
         raise WindowTooShortError(f"sample_entropy needs > {m + 1} samples, got {n}")
     r = r_coeff * float(x.std())
+    if not r >= 0.0 or x.min() == x.max():
+        # Equal values: every template matches, so A == B. With a NaN or
+        # negative tolerance no comparison holds, not even a template with
+        # itself; B and A, matches minus the q self-matches, are then both
+        # -q. Either way the value is -ln(1).
+        value = -math.log(1.0)
+        return (value, False) if with_flag else value
 
-    d = np.abs(x[:, None] - x[None, :])
     q = n - m  # templates of both lengths start at 0 .. q-1
-    dist_m = d[:q, :q].copy()
-    for offset in range(1, m):
-        np.maximum(dist_m, d[offset : offset + q, offset : offset + q], out=dist_m)
-    dist_m1 = np.maximum(dist_m, d[m : m + q, m : m + q])
+    order = np.argsort(x[:q])
+    first = x[:q][order]
+    # Covers the rounding of first + r and of each difference, so every
+    # pair whose computed |x[i] - x[j]| is <= r is among the candidates.
+    slack = 4.0 * _EPS * (r + max(abs(first[0]), abs(first[-1])))
+    reach = np.searchsorted(first, first + (r + slack), side="right")
+    counts = reach - np.arange(1, q + 1)  # candidates after each sorted position
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    # Flat candidate index k in row p pairs sorted position p with k + shift[p].
+    shift = np.arange(1, q + 1) - starts
+    total = int(ends[-1])
 
-    b = int((dist_m <= r).sum()) - q  # subtract the diagonal self-matches
-    a = int((dist_m1 <= r).sum()) - q
+    a = b = 0
+    for k0 in range(0, total, SAMPEN_CHUNK_PAIRS):
+        k1 = min(k0 + SAMPEN_CHUNK_PAIRS, total)
+        p0 = int(np.searchsorted(ends, k0, side="right"))
+        p1 = int(np.searchsorted(ends, k1 - 1, side="right")) + 1
+        per_row = counts[p0:p1].copy()  # rows p0 and p1-1 may be cut by the chunk
+        per_row[0] -= k0 - starts[p0]
+        per_row[-1] -= ends[p1 - 1] - k1
+        i = order[np.repeat(np.arange(p0, p1), per_row)]
+        j = order[np.arange(k0, k1) + np.repeat(shift[p0:p1], per_row)]
+        for offset in range(m):
+            xo = x[offset:]
+            keep = np.abs(xo[i] - xo[j]) <= r
+            i, j = i[keep], j[keep]
+        b += i.size
+        xm = x[m:]
+        a += int(np.count_nonzero(np.abs(xm[i] - xm[j]) <= r))
+
     if a == 0 or b == 0:
         value, capped = sampen_cap(n, m), True
     else:

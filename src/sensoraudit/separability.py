@@ -117,7 +117,8 @@ def feature_efficiency(
     live = span > 0.0
     if not live.any():
         return 0.0, -1
-    efficiency = np.where(live, 1.0 - np.divide(overlap, span, where=live), -np.inf)
+    ratio = np.divide(overlap, span, out=np.zeros_like(overlap), where=live)
+    efficiency = np.where(live, 1.0 - ratio, -np.inf)
     idx = int(np.argmax(efficiency))
     return float(efficiency[idx]), idx
 
@@ -134,7 +135,8 @@ def separability_score(target: FeatureMatrix, reference: FeatureMatrix) -> Separ
     live = span > 0.0
     f2 = float(np.prod(overlap[live] / span[live])) if live.any() else 1.0
     if live.any():
-        efficiency = np.where(live, 1.0 - np.divide(overlap, span, where=live), -np.inf)
+        ratio = np.divide(overlap, span, out=np.zeros_like(overlap), where=live)
+        efficiency = np.where(live, 1.0 - ratio, -np.inf)
         f3_idx = int(np.argmax(efficiency))
         f3 = float(efficiency[f3_idx])
     else:

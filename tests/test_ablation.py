@@ -5,6 +5,7 @@ import pytest
 
 from conftest import CLASSES, criticality_spec, windows_of
 
+from sensoraudit import ablation
 from sensoraudit.ablation import (
     AblationReport,
     AblationSpec,
@@ -22,8 +23,9 @@ from sensoraudit.errors import (
     TooFewRowsError,
     TopologyMismatchError,
 )
-from sensoraudit.features import build_class_matrices
+from sensoraudit.features import build_class_matrices, zero_window_features
 from sensoraudit.ingest import WindowedSample
+from sensoraudit.separability import separability_score
 
 
 def make_windows(n=6, channels=4, width=64, label="a", seed=0):
@@ -249,6 +251,34 @@ class TestRunAblationAudit:
             run_ablation_audit(windows, AblationSpec(), fcfg, 200.0, baselines=bad)
         assert matrices  # full dict works
         run_ablation_audit(windows, AblationSpec(), fcfg, 200.0, baselines=matrices)
+
+    def test_zero_window_constants_computed_once(self, fcfg, monkeypatch):
+        windows, fs = windows_of(criticality_spec(5))
+        spec = AblationSpec(combinatorial_depth=3)
+        matrices = build_class_matrices(windows, fcfg, fs)
+        width = windows[0].data.shape[1]
+        subsets = enumerate_subsets(windows[0].data.shape[0], 3)
+        expected = [
+            [
+                separability_score(
+                    matrices[label], ablated_matrix(matrices[label], subset, fcfg, width, fs)
+                ).f1
+                for subset in subsets
+            ]
+            for label in sorted(matrices)
+        ]
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return zero_window_features(*args)
+
+        monkeypatch.setattr(ablation, "zero_window_features", counting)
+        report = run_ablation_audit(windows, spec, fcfg, fs)
+        assert len(calls) == 1
+        assert report.subsets == tuple(subsets)
+        assert report.raw_shift.tolist() == expected
 
     def test_shift_metric_selectable(self, fcfg):
         windows = make_windows(n=6, channels=3, width=64)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from reference_impls import naive_katz, naive_sample_entropy
 
+from sensoraudit import features
 from sensoraudit.errors import WindowTooShortError
 from sensoraudit.features import (
     FEATURE_NAMES,
@@ -85,6 +87,71 @@ class TestSampleEntropy:
             r = 0.2 * float(x.std())
             expected, _ = naive_sample_entropy(list(x), 2, r)
             assert sample_entropy(x, 2, 0.2) == expected
+
+    @staticmethod
+    def assert_matches_naive(x, m=2, r_coeff=0.2):
+        r = r_coeff * float(x.std())
+        expected = naive_sample_entropy(list(x), m, r)
+        assert sample_entropy(x, m, r_coeff, with_flag=True) == expected
+
+    def test_quantised_ties_match_naive(self):
+        rng = np.random.default_rng(7)
+        for w in (12, 60, 150, 300):
+            for m in (1, 2, 3):
+                self.assert_matches_naive(np.round(rng.normal(size=w) * 3), m)
+
+    def test_zeros_with_one_spike_match_naive(self):
+        for w, at in ((20, 0), (64, 31), (200, 199)):
+            x = np.zeros(w)
+            x[at] = 5.0
+            self.assert_matches_naive(x)
+
+    def test_near_constant_matches_naive(self):
+        rng = np.random.default_rng(11)
+        x = 1.0 + 1e-13 * rng.normal(size=150)
+        self.assert_matches_naive(x)
+        x = np.full(150, 3.0)
+        x[::7] = np.nextafter(3.0, 4.0)
+        self.assert_matches_naive(x)
+
+    def test_rounding_boundary_pair_counted(self):
+        # |x0 - x1| rounds to <= r while x0 + r rounds below x1, so a search
+        # for x0 + r alone would miss this matching pair.
+        x = np.array(
+            [-0.07, 0.09368789042453603, 0.11, -0.03, 0.17, -1.67, 0.83, -0.57, -1.17, 0.64, 1.32]
+        )
+        self.assert_matches_naive(x, m=1)
+        self.assert_matches_naive(x, m=2)
+
+    def test_w1000_matches_naive(self):
+        rng = np.random.default_rng(5)
+        t = np.arange(1000) / 2000.0
+        self.assert_matches_naive(np.sin(2 * np.pi * 60.0 * t) + 0.3 * rng.normal(size=1000))
+
+    def test_chunking_does_not_change_counts(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        x = np.round(rng.normal(size=300) * 2)
+        whole = sample_entropy(x, 2, 0.2, with_flag=True)
+        for chunk in (1, 7, 1000):
+            monkeypatch.setattr(features, "SAMPEN_CHUNK_PAIRS", chunk)
+            assert sample_entropy(x, 2, 0.2, with_flag=True) == whole
+
+    def test_constant_is_negative_zero(self):
+        assert math.copysign(1.0, sample_entropy(np.zeros(50))) == -1.0
+        assert math.copysign(1.0, sample_entropy(np.full(50, 2.0))) == -1.0
+
+    def test_no_quadratic_allocation(self):
+        # Nearly every pair is a candidate here; one dense W x W float64
+        # matrix at W=2000 is 32 MB.
+        x = np.zeros(2000)
+        x[700] = 5.0
+        tracemalloc.start()
+        try:
+            sample_entropy(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32_000_000
 
 
 class TestZeroCrossings:
