@@ -16,7 +16,6 @@ by the mean of those normalized scores across classes.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -262,13 +261,12 @@ def run_ablation_audit(
     fs: float,
     criticality_threshold: float = DEFAULT_CRITICALITY_THRESHOLD,
     redundancy_threshold: float = DEFAULT_REDUNDANCY_THRESHOLD,
-    jobs: int = 1,
     baselines: dict[str, FeatureMatrix] | None = None,
 ) -> AblationReport:
     """Evaluate every (class, sensor subset) shift and rank sensors.
 
     Output ordering is fixed (classes as configured or sorted, subsets
-    smaller-first lexicographic), independent of ``jobs``. Pass
+    smaller-first lexicographic). Pass
     ``baselines`` (per-class matrices extracted from the same windows)
     to reuse an existing feature pass.
     """
@@ -308,7 +306,7 @@ def run_ablation_audit(
         matrix = (baselines or {}).get(label)
         if matrix is None:
             matrix = next(
-                iter(build_class_matrices(class_windows[label], fcfg, fs, jobs=jobs).values())
+                iter(build_class_matrices(class_windows[label], fcfg, fs).values())
             )
         else:
             if matrix.column_index != expected_columns:
@@ -322,20 +320,12 @@ def run_ablation_audit(
                 )
         resolved[label] = matrix
 
-    tasks = [(label, subset) for label in classes for subset in subsets]
     constants = zero_window_features(fcfg, window_len, fs)
-
-    def shift_of(task: tuple[str, tuple[int, ...]]) -> float:
-        label, subset = task
-        ablated = ablated_matrix(resolved[label], subset, fcfg, window_len, fs, constants)
-        return separability_score(resolved[label], ablated).by_metric(spec.shift_metric)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            flat = list(pool.map(shift_of, tasks))
-    else:
-        flat = [shift_of(t) for t in tasks]
-    raw = np.asarray(flat, dtype=float).reshape(len(classes), len(subsets))
+    raw = np.empty((len(classes), len(subsets)))
+    for ci, label in enumerate(classes):
+        for si, subset in enumerate(subsets):
+            ablated = ablated_matrix(resolved[label], subset, fcfg, window_len, fs, constants)
+            raw[ci, si] = separability_score(resolved[label], ablated).by_metric(spec.shift_metric)
 
     # Singleton shifts drive criticality; larger subsets are reported raw.
     singleton_col = {subset[0]: j for j, subset in enumerate(subsets) if len(subset) == 1}

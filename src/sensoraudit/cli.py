@@ -10,8 +10,9 @@ Subcommands::
     ingest-check  validate a dataset without computing anything
 
 Every run embeds its resolved configuration and seed in the JSON
-artifacts, and a fixed seed reproduces outputs byte for byte regardless
-of --jobs.
+artifacts, and a fixed seed reproduces outputs byte for byte. --jobs is
+validated and accepted for compatibility; every stage runs in one thread,
+so it cannot change the outputs.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def _ingest(cfg: AuditRunConfig) -> _PipelineData:
 
 def _matrices(cfg: AuditRunConfig, data: _PipelineData):
     with _Stage("features"):
-        return build_class_matrices(data.windows, cfg.features, data.fs, jobs=cfg.jobs)
+        return build_class_matrices(data.windows, cfg.features, data.fs)
 
 
 def _oracle_cfg_with_seed(cfg: AuditRunConfig, seed: int) -> OracleConfig:
@@ -253,7 +254,6 @@ def cmd_ablate(cfg: AuditRunConfig) -> int:
             data.fs,
             criticality_threshold=cfg.criticality_threshold,
             redundancy_threshold=cfg.redundancy_threshold,
-            jobs=cfg.jobs,
         )
 
     echo = cfg.resolved_echo(data.source_kind, data.source, data.seed)
@@ -272,9 +272,7 @@ def cmd_oracle(cfg: AuditRunConfig) -> int:
     with _Stage("separability"):
         ovo = pairwise_audit(matrices, mode="one-vs-one")
     with _Stage("oracle"):
-        results = run_oracle_audit(
-            matrices, _oracle_cfg_with_seed(cfg, data.seed), jobs=cfg.jobs
-        )
+        results = run_oracle_audit(matrices, _oracle_cfg_with_seed(cfg, data.seed))
 
     echo = cfg.resolved_echo(data.source_kind, data.source, data.seed)
     write_oracle(out, results, echo)
@@ -312,13 +310,10 @@ def cmd_full(cfg: AuditRunConfig) -> int:
             data.fs,
             criticality_threshold=cfg.criticality_threshold,
             redundancy_threshold=cfg.redundancy_threshold,
-            jobs=cfg.jobs,
             baselines=matrices,
         )
     with _Stage("oracle"):
-        results = run_oracle_audit(
-            matrices, _oracle_cfg_with_seed(cfg, data.seed), jobs=cfg.jobs
-        )
+        results = run_oracle_audit(matrices, _oracle_cfg_with_seed(cfg, data.seed))
 
     echo = cfg.resolved_echo(data.source_kind, data.source, data.seed)
     columns = column_labels(feature_columns(data.channel_count, cfg.features))
@@ -390,7 +385,9 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="global seed")
     p.add_argument("--include-rest", action="store_true", help="audit the rest class too")
     p.add_argument("--overwrite", action="store_true", help="allow overwriting artifacts")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted for compatibility; the audit runs in one thread"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,8 +1,36 @@
 """Per-channel signal features and per-class feature matrices.
 
-Nine extractors, each a pure function of one channel's window. Degenerate
-inputs map to fixed finite values so that a matrix built from nullified
-(all-zero) channels stays finite:
+Nine extractors, each written once along the last axis. Given one
+channel's window (a 1-D array) an extractor returns a Python scalar;
+given an array of windows ``(..., W)`` it returns one value per row, of
+shape ``(...)``. A row's value never depends on the other rows or on how
+many there are: every sum runs along the contiguous last axis, where
+numpy applies the same pairwise summation as to a lone 1-D row, so a
+batched value is bitwise equal to the value of that row alone.
+
+``build_class_matrices`` is a block engine. It stacks consecutive windows
+into ``(n, C, W)`` blocks of at most ``BLOCK_SAMPLES`` samples (128 KB of
+float64, so a block's temporaries stay in cache) and calls each enabled
+extractor once per block. ``extract_features`` and
+``zero_window_features`` are the same path with one window.
+
+Two extractors take care to stay exact per row:
+
+* ``shannon_entropy`` bins each row by ``np.histogram``'s uniform-bin
+  rule, counts all rows with one offset ``bincount``, and sums a row's
+  nonzero terms with ``.sum(axis=1)`` over the rows that have the same
+  number of nonzero bins. That is the pairwise summation ``.sum()``
+  applies to the compacted 1-D row; ``np.add.reduceat`` sums
+  sequentially and can differ in the last bit.
+* ``median_frequency`` counts the cumulative powers below half the total,
+  which equals ``searchsorted`` on the nondecreasing cumulative sum.
+
+``sample_entropy`` loops over rows inside: each row's sorted candidate
+search keeps its working set small, which a search over all rows at once
+would not.
+
+Degenerate inputs map to fixed finite values so that a matrix built from
+nullified (all-zero) channels stays finite:
 
 ====================  =======================================
 extractor             constant-signal value
@@ -26,7 +54,6 @@ block.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +81,12 @@ FEATURE_NAMES: tuple[str, ...] = (
 _SQRT2 = math.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
 
-# Candidate template pairs that sample_entropy confirms per step.
-SAMPEN_CHUNK_PAIRS = 1 << 18
+# Candidate template pairs that sample_entropy confirms per step; the
+# index and difference arrays of one step stay under 128 KB.
+SAMPEN_CHUNK_PAIRS = 1 << 14
+
+# Samples per block of stacked windows (128 KB of float64).
+BLOCK_SAMPLES = 1 << 14
 
 # Near-unreachable guard: the Katz denominator can only collapse for
 # degenerate float cases; curve extent never exceeds curve length.
@@ -80,6 +111,9 @@ class FeatureConfig:
         ):
             if value < 1:
                 raise InvalidSpecError(f"{name} must be a positive integer")
+        for name in ("sampen_r_coeff", "zc_threshold", "ssc_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpecError(f"{name} must be finite")
         if self.sampen_r_coeff <= 0:
             raise InvalidSpecError("sampen_r_coeff must be positive")
         if self.zc_threshold < 0 or self.ssc_threshold < 0:
@@ -114,16 +148,67 @@ class FeatureConfig:
         }
 
 
-def shannon_entropy(signal: np.ndarray, bins: int = 128) -> float:
-    """Histogram entropy in bits over equal-width bins spanning [min, max]."""
+def _scalar_or_rows(values: np.ndarray, kind=float):
+    """A Python scalar for one window, the array of per-row values otherwise."""
+    return kind(values) if np.ndim(values) == 0 else values
+
+
+def shannon_entropy(signal: np.ndarray, bins: int = 128):
+    """Histogram entropy in bits over equal-width bins spanning [min, max].
+
+    Each row is binned exactly as ``np.histogram(row, bins, range=(min,
+    max))`` bins it, and a range that is not finite or too narrow for
+    ``bins`` distinct edges raises the same ``ValueError``.
+    """
     x = np.asarray(signal, dtype=float)
-    lo = float(x.min())
-    hi = float(x.max())
-    if hi == lo:
-        return 0.0
-    counts, _ = np.histogram(x, bins=bins, range=(lo, hi))
-    p = counts[counts > 0] / x.size
-    return float(-(p * np.log2(p)).sum())
+    rows = x.reshape(-1, x.shape[-1])
+    lo = rows.min(axis=1)
+    hi = rows.max(axis=1)
+    out = np.zeros(rows.shape[0])
+    live = np.flatnonzero(hi != lo)
+    if live.size:
+        out[live] = _histogram_entropy(rows[live], lo[live], hi[live], bins)
+    return _scalar_or_rows(out.reshape(x.shape[:-1]))
+
+
+def _histogram_entropy(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: int) -> np.ndarray:
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("shannon_entropy: the range of a window is not finite")
+    n, w = rows.shape
+    delta = hi - lo
+    # np.linspace(lo, hi, bins + 1) per row, with its branch for a step
+    # that underflows to zero.
+    steps = np.arange(bins + 1, dtype=float)
+    step = delta / bins
+    edges = steps * step[:, None]
+    tiny = step == 0
+    if tiny.any():
+        edges[tiny] = steps / bins * delta[tiny, None]
+    edges += lo[:, None]
+    edges[:, -1] = hi
+    if (edges[:, :-1] >= edges[:, 1:]).any():
+        raise ValueError(f"Too many bins for data range. Cannot create {bins} finite-sized bins.")
+
+    # np.histogram's index rule, then its one-ulp corrections at the edges.
+    idx = ((rows - lo[:, None]) / delta[:, None] * bins).astype(np.intp)
+    idx[idx == bins] -= 1
+    edge_base = np.arange(n)[:, None] * (bins + 1)
+    flat_edges = edges.ravel()
+    idx[rows < flat_edges[edge_base + idx]] -= 1
+    idx[(rows >= flat_edges[edge_base + idx + 1]) & (idx != bins - 1)] += 1
+    counts = np.bincount((idx + np.arange(n)[:, None] * bins).ravel(), minlength=n * bins)
+    counts = counts.reshape(n, bins)
+
+    nonzero = counts > 0
+    p = counts[nonzero] / w  # each row's nonzero bins in bin order, row after row
+    terms = p * np.log2(p)
+    width = nonzero.sum(axis=1)
+    first = np.cumsum(width) - width
+    sums = np.empty(n)
+    for k in np.unique(width):
+        sel = np.flatnonzero(width == k)
+        sums[sel] = terms[first[sel, None] + np.arange(k)].sum(axis=1)
+    return -sums
 
 
 def sampen_cap(n: int, m: int) -> float:
@@ -143,7 +228,8 @@ def sample_entropy(
     and m+1 (A) within tolerance r and returns -ln(A/B), as defined by
     Richman & Moorman 2000 (Am J Physiol 278:H2039). When either count
     is zero the analytic cap ln((n-m)(n-m-1)) is returned; pass
-    ``with_flag=True`` to also receive that cappedness as a boolean.
+    ``with_flag=True`` to also receive that cappedness as a boolean (an
+    array of them for several rows).
 
     Pairs are prefiltered on the first template coordinate, as in Manis,
     Aktaruzzaman & Sassi 2018 (Entropy 20:61): the first values of the
@@ -160,20 +246,32 @@ def sample_entropy(
     reaches W^2 only when almost every value lies within r of every
     other. Candidates are confirmed in chunks of ``SAMPEN_CHUNK_PAIRS``,
     so working memory is O(W + chunk) either way. A window whose values
-    are all equal returns -ln(1) = -0.0 at once.
+    are all equal returns -ln(1) = -0.0 at once. Several rows are
+    counted one row at a time.
     """
     x = np.asarray(signal, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     if n <= m + 1:
         raise WindowTooShortError(f"sample_entropy needs > {m + 1} samples, got {n}")
+    if x.ndim == 1:
+        value, capped = _sample_entropy_row(x, m, r_coeff)
+        return (value, capped) if with_flag else value
+    results = [_sample_entropy_row(row, m, r_coeff) for row in x.reshape(-1, n)]
+    values = np.array([value for value, _ in results]).reshape(x.shape[:-1])
+    if not with_flag:
+        return values
+    return values, np.array([capped for _, capped in results]).reshape(x.shape[:-1])
+
+
+def _sample_entropy_row(x: np.ndarray, m: int, r_coeff: float) -> tuple[float, bool]:
+    n = x.size
     r = r_coeff * float(x.std())
     if not r >= 0.0 or x.min() == x.max():
         # Equal values: every template matches, so A == B. With a NaN or
         # negative tolerance no comparison holds, not even a template with
         # itself; B and A, matches minus the q self-matches, are then both
         # -q. Either way the value is -ln(1).
-        value = -math.log(1.0)
-        return (value, False) if with_flag else value
+        return -math.log(1.0), False
 
     q = n - m  # templates of both lengths start at 0 .. q-1
     order = np.argsort(x[:q])
@@ -208,75 +306,75 @@ def sample_entropy(
         a += int(np.count_nonzero(np.abs(xm[i] - xm[j]) <= r))
 
     if a == 0 or b == 0:
-        value, capped = sampen_cap(n, m), True
-    else:
-        value, capped = -math.log(a / b), False
-    return (value, capped) if with_flag else value
+        return sampen_cap(n, m), True
+    return -math.log(a / b), False
 
 
-def zero_crossings(signal: np.ndarray, threshold: float = 0.0) -> int:
+def zero_crossings(signal: np.ndarray, threshold: float = 0.0):
     """Sign changes between neighbours; exact zeros never cross."""
     x = np.asarray(signal, dtype=float)
-    a, b = x[:-1], x[1:]
-    return int(np.count_nonzero((a * b < 0.0) & (np.abs(a - b) >= threshold)))
+    a, b = x[..., :-1], x[..., 1:]
+    crossings = (a * b < 0.0) & (np.abs(a - b) >= threshold)
+    return _scalar_or_rows(np.count_nonzero(crossings, axis=-1), int)
 
 
-def waveform_length(signal: np.ndarray) -> float:
+def waveform_length(signal: np.ndarray):
     x = np.asarray(signal, dtype=float)
-    return float(np.abs(np.diff(x)).sum())
+    return _scalar_or_rows(np.abs(np.diff(x, axis=-1)).sum(axis=-1))
 
 
-def rms(signal: np.ndarray) -> float:
+def rms(signal: np.ndarray):
     x = np.asarray(signal, dtype=float)
-    return float(np.sqrt(np.mean(np.square(x))))
+    return _scalar_or_rows(np.sqrt(np.mean(np.square(x), axis=-1)))
 
 
-def slope_sign_changes(signal: np.ndarray, threshold: float = 0.0) -> int:
+def slope_sign_changes(signal: np.ndarray, threshold: float = 0.0):
     """Interior points where both neighbour slopes oppose beyond threshold."""
     x = np.asarray(signal, dtype=float)
-    left = x[1:-1] - x[:-2]
-    right = x[1:-1] - x[2:]
-    return int(np.count_nonzero(left * right > threshold))
+    left = x[..., 1:-1] - x[..., :-2]
+    right = x[..., 1:-1] - x[..., 2:]
+    return _scalar_or_rows(np.count_nonzero(left * right > threshold, axis=-1), int)
 
 
-def median_frequency(signal: np.ndarray, fs: float) -> float:
+def median_frequency(signal: np.ndarray, fs: float):
     """Frequency where cumulative periodogram power first reaches half.
 
     Rectangular-window periodogram, DC bin excluded; a constant signal
     has no non-DC power and yields 0 Hz.
     """
     x = np.asarray(signal, dtype=float)
-    spectrum = np.fft.rfft(x)
-    power = (spectrum.real**2 + spectrum.imag**2)[1:]
-    total = float(power.sum())
-    if total <= 0.0:
-        return 0.0
-    freqs = np.fft.rfftfreq(x.size, d=1.0 / fs)[1:]
-    idx = int(np.searchsorted(np.cumsum(power), 0.5 * total))
-    return float(freqs[idx])
+    spectrum = np.fft.rfft(x.reshape(-1, x.shape[-1]), axis=-1)
+    power = (spectrum.real**2 + spectrum.imag**2)[:, 1:]
+    total = power.sum(axis=1)
+    live = ~(total <= 0.0)
+    below_half = np.cumsum(power[live], axis=1) < 0.5 * total[live, None]
+    freqs = np.fft.rfftfreq(x.shape[-1], d=1.0 / fs)[1:]
+    out = np.zeros(total.shape)
+    out[live] = freqs[np.count_nonzero(below_half, axis=1)]
+    return _scalar_or_rows(out.reshape(x.shape[:-1]))
 
 
-def wavelet_energy(signal: np.ndarray, levels: int = 4) -> float:
+def wavelet_energy(signal: np.ndarray, levels: int = 4):
     """Sum of squared detail coefficients of an orthonormal Haar cascade.
 
     Odd-length intermediates drop their final sample at that level; the
     cascade stops early once fewer than two samples remain.
     """
     approx = np.asarray(signal, dtype=float)
-    energy = 0.0
+    energy = np.zeros(approx.shape[:-1])
     for _ in range(levels):
-        if approx.size < 2:
+        if approx.shape[-1] < 2:
             break
-        if approx.size % 2:
-            approx = approx[:-1]
-        even, odd = approx[0::2], approx[1::2]
+        if approx.shape[-1] % 2:
+            approx = approx[..., :-1]
+        even, odd = approx[..., 0::2], approx[..., 1::2]
         detail = (even - odd) / _SQRT2
         approx = (even + odd) / _SQRT2
-        energy += float(np.square(detail).sum())
-    return energy
+        energy = energy + np.square(detail).sum(axis=-1)
+    return _scalar_or_rows(energy)
 
 
-def fractal_dimension(signal: np.ndarray) -> float:
+def fractal_dimension(signal: np.ndarray):
     """Katz dimension of the planar sample curve (i, x_i).
 
     With curve length L (sum of point-to-point distances at unit time
@@ -285,19 +383,37 @@ def fractal_dimension(signal: np.ndarray) -> float:
     (constants, ramps, single samples) return exactly 1.0.
     """
     x = np.asarray(signal, dtype=float)
-    n = x.size - 1
+    n = x.shape[-1] - 1
     if n < 1:
-        return 1.0
-    diffs = np.diff(x)
-    length = float(np.sqrt(1.0 + np.square(diffs)).sum())
-    offsets = np.arange(1, x.size, dtype=float)
-    extent = float(np.sqrt(np.square(offsets) + np.square(x[1:] - x[0])).max())
+        return _scalar_or_rows(np.ones(x.shape[:-1]))
+    length = np.sqrt(1.0 + np.square(np.diff(x, axis=-1))).sum(axis=-1)
+    offsets = np.arange(1, x.shape[-1], dtype=float)
+    extent = np.sqrt(np.square(offsets) + np.square(x[..., 1:] - x[..., :1])).max(axis=-1)
+    values = [_katz(n, d, total) for d, total in zip(extent.ravel().tolist(), length.ravel().tolist())]
+    return _scalar_or_rows(np.array(values).reshape(extent.shape))
+
+
+def _katz(n: int, extent: float, length: float) -> float:
     if extent >= length:  # straight line: d == L up to rounding
         return 1.0
     denominator = math.log10(n) + math.log10(extent / length)
     if denominator <= 0.0:
         return FRACTAL_DIMENSION_MAX
-    return float(math.log10(n) / denominator)
+    return math.log10(n) / denominator
+
+
+# feature name -> extractor over an array of windows, one value per row
+_EXTRACTORS = {
+    "shannon_entropy": lambda x, cfg, fs: shannon_entropy(x, cfg.entropy_bins),
+    "sample_entropy": lambda x, cfg, fs: sample_entropy(x, cfg.sampen_m, cfg.sampen_r_coeff),
+    "zero_crossings": lambda x, cfg, fs: zero_crossings(x, cfg.zc_threshold),
+    "waveform_length": lambda x, cfg, fs: waveform_length(x),
+    "rms": lambda x, cfg, fs: rms(x),
+    "slope_sign_changes": lambda x, cfg, fs: slope_sign_changes(x, cfg.ssc_threshold),
+    "median_frequency": lambda x, cfg, fs: median_frequency(x, fs),
+    "wavelet_energy": lambda x, cfg, fs: wavelet_energy(x, cfg.wavelet_levels),
+    "fractal_dimension": lambda x, cfg, fs: fractal_dimension(x),
+}
 
 
 def _min_window_len(cfg: FeatureConfig) -> int:
@@ -312,28 +428,6 @@ def _min_window_len(cfg: FeatureConfig) -> int:
     return need
 
 
-def _extract_one(name: str, x: np.ndarray, cfg: FeatureConfig, fs: float) -> float:
-    if name == "shannon_entropy":
-        return shannon_entropy(x, cfg.entropy_bins)
-    if name == "sample_entropy":
-        return sample_entropy(x, cfg.sampen_m, cfg.sampen_r_coeff)
-    if name == "zero_crossings":
-        return float(zero_crossings(x, cfg.zc_threshold))
-    if name == "waveform_length":
-        return waveform_length(x)
-    if name == "rms":
-        return rms(x)
-    if name == "slope_sign_changes":
-        return float(slope_sign_changes(x, cfg.ssc_threshold))
-    if name == "median_frequency":
-        return median_frequency(x, fs)
-    if name == "wavelet_energy":
-        return wavelet_energy(x, cfg.wavelet_levels)
-    if name == "fractal_dimension":
-        return fractal_dimension(x)
-    raise InvalidSpecError(f"unknown feature {name!r}")
-
-
 def feature_columns(channel_count: int, cfg: FeatureConfig) -> tuple[tuple[int, str], ...]:
     """Column -> (channel, feature name), channel-major."""
     return tuple(
@@ -345,29 +439,28 @@ def column_labels(column_index: tuple[tuple[int, str], ...]) -> list[str]:
     return [f"ch{ch + 1}_{name}" for ch, name in column_index]
 
 
-def extract_features(sample: WindowedSample, cfg: FeatureConfig, fs: float) -> np.ndarray:
-    """One scalar per (channel, enabled feature), channel-major order."""
-    data = np.asarray(sample.data, dtype=float)
-    if data.shape[1] < _min_window_len(cfg):
+def _feature_rows(windows: np.ndarray, cfg: FeatureConfig, fs: float) -> np.ndarray:
+    """``(n, C, W)`` windows -> ``(n, C * F)`` channel-major feature rows."""
+    n, channels, w = windows.shape
+    if w < _min_window_len(cfg):
         raise WindowTooShortError(
-            f"window of {data.shape[1]} samples is below the "
+            f"window of {w} samples is below the "
             f"{_min_window_len(cfg)}-sample minimum for the enabled features"
         )
-    names = cfg.enabled_features
-    out = np.empty(data.shape[0] * len(names), dtype=float)
-    k = 0
-    for ch in range(data.shape[0]):
-        x = data[ch]
-        for name in names:
-            out[k] = _extract_one(name, x, cfg, fs)
-            k += 1
-    return out
+    out = np.empty((n, channels, len(cfg.enabled_features)))
+    for k, name in enumerate(cfg.enabled_features):
+        out[:, :, k] = _EXTRACTORS[name](windows, cfg, fs)
+    return out.reshape(n, -1)
+
+
+def extract_features(sample: WindowedSample, cfg: FeatureConfig, fs: float) -> np.ndarray:
+    """One scalar per (channel, enabled feature), channel-major order."""
+    return _feature_rows(np.asarray(sample.data, dtype=float)[None], cfg, fs)[0]
 
 
 def zero_window_features(cfg: FeatureConfig, window_len: int, fs: float) -> np.ndarray:
     """Feature values of an all-zero window (one value per enabled feature)."""
-    zeros = np.zeros(window_len)
-    return np.array([_extract_one(name, zeros, cfg, fs) for name in cfg.enabled_features])
+    return _feature_rows(np.zeros((1, 1, window_len)), cfg, fs)[0]
 
 
 @dataclass
@@ -390,11 +483,13 @@ def build_class_matrices(
     samples: list[WindowedSample],
     cfg: FeatureConfig,
     fs: float,
-    jobs: int = 1,
 ) -> dict[str, FeatureMatrix]:
     """Group windows by label and extract one feature row per window.
 
-    Row order within a class follows input order regardless of ``jobs``.
+    Consecutive windows of equal length are stacked into blocks of at
+    most ``BLOCK_SAMPLES`` samples, and each enabled extractor runs once
+    per block; the rows do not depend on the blocking. Row order within
+    a class follows input order.
     """
     if not samples:
         return {}
@@ -406,11 +501,17 @@ def build_class_matrices(
                 f"expected {channel_count}"
             )
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda s: extract_features(s, cfg, fs), samples))
-    else:
-        rows = [extract_features(s, cfg, fs) for s in samples]
+    rows = np.empty((len(samples), channel_count * len(cfg.enabled_features)))
+    start = 0
+    while start < len(samples):
+        w = samples[start].data.shape[1]
+        limit = min(len(samples), start + max(1, BLOCK_SAMPLES // max(1, channel_count * w)))
+        stop = start + 1
+        while stop < limit and samples[stop].data.shape[1] == w:
+            stop += 1
+        block = np.array([s.data for s in samples[start:stop]], dtype=float)
+        rows[start:stop] = _feature_rows(block, cfg, fs)
+        start = stop
 
     columns = feature_columns(channel_count, cfg)
     by_class: dict[str, list[int]] = {}
@@ -419,7 +520,7 @@ def build_class_matrices(
 
     out: dict[str, FeatureMatrix] = {}
     for label, idx in by_class.items():
-        values = np.vstack([rows[i] for i in idx])
+        values = rows[idx]
         if not np.isfinite(values).all():
             raise DataFormatError(f"non-finite feature values for class {label!r}")
         provenance = tuple((samples[i].source_trial, samples[i].start_index) for i in idx)

@@ -3,7 +3,7 @@
 One classifier per unordered class pair checks that the separability
 audit's predictions show up in an actual learner. Everything is
 deterministic for a fixed seed: each pair derives its own generator from
-(seed, sha256(pair)), so parallel execution cannot reorder draws.
+(seed, sha256(pair)), so no pair's draws depend on the pairs before it.
 
 Architecture: one rectified hidden layer, a single logistic output,
 cross-entropy on logits, plain mini-batch gradient descent with a fixed
@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,7 +132,11 @@ def loss_and_grads(
 
 
 class MlpClassifier:
-    """Deterministic one-hidden-layer binary classifier."""
+    """Deterministic one-hidden-layer binary classifier.
+
+    After ``fit``, ``loss_history`` is ``[initial, final]``: the mean
+    training loss before the first epoch and after the last.
+    """
 
     def __init__(self, cfg: OracleConfig):
         self.cfg = cfg
@@ -162,7 +165,7 @@ class MlpClassifier:
                 _, grads = loss_and_grads(params, x[idx], y[idx])
                 for key in params:
                     params[key] -= lr * grads[key]
-            self.loss_history.append(mean_loss(params, x, y))
+        self.loss_history.append(mean_loss(params, x, y))
         self.params = params
         return self
 
@@ -279,20 +282,12 @@ def run_pair(
     )
 
 
-def run_oracle_audit(
-    matrices: dict[str, FeatureMatrix], cfg: OracleConfig, jobs: int = 1
-) -> list[OracleResult]:
+def run_oracle_audit(matrices: dict[str, FeatureMatrix], cfg: OracleConfig) -> list[OracleResult]:
     """One classifier per unordered pair, results in lexicographic pair order."""
     if len(matrices) < 2:
         raise TooFewClassesError(f"need >= 2 classes, got {len(matrices)}")
     labels = sorted(matrices)
-    pairs = list(itertools.combinations(labels, 2))
-
-    def job(pair: tuple[str, str]) -> OracleResult:
-        a, b = pair
-        return run_pair(a, b, matrices[a], matrices[b], cfg)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(job, pairs))
-    return [job(p) for p in pairs]
+    return [
+        run_pair(a, b, matrices[a], matrices[b], cfg)
+        for a, b in itertools.combinations(labels, 2)
+    ]

@@ -227,14 +227,6 @@ class TestRunAblationAudit:
         assert np.isnan(report.normalized_criticality[0, 0])
         assert np.isfinite(report.normalized_criticality[0, 1])
 
-    def test_deterministic_across_jobs(self, fcfg):
-        windows, fs = windows_of(criticality_spec(3))
-        spec = AblationSpec(combinatorial_depth=2)
-        serial = run_ablation_audit(windows, spec, fcfg, fs, jobs=1)
-        threaded = run_ablation_audit(windows, spec, fcfg, fs, jobs=8)
-        assert np.array_equal(serial.raw_shift, threaded.raw_shift)
-        assert serial.ranking == threaded.ranking
-
     def test_precomputed_baselines_reused(self, fcfg):
         windows, fs = windows_of(criticality_spec(4))
         matrices = build_class_matrices(windows, fcfg, fs)

@@ -103,6 +103,18 @@ class TestComplexity:
         assert code == EXIT_MISSING_FILE
         assert "nope.json" in capsys.readouterr().err
 
+    def test_non_finite_feature_setting_is_config_error(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json")
+        for field in ("sampen_r_coeff", "zc_threshold", "ssc_threshold"):
+            cfg = tmp_path / f"{field}.json"
+            cfg.write_text(json.dumps({"features": {field: float("nan")}}))  # written as NaN
+            code = main(
+                ["complexity", "--synthetic", str(spec), "--config", str(cfg), "--out", str(tmp_path / field)]
+            )
+            assert code == EXIT_CONFIG
+            assert field in capsys.readouterr().err
+            assert not (tmp_path / field).exists()
+
     def test_single_class_too_few(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json", classes=("alpha",))
         code = main(["complexity", "--synthetic", str(spec), "--out", str(tmp_path / "o")])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from reference_impls import naive_katz, naive_sample_entropy
 
 from sensoraudit import features
-from sensoraudit.errors import WindowTooShortError
+from sensoraudit.errors import InvalidSpecError, WindowTooShortError
 from sensoraudit.features import (
     FEATURE_NAMES,
     FeatureConfig,
@@ -359,15 +359,6 @@ class TestBuildClassMatrices:
         mats = build_class_matrices(windows, fcfg, fs=200.0)
         assert all(m.values.shape == (1, 18) for m in mats.values())
 
-    def test_jobs_do_not_change_rows(self, fcfg):
-        rng = np.random.default_rng(6)
-        windows = [
-            WindowedSample(rng.standard_normal((2, 64)), "a", f"t{i}", 0) for i in range(12)
-        ]
-        serial = build_class_matrices(windows, fcfg, fs=200.0, jobs=1)
-        threaded = build_class_matrices(windows, fcfg, fs=200.0, jobs=4)
-        assert np.array_equal(serial["a"].values, threaded["a"].values)
-
     def test_column_count_matches_config(self):
         for enabled in [FEATURE_NAMES, ("rms",), ("shannon_entropy", "median_frequency")]:
             cfg = FeatureConfig(enabled_features=tuple(enabled))
@@ -375,3 +366,184 @@ class TestBuildClassMatrices:
             windows = [WindowedSample(rng.standard_normal((5, 64)), "a", "t", 0)]
             mats = build_class_matrices(windows, cfg, fs=200.0)
             assert mats["a"].values.shape == (1, 5 * len(enabled))
+
+
+def one_per_row(name):
+    """Extractor ``name`` at FeatureConfig defaults (m=1 so W=3 is allowed)."""
+    return {
+        "shannon_entropy": lambda x: shannon_entropy(x, 128),
+        "sample_entropy": lambda x: sample_entropy(x, 1, 0.2),
+        "zero_crossings": lambda x: zero_crossings(x, 0.1),
+        "waveform_length": waveform_length,
+        "rms": rms,
+        "slope_sign_changes": lambda x: slope_sign_changes(x, 0.01),
+        "median_frequency": lambda x: median_frequency(x, 200.0),
+        "wavelet_energy": lambda x: wavelet_energy(x, 4),
+        "fractal_dimension": fractal_dimension,
+    }[name]
+
+
+def awkward_rows(w, seed=0):
+    rng = np.random.default_rng(seed)
+    spike = np.zeros(w)
+    spike[w // 3] = 5.0
+    return np.array(
+        [
+            rng.normal(size=w),
+            np.round(rng.normal(size=w) * 2),  # quantised, many ties
+            np.zeros(w),
+            np.full(w, -2.5),
+            spike,
+            1e150 * rng.normal(size=w),
+            np.sin(np.arange(w) * 0.3) + 0.01 * rng.normal(size=w),
+        ]
+    )
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def histogram_entropy(x, bins):
+    """Shannon entropy from np.histogram, summed with .sum() on the nonzero bins."""
+    if x.max() == x.min():
+        return 0.0
+    counts, _ = np.histogram(x, bins=bins, range=(float(x.min()), float(x.max())))
+    p = counts[counts > 0] / x.size
+    return float(-(p * np.log2(p)).sum())
+
+
+class TestBatchedExtractors:
+    @pytest.mark.parametrize("w", [3, 4, 127, 128, 400])
+    @pytest.mark.parametrize("name", FEATURE_NAMES)
+    def test_rows_equal_one_dimensional_values(self, name, w):
+        extractor = one_per_row(name)
+        rows = awkward_rows(w, seed=w)
+        batched = extractor(rows)
+        assert batched.shape == (rows.shape[0],)
+        singles = []
+        for row in rows:
+            value = extractor(row)
+            assert isinstance(value, (int, float)) and not isinstance(value, np.generic)
+            singles.append(value)
+        assert same_bits(batched, singles)
+        # a stack of stacks gives one value per innermost row
+        stacked = extractor(np.stack([rows, rows[::-1]]))
+        assert same_bits(stacked, [singles, singles[::-1]])
+
+    @pytest.mark.parametrize("w", [3, 4, 127, 128, 400])
+    def test_shannon_matches_histogram(self, w):
+        rows = np.vstack([awkward_rows(w, seed=w + 1), awkward_rows(w, seed=w + 2)[:, ::-1]])
+        for bins in (1, 7, 128):
+            expected = [histogram_entropy(row, bins) for row in rows]
+            assert same_bits(shannon_entropy(rows, bins), expected)
+
+    def test_shannon_edge_corrections_on_decimal_grids(self):
+        # On these grids (x - lo) / (hi - lo) * bins lands on the wrong side
+        # of a bin edge for some values; np.histogram moves them back.
+        rng = np.random.default_rng(1)
+        rows = [rng.integers(-1000, 1000, size=128) * 0.1 for _ in range(100)]
+        rows += [
+            np.round(rng.normal(size=128) * rng.integers(1, 300)) / rng.integers(1, 300)
+            for _ in range(100)
+        ]
+        rows = np.array(rows)
+        expected = [histogram_entropy(row, 128) for row in rows]
+        assert same_bits(shannon_entropy(rows, 128), expected)
+
+    def test_shannon_rows_a_sequential_sum_gets_wrong(self):
+        # np.add.reduceat sums each row's terms left to right; on some of
+        # these rows that differs in the last bit from the pairwise .sum()
+        # of the 1-D code, so only the grouped .sum(axis=1) matches.
+        rows = np.random.default_rng(0).normal(size=(64, 128))
+        expected = [histogram_entropy(row, 128) for row in rows]
+        sequential = []
+        for row in rows:
+            counts, _ = np.histogram(row, bins=128, range=(row.min(), row.max()))
+            p = counts[counts > 0] / row.size
+            sequential.append(-np.add.reduceat(p * np.log2(p), [0])[0])
+        assert not same_bits(sequential, expected)
+        assert same_bits(shannon_entropy(rows, 128), expected)
+
+    def test_shannon_narrow_range_raises_like_histogram(self):
+        x = np.full(50, 3.0)
+        x[::7] = np.nextafter(3.0, 4.0)
+        with pytest.raises(ValueError):
+            np.histogram(x, bins=128, range=(x.min(), x.max()))
+        with pytest.raises(ValueError):
+            shannon_entropy(np.stack([np.arange(50.0), x]), 128)
+
+    def test_median_frequency_matches_searchsorted(self):
+        rows = np.vstack([awkward_rows(400, seed=3), awkward_rows(400, seed=4)])
+        freqs = np.fft.rfftfreq(400, d=1.0 / 200.0)[1:]
+        expected = []
+        for row in rows:
+            spectrum = np.fft.rfft(row)
+            power = (spectrum.real**2 + spectrum.imag**2)[1:]
+            total = float(power.sum())
+            idx = int(np.searchsorted(np.cumsum(power), 0.5 * total))
+            expected.append(0.0 if total <= 0.0 else float(freqs[idx]))
+        assert same_bits(median_frequency(rows, 200.0), expected)
+
+    def test_sample_entropy_flags_per_row(self):
+        rows = np.stack([np.arange(50.0), np.zeros(50)])
+        values, capped = sample_entropy(rows, 2, 0.01, with_flag=True)
+        assert capped.tolist() == [True, False]
+        assert same_bits(values, [sampen_cap(50, 2), -0.0])
+
+
+class TestBlockEngine:
+    @staticmethod
+    def windows(n=20, channels=3, width=64):
+        rng = np.random.default_rng(8)
+        out = []
+        for i in range(n):
+            data = rng.normal(size=(channels, width))
+            if i % 5 == 0:
+                data[1] = 0.0  # a dead channel: constants such as -0.0
+            if i % 4 == 0:
+                data[2] = np.round(data[2] * 2)
+            out.append(WindowedSample(data, "a" if i < 11 else "b", f"t{i}", i))
+        return out
+
+    def test_rows_independent_of_block_size(self, monkeypatch, fcfg):
+        windows = self.windows()
+        per_window = 3 * 64
+        results = []
+        # blocks of 1, 7 (the 7..13 block splits class "a" from "b") and all windows
+        for block in (1, 7, len(windows)):
+            monkeypatch.setattr(features, "BLOCK_SAMPLES", block * per_window)
+            results.append(build_class_matrices(windows, fcfg, fs=200.0))
+        for mats in results[1:]:
+            for label in ("a", "b"):
+                assert same_bits(mats[label].values, results[0][label].values)
+        one_window = [extract_features(s, fcfg, fs=200.0) for s in windows[:11]]
+        assert same_bits(results[0]["a"].values, one_window)
+
+    def test_mixed_window_lengths_keep_their_rows(self, fcfg):
+        rng = np.random.default_rng(9)
+        windows = [
+            WindowedSample(rng.normal(size=(2, width)), "a", "t", 0)
+            for width in (64, 64, 80, 64, 80, 80)
+        ]
+        mats = build_class_matrices(windows, fcfg, fs=200.0)
+        expected = [extract_features(s, fcfg, fs=200.0) for s in windows]
+        assert same_bits(mats["a"].values, expected)
+
+    def test_zero_window_keeps_negative_zero_sample_entropy(self, fcfg):
+        k = FEATURE_NAMES.index("sample_entropy")
+        constants = zero_window_features(fcfg, 100, 200.0)
+        assert math.copysign(1.0, constants[k]) == -1.0
+        mats = build_class_matrices([sample(np.zeros((2, 100)))], fcfg, fs=200.0)
+        row = mats["x"].values[0]
+        assert same_bits(row, np.concatenate([constants, constants]))
+
+
+class TestFeatureConfigValidation:
+    @pytest.mark.parametrize("field", ["sampen_r_coeff", "zc_threshold", "ssc_threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_settings_rejected(self, field, value):
+        with pytest.raises(InvalidSpecError, match=field):
+            FeatureConfig(**{field: value})
+        with pytest.raises(InvalidSpecError, match=field):
+            FeatureConfig.from_json_dict({field: value})
