@@ -74,8 +74,12 @@ def _fisher_per_dim(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     degenerate = var_sum == 0.0
     per_dim = np.zeros(t.shape[1])
     ok = ~degenerate
-    per_dim[ok] = mean_gap[ok] / var_sum[ok]
-    per_dim[degenerate & (mean_gap > 0.0)] = F1_CAP
+    # a rounding-level variance (e.g. identical tiny values whose mean is
+    # inexact) can overflow the ratio; like zero variance, that is a
+    # perfect separator
+    with np.errstate(over="ignore"):
+        per_dim[ok] = mean_gap[ok] / var_sum[ok]
+    per_dim[np.isinf(per_dim) | (degenerate & (mean_gap > 0.0))] = F1_CAP
     return per_dim, degenerate
 
 

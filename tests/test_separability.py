@@ -50,6 +50,15 @@ class TestFisherRatio:
         assert score.f1 == F1_CAP
         assert score.degenerate_dims == (0,)
 
+    def test_rounding_level_variance_caps_without_overflow(self):
+        # five copies of a tiny value have an inexact mean, so a nonzero
+        # variance near the bottom of the float range
+        target = matrix_from_rows([[1.6369616873214544e-139]] * 5)
+        reference = matrix_from_rows([[1.0], [1.0]])
+        ab = separability_score(target, reference)
+        ba = separability_score(reference, target)
+        assert ab.f1 == ba.f1 == F1_CAP
+
     def test_zero_variance_equal_means_scores_zero(self):
         target = matrix_from_rows([[1.0], [1.0]])
         reference = matrix_from_rows([[1.0], [1.0]])
