@@ -2,11 +2,34 @@
 
 A sensor failure is simulated by zero-filling its channel before feature
 extraction, then measuring how far the class's feature distribution
-moves away from the intact baseline. Because every feature is computed
-per channel, nullifying a channel only turns that channel's feature
-columns into the all-zero-window constants; the baseline matrix is
-therefore computed once per class and ablated variants are derived from
-it by column substitution.
+moves away from the intact baseline: the shift is
+``separability_score(baseline, ablated).by_metric(metric)``. Every
+feature is computed per channel, so nullifying a channel only turns that
+channel's feature columns into the all-zero-window constants
+(``ablated_matrix``).
+
+``run_ablation_audit`` derives every subset's shift from two passes per
+class instead of scoring one ablated matrix per (class, subset) cell.
+Each per-dimension value ``separability_score`` computes (Fisher ratio,
+range overlap, combined range) depends only on that column of the two
+matrices, and an ablated matrix equals the baseline outside the subset's
+columns. So
+
+* ``separability_score(baseline, baseline)`` gives the values of every
+  column a subset keeps, and
+* ``separability_score(baseline, all channels nullified)`` gives the
+  values of every column a subset nullifies.
+
+A subset's per-dimension values are then one ``np.where`` between the
+two on its column mask, reduced as ``separability_score`` reduces them:
+f1 is the value at the first argmax, f2 the product of the overlap
+fractions of the dimensions with a nonzero range (1.0 if none), f3 the
+largest non-overlap fraction among those (0.0 if none). The
+per-dimension values are the same floats, the argmax picks the same
+entry, and numpy multiplies a row sequentially, where the 1.0 standing
+in for a dimension without range changes no bit. The shifts are
+therefore bitwise equal to the per-cell ones, for any metric, depth or
+explicit subset list.
 
 Criticality is the per-class normalized singleton shift (max per class
 is 1 whenever any shift is positive); the global ranking orders sensors
@@ -36,10 +59,14 @@ from .features import (
     zero_window_features,
 )
 from .ingest import WindowedSample
-from .separability import SHIFT_METRICS, separability_score
+from .separability import SHIFT_METRICS, SeparabilityScore, separability_score
 
 DEFAULT_CRITICALITY_THRESHOLD = 0.8
 DEFAULT_REDUNDANCY_THRESHOLD = 0.3
+
+# Per-dimension values reduced per step of run_ablation_audit (512 KB of
+# float64), so memory stays bounded however many subsets there are.
+SHIFT_BLOCK_VALUES = 1 << 16
 
 
 @dataclass
@@ -173,6 +200,42 @@ def ablated_shift(
     return separability_score(baseline, ablated).by_metric(metric)
 
 
+def _shift_terms(score: SeparabilityScore, metric: str) -> np.ndarray:
+    """Per-dimension values that ``separability_score`` reduces to ``metric``.
+
+    f1: the Fisher ratios. f2: the overlap fractions, 1.0 where the
+    combined range is zero. f3: the non-overlap fractions, -inf there.
+    """
+    if metric == "f1":
+        return score.per_dim_fisher
+    overlap, span = score.per_dim_overlap, score.per_dim_range
+    live = span > 0.0
+    ratio = np.divide(overlap, span, out=np.zeros_like(overlap), where=live)
+    if metric == "f2":
+        return np.where(live, ratio, 1.0)
+    return np.where(live, 1.0 - ratio, -np.inf)
+
+
+def _reduce_terms(terms: np.ndarray, metric: str) -> np.ndarray:
+    """Each row of ``_shift_terms`` values reduced as ``separability_score``
+    reduces one matrix pair's."""
+    if metric == "f2":
+        return np.prod(terms, axis=1)
+    best = terms[np.arange(terms.shape[0]), np.argmax(terms, axis=1)]
+    if metric == "f3":
+        best[best == -np.inf] = 0.0  # no dimension with a nonzero range
+    return best
+
+
+def _column_masks(subsets, channel_count: int, n_features: int) -> np.ndarray:
+    """``(len(subsets), channel_count * n_features)``: the columns each
+    subset nullifies, in the channel-major column order."""
+    channels = np.zeros((len(subsets), channel_count), dtype=bool)
+    for i, subset in enumerate(subsets):
+        channels[i, list(subset)] = True
+    return np.repeat(channels, n_features, axis=1)
+
+
 @dataclass
 class CompensationNote:
     class_label: str
@@ -265,8 +328,10 @@ def run_ablation_audit(
 ) -> AblationReport:
     """Evaluate every (class, sensor subset) shift and rank sensors.
 
-    Output ordering is fixed (classes as configured or sorted, subsets
-    smaller-first lexicographic). Pass
+    Each shift equals ``ablated_shift`` for that class and subset; it is
+    derived from two per-dimension passes per class (see the module
+    docstring). Output ordering is fixed (classes as configured or
+    sorted, subsets smaller-first lexicographic). Pass
     ``baselines`` (per-class matrices extracted from the same windows)
     to reuse an existing feature pass.
     """
@@ -321,11 +386,25 @@ def run_ablation_audit(
         resolved[label] = matrix
 
     constants = zero_window_features(fcfg, window_len, fs)
+    terms = []  # per class: (kept, nulled) per-dimension values
+    for label in classes:
+        base = resolved[label]
+        nulled = ablated_matrix(base, range(channel_count), fcfg, window_len, fs, constants)
+        terms.append(
+            (
+                _shift_terms(separability_score(base, base), spec.shift_metric),
+                _shift_terms(separability_score(base, nulled), spec.shift_metric),
+            )
+        )
+
+    n_features = len(fcfg.enabled_features)
+    block = max(1, SHIFT_BLOCK_VALUES // (channel_count * n_features))
     raw = np.empty((len(classes), len(subsets)))
-    for ci, label in enumerate(classes):
-        for si, subset in enumerate(subsets):
-            ablated = ablated_matrix(resolved[label], subset, fcfg, window_len, fs, constants)
-            raw[ci, si] = separability_score(resolved[label], ablated).by_metric(spec.shift_metric)
+    for start in range(0, len(subsets), block):
+        stop = min(start + block, len(subsets))
+        masks = _column_masks(subsets[start:stop], channel_count, n_features)
+        for ci, (kept, gone) in enumerate(terms):
+            raw[ci, start:stop] = _reduce_terms(np.where(masks, gone, kept), spec.shift_metric)
 
     # Singleton shifts drive criticality; larger subsets are reported raw.
     singleton_col = {subset[0]: j for j, subset in enumerate(subsets) if len(subset) == 1}

@@ -67,6 +67,11 @@ class UnknownClassLabelError(DataFormatError):
     pass
 
 
+class UnbinnableWindowError(DataFormatError, ValueError):
+    """A window's value range is not finite, or too narrow to split into
+    the configured number of histogram bins."""
+
+
 class InsufficientDataError(AuditError):
     """Data parsed fine but is too small for the requested computation."""
 

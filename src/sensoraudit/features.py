@@ -62,6 +62,7 @@ from .errors import (
     DataFormatError,
     InconsistentChannelCountError,
     InvalidSpecError,
+    UnbinnableWindowError,
     WindowTooShortError,
 )
 from .ingest import WindowedSample
@@ -104,13 +105,11 @@ class FeatureConfig:
     enabled_features: tuple[str, ...] = FEATURE_NAMES
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("entropy_bins", self.entropy_bins),
-            ("sampen_m", self.sampen_m),
-            ("wavelet_levels", self.wavelet_levels),
-        ):
-            if value < 1:
-                raise InvalidSpecError(f"{name} must be a positive integer")
+        for name in ("entropy_bins", "sampen_m", "wavelet_levels"):
+            value = getattr(self, name)
+            # bool is an int subclass, and NaN or 2.5 would pass "< 1"
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise InvalidSpecError(f"{name} must be a positive integer, got {value!r}")
         for name in ("sampen_r_coeff", "zc_threshold", "ssc_threshold"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidSpecError(f"{name} must be finite")
@@ -157,8 +156,10 @@ def shannon_entropy(signal: np.ndarray, bins: int = 128):
     """Histogram entropy in bits over equal-width bins spanning [min, max].
 
     Each row is binned exactly as ``np.histogram(row, bins, range=(min,
-    max))`` bins it, and a range that is not finite or too narrow for
-    ``bins`` distinct edges raises the same ``ValueError``.
+    max))`` bins it. Where ``np.histogram`` raises ``ValueError`` (a range
+    that is not finite or too narrow for ``bins`` distinct edges), this
+    raises ``UnbinnableWindowError``, which is both a ``ValueError`` and a
+    ``DataFormatError``.
     """
     x = np.asarray(signal, dtype=float)
     rows = x.reshape(-1, x.shape[-1])
@@ -173,7 +174,7 @@ def shannon_entropy(signal: np.ndarray, bins: int = 128):
 
 def _histogram_entropy(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: int) -> np.ndarray:
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise ValueError("shannon_entropy: the range of a window is not finite")
+        raise UnbinnableWindowError("shannon_entropy: the range of a window is not finite")
     n, w = rows.shape
     delta = hi - lo
     # np.linspace(lo, hi, bins + 1) per row, with its branch for a step
@@ -186,8 +187,14 @@ def _histogram_entropy(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: i
         edges[tiny] = steps / bins * delta[tiny, None]
     edges += lo[:, None]
     edges[:, -1] = hi
-    if (edges[:, :-1] >= edges[:, 1:]).any():
-        raise ValueError(f"Too many bins for data range. Cannot create {bins} finite-sized bins.")
+    collapsed = (edges[:, :-1] >= edges[:, 1:]).any(axis=1)
+    if collapsed.any():
+        k = int(np.argmax(collapsed))
+        raise UnbinnableWindowError(
+            "shannon_entropy: a near-constant window spans only "
+            f"[{float(lo[k])!r}, {float(hi[k])!r}], too few distinct values "
+            f"for {bins} equal-width bins (entropy_bins)"
+        )
 
     # np.histogram's index rule, then its one-ulp corrections at the edges.
     idx = ((rows - lo[:, None]) / delta[:, None] * bins).astype(np.intp)

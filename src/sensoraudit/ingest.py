@@ -6,8 +6,10 @@ Dataset layout on disk::
     <root>/dataset.json                                  manifest
 
 The manifest carries ``sampling_rate_hz``, ``class_names`` and
-``channel_count``. Amplitudes are decimal text; any non-numeric or
-non-finite cell rejects the file with its line number.
+``channel_count``. Class names become parts of artifact file names, so
+each must be a safe file-name token (``is_safe_label``). Amplitudes are
+decimal text; any non-numeric or non-finite cell rejects the file with
+its line number.
 """
 
 from __future__ import annotations
@@ -34,6 +36,17 @@ MANIFEST_NAME = "dataset.json"
 
 # Control/rest state: ingested like any class, excluded from audits by default.
 REST_CLASS = "rest"
+
+
+def is_safe_label(label) -> bool:
+    """True when ``label`` can be part of a file name inside the output
+    directory: a nonempty string, not ``.`` or ``..``, with no ``/``,
+    ``\\`` or NUL."""
+    return (
+        isinstance(label, str)
+        and label not in ("", ".", "..")
+        and not any(c in label for c in "/\\\0")
+    )
 
 
 def round_half_up(x: float) -> int:
@@ -163,6 +176,11 @@ def load_dataset(root_path: str | Path, manifest_name: str = MANIFEST_NAME) -> R
 
     fs = float(manifest["sampling_rate_hz"])
     class_names = [str(c) for c in manifest["class_names"]]
+    for label in class_names:
+        if not is_safe_label(label):
+            raise DataFormatError(
+                f"{manifest_path}: class name {label!r} cannot be part of a file name"
+            )
     channel_count = int(manifest["channel_count"])
 
     recordings: list[Recording] = []

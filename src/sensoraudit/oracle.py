@@ -117,9 +117,15 @@ def loss_and_grads(
     params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy and its analytic gradients w.r.t. every parameter."""
+    return mean_loss(params, x, y), gradients(params, x, y)
+
+
+def gradients(
+    params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Analytic gradients of the mean cross-entropy w.r.t. every parameter."""
     pre, hidden, logits = _forward(params, x)
     n = x.shape[0]
-    loss = float(np.mean(np.logaddexp(0.0, logits) - y * logits))
     prob = 1.0 / (1.0 + np.exp(-logits))
     dlogits = (prob - y) / n
     grad_w2 = hidden.T @ dlogits[:, None]
@@ -128,7 +134,7 @@ def loss_and_grads(
     dpre = dhidden * (pre > 0.0)
     grad_w1 = x.T @ dpre
     grad_b1 = dpre.sum(axis=0)
-    return loss, {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
+    return {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
 
 
 class MlpClassifier:
@@ -162,7 +168,7 @@ class MlpClassifier:
             order = rng.permutation(n)
             for start in range(0, n, bs):
                 idx = order[start : start + bs]
-                _, grads = loss_and_grads(params, x[idx], y[idx])
+                grads = gradients(params, x[idx], y[idx])
                 for key in params:
                     params[key] -= lr * grads[key]
         self.loss_history.append(mean_loss(params, x, y))

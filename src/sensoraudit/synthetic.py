@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidSpecError
-from .ingest import Recording, RecordingSet, SegmentationConfig
+from .ingest import Recording, RecordingSet, SegmentationConfig, is_safe_label
 
 PROFILE_KINDS = ("tonic", "noise")
 
@@ -109,6 +109,9 @@ class SyntheticSpec:
             raise InvalidSpecError("class_names must be nonempty")
         if len(set(self.class_names)) != len(self.class_names):
             raise InvalidSpecError("class_names must be unique")
+        for label in self.class_names:
+            if not is_safe_label(label):
+                raise InvalidSpecError(f"class name {label!r} cannot be part of a file name")
         for name, value in (
             ("channel_count", self.channel_count),
             ("windows_per_class", self.windows_per_class),

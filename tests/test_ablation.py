@@ -2,6 +2,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CLASSES, criticality_spec, windows_of
 
@@ -23,7 +25,14 @@ from sensoraudit.errors import (
     TooFewRowsError,
     TopologyMismatchError,
 )
-from sensoraudit.features import build_class_matrices, zero_window_features
+from sensoraudit.features import (
+    FEATURE_NAMES,
+    FeatureConfig,
+    FeatureMatrix,
+    build_class_matrices,
+    feature_columns,
+    zero_window_features,
+)
 from sensoraudit.ingest import WindowedSample
 from sensoraudit.separability import separability_score
 
@@ -291,3 +300,148 @@ class TestRunAblationAudit:
             AblationSpec(sensor_subsets=[])
         with pytest.raises(InvalidSpecError):
             AblationSpec(combinatorial_depth=0)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# Column kinds for the closed-form property test; "zero" repeats the
+# all-zero-window constant, so that column has no range once nullified.
+COLUMN_KINDS = ("normal", "huge", "quantised", "constant", "zero", "capped", "tiny")
+TINY = 1.6369616873214544e-139  # identical copies have an inexact mean
+
+
+def awkward_column(kind, rows, constant, rng):
+    if kind == "normal":
+        return rng.normal(size=rows) * 10.0 ** rng.integers(-3, 4)
+    if kind == "huge":
+        return rng.normal(size=rows) * 1e150
+    if kind == "quantised":
+        return rng.integers(-2, 3, size=rows).astype(float)
+    if kind == "constant":
+        return np.full(rows, float(rng.choice([constant, 0.0, -0.0, 7.5])))
+    if kind == "zero":
+        return np.full(rows, constant)
+    if kind == "capped":  # zero variance in one class, distinct means across classes
+        return np.full(rows, constant + 1.0 + float(rng.integers(0, 3)))
+    return np.full(rows, TINY)
+
+
+@st.composite
+def ablation_cases(draw):
+    names = draw(
+        st.lists(st.sampled_from(FEATURE_NAMES), min_size=1, max_size=4, unique=True)
+    )
+    fcfg = FeatureConfig(enabled_features=tuple(names))
+    channels = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        subsets = draw(
+            st.lists(
+                st.lists(st.integers(0, channels - 1), min_size=1, max_size=channels),
+                min_size=1,
+                max_size=12,
+            )
+        )
+        spec_kw = {"sensor_subsets": [tuple(s) for s in subsets]}
+    else:
+        spec_kw = {"combinatorial_depth": draw(st.integers(1, 3))}
+    metric = draw(st.sampled_from(("f1", "f2", "f3")))
+    classes = {
+        label: (
+            draw(st.integers(2, 6)),
+            draw(
+                st.lists(
+                    st.sampled_from(COLUMN_KINDS),
+                    min_size=channels * len(names),
+                    max_size=channels * len(names),
+                )
+            ),
+        )
+        for label in ("a", "b")[: draw(st.integers(1, 2))]
+    }
+    seed = draw(st.integers(0, 2**32 - 1))
+    return fcfg, channels, AblationSpec(shift_metric=metric, **spec_kw), classes, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(ablation_cases())
+def test_closed_form_matches_per_cell_bits(case):
+    fcfg, channels, spec, classes, seed = case
+    width, fs = 32, 200.0
+    rng = np.random.default_rng(seed)
+    constants = zero_window_features(fcfg, width, fs)
+    columns = feature_columns(channels, fcfg)
+    windows, baselines = [], {}
+    for label, (rows, kinds) in classes.items():
+        values = np.column_stack(
+            [
+                awkward_column(kind, rows, constants[j % len(constants)], rng)
+                for j, kind in enumerate(kinds)
+            ]
+        )
+        provenance = tuple(("t", i) for i in range(rows))
+        baselines[label] = FeatureMatrix(values, label, columns, provenance)
+        windows += [
+            WindowedSample(np.zeros((channels, width)), label, "t", i) for i in range(rows)
+        ]
+
+    report = run_ablation_audit(windows, spec, fcfg, fs, baselines=baselines)
+    expected = [
+        [
+            separability_score(
+                baselines[label], ablated_matrix(baselines[label], subset, fcfg, width, fs)
+            ).by_metric(spec.shift_metric)
+            for subset in report.subsets
+        ]
+        for label in report.classes
+    ]
+    assert same_bits(report.raw_shift, expected)
+
+
+class TestClosedFormAblation:
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_two_separability_passes_per_class(self, fcfg, monkeypatch, depth):
+        windows, fs = windows_of(criticality_spec(6))
+        matrices = build_class_matrices(windows, fcfg, fs)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return separability_score(*args)
+
+        monkeypatch.setattr(ablation, "separability_score", counting)
+        report = run_ablation_audit(
+            windows, AblationSpec(combinatorial_depth=depth), fcfg, fs, baselines=matrices
+        )
+        assert len(report.subsets) == len(enumerate_subsets(5, depth))
+        assert len(calls) <= 2 * len(report.classes)
+
+    @pytest.mark.parametrize("metric", ["f1", "f2", "f3"])
+    def test_depth_three_matches_ablated_shift(self, fcfg, metric):
+        windows, fs = windows_of(criticality_spec(7))
+        matrices = build_class_matrices(windows, fcfg, fs)
+        report = run_ablation_audit(
+            windows,
+            AblationSpec(combinatorial_depth=3, shift_metric=metric),
+            fcfg,
+            fs,
+            baselines=matrices,
+        )
+        for ci, label in enumerate(report.classes):
+            class_windows = [w for w in windows if w.class_label == label]
+            expected = [
+                ablated_shift(class_windows, subset, fcfg, fs, metric, baseline=matrices[label])
+                for subset in report.subsets
+            ]
+            assert same_bits(report.raw_shift[ci], expected)
+
+    def test_subset_blocks_do_not_change_shifts(self, fcfg, monkeypatch):
+        windows, fs = windows_of(criticality_spec(8))
+        matrices = build_class_matrices(windows, fcfg, fs)
+        spec = AblationSpec(combinatorial_depth=2, shift_metric="f1")
+        whole = run_ablation_audit(windows, spec, fcfg, fs, baselines=matrices)
+        monkeypatch.setattr(ablation, "SHIFT_BLOCK_VALUES", 1)
+        one_by_one = run_ablation_audit(windows, spec, fcfg, fs, baselines=matrices)
+        assert same_bits(whole.raw_shift, one_by_one.raw_shift)

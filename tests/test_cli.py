@@ -2,13 +2,18 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
+
 from sensoraudit.cli import main
 from sensoraudit.errors import (
+    EXIT_BAD_DATA,
     EXIT_CONFIG,
     EXIT_MISSING_FILE,
     EXIT_OUTPUT_EXISTS,
     EXIT_TOO_SMALL,
 )
+from sensoraudit.ingest import Recording, RecordingSet
+from sensoraudit.reports import write_dataset
 
 
 def write_spec(path: Path, channel_count=3, classes=("alpha", "beta", "gamma"), windows=20, seed=3):
@@ -115,6 +120,47 @@ class TestComplexity:
             assert field in capsys.readouterr().err
             assert not (tmp_path / field).exists()
 
+    def test_non_integer_feature_setting_is_config_error(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json")
+        for field, value in (
+            ("entropy_bins", float("nan")),
+            ("sampen_m", 2.5),
+            ("wavelet_levels", True),
+        ):
+            cfg = tmp_path / f"{field}.json"
+            cfg.write_text(json.dumps({"features": {field: value}}))
+            out = tmp_path / field
+            code = main(["full", "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)])
+            assert code == EXIT_CONFIG
+            assert field in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_near_constant_channel_is_bad_data(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        flat = np.full(256, 3.0)
+        flat[1::2] = np.nextafter(3.0, 4.0)
+        rset = RecordingSet(
+            [
+                Recording(np.stack([rng.normal(size=256), flat]), label, "t0", "s0", "p0")
+                for label in ("a", "b")
+            ],
+            200.0,
+            ["a", "b"],
+            2,
+        )
+        write_dataset(tmp_path / "ds", rset)
+        cfg = tmp_path / "audit.json"
+        segmentation = {"trim_head_ms": 0.0, "trim_tail_ms": 0.0, "window_len_samples": 64}
+        cfg.write_text(json.dumps({"segmentation": segmentation}))
+        out = tmp_path / "o"
+        code = main(
+            ["complexity", "--data", str(tmp_path / "ds"), "--config", str(cfg), "--out", str(out)]
+        )
+        assert code == EXIT_BAD_DATA
+        err = capsys.readouterr().err
+        assert "near-constant" in err and "entropy_bins" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_single_class_too_few(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json", classes=("alpha",))
         code = main(["complexity", "--synthetic", str(spec), "--out", str(tmp_path / "o")])
@@ -219,6 +265,35 @@ class TestAblate:
             main(["ablate", "--synthetic", str(spec), "--out", str(out)])
             == EXIT_OUTPUT_EXISTS
         )
+
+
+class TestUnsafeClassLabels:
+    def tree(self, root: Path) -> set[Path]:
+        return {p for p in root.rglob("*")}
+
+    def test_synthetic_label_cannot_escape_out(self, tmp_path, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        spec = write_spec(work / "spec.json", classes=("alpha", "../../../escaped"))
+        before = self.tree(tmp_path)
+        out = work / "a" / "b"
+        code = main(["ablate", "--synthetic", str(spec), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "escaped" in capsys.readouterr().err
+        assert self.tree(tmp_path) == before
+
+    def test_manifest_label_is_bad_data(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json")
+        ds = tmp_path / "ds"
+        assert main(["synth", "--synthetic", str(spec), "--out", str(ds)]) == 0
+        manifest = json.loads((ds / "dataset.json").read_text())
+        manifest["class_names"].append("../escaped")
+        (ds / "dataset.json").write_text(json.dumps(manifest))
+        before = self.tree(tmp_path)
+        code = main(["ablate", "--data", str(ds), "--out", str(tmp_path / "a" / "b")])
+        assert code == EXIT_BAD_DATA
+        assert "escaped" in capsys.readouterr().err
+        assert self.tree(tmp_path) == before
 
 
 class TestOracleCmd:

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from reference_impls import naive_katz, naive_sample_entropy
 
 from sensoraudit import features
-from sensoraudit.errors import InvalidSpecError, WindowTooShortError
+from sensoraudit.errors import (
+    DataFormatError,
+    InvalidSpecError,
+    UnbinnableWindowError,
+    WindowTooShortError,
+)
 from sensoraudit.features import (
     FEATURE_NAMES,
     FeatureConfig,
@@ -473,6 +478,16 @@ class TestBatchedExtractors:
         with pytest.raises(ValueError):
             shannon_entropy(np.stack([np.arange(50.0), x]), 128)
 
+    def test_shannon_narrow_range_error_is_typed(self):
+        x = np.full(128, 3.0)
+        x[1::2] = np.nextafter(3.0, 4.0)
+        with pytest.raises(UnbinnableWindowError, match="entropy_bins") as err:
+            shannon_entropy(np.stack([np.arange(128.0), x]), 64)
+        assert isinstance(err.value, DataFormatError)
+        assert isinstance(err.value, ValueError)
+        assert "3.0000000000000004" in str(err.value)
+        assert shannon_entropy(x, 1) == 0.0  # one bin needs no inner edge
+
     def test_median_frequency_matches_searchsorted(self):
         rows = np.vstack([awkward_rows(400, seed=3), awkward_rows(400, seed=4)])
         freqs = np.fft.rfftfreq(400, d=1.0 / 200.0)[1:]
@@ -543,6 +558,14 @@ class TestFeatureConfigValidation:
     @pytest.mark.parametrize("field", ["sampen_r_coeff", "zc_threshold", "ssc_threshold"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_settings_rejected(self, field, value):
+        with pytest.raises(InvalidSpecError, match=field):
+            FeatureConfig(**{field: value})
+        with pytest.raises(InvalidSpecError, match=field):
+            FeatureConfig.from_json_dict({field: value})
+
+    @pytest.mark.parametrize("field", ["entropy_bins", "sampen_m", "wavelet_levels"])
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, 3.0, True, "3", None, 0, -1])
+    def test_integer_settings_need_positive_int(self, field, value):
         with pytest.raises(InvalidSpecError, match=field):
             FeatureConfig(**{field: value})
         with pytest.raises(InvalidSpecError, match=field):

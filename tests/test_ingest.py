@@ -6,6 +6,7 @@ import pytest
 from reference_impls import enumerate_window_starts
 
 from sensoraudit.errors import (
+    DataFormatError,
     InconsistentChannelCountError,
     InvalidSpecError,
     MalformedRowError,
@@ -214,6 +215,15 @@ class TestLoadDataset:
         victim = next((tmp_path / "p00" / "s0").glob("*.csv"))
         victim.rename(victim.with_name("mystery_t0.csv"))
         with pytest.raises(UnknownClassLabelError):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("label", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
+    def test_unsafe_manifest_class_name(self, tmp_path, label):
+        build_dataset(tmp_path, trials=1, classes=("a",), channels=2, rows=3)
+        manifest = json.loads((tmp_path / "dataset.json").read_text())
+        manifest["class_names"].append(label)
+        (tmp_path / "dataset.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataFormatError, match="file name"):
             load_dataset(tmp_path)
 
     def test_file_order_is_lexicographic(self, tmp_path):

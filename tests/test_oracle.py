@@ -15,6 +15,7 @@ from sensoraudit.oracle import (
     MlpClassifier,
     OracleConfig,
     evaluate_mcc,
+    gradients,
     init_params,
     loss_and_grads,
     mcc_from_counts,
@@ -135,6 +136,34 @@ class TestGradients:
                     numeric = (up - down) / (2 * step)
                     scale = max(abs(numeric), abs(grad_flat[idx]), 1e-8)
                     assert abs(numeric - grad_flat[idx]) / scale < 1e-4, (case, key)
+
+
+    def test_gradients_equal_loss_and_grads_bits(self):
+        rng = np.random.default_rng(7)
+        params = init_params(5, 8, rng)
+        x = rng.normal(size=(12, 5))
+        y = rng.integers(0, 2, size=12).astype(float)
+        loss, expected = loss_and_grads(params, x, y)
+        assert loss == mean_loss(params, x, y)
+        got = gradients(params, x, y)
+        for key in params:
+            assert np.array_equal(got[key].view(np.uint64), expected[key].view(np.uint64))
+
+    def test_fit_equals_loss_and_grads_descent(self):
+        x, y = blobs(n=40, dims=3, seed=5)
+        cfg = OracleConfig(hidden_units=6, epochs=4, batch_size=8, seed=2)
+        clf = MlpClassifier(cfg).fit(x, y)
+        rng = np.random.default_rng(cfg.seed)
+        params = init_params(3, cfg.hidden_units, rng)
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(y))
+            for start in range(0, len(y), cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                _, grads = loss_and_grads(params, x[idx], y[idx])
+                for key in params:
+                    params[key] -= cfg.learning_rate * grads[key]
+        for key in params:
+            assert np.array_equal(clf.params[key].view(np.uint64), params[key].view(np.uint64))
 
 
 class TestTraining:

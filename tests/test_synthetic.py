@@ -46,6 +46,11 @@ class TestSpecValidation:
                 channels=[ChannelSpec(per_class={"zz": ChannelProfile()})],
             )
 
+    @pytest.mark.parametrize("label", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b", 3])
+    def test_unsafe_class_label(self, label):
+        with pytest.raises(InvalidSpecError, match="file name"):
+            SyntheticSpec(class_names=["ok", label], channel_count=1)
+
     def test_unknown_kind(self):
         with pytest.raises(InvalidSpecError):
             ChannelProfile(kind="sparkle")
