@@ -58,8 +58,8 @@ from .features import (
     feature_columns,
     zero_window_features,
 )
-from .ingest import WindowedSample
-from .separability import SHIFT_METRICS, SeparabilityScore, separability_score
+from .ingest import JsonConfig, WindowedSample
+from .separability import SHIFT_METRICS, reduce_terms, separability_score
 
 DEFAULT_CRITICALITY_THRESHOLD = 0.8
 DEFAULT_REDUNDANCY_THRESHOLD = 0.3
@@ -70,7 +70,7 @@ SHIFT_BLOCK_VALUES = 1 << 16
 
 
 @dataclass
-class AblationSpec:
+class AblationSpec(JsonConfig):
     sensor_subsets: list[tuple[int, ...]] | None = None
     combinatorial_depth: int = 1
     shift_metric: str = "f1"
@@ -95,29 +95,6 @@ class AblationSpec:
             self.sensor_subsets = normalized
         if self.ring_topology is not None:
             self.ring_topology = tuple(int(s) for s in self.ring_topology)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "AblationSpec":
-        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise InvalidSpecError(f"unknown AblationSpec fields: {', '.join(unknown)}")
-        d = dict(d)
-        if d.get("sensor_subsets") is not None:
-            d["sensor_subsets"] = [tuple(s) for s in d["sensor_subsets"]]
-        if d.get("ring_topology") is not None:
-            d["ring_topology"] = tuple(d["ring_topology"])
-        return cls(**d)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sensor_subsets": (
-                None if self.sensor_subsets is None else [list(s) for s in self.sensor_subsets]
-            ),
-            "combinatorial_depth": self.combinatorial_depth,
-            "shift_metric": self.shift_metric,
-            "classes": None if self.classes is None else list(self.classes),
-            "ring_topology": None if self.ring_topology is None else list(self.ring_topology),
-        }
 
 
 def enumerate_subsets(channel_count: int, depth: int) -> list[tuple[int, ...]]:
@@ -198,33 +175,6 @@ def ablated_shift(
     window_len = int(class_samples[0].data.shape[1])
     ablated = ablated_matrix(baseline, sensors, fcfg, window_len, fs)
     return separability_score(baseline, ablated).by_metric(metric)
-
-
-def _shift_terms(score: SeparabilityScore, metric: str) -> np.ndarray:
-    """Per-dimension values that ``separability_score`` reduces to ``metric``.
-
-    f1: the Fisher ratios. f2: the overlap fractions, 1.0 where the
-    combined range is zero. f3: the non-overlap fractions, -inf there.
-    """
-    if metric == "f1":
-        return score.per_dim_fisher
-    overlap, span = score.per_dim_overlap, score.per_dim_range
-    live = span > 0.0
-    ratio = np.divide(overlap, span, out=np.zeros_like(overlap), where=live)
-    if metric == "f2":
-        return np.where(live, ratio, 1.0)
-    return np.where(live, 1.0 - ratio, -np.inf)
-
-
-def _reduce_terms(terms: np.ndarray, metric: str) -> np.ndarray:
-    """Each row of ``_shift_terms`` values reduced as ``separability_score``
-    reduces one matrix pair's."""
-    if metric == "f2":
-        return np.prod(terms, axis=1)
-    best = terms[np.arange(terms.shape[0]), np.argmax(terms, axis=1)]
-    if metric == "f3":
-        best[best == -np.inf] = 0.0  # no dimension with a nonzero range
-    return best
 
 
 def _column_masks(subsets, channel_count: int, n_features: int) -> np.ndarray:
@@ -392,8 +342,8 @@ def run_ablation_audit(
         nulled = ablated_matrix(base, range(channel_count), fcfg, window_len, fs, constants)
         terms.append(
             (
-                _shift_terms(separability_score(base, base), spec.shift_metric),
-                _shift_terms(separability_score(base, nulled), spec.shift_metric),
+                separability_score(base, base).terms(spec.shift_metric),
+                separability_score(base, nulled).terms(spec.shift_metric),
             )
         )
 
@@ -404,7 +354,7 @@ def run_ablation_audit(
         stop = min(start + block, len(subsets))
         masks = _column_masks(subsets[start:stop], channel_count, n_features)
         for ci, (kept, gone) in enumerate(terms):
-            raw[ci, start:stop] = _reduce_terms(np.where(masks, gone, kept), spec.shift_metric)
+            raw[ci, start:stop], _ = reduce_terms(np.where(masks, gone, kept), spec.shift_metric)
 
     # Singleton shifts drive criticality; larger subsets are reported raw.
     singleton_col = {subset[0]: j for j, subset in enumerate(subsets) if len(subset) == 1}

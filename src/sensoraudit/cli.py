@@ -3,11 +3,17 @@
 Subcommands::
 
     complexity    ingest -> features -> pairwise separability audit
-    ablate        ingest -> sensor ablation audit
+    ablate        ingest -> features -> sensor ablation audit
     oracle        ingest -> features -> per-pair classifier validation
     full          all of the above sharing one ingest/feature pass
     synth         render a synthetic spec to an on-disk dataset
     ingest-check  validate a dataset without computing anything
+
+The four audit commands share one runner (``_run``): it ingests and builds
+features once, runs the command's stages, and writes their artifacts into
+a staging directory under --out that is moved into place only when every
+writer has finished. The overwrite check runs before any feature is
+computed, on the names in ``reports.ARTIFACTS``.
 
 Every run embeds its resolved configuration and seed in the JSON
 artifacts, and a fixed seed reproduces outputs byte for byte. --jobs is
@@ -19,7 +25,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -40,8 +49,9 @@ from .features import FeatureConfig, build_class_matrices, column_labels, featur
 from .ingest import REST_CLASS, SegmentationConfig, load_dataset, segment
 from .oracle import OracleConfig, run_oracle_audit
 from .reports import (
-    ablation_artifact_paths,
+    ARTIFACTS,
     ablation_payload,
+    artifact_names,
     complexity_payload,
     ensure_writable,
     oracle_payload,
@@ -209,137 +219,98 @@ def _ingest(cfg: AuditRunConfig) -> _PipelineData:
         )
 
 
-def _matrices(cfg: AuditRunConfig, data: _PipelineData):
+# Audit command -> (help, stages it runs); "full" also writes the summary.
+STAGES = ("complexity", "ablation", "oracle")
+COMMANDS = {
+    "complexity": ("pairwise class-separability audit", ("complexity",)),
+    "ablate": ("sensor ablation / criticality audit", ("ablation",)),
+    "oracle": ("per-pair classifier validation", ("oracle",)),
+    "full": ("complexity + ablate + oracle in one pass", STAGES),
+}
+
+
+def _commit(out: Path, write) -> None:
+    """Run ``write(staging)`` into a fresh directory under ``out``, then move
+    every file it wrote into ``out``. If anything fails, ``out`` is left as
+    it was: the staging directory goes, and so do the directories this call
+    created."""
+    created = [p for p in (out, *out.parents) if not p.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    try:
+        write(staging)
+        for path in sorted(staging.iterdir()):
+            os.replace(path, out / path.name)
+    except BaseException:
+        shutil.rmtree(created[-1] if created else staging, ignore_errors=True)
+        raise
+    staging.rmdir()
+
+
+def _run(cfg: AuditRunConfig, stages: tuple[str, ...]) -> int:
+    """Ingest and build features once, run ``stages`` over them, and write
+    the files those stages own (the ``ARTIFACTS`` groups of the same names)."""
+    data = _ingest(cfg)
+    summary = stages == STAGES
+    groups = list(stages) + ["summary"] * summary + ["features"] * cfg.dump_features
+    report_classes = list(cfg.ablation.classes) if cfg.ablation.classes else data.classes
+    ensure_writable([cfg.out_dir / n for n in artifact_names(groups, report_classes)], cfg.overwrite)
+
     with _Stage("features"):
-        return build_class_matrices(data.windows, cfg.features, data.fs)
-
-
-def _oracle_cfg_with_seed(cfg: AuditRunConfig, seed: int) -> OracleConfig:
-    base = cfg.oracle
-    return base if base.seed == seed else replace(base, seed=seed)
-
-
-def cmd_complexity(cfg: AuditRunConfig) -> int:
-    data = _ingest(cfg)
-    out = cfg.out_dir
-    paths = [out / "complexity.csv", out / "complexity.json", out / "complexity_plotdata.csv"]
-    if cfg.dump_features:
-        paths += [out / "features.csv", out / "columns.json"]
-    ensure_writable(paths, cfg.overwrite)
-
-    matrices = _matrices(cfg, data)
-    with _Stage("separability"):
-        ovo = pairwise_audit(matrices, mode="one-vs-one")
-        ovr = pairwise_audit(matrices, mode="one-vs-rest")
-
-    echo = cfg.resolved_echo(data.source_kind, data.source, data.seed)
-    columns = column_labels(feature_columns(data.channel_count, cfg.features))
-    write_complexity(out, ovo, ovr, columns, echo)
-    if cfg.dump_features:
-        write_feature_matrices(out, matrices)
-    return 0
-
-
-def cmd_ablate(cfg: AuditRunConfig) -> int:
-    data = _ingest(cfg)
-    out = cfg.out_dir
-    report_classes = list(cfg.ablation.classes) if cfg.ablation.classes else data.classes
-    ensure_writable(ablation_artifact_paths(out, report_classes), cfg.overwrite)
-
-    with _Stage("ablation"):
-        report = run_ablation_audit(
-            data.windows,
-            cfg.ablation,
-            cfg.features,
-            data.fs,
-            criticality_threshold=cfg.criticality_threshold,
-            redundancy_threshold=cfg.redundancy_threshold,
-        )
-
-    echo = cfg.resolved_echo(data.source_kind, data.source, data.seed)
-    write_ablation(out, report, echo)
-    return 0
-
-
-def cmd_oracle(cfg: AuditRunConfig) -> int:
-    data = _ingest(cfg)
-    out = cfg.out_dir
-    ensure_writable(
-        [out / "oracle.csv", out / "oracle.json", out / "validation.csv"], cfg.overwrite
-    )
-
-    matrices = _matrices(cfg, data)
-    with _Stage("separability"):
-        ovo = pairwise_audit(matrices, mode="one-vs-one")
-    with _Stage("oracle"):
-        results = run_oracle_audit(matrices, _oracle_cfg_with_seed(cfg, data.seed))
-
-    echo = cfg.resolved_echo(data.source_kind, data.source, data.seed)
-    write_oracle(out, results, echo)
-    write_validation(out, ovo, results)
-    return 0
-
-
-def cmd_full(cfg: AuditRunConfig) -> int:
-    data = _ingest(cfg)
-    out = cfg.out_dir
-    report_classes = list(cfg.ablation.classes) if cfg.ablation.classes else data.classes
-    paths = [
-        out / "complexity.csv",
-        out / "complexity.json",
-        out / "complexity_plotdata.csv",
-        *ablation_artifact_paths(out, report_classes),
-        out / "oracle.csv",
-        out / "oracle.json",
-        out / "validation.csv",
-        out / "audit_summary.json",
-    ]
-    if cfg.dump_features:
-        paths += [out / "features.csv", out / "columns.json"]
-    ensure_writable(paths, cfg.overwrite)
-
-    matrices = _matrices(cfg, data)
-    with _Stage("separability"):
-        ovo = pairwise_audit(matrices, mode="one-vs-one")
-        ovr = pairwise_audit(matrices, mode="one-vs-rest")
-    with _Stage("ablation"):
-        report = run_ablation_audit(
-            data.windows,
-            cfg.ablation,
-            cfg.features,
-            data.fs,
-            criticality_threshold=cfg.criticality_threshold,
-            redundancy_threshold=cfg.redundancy_threshold,
-            baselines=matrices,
-        )
-    with _Stage("oracle"):
-        results = run_oracle_audit(matrices, _oracle_cfg_with_seed(cfg, data.seed))
+        matrices = build_class_matrices(data.windows, cfg.features, data.fs)
+    if "complexity" in stages or "oracle" in stages:
+        with _Stage("separability"):
+            ovo = pairwise_audit(matrices, mode="one-vs-one")
+            if "complexity" in stages:
+                ovr = pairwise_audit(matrices, mode="one-vs-rest")
+    if "ablation" in stages:
+        with _Stage("ablation"):
+            report = run_ablation_audit(
+                data.windows,
+                cfg.ablation,
+                cfg.features,
+                data.fs,
+                criticality_threshold=cfg.criticality_threshold,
+                redundancy_threshold=cfg.redundancy_threshold,
+                baselines=matrices,
+            )
+    if "oracle" in stages:
+        with _Stage("oracle"):
+            results = run_oracle_audit(matrices, replace(cfg.oracle, seed=data.seed))
 
     echo = cfg.resolved_echo(data.source_kind, data.source, data.seed)
     columns = column_labels(feature_columns(data.channel_count, cfg.features))
-    write_complexity(out, ovo, ovr, columns, echo)
-    write_ablation(out, report, echo)
-    write_oracle(out, results, echo)
-    write_validation(out, ovo, results)
-    if cfg.dump_features:
-        write_feature_matrices(out, matrices)
 
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "config": echo,
-        "classes": data.classes,
-        "window_counts": {
-            label: sum(1 for w in data.windows if w.class_label == label)
-            for label in data.classes
-        },
-        "complexity": {
-            "one_vs_one": complexity_payload(ovo, columns),
-            "one_vs_rest": complexity_payload(ovr, columns),
-        },
-        "ablation": ablation_payload(report, echo),
-        "oracle": oracle_payload(results),
-    }
-    write_json(out / "audit_summary.json", summary)
+    def write(out: Path) -> None:
+        if "complexity" in stages:
+            write_complexity(out, ovo, ovr, columns, echo)
+        if "ablation" in stages:
+            write_ablation(out, report, echo)
+        if "oracle" in stages:
+            write_oracle(out, results, echo)
+            write_validation(out, ovo, results)
+        if cfg.dump_features:
+            write_feature_matrices(out, matrices)
+        if summary:
+            payload = {
+                "schema_version": SCHEMA_VERSION,
+                "config": echo,
+                "classes": data.classes,
+                "window_counts": {
+                    label: sum(1 for w in data.windows if w.class_label == label)
+                    for label in data.classes
+                },
+                "complexity": {
+                    "one_vs_one": complexity_payload(ovo, columns),
+                    "one_vs_rest": complexity_payload(ovr, columns),
+                },
+                "ablation": ablation_payload(report, echo),
+                "oracle": oracle_payload(results),
+            }
+            (name,) = ARTIFACTS["summary"]
+            write_json(out / name, payload)
+
+    _commit(cfg.out_dir, write)
     return 0
 
 
@@ -398,27 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("complexity", help="pairwise class-separability audit")
-    _add_source_flags(p)
-    p.add_argument("--dump-features", action="store_true", help="also export feature matrices")
-    p.set_defaults(func=lambda a: cmd_complexity(_config_from_args(a)))
-
-    p = sub.add_parser("ablate", help="sensor ablation / criticality audit")
-    _add_source_flags(p)
-    p.add_argument("--metric", choices=("f1", "f2", "f3"), help="distributional shift metric")
-    p.add_argument("--depth", type=int, help="combinatorial ablation depth")
-    p.set_defaults(func=lambda a: cmd_ablate(_config_from_args(a)))
-
-    p = sub.add_parser("oracle", help="per-pair classifier validation")
-    _add_source_flags(p)
-    p.set_defaults(func=lambda a: cmd_oracle(_config_from_args(a)))
-
-    p = sub.add_parser("full", help="complexity + ablate + oracle in one pass")
-    _add_source_flags(p)
-    p.add_argument("--metric", choices=("f1", "f2", "f3"), help="distributional shift metric")
-    p.add_argument("--depth", type=int, help="combinatorial ablation depth")
-    p.add_argument("--dump-features", action="store_true", help="also export feature matrices")
-    p.set_defaults(func=lambda a: cmd_full(_config_from_args(a)))
+    for command, (help_text, stages) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        _add_source_flags(p)
+        if "ablation" in stages:
+            p.add_argument("--metric", choices=("f1", "f2", "f3"), help="distributional shift metric")
+            p.add_argument("--depth", type=int, help="combinatorial ablation depth")
+        if "complexity" in stages:
+            p.add_argument("--dump-features", action="store_true", help="also export feature matrices")
+        p.set_defaults(func=lambda a, stages=stages: _run(_config_from_args(a), stages))
 
     p = sub.add_parser("synth", help="write a synthetic dataset to disk")
     p.add_argument("--synthetic", required=True, help="synthetic spec JSON")

@@ -65,7 +65,7 @@ from .errors import (
     UnbinnableWindowError,
     WindowTooShortError,
 )
-from .ingest import WindowedSample
+from .ingest import JsonConfig, WindowedSample
 
 FEATURE_NAMES: tuple[str, ...] = (
     "shannon_entropy",
@@ -95,7 +95,7 @@ FRACTAL_DIMENSION_MAX = 10.0
 
 
 @dataclass(frozen=True)
-class FeatureConfig:
+class FeatureConfig(JsonConfig):
     entropy_bins: int = 128
     sampen_m: int = 2
     sampen_r_coeff: float = 0.2
@@ -124,27 +124,6 @@ class FeatureConfig:
         if len(set(enabled)) != len(enabled) or not enabled:
             raise InvalidSpecError("enabled_features must be a nonempty set of names")
         object.__setattr__(self, "enabled_features", enabled)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FeatureConfig":
-        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise InvalidSpecError(f"unknown FeatureConfig fields: {', '.join(unknown)}")
-        d = dict(d)
-        if "enabled_features" in d:
-            d["enabled_features"] = tuple(d["enabled_features"])
-        return cls(**d)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "entropy_bins": self.entropy_bins,
-            "sampen_m": self.sampen_m,
-            "sampen_r_coeff": self.sampen_r_coeff,
-            "zc_threshold": self.zc_threshold,
-            "ssc_threshold": self.ssc_threshold,
-            "wavelet_levels": self.wavelet_levels,
-            "enabled_features": list(self.enabled_features),
-        }
 
 
 def _scalar_or_rows(values: np.ndarray, kind=float):

@@ -15,6 +15,7 @@ its line number.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, replace
@@ -47,6 +48,49 @@ def is_safe_label(label) -> bool:
         and label not in ("", ".", "..")
         and not any(c in label for c in "/\\\0")
     )
+
+
+def _checked_fields(cls, d: dict) -> dict:
+    """Constructor arguments of the dataclass ``cls`` from its JSON dict.
+
+    A field is read from the key ``metadata["json"]`` (default: its name)
+    and converted by ``metadata["parse"]`` when the field has one. Any
+    other key raises ``InvalidSpecError``.
+    """
+    fields = {f.metadata.get("json", f.name): f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(d) - set(fields))
+    if unknown:
+        raise InvalidSpecError(f"unknown {cls.__name__} fields: {', '.join(unknown)}")
+    kwargs = {}
+    for key, value in d.items():
+        parse = fields[key].metadata.get("parse")
+        kwargs[fields[key].name] = value if parse is None else parse(value)
+    return kwargs
+
+
+def _to_json(value):
+    if isinstance(value, JsonConfig):
+        return value.to_json_dict()
+    if isinstance(value, (list, tuple)):
+        return [_to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _to_json(v) for k, v in value.items()}
+    return value
+
+
+class JsonConfig:
+    """JSON (de)serialisation for a config dataclass: one key per field, in
+    field order, sequences as lists; see ``_checked_fields`` for parsing."""
+
+    @classmethod
+    def from_json_dict(cls, d: dict):
+        return cls(**_checked_fields(cls, d))
+
+    def to_json_dict(self) -> dict:
+        return {
+            f.metadata.get("json", f.name): _to_json(getattr(self, f.name))
+            for f in dataclasses.fields(self)
+        }
 
 
 def round_half_up(x: float) -> int:
@@ -91,7 +135,7 @@ class WindowedSample:
 
 
 @dataclass(frozen=True)
-class SegmentationConfig:
+class SegmentationConfig(JsonConfig):
     trim_head_ms: float = 600.0
     trim_tail_ms: float = 600.0
     window_len_samples: int = 400
@@ -115,26 +159,6 @@ class SegmentationConfig:
     def stride(self) -> int:
         return round_half_up(self.window_len_samples * (1.0 - self.overlap_fraction))
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SegmentationConfig":
-        return cls(**_checked_fields(cls, d))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trim_head_ms": self.trim_head_ms,
-            "trim_tail_ms": self.trim_tail_ms,
-            "window_len_samples": self.window_len_samples,
-            "overlap_fraction": self.overlap_fraction,
-            "concat_trials_within_session": self.concat_trials_within_session,
-        }
-
-
-def _checked_fields(cls, d: dict) -> dict:
-    known = set(cls.__dataclass_fields__)
-    unknown = sorted(set(d) - known)
-    if unknown:
-        raise InvalidSpecError(f"unknown {cls.__name__} fields: {', '.join(unknown)}")
-    return dict(d)
 
 
 def validate_recording_set(rset: RecordingSet) -> None:

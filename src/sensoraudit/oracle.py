@@ -29,10 +29,11 @@ from .errors import (
     TooFewRowsError,
 )
 from .features import FeatureMatrix
+from .ingest import JsonConfig
 
 
 @dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(JsonConfig):
     hidden_units: int = 64
     epochs: int = 200
     learning_rate: float = 0.01
@@ -47,23 +48,6 @@ class OracleConfig:
             raise InvalidSpecError("learning_rate must be positive")
         if not 0.0 < self.test_fraction < 1.0:
             raise InvalidSpecError("test_fraction must lie in (0, 1)")
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "OracleConfig":
-        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise InvalidSpecError(f"unknown OracleConfig fields: {', '.join(unknown)}")
-        return cls(**d)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "hidden_units": self.hidden_units,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "test_fraction": self.test_fraction,
-            "seed": self.seed,
-        }
 
 
 def standardize(

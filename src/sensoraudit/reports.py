@@ -1,25 +1,53 @@
 """Artifact writers: CSV (comma, dot decimal, LF) and UTF-8 JSON.
 
-All writes happen after computation, from a single caller sequence, so a
-failed run never leaves a half-written artifact mix behind an overwrite
-check. Floats are serialized with repr (shortest round-trip), which keeps
-reruns byte-identical.
+``ARTIFACTS`` names every file an audit writes, by the group that owns
+it; the writers and the CLI's overwrite check both take their names from
+it. The writers themselves write file by file: the CLI runs them into a
+staging directory and moves the finished set into place, so a failed run
+leaves the output directory as it was. Floats are serialized with repr
+(shortest round-trip), which keeps reruns byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .ablation import AblationReport
-from .errors import OutputExistsError
+from .errors import InvalidSpecError, OutputExistsError
 from .features import FeatureMatrix, column_labels
-from .ingest import MANIFEST_NAME, RecordingSet
+from .ingest import MANIFEST_NAME, RecordingSet, is_safe_label
 from .oracle import OracleResult
 from .separability import PairwiseAudit
+
+
+# Artifact file names by group. The ablation group also writes one
+# criticality_name(label) per class.
+ARTIFACTS = {
+    "complexity": ("complexity.csv", "complexity.json", "complexity_plotdata.csv"),
+    "ablation": ("ablation.json", "ablation.csv", "ranking.csv", "neighbour_compensation.csv"),
+    "oracle": ("oracle.csv", "oracle.json", "validation.csv"),
+    "features": ("features.csv", "columns.json"),
+    "summary": ("audit_summary.json",),
+}
+
+
+def criticality_name(label: str) -> str:
+    if not is_safe_label(label):
+        raise InvalidSpecError(f"class name {label!r} cannot be part of a file name")
+    return f"criticality_{label}.csv"
+
+
+def artifact_names(groups, classes=()) -> list[str]:
+    """Every file the ``groups`` write; ``classes`` are the ablation's."""
+    names = [name for group in groups for name in ARTIFACTS[group]]
+    if "ablation" in groups:
+        names += [criticality_name(label) for label in classes]
+    return names
 
 
 def ensure_writable(paths: list[Path], overwrite: bool) -> None:
@@ -106,9 +134,7 @@ def write_complexity(
     columns: list[str],
     config_echo: dict,
 ) -> list[Path]:
-    csv_path = out_dir / "complexity.csv"
-    json_path = out_dir / "complexity.json"
-    plot_path = out_dir / "complexity_plotdata.csv"
+    csv_path, json_path, plot_path = (out_dir / n for n in ARTIFACTS["complexity"])
     header = [
         "target",
         "reference",
@@ -233,11 +259,8 @@ def ablation_payload(report: AblationReport, config_echo: dict) -> dict:
 
 
 def write_ablation(out_dir: Path, report: AblationReport, config_echo: dict) -> list[Path]:
-    json_path = out_dir / "ablation.json"
-    csv_path = out_dir / "ablation.csv"
-    ranking_path = out_dir / "ranking.csv"
-    comp_path = out_dir / "neighbour_compensation.csv"
-
+    plot_paths = [out_dir / criticality_name(label) for label in report.classes]
+    json_path, csv_path, ranking_path, comp_path = (out_dir / n for n in ARTIFACTS["ablation"])
     write_json(json_path, ablation_payload(report, config_echo))
 
     rows = []
@@ -289,9 +312,7 @@ def write_ablation(out_dir: Path, report: AblationReport, config_echo: dict) -> 
         ],
     )
 
-    paths = [json_path, csv_path, ranking_path, comp_path]
-    for ci, label in enumerate(report.classes):
-        plot_path = out_dir / f"criticality_{label}.csv"
+    for ci, plot_path in enumerate(plot_paths):
         write_csv(
             plot_path,
             ["sensor", "channel", "normalized_criticality"],
@@ -301,18 +322,7 @@ def write_ablation(out_dir: Path, report: AblationReport, config_echo: dict) -> 
                 if np.isfinite(report.normalized_criticality[ci, s])
             ],
         )
-        paths.append(plot_path)
-    return paths
-
-
-def ablation_artifact_paths(out_dir: Path, classes: list[str]) -> list[Path]:
-    return [
-        out_dir / "ablation.json",
-        out_dir / "ablation.csv",
-        out_dir / "ranking.csv",
-        out_dir / "neighbour_compensation.csv",
-        *[out_dir / f"criticality_{label}.csv" for label in classes],
-    ]
+    return [json_path, csv_path, ranking_path, comp_path, *plot_paths]
 
 
 # -- oracle ------------------------------------------------------------------
@@ -320,8 +330,7 @@ def ablation_artifact_paths(out_dir: Path, classes: list[str]) -> list[Path]:
 def write_oracle(
     out_dir: Path, results: list[OracleResult], config_echo: dict
 ) -> list[Path]:
-    csv_path = out_dir / "oracle.csv"
-    json_path = out_dir / "oracle.json"
+    csv_path, json_path = (out_dir / n for n in ARTIFACTS["oracle"][:2])
     rows = []
     for r in results:
         tp, tn, fp, fn = r.confusion
@@ -358,7 +367,7 @@ def write_validation(
     out_dir: Path, audit: PairwiseAudit, results: list[OracleResult]
 ) -> Path:
     """Join each pair's normalized Fisher ratio with its oracle MCC."""
-    path = out_dir / "validation.csv"
+    path = out_dir / ARTIFACTS["oracle"][2]
     fdr = {(r.target, r.reference): r.normalized_fdr for r in audit.results}
     rows = [
         [r.pair[0], r.pair[1], fdr[(r.pair[0], r.pair[1])], r.mcc] for r in results
@@ -367,13 +376,39 @@ def write_validation(
     return path
 
 
+def kendall_tau(a, b):
+    """Tau-b with tie correction; 0.0 when either list is fully tied."""
+    n = len(a)
+    concordant = discordant = 0
+    ties_a = ties_b = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            da = a[i] - a[j]
+            db = b[i] - b[j]
+            if da == 0 and db == 0:
+                ties_a += 1
+                ties_b += 1
+            elif da == 0:
+                ties_a += 1
+            elif db == 0:
+                ties_b += 1
+            elif (da > 0) == (db > 0):
+                concordant += 1
+            else:
+                discordant += 1
+    total = n * (n - 1) / 2
+    denom = math.sqrt((total - ties_a) * (total - ties_b))
+    if denom == 0.0:
+        return 0.0
+    return (concordant - discordant) / denom
+
+
 # -- feature matrices --------------------------------------------------------
 
 def write_feature_matrices(
     out_dir: Path, matrices: dict[str, FeatureMatrix]
 ) -> list[Path]:
-    csv_path = out_dir / "features.csv"
-    json_path = out_dir / "columns.json"
+    csv_path, json_path = (out_dir / n for n in ARTIFACTS["features"])
     labels = sorted(matrices)
     columns = column_labels(matrices[labels[0]].column_index)
     rows = []

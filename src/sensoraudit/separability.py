@@ -54,6 +54,10 @@ class SeparabilityScore:
             raise ConfigError(f"unknown metric {metric!r}; use one of {SHIFT_METRICS}")
         return {"f1": self.f1, "f2": self.f2, "f3": self.f3}[metric]
 
+    def terms(self, metric: str) -> np.ndarray:
+        """Per-dimension values that ``reduce_terms`` turns into ``metric``."""
+        return metric_terms(metric, self.per_dim_fisher, self.per_dim_overlap, self.per_dim_range)
+
 
 def _check_pair(target: FeatureMatrix, reference: FeatureMatrix, min_rows: int) -> None:
     if target.column_index != reference.column_index:
@@ -91,73 +95,92 @@ def _overlap_per_dim(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return overlap, span
 
 
+def metric_terms(
+    metric: str, fisher: np.ndarray, overlap: np.ndarray, span: np.ndarray
+) -> np.ndarray:
+    """Per-dimension values that ``reduce_terms`` turns into ``metric``.
+
+    f1: the Fisher ratios. f2: the overlap fractions, 1.0 where the
+    combined range is zero. f3: the non-overlap fractions, -inf there.
+    Works on any leading shape; the dimensions are the last axis.
+    """
+    if metric == "f1":
+        return fisher
+    live = span > 0.0
+    ratio = np.divide(overlap, span, out=np.zeros_like(overlap), where=live)
+    if metric == "f2":
+        return np.where(live, ratio, 1.0)
+    return np.where(live, 1.0 - ratio, -np.inf)
+
+
+def reduce_terms(terms: np.ndarray, metric: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``metric_terms`` values reduced to ``metric``, and the
+    deciding column (-1 for f2, and for f3 when no column has a range).
+
+    f1 is the value at the first argmax; f2 the product, where a 1.0
+    placeholder changes no bit because numpy multiplies a row in order; f3
+    the largest value, 0.0 when every column is range-degenerate.
+    """
+    if metric == "f2":
+        return np.prod(terms, axis=1), np.full(terms.shape[0], -1)
+    idx = np.argmax(terms, axis=1)
+    best = terms[np.arange(terms.shape[0]), idx]
+    if metric == "f3":
+        none = best == -np.inf
+        best[none] = 0.0
+        idx[none] = -1
+    return best, idx
+
+
+def _score(target: FeatureMatrix, reference: FeatureMatrix, min_rows: int) -> SeparabilityScore:
+    _check_pair(target, reference, min_rows)
+    t, r = target.values, reference.values
+    fisher, var_degenerate = _fisher_per_dim(t, r)
+    overlap, span = _overlap_per_dim(t, r)
+    (f1,), (f1_idx,) = reduce_terms(fisher[None], "f1")
+    (f2,), _ = reduce_terms(metric_terms("f2", fisher, overlap, span)[None], "f2")
+    (f3,), (f3_idx,) = reduce_terms(metric_terms("f3", fisher, overlap, span)[None], "f3")
+    degenerate = tuple(int(i) for i in np.flatnonzero(var_degenerate | ~(span > 0.0)))
+    return SeparabilityScore(
+        f1=float(f1),
+        f1_argmax=int(f1_idx),
+        f2=float(f2),
+        f3=float(f3),
+        f3_argmax=int(f3_idx),
+        per_dim_fisher=fisher,
+        per_dim_overlap=overlap,
+        per_dim_range=span,
+        degenerate_dims=degenerate,
+    )
+
+
+def separability_score(target: FeatureMatrix, reference: FeatureMatrix) -> SeparabilityScore:
+    """All three metrics in one pass over the two matrices."""
+    return _score(target, reference, min_rows=2)
+
+
 def max_fisher_ratio(
     target: FeatureMatrix, reference: FeatureMatrix
 ) -> tuple[float, int, np.ndarray]:
     """(f1, argmax column, per-dimension ratios). Needs >= 2 rows per side."""
-    _check_pair(target, reference, min_rows=2)
-    per_dim, _ = _fisher_per_dim(target.values, reference.values)
-    idx = int(np.argmax(per_dim))
-    return float(per_dim[idx]), idx, per_dim
+    s = _score(target, reference, min_rows=2)
+    return s.f1, s.f1_argmax, s.per_dim_fisher
 
 
 def overlap_volume(
     target: FeatureMatrix, reference: FeatureMatrix
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """(f2, per-dimension overlap, per-dimension range). Needs >= 1 row."""
-    _check_pair(target, reference, min_rows=1)
-    overlap, span = _overlap_per_dim(target.values, reference.values)
-    live = span > 0.0
-    f2 = float(np.prod(overlap[live] / span[live])) if live.any() else 1.0
-    return f2, overlap, span
+    s = _score(target, reference, min_rows=1)
+    return s.f2, s.per_dim_overlap, s.per_dim_range
 
 
 def feature_efficiency(
     target: FeatureMatrix, reference: FeatureMatrix
 ) -> tuple[float, int]:
     """(f3, argmax column). Needs >= 1 row per side."""
-    _check_pair(target, reference, min_rows=1)
-    overlap, span = _overlap_per_dim(target.values, reference.values)
-    live = span > 0.0
-    if not live.any():
-        return 0.0, -1
-    ratio = np.divide(overlap, span, out=np.zeros_like(overlap), where=live)
-    efficiency = np.where(live, 1.0 - ratio, -np.inf)
-    idx = int(np.argmax(efficiency))
-    return float(efficiency[idx]), idx
-
-
-def separability_score(target: FeatureMatrix, reference: FeatureMatrix) -> SeparabilityScore:
-    """All three metrics in one pass over the two matrices."""
-    _check_pair(target, reference, min_rows=2)
-    t, r = target.values, reference.values
-
-    per_dim_fisher, var_degenerate = _fisher_per_dim(t, r)
-    f1_idx = int(np.argmax(per_dim_fisher))
-
-    overlap, span = _overlap_per_dim(t, r)
-    live = span > 0.0
-    f2 = float(np.prod(overlap[live] / span[live])) if live.any() else 1.0
-    if live.any():
-        ratio = np.divide(overlap, span, out=np.zeros_like(overlap), where=live)
-        efficiency = np.where(live, 1.0 - ratio, -np.inf)
-        f3_idx = int(np.argmax(efficiency))
-        f3 = float(efficiency[f3_idx])
-    else:
-        f3, f3_idx = 0.0, -1
-
-    degenerate = tuple(int(i) for i in np.flatnonzero(var_degenerate | ~live))
-    return SeparabilityScore(
-        f1=float(per_dim_fisher[f1_idx]),
-        f1_argmax=f1_idx,
-        f2=f2,
-        f3=f3,
-        f3_argmax=f3_idx,
-        per_dim_fisher=per_dim_fisher,
-        per_dim_overlap=overlap,
-        per_dim_range=span,
-        degenerate_dims=degenerate,
-    )
+    s = _score(target, reference, min_rows=1)
+    return s.f3, s.f3_argmax
 
 
 @dataclass

@@ -29,13 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidSpecError
-from .ingest import Recording, RecordingSet, SegmentationConfig, is_safe_label
+from .ingest import JsonConfig, Recording, RecordingSet, SegmentationConfig, is_safe_label
 
 PROFILE_KINDS = ("tonic", "noise")
 
 
 @dataclass(frozen=True)
-class ChannelProfile:
+class ChannelProfile(JsonConfig):
     kind: str = "noise"
     gain: float = 1.0
     carrier_hz: float = 30.0  # tonic only
@@ -48,52 +48,26 @@ class ChannelProfile:
         if self.gain <= 0:
             raise InvalidSpecError("profile gain must be positive")
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ChannelProfile":
-        unknown = sorted(set(d) - set(cls.__dataclass_fields__))
-        if unknown:
-            raise InvalidSpecError(f"unknown profile fields: {', '.join(unknown)}")
-        return cls(**d)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "gain": self.gain,
-            "carrier_hz": self.carrier_hz,
-            "am_depth": self.am_depth,
-            "amp_jitter": self.amp_jitter,
-        }
-
 
 @dataclass
-class ChannelSpec:
-    default: ChannelProfile = field(default_factory=ChannelProfile)
-    per_class: dict[str, ChannelProfile] = field(default_factory=dict)
+class ChannelSpec(JsonConfig):
+    default: ChannelProfile = field(
+        default_factory=ChannelProfile, metadata={"parse": ChannelProfile.from_json_dict}
+    )
+    per_class: dict[str, ChannelProfile] = field(
+        default_factory=dict,
+        metadata={
+            "json": "classes",
+            "parse": lambda d: {k: ChannelProfile.from_json_dict(p) for k, p in d.items()},
+        },
+    )
 
     def profile(self, class_label: str) -> ChannelProfile:
         return self.per_class.get(class_label, self.default)
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ChannelSpec":
-        unknown = sorted(set(d) - {"default", "classes"})
-        if unknown:
-            raise InvalidSpecError(f"unknown channel fields: {', '.join(unknown)}")
-        default = ChannelProfile.from_json_dict(d.get("default", {}))
-        per_class = {
-            label: ChannelProfile.from_json_dict(p)
-            for label, p in d.get("classes", {}).items()
-        }
-        return cls(default=default, per_class=per_class)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "default": self.default.to_json_dict(),
-            "classes": {k: v.to_json_dict() for k, v in self.per_class.items()},
-        }
-
 
 @dataclass
-class SyntheticSpec:
+class SyntheticSpec(JsonConfig):
     class_names: list[str]
     channel_count: int
     sampling_rate_hz: float = 200.0
@@ -102,7 +76,10 @@ class SyntheticSpec:
     overlap_fraction: float = 0.5
     trials_per_class: int = 4
     seed: int = 0
-    channels: list[ChannelSpec] = field(default_factory=list)
+    channels: list[ChannelSpec] = field(
+        default_factory=list,
+        metadata={"parse": lambda cs: [ChannelSpec.from_json_dict(c) for c in cs]},
+    )
 
     def __post_init__(self) -> None:
         if not self.class_names:
@@ -148,16 +125,6 @@ class SyntheticSpec:
         )
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "SyntheticSpec":
-        known = set(cls.__dataclass_fields__)
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise InvalidSpecError(f"unknown SyntheticSpec fields: {', '.join(unknown)}")
-        d = dict(d)
-        d["channels"] = [ChannelSpec.from_json_dict(c) for c in d.get("channels", [])]
-        return cls(**d)
-
-    @classmethod
     def from_json_file(cls, path: str | Path) -> "SyntheticSpec":
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -168,19 +135,6 @@ class SyntheticSpec:
         except json.JSONDecodeError as exc:
             raise InvalidSpecError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_json_dict(payload)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "class_names": list(self.class_names),
-            "channel_count": self.channel_count,
-            "sampling_rate_hz": self.sampling_rate_hz,
-            "windows_per_class": self.windows_per_class,
-            "window_len_samples": self.window_len_samples,
-            "overlap_fraction": self.overlap_fraction,
-            "trials_per_class": self.trials_per_class,
-            "seed": self.seed,
-            "channels": [c.to_json_dict() for c in self.channels],
-        }
 
 
 def _smooth(x: np.ndarray, kernel: int) -> np.ndarray:

@@ -15,7 +15,6 @@ import pytest
 
 from conftest import criticality_spec, graded_spec, matrix_from_rows, windows_of
 from reference_impls import (
-    kendall_tau,
     naive_f2,
     naive_f3,
     naive_fisher,
@@ -41,6 +40,7 @@ from sensoraudit.oracle import (
     mean_loss,
     run_oracle_audit,
 )
+from sensoraudit.reports import kendall_tau
 from sensoraudit.separability import pairwise_audit, separability_score
 
 

@@ -3,7 +3,9 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from sensoraudit import cli
 from sensoraudit.cli import main
 from sensoraudit.errors import (
     EXIT_BAD_DATA,
@@ -11,9 +13,10 @@ from sensoraudit.errors import (
     EXIT_MISSING_FILE,
     EXIT_OUTPUT_EXISTS,
     EXIT_TOO_SMALL,
+    OutputExistsError,
 )
 from sensoraudit.ingest import Recording, RecordingSet
-from sensoraudit.reports import write_dataset
+from sensoraudit.reports import artifact_names, write_dataset
 
 
 def write_spec(path: Path, channel_count=3, classes=("alpha", "beta", "gamma"), windows=20, seed=3):
@@ -417,3 +420,80 @@ class TestRestHandling:
         )
         rows = read_csv(out / "complexity.csv")
         assert len(rows) == 3  # all three classes audited pairwise
+
+
+class TestRunner:
+    @pytest.mark.parametrize(
+        "command, dump",
+        [
+            ("complexity", False),
+            ("complexity", True),
+            ("ablate", False),
+            ("oracle", False),
+            ("full", False),
+            ("full", True),
+        ],
+    )
+    def test_writes_exactly_the_table_names(self, tmp_path, command, dump):
+        spec = write_spec(tmp_path / "spec.json")
+        cfg = fast_config(tmp_path / "audit.json")
+        out = tmp_path / "out"
+        argv = [command, "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)]
+        assert main(argv + (["--dump-features"] if dump else [])) == 0
+        stages = cli.COMMANDS[command][1]
+        groups = [*stages, *(["summary"] if command == "full" else []), *(["features"] if dump else [])]
+        expected = artifact_names(groups, ["alpha", "beta", "gamma"])
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+
+    @pytest.mark.parametrize("command", ["ablate", "oracle"])
+    def test_dump_features_is_not_accepted(self, tmp_path, command):
+        with pytest.raises(SystemExit):
+            main([command, "--synthetic", "s.json", "--dump-features"])
+
+    def test_overwrite_refusal_comes_before_features(self, tmp_path, monkeypatch):
+        spec = write_spec(tmp_path / "spec.json")
+        out = tmp_path / "out"
+        assert main(["complexity", "--synthetic", str(spec), "--out", str(out)]) == 0
+
+        def fail(*args, **kwargs):
+            raise AssertionError("features were computed")
+
+        monkeypatch.setattr(cli, "build_class_matrices", fail)
+        code = main(["complexity", "--synthetic", str(spec), "--out", str(out)])
+        assert code == OutputExistsError.exit_code
+
+    def test_failed_write_leaves_out_unchanged(self, tmp_path, monkeypatch):
+        spec = write_spec(tmp_path / "spec.json")
+        cfg = fast_config(tmp_path / "audit.json")
+        out = tmp_path / "out"
+        argv = ["full", "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*")}
+        written = []
+        write_complexity = cli.write_complexity
+
+        def recorded_write_complexity(*args):
+            written.extend(write_complexity(*args))
+            return written
+
+        def fail(*args):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(cli, "write_complexity", recorded_write_complexity)
+        monkeypatch.setattr(cli, "write_ablation", fail)
+        # a different seed changes every artifact, so a leaked file would show
+        with pytest.raises(RuntimeError, match="disk full"):
+            main(argv + ["--overwrite", "--seed", "12"])
+        assert written and all(not p.exists() for p in written)
+        assert {p: p.read_bytes() for p in out.rglob("*")} == before
+
+    def test_failed_write_removes_the_out_it_created(self, tmp_path, monkeypatch):
+        spec = write_spec(tmp_path / "spec.json")
+
+        def fail(*args):
+            raise RuntimeError("disk full")
+
+        monkeypatch.setattr(cli, "write_complexity", fail)
+        with pytest.raises(RuntimeError):
+            main(["complexity", "--synthetic", str(spec), "--out", str(tmp_path / "a" / "b")])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]

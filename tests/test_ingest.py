@@ -5,6 +5,7 @@ import pytest
 
 from reference_impls import enumerate_window_starts
 
+from sensoraudit.ablation import AblationSpec
 from sensoraudit.errors import (
     DataFormatError,
     InconsistentChannelCountError,
@@ -24,7 +25,10 @@ from sensoraudit.ingest import (
     trim,
     window,
 )
+from sensoraudit.features import FeatureConfig
+from sensoraudit.oracle import OracleConfig
 from sensoraudit.reports import write_dataset
+from sensoraudit.synthetic import ChannelProfile, ChannelSpec, SyntheticSpec
 
 
 def rec(t, label="a", trial="t0", channels=2, session="s0", participant="p0"):
@@ -250,3 +254,56 @@ class TestLoadDataset:
         for a, b in zip(original.recordings, loaded.recordings):
             assert np.array_equal(a.samples, b.samples)
             assert a.class_label == b.class_label
+
+
+CONFIGS = [
+    SegmentationConfig(trim_head_ms=0.0, window_len_samples=64, overlap_fraction=0.25),
+    FeatureConfig(entropy_bins=16, enabled_features=("rms", "zero_crossings")),
+    OracleConfig(hidden_units=8, epochs=5, seed=9),
+    AblationSpec(
+        sensor_subsets=[(2, 0), (1,)], shift_metric="f3", classes=["a"], ring_topology=(2, 0, 1)
+    ),
+    ChannelProfile(kind="tonic", gain=2.5, carrier_hz=40.0),
+    ChannelSpec(per_class={"a": ChannelProfile(kind="tonic", gain=3.0)}),
+    SyntheticSpec(
+        class_names=["a", "b"],
+        channel_count=3,
+        seed=4,
+        channels=[ChannelSpec(per_class={"b": ChannelProfile(kind="tonic", gain=1.5)})],
+    ),
+]
+
+
+class TestConfigJson:
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: type(c).__name__)
+    def test_round_trip_through_json_text(self, config):
+        payload = json.loads(json.dumps(config.to_json_dict()))
+        assert type(config).from_json_dict(payload) == config
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: type(c).__name__)
+    def test_unknown_key_is_rejected(self, config):
+        payload = config.to_json_dict()
+        payload["bogus"] = 1
+        with pytest.raises(InvalidSpecError, match="bogus"):
+            type(config).from_json_dict(payload)
+
+    def test_channel_spec_keeps_classes_key_and_nested_profiles(self):
+        payload = CONFIGS[5].to_json_dict()
+        assert list(payload) == ["default", "classes"]
+        clone = ChannelSpec.from_json_dict(payload)
+        assert isinstance(clone.per_class["a"], ChannelProfile)
+        with pytest.raises(InvalidSpecError, match="per_class"):
+            ChannelSpec.from_json_dict({"per_class": {}})
+        with pytest.raises(InvalidSpecError, match="bogus"):
+            ChannelSpec.from_json_dict({"classes": {"a": {"bogus": 1}}})
+
+    def test_sequences_are_written_as_lists(self):
+        payload = CONFIGS[3].to_json_dict()
+        assert payload == {
+            "sensor_subsets": [[0, 2], [1]],
+            "combinatorial_depth": 1,
+            "shift_metric": "f3",
+            "classes": ["a"],
+            "ring_topology": [2, 0, 1],
+        }
+        assert CONFIGS[1].to_json_dict()["enabled_features"] == ["rms", "zero_crossings"]
