@@ -5,11 +5,8 @@ from .ablation import (
     AblationReport,
     AblationSpec,
     CompensationNote,
-    ablated_matrix,
-    ablated_shift,
     enumerate_subsets,
     neighbour_compensation,
-    nullify,
     run_ablation_audit,
 )
 from .errors import AuditError
@@ -74,8 +71,6 @@ __all__ = [
     "SeparabilityScore",
     "SyntheticSpec",
     "WindowedSample",
-    "ablated_matrix",
-    "ablated_shift",
     "build_class_matrices",
     "enumerate_subsets",
     "evaluate_mcc",
@@ -85,7 +80,6 @@ __all__ = [
     "load_dataset",
     "max_fisher_ratio",
     "neighbour_compensation",
-    "nullify",
     "overlap_volume",
     "pairwise_audit",
     "run_ablation_audit",

@@ -1,35 +1,25 @@
 """Simulated sensor failure and per-sensor criticality ranking.
 
-A sensor failure is simulated by zero-filling its channel before feature
-extraction, then measuring how far the class's feature distribution
-moves away from the intact baseline: the shift is
-``separability_score(baseline, ablated).by_metric(metric)``. Every
-feature is computed per channel, so nullifying a channel only turns that
-channel's feature columns into the all-zero-window constants
-(``ablated_matrix``).
+A failed sensor reads zero. Every feature is computed per channel, so
+after a failure that channel's feature columns hold the all-zero-window
+constants (``zero_window_features``) in every row and the other columns
+are unchanged. A subset's shift is the maximum Fisher ratio (f1)
+between the class's intact feature matrix and that ablated matrix.
 
-``run_ablation_audit`` derives every subset's shift from two passes per
-class instead of scoring one ablated matrix per (class, subset) cell.
-Each per-dimension value ``separability_score`` computes (Fisher ratio,
-range overlap, combined range) depends only on that column of the two
-matrices, and an ablated matrix equals the baseline outside the subset's
-columns. So
+``run_ablation_audit`` needs one ``separability_score`` call per class:
+the baseline against a matrix whose every row holds the constants.
 
-* ``separability_score(baseline, baseline)`` gives the values of every
-  column a subset keeps, and
-* ``separability_score(baseline, all channels nullified)`` gives the
-  values of every column a subset nullifies.
+* A kept column is compared with itself: its mean gap is exactly zero,
+  so its Fisher ratio is 0.0 and never raises the maximum.
+* A failed column's ratio depends only on that column of the two
+  matrices, so it is the same float whichever other sensors fail.
 
-A subset's per-dimension values are then one ``np.where`` between the
-two on its column mask, reduced as ``separability_score`` reduces them:
-f1 is the value at the first argmax, f2 the product of the overlap
-fractions of the dimensions with a nonzero range (1.0 if none), f3 the
-largest non-overlap fraction among those (0.0 if none). The
-per-dimension values are the same floats, the argmax picks the same
-entry, and numpy multiplies a row sequentially, where the 1.0 standing
-in for a dimension without range changes no bit. The shifts are
-therefore bitwise equal to the per-cell ones, for any metric, depth or
-explicit subset list.
+So a sensor's shift is the max of its feature columns' ratios, and a
+subset's shift is the max of its members' shifts, bitwise equal to
+scoring each ablated matrix on its own. Depth > 1 therefore adds no
+information under f1; the subsets are still reported. The f2 and f3
+shifts are not offered: against a point mass every cell reads f2 = 0
+and f3 = 1, which ranks sensors by index.
 
 Criticality is the per-class normalized singleton shift (max per class
 is 1 whenever any shift is positive); the global ranking orders sensors
@@ -39,7 +29,7 @@ by the mean of those normalized scores across classes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -59,14 +49,12 @@ from .features import (
     zero_window_features,
 )
 from .ingest import JsonConfig, WindowedSample
-from .separability import SHIFT_METRICS, reduce_terms, separability_score
+from .separability import separability_score
 
 DEFAULT_CRITICALITY_THRESHOLD = 0.8
 DEFAULT_REDUNDANCY_THRESHOLD = 0.3
 
-# Per-dimension values reduced per step of run_ablation_audit (512 KB of
-# float64), so memory stays bounded however many subsets there are.
-SHIFT_BLOCK_VALUES = 1 << 16
+SHIFT_METRICS = ("f1",)
 
 
 @dataclass
@@ -82,7 +70,9 @@ class AblationSpec(JsonConfig):
             raise InvalidSpecError("combinatorial_depth must be positive")
         if self.shift_metric not in SHIFT_METRICS:
             raise InvalidSpecError(
-                f"shift_metric must be one of {SHIFT_METRICS}, got {self.shift_metric!r}"
+                f"shift_metric must be one of {SHIFT_METRICS}, got {self.shift_metric!r}: "
+                "f2 and f3 read 0 and 1 in every cell against a failed sensor, "
+                "so they cannot rank sensors"
             )
         if self.sensor_subsets is not None:
             if not self.sensor_subsets:
@@ -104,86 +94,6 @@ def enumerate_subsets(channel_count: int, depth: int) -> list[tuple[int, ...]]:
     for size in range(1, depth + 1):
         out.extend(itertools.combinations(range(channel_count), size))
     return out
-
-
-def nullify(sample: WindowedSample, sensors) -> WindowedSample:
-    """Copy of the window with the listed channels zero-filled."""
-    channel_count = sample.data.shape[0]
-    idx = sorted(set(int(s) for s in sensors))
-    for s in idx:
-        if not 0 <= s < channel_count:
-            raise IndexOutOfRangeError(f"sensor {s} outside [0, {channel_count})")
-    data = sample.data.copy()
-    if idx:
-        data[idx, :] = 0.0
-    return WindowedSample(
-        data=data,
-        class_label=sample.class_label,
-        source_trial=sample.source_trial,
-        start_index=sample.start_index,
-    )
-
-
-def ablated_matrix(
-    baseline: FeatureMatrix,
-    sensors,
-    cfg: FeatureConfig,
-    window_len: int,
-    fs: float,
-    constants: np.ndarray | None = None,
-) -> FeatureMatrix:
-    """Feature matrix after nullifying ``sensors`` in every window.
-
-    Features are per-channel, so the ablated matrix equals the baseline
-    with the nullified channels' column blocks replaced by the all-zero
-    window's feature values. Pass ``constants`` (the result of
-    ``zero_window_features``) to reuse them across calls.
-    """
-    n_features = len(cfg.enabled_features)
-    channel_count = baseline.n_columns // n_features
-    idx = sorted(set(int(s) for s in sensors))
-    for s in idx:
-        if not 0 <= s < channel_count:
-            raise IndexOutOfRangeError(f"sensor {s} outside [0, {channel_count})")
-    values = baseline.values.copy()
-    if idx:
-        if constants is None:
-            constants = zero_window_features(cfg, window_len, fs)
-        for s in idx:
-            values[:, s * n_features : (s + 1) * n_features] = constants
-    return FeatureMatrix(values, baseline.class_label, baseline.column_index, baseline.row_provenance)
-
-
-def ablated_shift(
-    class_samples: list[WindowedSample],
-    sensors,
-    fcfg: FeatureConfig,
-    fs: float,
-    metric: str = "f1",
-    baseline: FeatureMatrix | None = None,
-) -> float:
-    """Distributional shift of one class caused by nullifying ``sensors``."""
-    if len(class_samples) < 2:
-        raise TooFewRowsError(
-            f"class needs >= 2 windows for an ablation shift, got {len(class_samples)}"
-        )
-    if baseline is None:
-        matrices = build_class_matrices(class_samples, fcfg, fs)
-        if len(matrices) != 1:
-            raise InvalidSpecError("ablated_shift expects samples from a single class")
-        baseline = next(iter(matrices.values()))
-    window_len = int(class_samples[0].data.shape[1])
-    ablated = ablated_matrix(baseline, sensors, fcfg, window_len, fs)
-    return separability_score(baseline, ablated).by_metric(metric)
-
-
-def _column_masks(subsets, channel_count: int, n_features: int) -> np.ndarray:
-    """``(len(subsets), channel_count * n_features)``: the columns each
-    subset nullifies, in the channel-major column order."""
-    channels = np.zeros((len(subsets), channel_count), dtype=bool)
-    for i, subset in enumerate(subsets):
-        channels[i, list(subset)] = True
-    return np.repeat(channels, n_features, axis=1)
 
 
 @dataclass
@@ -278,8 +188,8 @@ def run_ablation_audit(
 ) -> AblationReport:
     """Evaluate every (class, sensor subset) shift and rank sensors.
 
-    Each shift equals ``ablated_shift`` for that class and subset; it is
-    derived from two per-dimension passes per class (see the module
+    One ``separability_score`` call per class gives every sensor's shift;
+    a subset's shift is the max of its members' (see the module
     docstring). Output ordering is fixed (classes as configured or
     sorted, subsets smaller-first lexicographic). Pass
     ``baselines`` (per-class matrices extracted from the same windows)
@@ -335,26 +245,18 @@ def run_ablation_audit(
                 )
         resolved[label] = matrix
 
-    constants = zero_window_features(fcfg, window_len, fs)
-    terms = []  # per class: (kept, nulled) per-dimension values
-    for label in classes:
+    # every row of a failed matrix holds the zero-window constants
+    constants = np.tile(zero_window_features(fcfg, window_len, fs), channel_count)
+    sensor_shift = np.empty((len(classes), channel_count))
+    for ci, label in enumerate(classes):
         base = resolved[label]
-        nulled = ablated_matrix(base, range(channel_count), fcfg, window_len, fs, constants)
-        terms.append(
-            (
-                separability_score(base, base).terms(spec.shift_metric),
-                separability_score(base, nulled).terms(spec.shift_metric),
-            )
-        )
-
-    n_features = len(fcfg.enabled_features)
-    block = max(1, SHIFT_BLOCK_VALUES // (channel_count * n_features))
-    raw = np.empty((len(classes), len(subsets)))
-    for start in range(0, len(subsets), block):
-        stop = min(start + block, len(subsets))
-        masks = _column_masks(subsets[start:stop], channel_count, n_features)
-        for ci, (kept, gone) in enumerate(terms):
-            raw[ci, start:stop], _ = reduce_terms(np.where(masks, gone, kept), spec.shift_metric)
+        failed = replace(base, values=np.broadcast_to(constants, base.values.shape))
+        fisher = separability_score(base, failed).per_dim_fisher
+        sensor_shift[ci] = fisher.reshape(channel_count, -1).max(axis=1)
+    # pad each subset with its first member, which leaves its max alone
+    width = max(len(subset) for subset in subsets)
+    members = np.array([subset + subset[:1] * (width - len(subset)) for subset in subsets])
+    raw = sensor_shift[:, members].max(axis=2)
 
     # Singleton shifts drive criticality; larger subsets are reported raw.
     singleton_col = {subset[0]: j for j, subset in enumerate(subsets) if len(subset) == 1}

@@ -35,6 +35,7 @@ from pathlib import Path
 from .ablation import (
     DEFAULT_CRITICALITY_THRESHOLD,
     DEFAULT_REDUNDANCY_THRESHOLD,
+    SHIFT_METRICS,
     AblationSpec,
     run_ablation_audit,
 )
@@ -256,8 +257,11 @@ def _run(cfg: AuditRunConfig, stages: tuple[str, ...]) -> int:
     report_classes = list(cfg.ablation.classes) if cfg.ablation.classes else data.classes
     ensure_writable([cfg.out_dir / n for n in artifact_names(groups, report_classes)], cfg.overwrite)
 
+    windows = data.windows
+    if stages == ("ablation",) and cfg.ablation.classes:
+        windows = [w for w in windows if w.class_label in report_classes]
     with _Stage("features"):
-        matrices = build_class_matrices(data.windows, cfg.features, data.fs)
+        matrices = build_class_matrices(windows, cfg.features, data.fs)
     if "complexity" in stages or "oracle" in stages:
         with _Stage("separability"):
             ovo = pairwise_audit(matrices, mode="one-vs-one")
@@ -373,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         _add_source_flags(p)
         if "ablation" in stages:
-            p.add_argument("--metric", choices=("f1", "f2", "f3"), help="distributional shift metric")
+            p.add_argument("--metric", choices=SHIFT_METRICS, help="accepted for compatibility; f1 only")
             p.add_argument("--depth", type=int, help="combinatorial ablation depth")
         if "complexity" in stages:
             p.add_argument("--dump-features", action="store_true", help="also export feature matrices")

@@ -372,7 +372,14 @@ def fractal_dimension(signal: np.ndarray):
     n = x.shape[-1] - 1
     if n < 1:
         return _scalar_or_rows(np.ones(x.shape[:-1]))
-    length = np.sqrt(1.0 + np.square(np.diff(x, axis=-1))).sum(axis=-1)
+    with np.errstate(over="ignore"):
+        length = np.sqrt(1.0 + np.square(np.diff(x, axis=-1))).sum(axis=-1)
+    overflow = np.isinf(length)
+    if overflow.any():
+        raise DataFormatError(
+            "fractal_dimension: the curve length of a window with samples up to "
+            f"{np.abs(x[overflow]).max():.3g} overflows float64"
+        )
     offsets = np.arange(1, x.shape[-1], dtype=float)
     extent = np.sqrt(np.square(offsets) + np.square(x[..., 1:] - x[..., :1])).max(axis=-1)
     values = [_katz(n, d, total) for d, total in zip(extent.ravel().tolist(), length.ravel().tolist())]

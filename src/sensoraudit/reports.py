@@ -61,9 +61,7 @@ def ensure_writable(paths: list[Path], overwrite: bool) -> None:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):  # np.float64's own repr wraps the number
         return repr(float(value))
     return str(value)
 

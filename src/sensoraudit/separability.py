@@ -14,7 +14,9 @@ in a shared feature space:
 Dimensions where both distributions collapse (zero summed variance, or
 zero combined range) are flagged as degenerate. A zero-variance
 dimension with distinct means is a perfect separator; its Fisher ratio
-is reported as the finite cap ``F1_CAP``.
+is reported as the finite cap ``F1_CAP``. A dimension whose squared mean
+gap or variance overflows (features near 1e150) is rescaled by a power
+of two, which leaves the ratio as it is.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from .features import FeatureMatrix
 
 F1_CAP = 1e12
 
-SHIFT_METRICS = ("f1", "f2", "f3")
-
 
 @dataclass
 class SeparabilityScore:
@@ -48,15 +48,6 @@ class SeparabilityScore:
     per_dim_overlap: np.ndarray
     per_dim_range: np.ndarray
     degenerate_dims: tuple[int, ...]
-
-    def by_metric(self, metric: str) -> float:
-        if metric not in SHIFT_METRICS:
-            raise ConfigError(f"unknown metric {metric!r}; use one of {SHIFT_METRICS}")
-        return {"f1": self.f1, "f2": self.f2, "f3": self.f3}[metric]
-
-    def terms(self, metric: str) -> np.ndarray:
-        """Per-dimension values that ``reduce_terms`` turns into ``metric``."""
-        return metric_terms(metric, self.per_dim_fisher, self.per_dim_overlap, self.per_dim_range)
 
 
 def _check_pair(target: FeatureMatrix, reference: FeatureMatrix, min_rows: int) -> None:
@@ -72,9 +63,23 @@ def _check_pair(target: FeatureMatrix, reference: FeatureMatrix, min_rows: int) 
             )
 
 
-def _fisher_per_dim(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gap_and_variance(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean_gap = (t.mean(axis=0) - r.mean(axis=0)) ** 2
-    var_sum = t.var(axis=0) + r.var(axis=0)  # population variance
+    return mean_gap, t.var(axis=0) + r.var(axis=0)  # population variance
+
+
+def _fisher_per_dim(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_gap, var_sum = _gap_and_variance(t, r)
+    # features near 1e150 overflow the squares; scaling a column's values
+    # by a power of two is exact and scales gap and variance alike
+    big = ~(np.isfinite(mean_gap) & np.isfinite(var_sum))
+    if big.any():
+        peak = np.maximum(np.abs(t[:, big]).max(axis=0), np.abs(r[:, big]).max(axis=0))
+        shift = -np.frexp(peak)[1]
+        mean_gap[big], var_sum[big] = _gap_and_variance(
+            np.ldexp(t[:, big], shift), np.ldexp(r[:, big], shift)
+        )
     degenerate = var_sum == 0.0
     per_dim = np.zeros(t.shape[1])
     ok = ~degenerate
@@ -95,58 +100,28 @@ def _overlap_per_dim(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return overlap, span
 
 
-def metric_terms(
-    metric: str, fisher: np.ndarray, overlap: np.ndarray, span: np.ndarray
-) -> np.ndarray:
-    """Per-dimension values that ``reduce_terms`` turns into ``metric``.
-
-    f1: the Fisher ratios. f2: the overlap fractions, 1.0 where the
-    combined range is zero. f3: the non-overlap fractions, -inf there.
-    Works on any leading shape; the dimensions are the last axis.
-    """
-    if metric == "f1":
-        return fisher
-    live = span > 0.0
-    ratio = np.divide(overlap, span, out=np.zeros_like(overlap), where=live)
-    if metric == "f2":
-        return np.where(live, ratio, 1.0)
-    return np.where(live, 1.0 - ratio, -np.inf)
-
-
-def reduce_terms(terms: np.ndarray, metric: str) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``metric_terms`` values reduced to ``metric``, and the
-    deciding column (-1 for f2, and for f3 when no column has a range).
-
-    f1 is the value at the first argmax; f2 the product, where a 1.0
-    placeholder changes no bit because numpy multiplies a row in order; f3
-    the largest value, 0.0 when every column is range-degenerate.
-    """
-    if metric == "f2":
-        return np.prod(terms, axis=1), np.full(terms.shape[0], -1)
-    idx = np.argmax(terms, axis=1)
-    best = terms[np.arange(terms.shape[0]), idx]
-    if metric == "f3":
-        none = best == -np.inf
-        best[none] = 0.0
-        idx[none] = -1
-    return best, idx
-
-
 def _score(target: FeatureMatrix, reference: FeatureMatrix, min_rows: int) -> SeparabilityScore:
     _check_pair(target, reference, min_rows)
     t, r = target.values, reference.values
     fisher, var_degenerate = _fisher_per_dim(t, r)
     overlap, span = _overlap_per_dim(t, r)
-    (f1,), (f1_idx,) = reduce_terms(fisher[None], "f1")
-    (f2,), _ = reduce_terms(metric_terms("f2", fisher, overlap, span)[None], "f2")
-    (f3,), (f3_idx,) = reduce_terms(metric_terms("f3", fisher, overlap, span)[None], "f3")
-    degenerate = tuple(int(i) for i in np.flatnonzero(var_degenerate | ~(span > 0.0)))
+    live = span > 0.0
+    ratio = np.divide(overlap, span, out=np.zeros_like(overlap), where=live)
+    # f2: a 1.0 placeholder changes no bit because numpy multiplies in order
+    f2 = np.prod(np.where(live, ratio, 1.0))
+    f1_idx = int(np.argmax(fisher))
+    non_overlap = np.where(live, 1.0 - ratio, -np.inf)
+    f3_idx = int(np.argmax(non_overlap))
+    f3 = non_overlap[f3_idx]
+    if f3 == -np.inf:  # every dimension is range-degenerate
+        f3, f3_idx = 0.0, -1
+    degenerate = tuple(int(i) for i in np.flatnonzero(var_degenerate | ~live))
     return SeparabilityScore(
-        f1=float(f1),
-        f1_argmax=int(f1_idx),
+        f1=float(fisher[f1_idx]),
+        f1_argmax=f1_idx,
         f2=float(f2),
         f3=float(f3),
-        f3_argmax=int(f3_idx),
+        f3_argmax=f3_idx,
         per_dim_fisher=fisher,
         per_dim_overlap=overlap,
         per_dim_range=span,

@@ -1,10 +1,18 @@
 """Naive reference implementations used as independent oracles.
 
 Plain-Python loops, written without reusing any library helpers, so a
-bug in the vectorized code cannot hide in its own mirror.
+bug in the vectorized code cannot hide in its own mirror. The one
+exception is the per-cell ablation reference at the end: it zero-fills
+windows and scores one ablated matrix per (class, subset), the path the
+closed-form ablation audit replaces.
 """
 
 import math
+
+from sensoraudit.errors import IndexOutOfRangeError, InvalidSpecError, TooFewRowsError
+from sensoraudit.features import FeatureMatrix, build_class_matrices, zero_window_features
+from sensoraudit.ingest import WindowedSample
+from sensoraudit.separability import separability_score
 
 
 def naive_mean(xs):
@@ -121,3 +129,44 @@ def enumerate_window_starts(total, width, stride):
         starts.append(s)
         s += stride
     return starts
+
+
+def _sensor_indices(sensors, channel_count):
+    idx = sorted(set(int(s) for s in sensors))
+    for s in idx:
+        if not 0 <= s < channel_count:
+            raise IndexOutOfRangeError(f"sensor {s} outside [0, {channel_count})")
+    return idx
+
+
+def nullify(sample, sensors):
+    """Copy of the window with the listed channels zero-filled."""
+    data = sample.data.copy()
+    data[_sensor_indices(sensors, data.shape[0]), :] = 0.0
+    return WindowedSample(data, sample.class_label, sample.source_trial, sample.start_index)
+
+
+def ablated_matrix(baseline, sensors, cfg, window_len, fs):
+    """Feature matrix after nullifying ``sensors`` in every window: the
+    nullified channels' column blocks hold the all-zero window's values."""
+    n_features = len(cfg.enabled_features)
+    values = baseline.values.copy()
+    constants = zero_window_features(cfg, window_len, fs)
+    for s in _sensor_indices(sensors, baseline.n_columns // n_features):
+        values[:, s * n_features : (s + 1) * n_features] = constants
+    return FeatureMatrix(values, baseline.class_label, baseline.column_index, baseline.row_provenance)
+
+
+def ablated_shift(class_samples, sensors, fcfg, fs, metric="f1", baseline=None):
+    """Per-cell shift of one class: ``metric`` ("f1", "f2" or "f3") of
+    its baseline against the matrix with ``sensors`` nullified."""
+    if len(class_samples) < 2:
+        raise TooFewRowsError(f"class needs >= 2 windows, got {len(class_samples)}")
+    if baseline is None:
+        matrices = build_class_matrices(class_samples, fcfg, fs)
+        if len(matrices) != 1:
+            raise InvalidSpecError("ablated_shift expects samples from a single class")
+        (baseline,) = matrices.values()
+    window_len = int(class_samples[0].data.shape[1])
+    ablated = ablated_matrix(baseline, sensors, fcfg, window_len, fs)
+    return getattr(separability_score(baseline, ablated), metric)

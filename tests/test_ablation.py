@@ -6,16 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CLASSES, criticality_spec, windows_of
+from reference_impls import ablated_matrix, ablated_shift, nullify
 
 from sensoraudit import ablation
 from sensoraudit.ablation import (
     AblationReport,
     AblationSpec,
-    ablated_matrix,
-    ablated_shift,
     enumerate_subsets,
     neighbour_compensation,
-    nullify,
     run_ablation_audit,
 )
 from sensoraudit.errors import (
@@ -281,11 +279,20 @@ class TestRunAblationAudit:
         assert report.subsets == tuple(subsets)
         assert report.raw_shift.tolist() == expected
 
-    def test_shift_metric_selectable(self, fcfg):
-        windows = make_windows(n=6, channels=3, width=64)
-        for metric in ("f1", "f2", "f3"):
-            report = run_ablation_audit(windows, AblationSpec(shift_metric=metric), fcfg, 200.0)
-            assert report.shift_metric == metric
+    @pytest.mark.parametrize("metric", ["f2", "f3"])
+    def test_flat_shift_metrics_rejected(self, metric):
+        with pytest.raises(InvalidSpecError, match="cannot rank sensors"):
+            AblationSpec(shift_metric=metric)
+
+    def test_f2_f3_are_flat_per_cell(self, fcfg):
+        # why they are rejected: every cell reads f2 = 0 and f3 = 1
+        windows, fs = windows_of(criticality_spec(0))
+        for label in CLASSES:
+            class_windows = [w for w in windows if w.class_label == label]
+            matrix = build_class_matrices(class_windows, fcfg, fs)[label]
+            for sensor in range(5):
+                assert ablated_shift(class_windows, {sensor}, fcfg, fs, "f2", matrix) == 0.0
+                assert ablated_shift(class_windows, {sensor}, fcfg, fs, "f3", matrix) == 1.0
 
     def test_class_with_too_few_windows(self, fcfg):
         windows = make_windows(n=1)
@@ -347,7 +354,6 @@ def ablation_cases(draw):
         spec_kw = {"sensor_subsets": [tuple(s) for s in subsets]}
     else:
         spec_kw = {"combinatorial_depth": draw(st.integers(1, 3))}
-    metric = draw(st.sampled_from(("f1", "f2", "f3")))
     classes = {
         label: (
             draw(st.integers(2, 6)),
@@ -362,7 +368,7 @@ def ablation_cases(draw):
         for label in ("a", "b")[: draw(st.integers(1, 2))]
     }
     seed = draw(st.integers(0, 2**32 - 1))
-    return fcfg, channels, AblationSpec(shift_metric=metric, **spec_kw), classes, seed
+    return fcfg, channels, AblationSpec(**spec_kw), classes, seed
 
 
 @settings(max_examples=150, deadline=None)
@@ -392,7 +398,7 @@ def test_closed_form_matches_per_cell_bits(case):
         [
             separability_score(
                 baselines[label], ablated_matrix(baselines[label], subset, fcfg, width, fs)
-            ).by_metric(spec.shift_metric)
+            ).f1
             for subset in report.subsets
         ]
         for label in report.classes
@@ -402,7 +408,7 @@ def test_closed_form_matches_per_cell_bits(case):
 
 class TestClosedFormAblation:
     @pytest.mark.parametrize("depth", [1, 3])
-    def test_two_separability_passes_per_class(self, fcfg, monkeypatch, depth):
+    def test_one_separability_pass_per_class(self, fcfg, monkeypatch, depth):
         windows, fs = windows_of(criticality_spec(6))
         matrices = build_class_matrices(windows, fcfg, fs)
         calls = []
@@ -416,15 +422,14 @@ class TestClosedFormAblation:
             windows, AblationSpec(combinatorial_depth=depth), fcfg, fs, baselines=matrices
         )
         assert len(report.subsets) == len(enumerate_subsets(5, depth))
-        assert len(calls) <= 2 * len(report.classes)
+        assert len(calls) == len(report.classes)
 
-    @pytest.mark.parametrize("metric", ["f1", "f2", "f3"])
-    def test_depth_three_matches_ablated_shift(self, fcfg, metric):
+    def test_depth_three_matches_ablated_shift(self, fcfg):
         windows, fs = windows_of(criticality_spec(7))
         matrices = build_class_matrices(windows, fcfg, fs)
         report = run_ablation_audit(
             windows,
-            AblationSpec(combinatorial_depth=3, shift_metric=metric),
+            AblationSpec(combinatorial_depth=3),
             fcfg,
             fs,
             baselines=matrices,
@@ -432,16 +437,7 @@ class TestClosedFormAblation:
         for ci, label in enumerate(report.classes):
             class_windows = [w for w in windows if w.class_label == label]
             expected = [
-                ablated_shift(class_windows, subset, fcfg, fs, metric, baseline=matrices[label])
+                ablated_shift(class_windows, subset, fcfg, fs, baseline=matrices[label])
                 for subset in report.subsets
             ]
             assert same_bits(report.raw_shift[ci], expected)
-
-    def test_subset_blocks_do_not_change_shifts(self, fcfg, monkeypatch):
-        windows, fs = windows_of(criticality_spec(8))
-        matrices = build_class_matrices(windows, fcfg, fs)
-        spec = AblationSpec(combinatorial_depth=2, shift_metric="f1")
-        whole = run_ablation_audit(windows, spec, fcfg, fs, baselines=matrices)
-        monkeypatch.setattr(ablation, "SHIFT_BLOCK_VALUES", 1)
-        one_by_one = run_ablation_audit(windows, spec, fcfg, fs, baselines=matrices)
-        assert same_bits(whole.raw_shift, one_by_one.raw_shift)

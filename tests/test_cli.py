@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -246,19 +247,48 @@ class TestAblate:
         assert len(ranking) == 8
         assert [r["rank"] for r in ranking] == [str(i) for i in range(1, 9)]
 
-    def test_metric_flag(self, tmp_path):
+    def test_metric_flag_accepts_f1_only(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json")
         out = tmp_path / "out"
-        assert (
-            main(["ablate", "--synthetic", str(spec), "--out", str(out), "--metric", "f3"]) == 0
-        )
+        assert main(["ablate", "--synthetic", str(spec), "--out", str(out), "--metric", "f1"]) == 0
         payload = json.loads((out / "ablation.json").read_text())
-        assert payload["shift_metric"] == "f3"
+        assert payload["shift_metric"] == "f1"
         assert payload["advice"].keys() == {
             "reinforce_critical_components",
             "implement_graceful_degradation",
             "optimise_for_efficiency",
         }
+        for metric in ("f2", "f3"):
+            with pytest.raises(SystemExit) as exc:
+                main(["ablate", "--synthetic", str(spec), "--out", str(out), "--metric", metric])
+            assert exc.value.code == EXIT_CONFIG
+            cfg = tmp_path / f"{metric}.json"
+            cfg.write_text(json.dumps({"ablation": {"shift_metric": metric}}))
+            argv = ["ablate", "--synthetic", str(spec), "--config", str(cfg), "--out", str(tmp_path / metric)]
+            assert main(argv) == EXIT_CONFIG
+            assert "cannot rank sensors" in capsys.readouterr().err
+            assert not (tmp_path / metric).exists()
+
+    def test_ablated_classes_alone_get_features(self, tmp_path, monkeypatch):
+        spec = write_spec(tmp_path / "spec.json")
+        cfg = tmp_path / "audit.json"
+        cfg.write_text(
+            json.dumps({"ablation": {"classes": ["gamma", "alpha"]}, "oracle": {"epochs": 30}})
+        )
+        source = ["--synthetic", str(spec), "--config", str(cfg)]
+        assert main(["full", *source, "--out", str(tmp_path / "full")]) == 0
+        counted = []
+        build = cli.build_class_matrices
+
+        def counting(windows, *args):
+            counted.append((sorted({w.class_label for w in windows}), len(windows)))
+            return build(windows, *args)
+
+        monkeypatch.setattr(cli, "build_class_matrices", counting)
+        assert main(["ablate", *source, "--out", str(tmp_path / "ablate")]) == 0
+        assert counted == [(["alpha", "gamma"], 40)]  # 20 windows per class
+        for path in (tmp_path / "ablate").iterdir():
+            assert path.read_bytes() == (tmp_path / "full" / path.name).read_bytes()
 
     def test_overwrite_refusal(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json")
@@ -268,6 +298,44 @@ class TestAblate:
             main(["ablate", "--synthetic", str(spec), "--out", str(out)])
             == EXIT_OUTPUT_EXISTS
         )
+
+
+def write_noise_spec(path: Path, gain: float) -> Path:
+    spec = {
+        "class_names": ["a", "b"],
+        "channel_count": 2,
+        "windows_per_class": 8,
+        "window_len_samples": 128,
+        "trials_per_class": 2,
+        "seed": 0,
+        "channels": [{"default": {"kind": "noise", "gain": gain}}, {}],
+    }
+    path.write_text(json.dumps(spec))
+    return path
+
+
+# rms, median_frequency and the oracle's standardize still warn on overflow
+# here (their formulas are left as they are); an invalid-value warning,
+# which a NaN separability score raises, still fails the test
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestHugeAmplitudes:
+    @pytest.mark.parametrize("gain", [1e140, 1e152])
+    def test_full_audit_has_no_nan(self, tmp_path, gain):
+        spec = write_noise_spec(tmp_path / "spec.json", gain)
+        out = tmp_path / "out"
+        argv = ["full", "--synthetic", str(spec), "--config", str(fast_config(tmp_path / "c.json"))]
+        assert main(argv + ["--out", str(out)]) == 0
+        for path in out.iterdir():
+            assert not re.search(r"\bnan\b", path.read_text(), re.IGNORECASE), path.name
+        assert float(read_csv(out / "complexity.csv")[0]["f1"]) > 0.0
+
+    def test_fractal_dimension_overflow_is_bad_data(self, tmp_path, capsys):
+        spec = write_noise_spec(tmp_path / "spec.json", 1e154)
+        out = tmp_path / "out"
+        assert main(["full", "--synthetic", str(spec), "--out", str(out)]) == EXIT_BAD_DATA
+        err = capsys.readouterr().err
+        assert "error [features]: fractal_dimension" in err and "overflows" in err
+        assert not out.exists()
 
 
 class TestUnsafeClassLabels:

@@ -274,6 +274,14 @@ class TestFractalDimension:
         assert 1.0 < value < 2.0
         assert value == pytest.approx(naive_katz(list(x)), rel=1e-12)
 
+    def test_overflowing_curve_length_is_bad_data(self):
+        # the steps' squares overflow; before, log10 of a zero ratio raised
+        # a bare ValueError (math domain error)
+        rows = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 1e154, -1e154, 1e154]])
+        with pytest.raises(DataFormatError, match="fractal_dimension.*1e\\+154"):
+            fractal_dimension(rows)
+        assert fractal_dimension(rows[0]) == fractal_dimension(rows[:1])[0]
+
 
 # grid values with power-of-two scales stay exactly representable, so the
 # invariants are not muddied by float underflow at subnormal magnitudes

@@ -261,7 +261,7 @@ CONFIGS = [
     FeatureConfig(entropy_bins=16, enabled_features=("rms", "zero_crossings")),
     OracleConfig(hidden_units=8, epochs=5, seed=9),
     AblationSpec(
-        sensor_subsets=[(2, 0), (1,)], shift_metric="f3", classes=["a"], ring_topology=(2, 0, 1)
+        sensor_subsets=[(2, 0), (1,)], shift_metric="f1", classes=["a"], ring_topology=(2, 0, 1)
     ),
     ChannelProfile(kind="tonic", gain=2.5, carrier_hz=40.0),
     ChannelSpec(per_class={"a": ChannelProfile(kind="tonic", gain=3.0)}),
@@ -297,12 +297,19 @@ class TestConfigJson:
         with pytest.raises(InvalidSpecError, match="bogus"):
             ChannelSpec.from_json_dict({"classes": {"a": {"bogus": 1}}})
 
+    @pytest.mark.parametrize("metric", ["f2", "f3"])
+    def test_flat_shift_metric_is_rejected_on_load(self, metric):
+        payload = CONFIGS[3].to_json_dict() | {"shift_metric": metric}
+        with pytest.raises(InvalidSpecError, match="cannot rank sensors") as err:
+            AblationSpec.from_json_dict(payload)
+        assert err.value.exit_code == 2
+
     def test_sequences_are_written_as_lists(self):
         payload = CONFIGS[3].to_json_dict()
         assert payload == {
             "sensor_subsets": [[0, 2], [1]],
             "combinatorial_depth": 1,
-            "shift_metric": "f3",
+            "shift_metric": "f1",
             "classes": ["a"],
             "ring_topology": [2, 0, 1],
         }

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,22 @@ class TestUnsafeLabelInWriter:
         with pytest.raises(InvalidSpecError, match="escaped"):
             write_ablation(out, report, {})
         assert tree(tmp_path) == before
+
+
+class TestAblationCsv:
+    def test_raw_shift_cells_are_plain_numbers(self, tmp_path):
+        rng = np.random.default_rng(1)
+        windows = [
+            WindowedSample(rng.normal(size=(3, 32)), label, "t0", 32 * i)
+            for label in ("a", "b")
+            for i in range(5)
+        ]
+        fcfg = FeatureConfig(enabled_features=("rms", "waveform_length"))
+        report = run_ablation_audit(windows, AblationSpec(combinatorial_depth=2), fcfg, 100.0)
+        write_ablation(tmp_path, report, {})
+        with (tmp_path / "ablation.csv").open(newline="") as fh:
+            cells = [row["raw_shift"] for row in csv.DictReader(fh)]
+        assert [float(c) for c in cells] == report.raw_shift.ravel().tolist()
 
 
 class TestKendallTau:

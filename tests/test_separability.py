@@ -59,6 +59,22 @@ class TestFisherRatio:
         ba = separability_score(reference, target)
         assert ab.f1 == ba.f1 == F1_CAP
 
+    @pytest.mark.parametrize("power", [500, 520, 600, 1000])
+    def test_overflowing_columns_keep_their_ratio(self, power):
+        # column 1 is scaled by 2**power; at 520 and above its squared gap
+        # and variance overflow, and the ratio must still be the unscaled one
+        rng = np.random.default_rng(power)
+        t, r = rng.normal(size=(6, 3)), rng.normal(loc=0.5, size=(4, 3))
+        plain = separability_score(matrix_from_rows(t), matrix_from_rows(r))
+        scale = np.array([1.0, 2.0**power, 1.0])
+        t[:, 2] = rng.normal(size=6)  # column 2 stays finite but changes
+        r[:, 2] = rng.normal(size=4)
+        expected = separability_score(matrix_from_rows(t), matrix_from_rows(r)).per_dim_fisher
+        expected[1] = plain.per_dim_fisher[1]
+        score = separability_score(matrix_from_rows(t * scale), matrix_from_rows(r * scale))
+        assert np.array_equal(score.per_dim_fisher.view(np.uint64), expected.view(np.uint64))
+        assert np.isfinite(score.f1)
+
     def test_zero_variance_equal_means_scores_zero(self):
         target = matrix_from_rows([[1.0], [1.0]])
         reference = matrix_from_rows([[1.0], [1.0]])
