@@ -50,11 +50,11 @@ def spec_for(gap: float, seed: int) -> SyntheticSpec:
     )
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=10)
     parser.add_argument("--out", default="fdr_vs_mcc.csv")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     fcfg = FeatureConfig()
     rows = []

@@ -15,17 +15,15 @@ from .features import (
     FeatureConfig,
     FeatureMatrix,
     build_class_matrices,
-    extract_features,
 )
 from .ingest import (
     Recording,
     RecordingSet,
     SegmentationConfig,
-    WindowedSample,
+    Windows,
     load_dataset,
     segment,
     trim,
-    window,
 )
 from .oracle import (
     MlpClassifier,
@@ -34,15 +32,11 @@ from .oracle import (
     evaluate_mcc,
     run_oracle_audit,
     standardize,
-    train_mlp,
 )
 from .separability import (
     F1_CAP,
     PairwiseAudit,
     SeparabilityScore,
-    feature_efficiency,
-    max_fisher_ratio,
-    overlap_volume,
     pairwise_audit,
     separability_score,
 )
@@ -70,24 +64,18 @@ __all__ = [
     "SegmentationConfig",
     "SeparabilityScore",
     "SyntheticSpec",
-    "WindowedSample",
+    "Windows",
     "build_class_matrices",
     "enumerate_subsets",
     "evaluate_mcc",
-    "extract_features",
-    "feature_efficiency",
     "generate_recordings",
     "load_dataset",
-    "max_fisher_ratio",
     "neighbour_compensation",
-    "overlap_volume",
     "pairwise_audit",
     "run_ablation_audit",
     "run_oracle_audit",
     "segment",
     "separability_score",
     "standardize",
-    "train_mlp",
     "trim",
-    "window",
 ]

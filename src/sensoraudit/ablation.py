@@ -29,6 +29,7 @@ by the mean of those normalized scores across classes.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,7 +49,7 @@ from .features import (
     feature_columns,
     zero_window_features,
 )
-from .ingest import JsonConfig, WindowedSample
+from .ingest import JsonConfig, Windows
 from .separability import separability_score
 
 DEFAULT_CRITICALITY_THRESHOLD = 0.8
@@ -178,7 +179,7 @@ def neighbour_compensation(
 
 
 def run_ablation_audit(
-    samples: list[WindowedSample],
+    windows: Windows,
     spec: AblationSpec,
     fcfg: FeatureConfig,
     fs: float,
@@ -195,22 +196,17 @@ def run_ablation_audit(
     ``baselines`` (per-class matrices extracted from the same windows)
     to reuse an existing feature pass.
     """
-    if not samples:
+    if not len(windows):
         raise TooFewRowsError("no windows to audit")
-    by_class: dict[str, list[WindowedSample]] = {}
-    for s in samples:
-        by_class.setdefault(s.class_label, []).append(s)
-    classes = tuple(spec.classes) if spec.classes else tuple(sorted(by_class))
+    counts = Counter(windows.labels)
+    classes = tuple(spec.classes) if spec.classes else tuple(sorted(counts))
     for label in classes:
-        if label not in by_class:
+        if label not in counts:
             raise TooFewRowsError(f"class {label!r} has no windows")
-        if len(by_class[label]) < 2:
-            raise TooFewRowsError(
-                f"class {label!r} has {len(by_class[label])} windows, needs >= 2"
-            )
+        if counts[label] < 2:
+            raise TooFewRowsError(f"class {label!r} has {counts[label]} windows, needs >= 2")
 
-    channel_count = int(samples[0].data.shape[0])
-    window_len = int(samples[0].data.shape[1])
+    _, channel_count, window_len = windows.data.shape
     subsets = (
         tuple(spec.sensor_subsets)
         if spec.sensor_subsets is not None
@@ -224,26 +220,22 @@ def run_ablation_audit(
                 raise IndexOutOfRangeError(f"sensor {s} outside [0, {channel_count})")
     topology = spec.ring_topology if spec.ring_topology else tuple(range(channel_count))
 
-    class_windows = {label: by_class[label] for label in classes}
     expected_columns = feature_columns(channel_count, fcfg)
-    resolved: dict[str, FeatureMatrix] = {}
+    baselines = baselines or {}
+    missing = [label for label in classes if baselines.get(label) is None]
+    resolved = build_class_matrices(windows.select(missing), fcfg, fs)
     for label in classes:
-        matrix = (baselines or {}).get(label)
-        if matrix is None:
-            matrix = next(
-                iter(build_class_matrices(class_windows[label], fcfg, fs).values())
+        if label in resolved:
+            continue
+        matrix = resolved[label] = baselines[label]
+        if matrix.column_index != expected_columns:
+            raise MismatchedColumnsError(
+                f"baseline for {label!r} does not match the feature configuration"
             )
-        else:
-            if matrix.column_index != expected_columns:
-                raise MismatchedColumnsError(
-                    f"baseline for {label!r} does not match the feature configuration"
-                )
-            if matrix.n_rows != len(class_windows[label]):
-                raise InvalidSpecError(
-                    f"baseline for {label!r} has {matrix.n_rows} rows for "
-                    f"{len(class_windows[label])} windows"
-                )
-        resolved[label] = matrix
+        if matrix.n_rows != counts[label]:
+            raise InvalidSpecError(
+                f"baseline for {label!r} has {matrix.n_rows} rows for {counts[label]} windows"
+            )
 
     # every row of a failed matrix holds the zero-window constants
     constants = np.tile(zero_window_features(fcfg, window_len, fs), channel_count)

@@ -29,6 +29,7 @@ import os
 import shutil
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -47,7 +48,7 @@ from .errors import (
     TooFewRowsError,
 )
 from .features import FeatureConfig, build_class_matrices, column_labels, feature_columns
-from .ingest import REST_CLASS, SegmentationConfig, load_dataset, segment
+from .ingest import REST_CLASS, SegmentationConfig, Windows, load_dataset, segment
 from .oracle import OracleConfig, run_oracle_audit
 from .reports import (
     ARTIFACTS,
@@ -175,9 +176,8 @@ class _Stage:
 
 @dataclass
 class _PipelineData:
-    windows: list
+    windows: Windows
     fs: float
-    channel_count: int
     classes: list[str]
     source_kind: str
     source: str
@@ -203,7 +203,7 @@ def _ingest(cfg: AuditRunConfig) -> _PipelineData:
         if not classes:
             raise ConfigError("no classes left after excluding the rest class")
         windows = segment(rset, seg, classes=classes)
-        present = sorted({w.class_label for w in windows})
+        present = sorted(set(windows.labels))
         missing = [c for c in classes if c not in present]
         if missing:
             raise TooFewRowsError(
@@ -212,7 +212,6 @@ def _ingest(cfg: AuditRunConfig) -> _PipelineData:
         return _PipelineData(
             windows=windows,
             fs=rset.sampling_rate_hz,
-            channel_count=rset.channel_count,
             classes=present,
             source_kind=source_kind,
             source=source,
@@ -259,7 +258,7 @@ def _run(cfg: AuditRunConfig, stages: tuple[str, ...]) -> int:
 
     windows = data.windows
     if stages == ("ablation",) and cfg.ablation.classes:
-        windows = [w for w in windows if w.class_label in report_classes]
+        windows = windows.select(report_classes)
     with _Stage("features"):
         matrices = build_class_matrices(windows, cfg.features, data.fs)
     if "complexity" in stages or "oracle" in stages:
@@ -283,7 +282,7 @@ def _run(cfg: AuditRunConfig, stages: tuple[str, ...]) -> int:
             results = run_oracle_audit(matrices, replace(cfg.oracle, seed=data.seed))
 
     echo = cfg.resolved_echo(data.source_kind, data.source, data.seed)
-    columns = column_labels(feature_columns(data.channel_count, cfg.features))
+    columns = column_labels(feature_columns(data.windows.data.shape[1], cfg.features))
 
     def write(out: Path) -> None:
         if "complexity" in stages:
@@ -296,14 +295,12 @@ def _run(cfg: AuditRunConfig, stages: tuple[str, ...]) -> int:
         if cfg.dump_features:
             write_feature_matrices(out, matrices)
         if summary:
+            window_counts = Counter(data.windows.labels)
             payload = {
                 "schema_version": SCHEMA_VERSION,
                 "config": echo,
                 "classes": data.classes,
-                "window_counts": {
-                    label: sum(1 for w in data.windows if w.class_label == label)
-                    for label in data.classes
-                },
+                "window_counts": {label: window_counts[label] for label in data.classes},
                 "complexity": {
                     "one_vs_one": complexity_payload(ovo, columns),
                     "one_vs_rest": complexity_payload(ovr, columns),
@@ -339,10 +336,7 @@ def cmd_ingest_check(cfg_args: argparse.Namespace) -> int:
             _load_config_file(Path(cfg_args.config)) if cfg_args.config else {}
         )
         seg = SegmentationConfig.from_json_dict(sections.get("segmentation", {}))
-        windows = segment(rset, seg)
-        counts: dict[str, int] = {c: 0 for c in rset.class_names}
-        for w in windows:
-            counts[w.class_label] += 1
+        counts = Counter(segment(rset, seg).labels)
         print(
             f"ok: {len(rset.recordings)} recordings, "
             f"{rset.channel_count} channels at {rset.sampling_rate_hz:g} Hz"

@@ -8,11 +8,13 @@ many there are: every sum runs along the contiguous last axis, where
 numpy applies the same pairwise summation as to a lone 1-D row, so a
 batched value is bitwise equal to the value of that row alone.
 
-``build_class_matrices`` is a block engine. It stacks consecutive windows
-into ``(n, C, W)`` blocks of at most ``BLOCK_SAMPLES`` samples (128 KB of
-float64, so a block's temporaries stay in cache) and calls each enabled
-extractor once per block. ``extract_features`` and
-``zero_window_features`` are the same path with one window.
+``build_class_matrices`` takes the ``(N, C, W)`` array of a ``Windows``
+record and returns an ``(n, C * F)`` matrix per class. It walks the array
+in consecutive ``(n, C, W)`` slices of at most ``BLOCK_SAMPLES`` samples
+(128 KB of float64, so a slice's temporaries stay in cache) and calls
+each enabled extractor once per slice. The array is C-contiguous, so a
+slice is a view and no window is copied again. ``zero_window_features``
+is the same path with one all-zero window.
 
 Two extractors take care to stay exact per row:
 
@@ -60,12 +62,11 @@ import numpy as np
 
 from .errors import (
     DataFormatError,
-    InconsistentChannelCountError,
     InvalidSpecError,
     UnbinnableWindowError,
     WindowTooShortError,
 )
-from .ingest import JsonConfig, WindowedSample
+from .ingest import JsonConfig, Windows
 
 FEATURE_NAMES: tuple[str, ...] = (
     "shannon_entropy",
@@ -326,18 +327,31 @@ def median_frequency(signal: np.ndarray, fs: float):
     """Frequency where cumulative periodogram power first reaches half.
 
     Rectangular-window periodogram, DC bin excluded; a constant signal
-    has no non-DC power and yields 0 Hz.
+    has no non-DC power and yields 0 Hz. A row whose total power
+    overflows float64 is first scaled by a power of two, which scales
+    every power by the same exact factor and so keeps the median.
     """
     x = np.asarray(signal, dtype=float)
-    spectrum = np.fft.rfft(x.reshape(-1, x.shape[-1]), axis=-1)
-    power = (spectrum.real**2 + spectrum.imag**2)[:, 1:]
-    total = power.sum(axis=1)
+    rows = x.reshape(-1, x.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = _periodogram(rows)
+        total = power.sum(axis=1)
+    big = ~np.isfinite(total)
+    if big.any():
+        shift = -np.frexp(np.abs(rows[big]).max(axis=1))[1]
+        power[big] = _periodogram(np.ldexp(rows[big], shift[:, None]))
+        total[big] = power[big].sum(axis=1)
     live = ~(total <= 0.0)
     below_half = np.cumsum(power[live], axis=1) < 0.5 * total[live, None]
     freqs = np.fft.rfftfreq(x.shape[-1], d=1.0 / fs)[1:]
     out = np.zeros(total.shape)
     out[live] = freqs[np.count_nonzero(below_half, axis=1)]
     return _scalar_or_rows(out.reshape(x.shape[:-1]))
+
+
+def _periodogram(rows: np.ndarray) -> np.ndarray:
+    spectrum = np.fft.rfft(rows, axis=-1)
+    return (spectrum.real**2 + spectrum.imag**2)[:, 1:]
 
 
 def wavelet_energy(signal: np.ndarray, levels: int = 4):
@@ -446,11 +460,6 @@ def _feature_rows(windows: np.ndarray, cfg: FeatureConfig, fs: float) -> np.ndar
     return out.reshape(n, -1)
 
 
-def extract_features(sample: WindowedSample, cfg: FeatureConfig, fs: float) -> np.ndarray:
-    """One scalar per (channel, enabled feature), channel-major order."""
-    return _feature_rows(np.asarray(sample.data, dtype=float)[None], cfg, fs)[0]
-
-
 def zero_window_features(cfg: FeatureConfig, window_len: int, fs: float) -> np.ndarray:
     """Feature values of an all-zero window (one value per enabled feature)."""
     return _feature_rows(np.zeros((1, 1, window_len)), cfg, fs)[0]
@@ -473,49 +482,35 @@ class FeatureMatrix:
 
 
 def build_class_matrices(
-    samples: list[WindowedSample],
+    windows: Windows,
     cfg: FeatureConfig,
     fs: float,
 ) -> dict[str, FeatureMatrix]:
-    """Group windows by label and extract one feature row per window.
+    """Extract one feature row per window and group the rows by label.
 
-    Consecutive windows of equal length are stacked into blocks of at
-    most ``BLOCK_SAMPLES`` samples, and each enabled extractor runs once
-    per block; the rows do not depend on the blocking. Row order within
-    a class follows input order.
+    Each enabled extractor runs once per slice of at most
+    ``BLOCK_SAMPLES`` samples; the rows do not depend on the slicing.
+    Classes appear in first-appearance order, and row order within a
+    class follows input order.
     """
-    if not samples:
+    n, channels, w = windows.data.shape
+    if n == 0:
         return {}
-    channel_count = samples[0].data.shape[0]
-    for s in samples:
-        if s.data.shape[0] != channel_count:
-            raise InconsistentChannelCountError(
-                f"window from {s.source_trial} has {s.data.shape[0]} channels, "
-                f"expected {channel_count}"
-            )
+    rows = np.empty((n, channels * len(cfg.enabled_features)))
+    step = max(1, BLOCK_SAMPLES // max(1, channels * w))
+    for start in range(0, n, step):
+        rows[start : start + step] = _feature_rows(windows.data[start : start + step], cfg, fs)
 
-    rows = np.empty((len(samples), channel_count * len(cfg.enabled_features)))
-    start = 0
-    while start < len(samples):
-        w = samples[start].data.shape[1]
-        limit = min(len(samples), start + max(1, BLOCK_SAMPLES // max(1, channel_count * w)))
-        stop = start + 1
-        while stop < limit and samples[stop].data.shape[1] == w:
-            stop += 1
-        block = np.array([s.data for s in samples[start:stop]], dtype=float)
-        rows[start:stop] = _feature_rows(block, cfg, fs)
-        start = stop
-
-    columns = feature_columns(channel_count, cfg)
+    columns = feature_columns(channels, cfg)
     by_class: dict[str, list[int]] = {}
-    for i, s in enumerate(samples):
-        by_class.setdefault(s.class_label, []).append(i)
+    for i, label in enumerate(windows.labels):
+        by_class.setdefault(label, []).append(i)
 
     out: dict[str, FeatureMatrix] = {}
     for label, idx in by_class.items():
         values = rows[idx]
         if not np.isfinite(values).all():
             raise DataFormatError(f"non-finite feature values for class {label!r}")
-        provenance = tuple((samples[i].source_trial, samples[i].start_index) for i in idx)
+        provenance = tuple(windows.provenance[i] for i in idx)
         out[label] = FeatureMatrix(values, label, columns, provenance)
     return out

@@ -1,5 +1,11 @@
 """Loading, validation, trimming and windowing of multi-channel recordings.
 
+``segment`` turns a recording set into one ``Windows`` record: a single
+C-contiguous float64 ``(N, C, W)`` array with one class label and one
+``(trial, start)`` pair per row. It sizes the array from the units'
+lengths, then copies each unit's windows into it straight from a strided
+view of the unit's samples, so every window is copied exactly once.
+
 Dataset layout on disk::
 
     <root>/<participant>/<session>/<class>_<trial>.csv   header: t,ch1,...,chM
@@ -22,11 +28,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DataFormatError,
     InconsistentChannelCountError,
     InvalidSpecError,
+    LengthMismatchError,
     MalformedRowError,
     MissingFileError,
     TrimExceedsLengthError,
@@ -126,12 +134,39 @@ class RecordingSet:
     channel_count: int
 
 
-@dataclass
-class WindowedSample:
-    data: np.ndarray  # channels x W
-    class_label: str
-    source_trial: str
-    start_index: int
+@dataclass(frozen=True)
+class Windows:
+    """Equal-width windows: row i is ``data[i]``, a ``(C, W)`` window of
+    class ``labels[i]`` that starts at sample ``provenance[i][1]`` of the
+    unit ``provenance[i][0]``."""
+
+    data: np.ndarray  # N x channels x W, C-contiguous float64
+    labels: tuple[str, ...]
+    provenance: tuple[tuple[str, int], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "data", np.ascontiguousarray(self.data, dtype=float))
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "provenance", tuple(self.provenance))
+        if self.data.ndim != 3 or not len(self) == len(self.labels) == len(self.provenance):
+            raise LengthMismatchError(
+                f"windows of shape {self.data.shape} need an (N, C, W) array with "
+                f"N labels and N provenance pairs, got {len(self.labels)} and "
+                f"{len(self.provenance)}"
+            )
+
+    def __len__(self) -> int:
+        return int(self.data.shape[0])
+
+    def select(self, classes) -> Windows:
+        """The rows whose label is in ``classes``, in their current order."""
+        wanted = set(classes)
+        keep = [i for i, label in enumerate(self.labels) if label in wanted]
+        return Windows(
+            self.data[keep],
+            tuple(self.labels[i] for i in keep),
+            tuple(self.provenance[i] for i in keep),
+        )
 
 
 @dataclass(frozen=True)
@@ -273,7 +308,8 @@ def _load_trial_csv(
 
 
 def trim(recording: Recording, cfg: SegmentationConfig, fs: float) -> Recording:
-    """Drop the configured head/tail milliseconds, ms converted half-up."""
+    """Drop the configured head/tail milliseconds, ms converted half-up.
+    The result's samples are a view of the recording's."""
     head = round_half_up(cfg.trim_head_ms * fs / 1000.0)
     tail = round_half_up(cfg.trim_tail_ms * fs / 1000.0)
     remaining = recording.length - head - tail
@@ -282,46 +318,25 @@ def trim(recording: Recording, cfg: SegmentationConfig, fs: float) -> Recording:
             f"trial {recording.provenance()}: {recording.length} samples, "
             f"trim removes {head}+{tail}"
         )
-    stop = recording.length - tail
-    return replace(recording, samples=recording.samples[:, head:stop].copy())
-
-
-def window(recording: Recording, cfg: SegmentationConfig) -> list[WindowedSample]:
-    """Slide fixed windows over an (already trimmed) recording.
-
-    Windows start at 0, stride, 2*stride, ... and only full windows are
-    emitted, in ascending start order. An empty list is a valid result.
-    """
-    w = cfg.window_len_samples
-    stride = cfg.stride
-    source = recording.provenance()
-    out: list[WindowedSample] = []
-    start = 0
-    while start + w <= recording.length:
-        out.append(
-            WindowedSample(
-                data=recording.samples[:, start : start + w].copy(),
-                class_label=recording.class_label,
-                source_trial=source,
-                start_index=start,
-            )
-        )
-        start += stride
-    return out
+    return replace(recording, samples=recording.samples[:, head : recording.length - tail])
 
 
 def segment(
     rset: RecordingSet,
     cfg: SegmentationConfig,
     classes: list[str] | None = None,
-) -> list[WindowedSample]:
+) -> Windows:
     """Trim and window a whole recording set.
 
     With ``concat_trials_within_session`` the trimmed trials sharing a
     (participant, session, class) key are concatenated, in file order,
-    before windowing. Unit order follows first appearance, so output is
-    deterministic for a given recording order.
+    into one unit; otherwise each trial is its own unit. Unit order
+    follows first appearance. Within a unit, windows start at 0, stride,
+    2*stride, ... and only full windows are kept, so a unit shorter than
+    the window adds no rows. A set that fails ``validate_recording_set``
+    raises its typed error.
     """
+    validate_recording_set(rset)
     wanted = set(rset.class_names if classes is None else classes)
     fs = rset.sampling_rate_hz
     trimmed = [trim(r, cfg, fs) for r in rset.recordings if r.class_label in wanted]
@@ -331,14 +346,27 @@ def segment(
         for rec in trimmed:
             key = (rec.participant_id, rec.session_id, rec.class_label)
             groups.setdefault(key, []).append(rec)
-        units = [_concat_trials(members) for members in groups.values()]
+        units = list(groups.values())
     else:
-        units = trimmed
+        units = [[rec] for rec in trimmed]
 
-    out: list[WindowedSample] = []
-    for rec in units:
-        out.extend(window(rec, cfg))
-    return out
+    w, stride = cfg.window_len_samples, cfg.stride
+    counts = [max(0, (sum(m.length for m in members) - w) // stride + 1) for members in units]
+    data = np.empty((sum(counts), rset.channel_count, w))
+    labels: list[str] = []
+    provenance: list[tuple[str, int]] = []
+    row = 0
+    for members, n in zip(units, counts):
+        if n == 0:
+            continue
+        rec = _concat_trials(members)
+        view = sliding_window_view(rec.samples, w, axis=1)[:, ::stride]  # (C, n, W)
+        data[row : row + n] = view.swapaxes(0, 1)
+        labels += [rec.class_label] * n
+        source = rec.provenance()
+        provenance += [(source, k * stride) for k in range(n)]
+        row += n
+    return Windows(data, labels, provenance)
 
 
 def _concat_trials(members: list[Recording]) -> Recording:

@@ -56,17 +56,27 @@ def standardize(
     """Z-score both splits with train statistics only.
 
     Columns constant in train map to exactly 0 in both splits. Returns
-    (train_z, test_z, mean, sd) with the raw per-column train mean/sd.
+    (train_z, test_z, mean, sd) with the raw per-column train mean/sd,
+    which read inf where they overflow float64.
     """
     train = np.asarray(train, dtype=float)
     test = np.asarray(test, dtype=float)
     if train.shape[0] == 0:
         raise EmptyTrainingSetError("standardize needs a nonempty training split")
-    mean = train.mean(axis=0)
-    sd = train.std(axis=0)
-    scale = np.where(sd > 0.0, sd, 1.0)
-    train_z = (train - mean) / scale
-    test_z = (test - mean) / scale
+    with np.errstate(over="ignore"):
+        mean = train.mean(axis=0)
+        sd = train.std(axis=0)
+    center, spread = mean, sd
+    # values beyond ~1e154 overflow the variance; scaling a column's values
+    # by a power of two is exact and leaves its z-scores as they are
+    big = ~(np.isfinite(mean) & np.isfinite(sd))
+    if big.any():
+        shift = np.where(big, -np.frexp(np.abs(train).max(axis=0))[1], 0)
+        train, test = np.ldexp(train, shift), np.ldexp(test, shift)
+        center, spread = train.mean(axis=0), train.std(axis=0)
+    scale = np.where(spread > 0.0, spread, 1.0)
+    train_z = (train - center) / scale
+    test_z = (test - center) / scale
     dead = sd == 0.0
     train_z[:, dead] = 0.0
     test_z[:, dead] = 0.0
@@ -167,15 +177,6 @@ class MlpClassifier:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return (self.decision_values(x) >= 0.0).astype(int)
-
-
-def train_mlp(
-    x: np.ndarray,
-    y: np.ndarray,
-    cfg: OracleConfig,
-    rng: np.random.Generator | None = None,
-) -> MlpClassifier:
-    return MlpClassifier(cfg).fit(x, y, rng=rng)
 
 
 @dataclass

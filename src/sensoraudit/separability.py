@@ -50,17 +50,15 @@ class SeparabilityScore:
     degenerate_dims: tuple[int, ...]
 
 
-def _check_pair(target: FeatureMatrix, reference: FeatureMatrix, min_rows: int) -> None:
+def _check_pair(target: FeatureMatrix, reference: FeatureMatrix) -> None:
     if target.column_index != reference.column_index:
         raise MismatchedColumnsError(
             f"matrices for {target.class_label!r} and {reference.class_label!r} "
             "have different column maps"
         )
     for m in (target, reference):
-        if m.n_rows < min_rows:
-            raise TooFewRowsError(
-                f"class {m.class_label!r} has {m.n_rows} rows, needs >= {min_rows}"
-            )
+        if m.n_rows < 2:
+            raise TooFewRowsError(f"class {m.class_label!r} has {m.n_rows} rows, needs >= 2")
 
 
 def _gap_and_variance(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,8 +98,9 @@ def _overlap_per_dim(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return overlap, span
 
 
-def _score(target: FeatureMatrix, reference: FeatureMatrix, min_rows: int) -> SeparabilityScore:
-    _check_pair(target, reference, min_rows)
+def separability_score(target: FeatureMatrix, reference: FeatureMatrix) -> SeparabilityScore:
+    """All three metrics in one pass over the two matrices."""
+    _check_pair(target, reference)
     t, r = target.values, reference.values
     fisher, var_degenerate = _fisher_per_dim(t, r)
     overlap, span = _overlap_per_dim(t, r)
@@ -127,35 +126,6 @@ def _score(target: FeatureMatrix, reference: FeatureMatrix, min_rows: int) -> Se
         per_dim_range=span,
         degenerate_dims=degenerate,
     )
-
-
-def separability_score(target: FeatureMatrix, reference: FeatureMatrix) -> SeparabilityScore:
-    """All three metrics in one pass over the two matrices."""
-    return _score(target, reference, min_rows=2)
-
-
-def max_fisher_ratio(
-    target: FeatureMatrix, reference: FeatureMatrix
-) -> tuple[float, int, np.ndarray]:
-    """(f1, argmax column, per-dimension ratios). Needs >= 2 rows per side."""
-    s = _score(target, reference, min_rows=2)
-    return s.f1, s.f1_argmax, s.per_dim_fisher
-
-
-def overlap_volume(
-    target: FeatureMatrix, reference: FeatureMatrix
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """(f2, per-dimension overlap, per-dimension range). Needs >= 1 row."""
-    s = _score(target, reference, min_rows=1)
-    return s.f2, s.per_dim_overlap, s.per_dim_range
-
-
-def feature_efficiency(
-    target: FeatureMatrix, reference: FeatureMatrix
-) -> tuple[float, int]:
-    """(f3, argmax column). Needs >= 1 row per side."""
-    s = _score(target, reference, min_rows=1)
-    return s.f3, s.f3_argmax
 
 
 @dataclass

@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from sensoraudit.features import FeatureConfig, FeatureMatrix, build_class_matrices
-from sensoraudit.ingest import segment
+from sensoraudit.ingest import Windows, segment
 from sensoraudit.synthetic import (
     ChannelProfile,
     ChannelSpec,
@@ -66,6 +66,19 @@ def windows_of(spec: SyntheticSpec):
 def matrices_of(spec: SyntheticSpec, fcfg: FeatureConfig | None = None):
     windows, fs = windows_of(spec)
     return build_class_matrices(windows, fcfg or FeatureConfig(), fs)
+
+
+def windows_from(rows) -> Windows:
+    """A ``Windows`` record from ``(data, label, trial, start)`` tuples,
+    each ``data`` one ``(C, W)`` window."""
+    data, labels, trials, starts = zip(*rows)
+    return Windows(np.array(data, dtype=float), labels, tuple(zip(trials, starts)))
+
+
+def feature_row(data, cfg: FeatureConfig, fs: float) -> np.ndarray:
+    """The feature row ``build_class_matrices`` gives one ``(C, W)`` window."""
+    (matrix,) = build_class_matrices(windows_from([(data, "x", "t", 0)]), cfg, fs).values()
+    return matrix.values[0]
 
 
 def matrix_from_rows(rows, label="x") -> FeatureMatrix:

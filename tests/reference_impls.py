@@ -11,7 +11,7 @@ import math
 
 from sensoraudit.errors import IndexOutOfRangeError, InvalidSpecError, TooFewRowsError
 from sensoraudit.features import FeatureMatrix, build_class_matrices, zero_window_features
-from sensoraudit.ingest import WindowedSample
+from sensoraudit.ingest import Windows
 from sensoraudit.separability import separability_score
 
 
@@ -139,11 +139,11 @@ def _sensor_indices(sensors, channel_count):
     return idx
 
 
-def nullify(sample, sensors):
-    """Copy of the window with the listed channels zero-filled."""
-    data = sample.data.copy()
-    data[_sensor_indices(sensors, data.shape[0]), :] = 0.0
-    return WindowedSample(data, sample.class_label, sample.source_trial, sample.start_index)
+def nullify(windows, sensors):
+    """Copy of the windows with the listed channels zero-filled."""
+    data = windows.data.copy()
+    data[:, _sensor_indices(sensors, data.shape[1]), :] = 0.0
+    return Windows(data, windows.labels, windows.provenance)
 
 
 def ablated_matrix(baseline, sensors, cfg, window_len, fs):
@@ -167,6 +167,6 @@ def ablated_shift(class_samples, sensors, fcfg, fs, metric="f1", baseline=None):
         if len(matrices) != 1:
             raise InvalidSpecError("ablated_shift expects samples from a single class")
         (baseline,) = matrices.values()
-    window_len = int(class_samples[0].data.shape[1])
+    window_len = int(class_samples.data.shape[2])
     ablated = ablated_matrix(baseline, sensors, fcfg, window_len, fs)
     return getattr(separability_score(baseline, ablated), metric)

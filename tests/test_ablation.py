@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CLASSES, criticality_spec, windows_of
+from conftest import CLASSES, criticality_spec, windows_from, windows_of
 from reference_impls import ablated_matrix, ablated_shift, nullify
 
 from sensoraudit import ablation
@@ -31,48 +31,47 @@ from sensoraudit.features import (
     feature_columns,
     zero_window_features,
 )
-from sensoraudit.ingest import WindowedSample
+from sensoraudit.ingest import Windows
 from sensoraudit.separability import separability_score
 
 
 def make_windows(n=6, channels=4, width=64, label="a", seed=0):
     rng = np.random.default_rng(seed)
-    return [
-        WindowedSample(rng.standard_normal((channels, width)), label, f"t{i}", i)
-        for i in range(n)
-    ]
+    return windows_from(
+        [(rng.standard_normal((channels, width)), label, f"t{i}", i) for i in range(n)]
+    )
 
 
 class TestNullify:
     def test_zeroes_selected_channel_only(self):
         rng = np.random.default_rng(1)
-        s = WindowedSample(rng.standard_normal((8, 400)), "a", "t", 0)
+        s = windows_from([(rng.standard_normal((8, 400)), "a", "t", 0)])
         out = nullify(s, {2})
-        assert np.all(out.data[2] == 0.0)
+        assert np.all(out.data[0, 2] == 0.0)
         mask = np.ones(8, dtype=bool)
         mask[2] = False
-        assert np.array_equal(out.data[mask], s.data[mask])
-        assert (out.class_label, out.source_trial, out.start_index) == ("a", "t", 0)
+        assert np.array_equal(out.data[0, mask], s.data[0, mask])
+        assert (out.labels, out.provenance) == (("a",), (("t", 0),))
 
     def test_empty_set_is_identity(self):
-        s = make_windows(1)[0]
+        s = make_windows(1)
         out = nullify(s, set())
         assert np.array_equal(out.data, s.data)
 
     def test_full_ablation(self):
-        s = make_windows(1)[0]
+        s = make_windows(1)
         out = nullify(s, range(4))
         assert np.all(out.data == 0.0)
 
     def test_never_mutates_input(self):
-        s = make_windows(1)[0]
+        s = make_windows(1)
         before = s.data.copy()
         nullify(s, {0, 1})
         assert np.array_equal(s.data, before)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRangeError):
-            nullify(make_windows(1)[0], {9})
+            nullify(make_windows(1), {9})
 
 
 class TestAblatedShift:
@@ -83,7 +82,7 @@ class TestAblatedShift:
         assert ablated_shift(windows, (), fcfg, 200.0, metric="f3") == 0.0
 
     def test_already_zero_channel_shifts_zero(self, fcfg):
-        windows = [nullify(w, {1}) for w in make_windows()]
+        windows = nullify(make_windows(), {1})
         assert ablated_shift(windows, {1}, fcfg, 200.0, metric="f1") == 0.0
 
     def test_live_channel_shifts_positive(self, fcfg):
@@ -96,9 +95,7 @@ class TestAblatedShift:
         baseline = build_class_matrices(windows, fcfg, fs)["a"]
         for subset in [(0,), (2,), (0, 2)]:
             fast = ablated_matrix(baseline, subset, fcfg, 96, fs)
-            literal = build_class_matrices(
-                [nullify(w, subset) for w in windows], fcfg, fs
-            )["a"]
+            literal = build_class_matrices(nullify(windows, subset), fcfg, fs)["a"]
             assert np.array_equal(fast.values, literal.values)
 
     def test_too_few_rows(self, fcfg):
@@ -245,7 +242,8 @@ class TestRunAblationAudit:
     def test_precomputed_baseline_mismatch_rejected(self, fcfg):
         windows = make_windows(n=6, channels=3, width=64)
         matrices = build_class_matrices(windows, fcfg, 200.0)
-        bad = {"a": build_class_matrices(windows[:3], fcfg, 200.0)["a"]}
+        first_three = make_windows(n=3, channels=3, width=64)
+        bad = {"a": build_class_matrices(first_three, fcfg, 200.0)["a"]}
         with pytest.raises(InvalidSpecError):
             run_ablation_audit(windows, AblationSpec(), fcfg, 200.0, baselines=bad)
         assert matrices  # full dict works
@@ -255,8 +253,8 @@ class TestRunAblationAudit:
         windows, fs = windows_of(criticality_spec(5))
         spec = AblationSpec(combinatorial_depth=3)
         matrices = build_class_matrices(windows, fcfg, fs)
-        width = windows[0].data.shape[1]
-        subsets = enumerate_subsets(windows[0].data.shape[0], 3)
+        width = windows.data.shape[2]
+        subsets = enumerate_subsets(windows.data.shape[1], 3)
         expected = [
             [
                 separability_score(
@@ -288,7 +286,7 @@ class TestRunAblationAudit:
         # why they are rejected: every cell reads f2 = 0 and f3 = 1
         windows, fs = windows_of(criticality_spec(0))
         for label in CLASSES:
-            class_windows = [w for w in windows if w.class_label == label]
+            class_windows = windows.select([label])
             matrix = build_class_matrices(class_windows, fcfg, fs)[label]
             for sensor in range(5):
                 assert ablated_shift(class_windows, {sensor}, fcfg, fs, "f2", matrix) == 0.0
@@ -379,7 +377,7 @@ def test_closed_form_matches_per_cell_bits(case):
     rng = np.random.default_rng(seed)
     constants = zero_window_features(fcfg, width, fs)
     columns = feature_columns(channels, fcfg)
-    windows, baselines = [], {}
+    labels, starts, baselines = [], [], {}
     for label, (rows, kinds) in classes.items():
         values = np.column_stack(
             [
@@ -389,10 +387,10 @@ def test_closed_form_matches_per_cell_bits(case):
         )
         provenance = tuple(("t", i) for i in range(rows))
         baselines[label] = FeatureMatrix(values, label, columns, provenance)
-        windows += [
-            WindowedSample(np.zeros((channels, width)), label, "t", i) for i in range(rows)
-        ]
+        labels += [label] * rows
+        starts += range(rows)
 
+    windows = Windows(np.zeros((len(labels), channels, width)), labels, [("t", i) for i in starts])
     report = run_ablation_audit(windows, spec, fcfg, fs, baselines=baselines)
     expected = [
         [
@@ -435,7 +433,7 @@ class TestClosedFormAblation:
             baselines=matrices,
         )
         for ci, label in enumerate(report.classes):
-            class_windows = [w for w in windows if w.class_label == label]
+            class_windows = windows.select([label])
             expected = [
                 ablated_shift(class_windows, subset, fcfg, fs, baseline=matrices[label])
                 for subset in report.subsets

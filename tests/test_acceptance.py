@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import criticality_spec, graded_spec, matrix_from_rows, windows_of
+from conftest import criticality_spec, feature_row, graded_spec, matrix_from_rows, windows_of
 from reference_impls import (
     naive_f2,
     naive_f3,
@@ -26,12 +26,11 @@ from sensoraudit.cli import main
 from sensoraudit.features import (
     FeatureConfig,
     build_class_matrices,
-    extract_features,
     median_frequency,
     sample_entropy,
     wavelet_energy,
 )
-from sensoraudit.ingest import SegmentationConfig, WindowedSample, load_dataset, segment
+from sensoraudit.ingest import SegmentationConfig, load_dataset, segment
 from sensoraudit.oracle import (
     OracleConfig,
     init_params,
@@ -107,9 +106,7 @@ def test_criterion_3_extractor_suite():
 
     cfg = FeatureConfig()
     # constant-signal conventions across all extractors
-    zero_vec = extract_features(
-        WindowedSample(np.zeros((1, 100)), "z", "t", 0), cfg, fs=200.0
-    )
+    zero_vec = feature_row(np.zeros((1, 100)), cfg, fs=200.0)
     assert zero_vec.tolist() == [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
 
     # histogram entropy fixtures

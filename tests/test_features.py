@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import feature_row, windows_from
 from reference_impls import naive_katz, naive_sample_entropy
 
 from sensoraudit import features
@@ -19,7 +20,6 @@ from sensoraudit.features import (
     FEATURE_NAMES,
     FeatureConfig,
     build_class_matrices,
-    extract_features,
     feature_columns,
     fractal_dimension,
     median_frequency,
@@ -33,11 +33,7 @@ from sensoraudit.features import (
     zero_crossings,
     zero_window_features,
 )
-from sensoraudit.ingest import WindowedSample
-
-
-def sample(data, label="x"):
-    return WindowedSample(np.asarray(data, dtype=float), label, "trial", 0)
+from sensoraudit.ingest import Windows
 
 
 class TestShannonEntropy:
@@ -225,6 +221,14 @@ class TestMedianFrequency:
             values.append(median_frequency(rng.standard_normal(400), fs=200.0))
         assert abs(np.mean(values) - 50.0) < 3.0
 
+    @pytest.mark.parametrize("power", [505, 510])
+    def test_overflowing_total_power_keeps_the_median(self, power):
+        # the rows' total power overflows at these scales; unscaled they
+        # read 252.5, 260 and 260 Hz
+        x = np.random.default_rng(0).standard_normal((3, 400))
+        scaled = median_frequency(x * 2.0**power, fs=1000.0)
+        assert same_bits(scaled, median_frequency(x, fs=1000.0))
+
 
 class TestWaveletEnergy:
     def test_zeros(self):
@@ -307,16 +311,16 @@ def test_amplitude_features_scale_linearly(values, scale):
     )
 
 
-class TestExtractFeatures:
+class TestFeatureRow:
     def test_72_dims_for_eight_channels(self, fcfg):
         rng = np.random.default_rng(0)
-        s = sample(rng.standard_normal((8, 400)))
-        vec = extract_features(s, fcfg, fs=200.0)
+        s = rng.standard_normal((8, 400))
+        vec = feature_row(s, fcfg, fs=200.0)
         assert vec.shape == (72,)
         assert np.isfinite(vec).all()
 
     def test_all_zero_sample_hits_conventions(self, fcfg):
-        vec = extract_features(sample(np.zeros((2, 100))), fcfg, fs=200.0)
+        vec = feature_row(np.zeros((2, 100)), fcfg, fs=200.0)
         per_channel = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
         assert vec.tolist() == per_channel * 2
         assert zero_window_features(fcfg, 100, 200.0).tolist() == per_channel
@@ -324,7 +328,7 @@ class TestExtractFeatures:
     def test_channel_major_ordering(self):
         cfg = FeatureConfig(enabled_features=("rms", "waveform_length", "zero_crossings"))
         data = np.array([[1.0, -1.0, 1.0, -1.0], [2.0, 2.0, 2.0, 2.0]])
-        vec = extract_features(sample(data), cfg, fs=200.0)
+        vec = feature_row(data, cfg, fs=200.0)
         assert vec.tolist() == [1.0, 6.0, 3.0, 2.0, 0.0, 0.0]
         assert feature_columns(2, cfg) == (
             (0, "rms"),
@@ -337,23 +341,25 @@ class TestExtractFeatures:
 
     def test_window_too_short(self, fcfg):
         with pytest.raises(WindowTooShortError):
-            extract_features(sample(np.ones((1, 3))), fcfg, fs=200.0)
+            feature_row(np.ones((1, 3)), fcfg, fs=200.0)
 
     def test_deterministic_repeat(self, fcfg):
         rng = np.random.default_rng(5)
-        s = sample(rng.standard_normal((4, 256)))
-        a = extract_features(s, fcfg, fs=200.0)
-        b = extract_features(s, fcfg, fs=200.0)
+        s = rng.standard_normal((4, 256))
+        a = feature_row(s, fcfg, fs=200.0)
+        b = feature_row(s, fcfg, fs=200.0)
         assert np.array_equal(a, b)
 
 
 class TestBuildClassMatrices:
     def test_grouping_and_provenance(self, fcfg):
         rng = np.random.default_rng(2)
-        windows = [
-            WindowedSample(rng.standard_normal((3, 64)), label, f"t{i}", i * 10)
-            for i, label in enumerate(["a", "b", "a", "b", "a"])
-        ]
+        windows = windows_from(
+            [
+                (rng.standard_normal((3, 64)), label, f"t{i}", i * 10)
+                for i, label in enumerate(["a", "b", "a", "b", "a"])
+            ]
+        )
         mats = build_class_matrices(windows, fcfg, fs=200.0)
         assert set(mats) == {"a", "b"}
         assert mats["a"].values.shape == (3, 27)
@@ -361,14 +367,14 @@ class TestBuildClassMatrices:
         assert len(mats["a"].column_index) == 27
 
     def test_empty_input(self, fcfg):
-        assert build_class_matrices([], fcfg, fs=200.0) == {}
+        empty = Windows(np.empty((0, 3, 64)), (), ())
+        assert build_class_matrices(empty, fcfg, fs=200.0) == {}
 
     def test_one_sample_per_class(self, fcfg):
         rng = np.random.default_rng(4)
-        windows = [
-            WindowedSample(rng.standard_normal((2, 64)), label, "t", 0)
-            for label in ["a", "b"]
-        ]
+        windows = windows_from(
+            [(rng.standard_normal((2, 64)), label, "t", 0) for label in ["a", "b"]]
+        )
         mats = build_class_matrices(windows, fcfg, fs=200.0)
         assert all(m.values.shape == (1, 18) for m in mats.values())
 
@@ -376,7 +382,7 @@ class TestBuildClassMatrices:
         for enabled in [FEATURE_NAMES, ("rms",), ("shannon_entropy", "median_frequency")]:
             cfg = FeatureConfig(enabled_features=tuple(enabled))
             rng = np.random.default_rng(1)
-            windows = [WindowedSample(rng.standard_normal((5, 64)), "a", "t", 0)]
+            windows = windows_from([(rng.standard_normal((5, 64)), "a", "t", 0)])
             mats = build_class_matrices(windows, cfg, fs=200.0)
             assert mats["a"].values.shape == (1, 5 * len(enabled))
 
@@ -526,8 +532,8 @@ class TestBlockEngine:
                 data[1] = 0.0  # a dead channel: constants such as -0.0
             if i % 4 == 0:
                 data[2] = np.round(data[2] * 2)
-            out.append(WindowedSample(data, "a" if i < 11 else "b", f"t{i}", i))
-        return out
+            out.append((data, "a" if i < 11 else "b", f"t{i}", i))
+        return windows_from(out)
 
     def test_rows_independent_of_block_size(self, monkeypatch, fcfg):
         windows = self.windows()
@@ -540,25 +546,14 @@ class TestBlockEngine:
         for mats in results[1:]:
             for label in ("a", "b"):
                 assert same_bits(mats[label].values, results[0][label].values)
-        one_window = [extract_features(s, fcfg, fs=200.0) for s in windows[:11]]
+        one_window = [feature_row(data, fcfg, fs=200.0) for data in windows.data[:11]]
         assert same_bits(results[0]["a"].values, one_window)
-
-    def test_mixed_window_lengths_keep_their_rows(self, fcfg):
-        rng = np.random.default_rng(9)
-        windows = [
-            WindowedSample(rng.normal(size=(2, width)), "a", "t", 0)
-            for width in (64, 64, 80, 64, 80, 80)
-        ]
-        mats = build_class_matrices(windows, fcfg, fs=200.0)
-        expected = [extract_features(s, fcfg, fs=200.0) for s in windows]
-        assert same_bits(mats["a"].values, expected)
 
     def test_zero_window_keeps_negative_zero_sample_entropy(self, fcfg):
         k = FEATURE_NAMES.index("sample_entropy")
         constants = zero_window_features(fcfg, 100, 200.0)
         assert math.copysign(1.0, constants[k]) == -1.0
-        mats = build_class_matrices([sample(np.zeros((2, 100)))], fcfg, fs=200.0)
-        row = mats["x"].values[0]
+        row = feature_row(np.zeros((2, 100)), fcfg, fs=200.0)
         assert same_bits(row, np.concatenate([constants, constants]))
 
 

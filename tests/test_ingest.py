@@ -10,6 +10,7 @@ from sensoraudit.errors import (
     DataFormatError,
     InconsistentChannelCountError,
     InvalidSpecError,
+    LengthMismatchError,
     MalformedRowError,
     MissingFileError,
     TrimExceedsLengthError,
@@ -19,11 +20,11 @@ from sensoraudit.ingest import (
     Recording,
     RecordingSet,
     SegmentationConfig,
+    Windows,
     load_dataset,
     round_half_up,
     segment,
     trim,
-    window,
 )
 from sensoraudit.features import FeatureConfig
 from sensoraudit.oracle import OracleConfig
@@ -34,6 +35,15 @@ from sensoraudit.synthetic import ChannelProfile, ChannelSpec, SyntheticSpec
 def rec(t, label="a", trial="t0", channels=2, session="s0", participant="p0"):
     samples = np.arange(channels * t, dtype=float).reshape(channels, t)
     return Recording(samples, label, trial, session, participant)
+
+
+def segment_one(r, cfg):
+    """Windows of one recording, through ``segment``."""
+    return segment(RecordingSet([r], 200.0, [r.class_label], r.channel_count), cfg)
+
+
+def start_indices(windows):
+    return [start for _, start in windows.provenance]
 
 
 def seg_cfg(**kw):
@@ -68,15 +78,15 @@ class TestTrim:
 
 class TestWindow:
     def test_exact_fit(self):
-        out = window(rec(400), seg_cfg())
-        assert [w.start_index for w in out] == [0]
+        out = segment_one(rec(400), seg_cfg())
+        assert start_indices(out) == [0]
 
     def test_two_windows_half_overlap(self):
-        out = window(rec(600), seg_cfg())
-        assert [w.start_index for w in out] == [0, 200]
+        out = segment_one(rec(600), seg_cfg())
+        assert start_indices(out) == [0, 200]
 
     def test_too_short_yields_empty(self):
-        assert window(rec(399), seg_cfg()) == []
+        assert len(segment_one(rec(399), seg_cfg())) == 0
 
     def test_count_formula_matches_enumeration(self):
         for width in (50, 400):
@@ -89,19 +99,19 @@ class TestWindow:
                     assert len(starts) == expected, (total, width, overlap)
         # spot-check the library against the same enumeration
         for total in (1, 57, 400, 401, 999, 2000):
-            out = window(rec(total), seg_cfg(window_len_samples=50, overlap_fraction=0.25))
-            assert [w.start_index for w in out] == enumerate_window_starts(total, 50, 38)
+            out = segment_one(rec(total), seg_cfg(window_len_samples=50, overlap_fraction=0.25))
+            assert start_indices(out) == enumerate_window_starts(total, 50, 38)
 
     def test_zero_overlap_concatenation_reconstructs_prefix(self):
         r = rec(130, channels=3)
-        out = window(r, seg_cfg(window_len_samples=25, overlap_fraction=0.0))
-        joined = np.concatenate([w.data for w in out], axis=1)
+        out = segment_one(r, seg_cfg(window_len_samples=25, overlap_fraction=0.0))
+        joined = np.concatenate(list(out.data), axis=1)
         assert np.array_equal(joined, r.samples[:, : joined.shape[1]])
 
     def test_labels_and_provenance_carried(self):
-        out = window(rec(500, label="beta"), seg_cfg())
-        assert all(w.class_label == "beta" for w in out)
-        assert all(w.source_trial == "p0/s0/t0" for w in out)
+        out = segment_one(rec(500, label="beta"), seg_cfg())
+        assert all(label == "beta" for label in out.labels)
+        assert all(trial == "p0/s0/t0" for trial, _ in out.provenance)
 
     def test_stride_must_round_positive(self):
         with pytest.raises(InvalidSpecError):
@@ -116,7 +126,7 @@ class TestSegment:
         cfg = seg_cfg(concat_trials_within_session=True)
         joined = segment(rset, cfg)
         # 600 concatenated samples -> starts 0 and 200
-        assert [w.start_index for w in joined] == [0, 200]
+        assert start_indices(joined) == [0, 200]
         separate = segment(
             rset, seg_cfg(window_len_samples=300, concat_trials_within_session=False)
         )
@@ -130,7 +140,85 @@ class TestSegment:
             2,
         )
         out = segment(rset, seg_cfg(), classes=["a"])
-        assert {w.class_label for w in out} == {"a"}
+        assert set(out.labels) == {"a"}
+
+
+class TestSegmentArray:
+    """``segment``'s one ``(N, C, W)`` array against the recordings it cuts."""
+
+    W = 100
+    # 200 Hz: trims of 10 head and 5 tail samples
+    CFG = dict(trim_head_ms=50.0, trim_tail_ms=25.0, window_len_samples=W, overlap_fraction=0.5)
+
+    @staticmethod
+    def rset():
+        rng = np.random.default_rng(3)
+        layout = [
+            (500, "a", "t0", "s0"),
+            (260, "a", "t1", "s0"),
+            (90, "b", "t2", "s0"),
+            (700, "b", "t3", "s1"),
+        ]
+        recs = [
+            Recording(rng.normal(size=(3, t)), label, trial, session, "p0")
+            for t, label, trial, session in layout
+        ]
+        return RecordingSet(recs, 200.0, ["a", "b"], 3)
+
+    def trimmed(self, cfg):
+        return {r.provenance(): trim(r, cfg, 200.0).samples for r in self.rset().recordings}
+
+    def test_one_contiguous_float64_array(self):
+        windows = segment(self.rset(), SegmentationConfig(**self.CFG))
+        assert windows.data.dtype == np.float64 and windows.data.flags.c_contiguous
+        assert windows.data.shape == (len(windows), 3, self.W)
+        assert len(windows) == len(windows.labels) == len(windows.provenance) == 13 + 12
+
+    def test_rows_are_the_trimmed_samples(self):
+        cfg = SegmentationConfig(**self.CFG, concat_trials_within_session=False)
+        windows = segment(self.rset(), cfg)
+        samples = self.trimmed(cfg)
+        for row, (trial, start) in zip(windows.data, windows.provenance):
+            assert np.array_equal(row, samples[trial][:, start : start + self.W])
+        # t2 keeps 75 samples, fewer than one window
+        assert "p0/s0/t2" not in {trial for trial, _ in windows.provenance}
+        assert len(windows) == 8 + 3 + 0 + 12
+
+    def test_window_across_a_trial_boundary(self):
+        cfg = SegmentationConfig(**self.CFG)
+        windows = segment(self.rset(), cfg)
+        samples = self.trimmed(cfg)
+        joined = np.concatenate([samples["p0/s0/t0"], samples["p0/s0/t1"]], axis=1)
+        rows = [i for i, (trial, _) in enumerate(windows.provenance) if trial == "p0/s0/t0+t1"]
+        assert len(rows) == (485 + 245 - self.W) // 50 + 1
+        crossing = 0
+        for i in rows:
+            start = windows.provenance[i][1]
+            assert np.array_equal(windows.data[i], joined[:, start : start + self.W])
+            crossing += start < 485 < start + self.W
+        assert crossing == 2  # starts 400 and 450
+        assert "p0/s0/t2" not in {trial for trial, _ in windows.provenance}
+
+    def test_channel_count_mismatch_is_typed(self):
+        rset = self.rset()
+        rset.recordings[1] = rec(300, channels=4, trial="t1")
+        with pytest.raises(InconsistentChannelCountError, match="p0/s0/t1"):
+            segment(rset, SegmentationConfig(**self.CFG))
+
+    def test_record_needs_one_label_and_start_per_row(self):
+        with pytest.raises(LengthMismatchError):
+            Windows(np.zeros((2, 1, 4)), ("a",), (("t", 0), ("t", 4)))
+        with pytest.raises(LengthMismatchError):
+            Windows(np.zeros((2, 4)), ("a", "a"), (("t", 0), ("t", 4)))
+
+    def test_class_filter_keeps_the_class_rows(self):
+        cfg = SegmentationConfig(**self.CFG)
+        everything = segment(self.rset(), cfg)
+        only_b = segment(self.rset(), cfg, classes=["b"])
+        assert set(only_b.labels) == {"b"} and len(only_b) == 12
+        expected = everything.select(["b"])
+        assert np.array_equal(only_b.data, expected.data)
+        assert only_b.provenance == expected.provenance
 
 
 def build_dataset(root, participants=1, sessions=1, trials=2, classes=("a",), channels=8, rows=600, fs=200.0):

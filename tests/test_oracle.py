@@ -23,7 +23,6 @@ from sensoraudit.oracle import (
     pair_rng,
     run_oracle_audit,
     standardize,
-    train_mlp,
 )
 
 
@@ -66,6 +65,17 @@ class TestStandardize:
     def test_empty_train(self):
         with pytest.raises(EmptyTrainingSetError):
             standardize(np.empty((0, 3)), np.zeros((2, 3)))
+
+    def test_overflowing_column_keeps_its_zscores(self):
+        # column 1's train variance overflows at this scale
+        rng = np.random.default_rng(1)
+        train, test = rng.normal(size=(20, 3)), rng.normal(size=(5, 3))
+        scale = np.array([1.0, 2.0**900, 1.0])
+        plain = standardize(train, test)
+        scaled = standardize(train * scale, test * scale)
+        for a, b in zip(scaled[:2], plain[:2]):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert scaled[3][1] == np.inf
 
 
 class TestMcc:
@@ -170,20 +180,20 @@ class TestTraining:
     def test_separable_blobs_train_accuracy(self):
         x, y = blobs(n=200, gap=3.0, seed=1)
         cfg = OracleConfig(seed=1)
-        clf = train_mlp(x, y, cfg)
+        clf = MlpClassifier(cfg).fit(x, y)
         train_acc = float((clf.predict(x) == y).mean())
         assert train_acc >= 0.99
 
     def test_loss_drops_by_an_order_of_magnitude(self):
         x, y = blobs(n=200, gap=3.0, seed=2)
-        clf = train_mlp(x, y, OracleConfig(seed=2))
+        clf = MlpClassifier(OracleConfig(seed=2)).fit(x, y)
         assert clf.loss_history[-1] < clf.loss_history[0] / 10.0
 
     def test_fixed_seed_reproduces_weights(self):
         x, y = blobs(n=120, gap=2.0, seed=3)
         cfg = OracleConfig(seed=9, epochs=20)
-        a = train_mlp(x, y, cfg)
-        b = train_mlp(x, y, cfg)
+        a = MlpClassifier(cfg).fit(x, y)
+        b = MlpClassifier(cfg).fit(x, y)
         for key in a.params:
             assert np.array_equal(a.params[key], b.params[key])
 
@@ -198,7 +208,7 @@ class TestTraining:
             test_idx = np.setdiff1d(np.arange(200), train_idx)
             cfg = OracleConfig(seed=seed, epochs=60)
             tr, te, _, _ = standardize(x[train_idx], x[test_idx])
-            clf = train_mlp(tr, y[train_idx], cfg)
+            clf = MlpClassifier(cfg).fit(tr, y[train_idx])
             values.append(evaluate_mcc(clf.predict(te), y[test_idx]).mcc)
         assert abs(float(np.mean(values))) < 0.15
 

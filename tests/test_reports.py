@@ -3,10 +3,11 @@ import csv
 import numpy as np
 import pytest
 
+from conftest import windows_from
+
 from sensoraudit.ablation import AblationSpec, run_ablation_audit
 from sensoraudit.errors import InvalidSpecError
 from sensoraudit.features import FeatureConfig
-from sensoraudit.ingest import WindowedSample
 from sensoraudit.reports import ARTIFACTS, artifact_names, kendall_tau, write_ablation
 
 
@@ -35,11 +36,13 @@ class TestArtifactTable:
 class TestUnsafeLabelInWriter:
     def test_write_ablation_writes_nothing_for_an_escaping_label(self, tmp_path):
         rng = np.random.default_rng(0)
-        windows = [
-            WindowedSample(rng.normal(size=(2, 32)), label, "t0", 32 * i)
-            for label in ("ok", "../escaped")
-            for i in range(4)
-        ]
+        windows = windows_from(
+            [
+                (rng.normal(size=(2, 32)), label, "t0", 32 * i)
+                for label in ("ok", "../escaped")
+                for i in range(4)
+            ]
+        )
         fcfg = FeatureConfig(enabled_features=("rms", "waveform_length"))
         report = run_ablation_audit(windows, AblationSpec(), fcfg, 100.0)
         assert "../escaped" in report.classes
@@ -54,11 +57,13 @@ class TestUnsafeLabelInWriter:
 class TestAblationCsv:
     def test_raw_shift_cells_are_plain_numbers(self, tmp_path):
         rng = np.random.default_rng(1)
-        windows = [
-            WindowedSample(rng.normal(size=(3, 32)), label, "t0", 32 * i)
-            for label in ("a", "b")
-            for i in range(5)
-        ]
+        windows = windows_from(
+            [
+                (rng.normal(size=(3, 32)), label, "t0", 32 * i)
+                for label in ("a", "b")
+                for i in range(5)
+            ]
+        )
         fcfg = FeatureConfig(enabled_features=("rms", "waveform_length"))
         report = run_ablation_audit(windows, AblationSpec(combinatorial_depth=2), fcfg, 100.0)
         write_ablation(tmp_path, report, {})

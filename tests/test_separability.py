@@ -10,9 +10,6 @@ from reference_impls import naive_f2, naive_f3, naive_fisher
 from sensoraudit.errors import MismatchedColumnsError, TooFewClassesError, TooFewRowsError
 from sensoraudit.separability import (
     F1_CAP,
-    feature_efficiency,
-    max_fisher_ratio,
-    overlap_volume,
     pairwise_audit,
     separability_score,
 )
@@ -23,23 +20,23 @@ class TestFisherRatio:
         # means 0 and 2, population variances 1 and 1 -> 4/2
         target = matrix_from_rows([[-1.0], [1.0]])
         reference = matrix_from_rows([[1.0], [3.0]])
-        f1, argmax, per_dim = max_fisher_ratio(target, reference)
+        s = separability_score(target, reference)
+        f1, argmax = s.f1, s.f1_argmax
         assert f1 == 2.0
         assert argmax == 0
 
     def test_identical_matrices_zero(self):
         rng = np.random.default_rng(0)
         values = rng.normal(size=(10, 4))
-        assert max_fisher_ratio(matrix_from_rows(values), matrix_from_rows(values))[0] == 0.0
+        assert separability_score(matrix_from_rows(values), matrix_from_rows(values)).f1 == 0.0
 
     def test_max_rule_over_dimensions(self):
         # per-dim ratios 0.5, 2.0, 1.0 -> max 2.0 at column 1
         sqrt2 = float(np.sqrt(2.0))
         target = [[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]]
         reference = [[0.0, 1.0, sqrt2 - 1.0], [2.0, 3.0, sqrt2 + 1.0]]
-        f1, argmax, per_dim = max_fisher_ratio(
-            matrix_from_rows(target), matrix_from_rows(reference)
-        )
+        s = separability_score(matrix_from_rows(target), matrix_from_rows(reference))
+        f1, argmax, per_dim = s.f1, s.f1_argmax, s.per_dim_fisher
         assert per_dim == pytest.approx([0.5, 2.0, 1.0], rel=1e-12)
         assert (f1, argmax) == (2.0, 1)
 
@@ -84,32 +81,33 @@ class TestFisherRatio:
 
     def test_too_few_rows(self):
         with pytest.raises(TooFewRowsError):
-            max_fisher_ratio(matrix_from_rows([[1.0]]), matrix_from_rows([[1.0], [2.0]]))
+            separability_score(matrix_from_rows([[1.0]]), matrix_from_rows([[1.0], [2.0]]))
 
     def test_mismatched_columns(self):
         a = matrix_from_rows(np.zeros((3, 2)))
         b = matrix_from_rows(np.zeros((3, 3)))
         with pytest.raises(MismatchedColumnsError):
-            max_fisher_ratio(a, b)
+            separability_score(a, b)
 
 
 class TestOverlapVolume:
     def test_one_dim_partial_overlap(self):
         target = matrix_from_rows([[0.0], [2.0]])
         reference = matrix_from_rows([[1.0], [3.0]])
-        f2, overlap, span = overlap_volume(target, reference)
+        s = separability_score(target, reference)
+        f2, overlap, span = s.f2, s.per_dim_overlap, s.per_dim_range
         assert f2 == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert overlap[0] == 1.0 and span[0] == 3.0
 
     def test_identical_full_overlap(self):
         values = np.random.default_rng(1).normal(size=(8, 3))
-        f2, _, _ = overlap_volume(matrix_from_rows(values), matrix_from_rows(values))
+        f2 = separability_score(matrix_from_rows(values), matrix_from_rows(values)).f2
         assert f2 == 1.0
 
     def test_disjoint_dimension_zeroes_product(self):
         target = matrix_from_rows([[0.0, 0.0], [1.0, 1.0]])
         reference = matrix_from_rows([[5.0, 0.5], [6.0, 1.5]])
-        f2, _, _ = overlap_volume(target, reference)
+        f2 = separability_score(target, reference).f2
         assert f2 == 0.0
 
 
@@ -117,19 +115,21 @@ class TestFeatureEfficiency:
     def test_one_dim_partial_overlap(self):
         target = matrix_from_rows([[0.0], [2.0]])
         reference = matrix_from_rows([[1.0], [3.0]])
-        f3, argmax = feature_efficiency(target, reference)
+        s = separability_score(target, reference)
+        f3, argmax = s.f3, s.f3_argmax
         assert f3 == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert argmax == 0
 
     def test_identical_zero(self):
         values = np.random.default_rng(2).normal(size=(5, 2))
-        assert feature_efficiency(matrix_from_rows(values), matrix_from_rows(values))[0] == 0.0
+        assert separability_score(matrix_from_rows(values), matrix_from_rows(values)).f3 == 0.0
 
     def test_max_of_complements(self):
         # per-dim overlap fractions 1/3 and 1 -> F3 = 2/3 at column 0
         target = matrix_from_rows([[0.0, 0.0], [2.0, 1.0]])
         reference = matrix_from_rows([[1.0, 0.0], [3.0, 1.0]])
-        f3, argmax = feature_efficiency(target, reference)
+        s = separability_score(target, reference)
+        f3, argmax = s.f3, s.f3_argmax
         assert f3 == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert argmax == 0
 

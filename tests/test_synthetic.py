@@ -90,7 +90,7 @@ class TestGeneration:
         for spec in (graded_spec(0), all_noise_spec(0)):
             windows, _ = windows_of(spec)
             for label in spec.class_names:
-                count = sum(1 for w in windows if w.class_label == label)
+                count = windows.labels.count(label)
                 assert count >= spec.windows_per_class
 
     def test_trial_length_formula(self):
