@@ -15,6 +15,7 @@ from .features import (
     FeatureConfig,
     FeatureMatrix,
     build_class_matrices,
+    zero_window_features,
 )
 from .ingest import (
     Recording,
@@ -78,4 +79,5 @@ __all__ = [
     "separability_score",
     "standardize",
     "trim",
+    "zero_window_features",
 ]

@@ -1,13 +1,15 @@
 """Simulated sensor failure and per-sensor criticality ranking.
 
 A failed sensor reads zero. Every feature is computed per channel, so
-after a failure that channel's feature columns hold the all-zero-window
-constants (``zero_window_features``) in every row and the other columns
-are unchanged. A subset's shift is the maximum Fisher ratio (f1)
-between the class's intact feature matrix and that ablated matrix.
+after a failure that channel's feature columns hold the feature values of
+an all-zero window (the *failed row*, one value per feature) in every row
+and the other columns are unchanged. A subset's shift is the maximum
+Fisher ratio (f1) between the class's intact feature matrix and that
+ablated matrix.
 
-``run_ablation_audit`` needs one ``separability_score`` call per class:
-the baseline against a matrix whose every row holds the constants.
+``run_ablation_audit`` reads the per-class matrices of the run's one
+feature pass and needs one ``separability_score`` call per class: the
+matrix against one whose every row holds the failed row on every channel.
 
 * A kept column is compared with itself: its mean gap is exactly zero,
   so its Fisher ratio is 0.0 and never raises the maximum.
@@ -29,7 +31,6 @@ by the mean of those normalized scores across classes.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,14 +43,8 @@ from .errors import (
     TooFewRowsError,
     TopologyMismatchError,
 )
-from .features import (
-    FeatureConfig,
-    FeatureMatrix,
-    build_class_matrices,
-    feature_columns,
-    zero_window_features,
-)
-from .ingest import JsonConfig, Windows
+from .features import FeatureMatrix
+from .ingest import JsonConfig
 from .separability import separability_score
 
 DEFAULT_CRITICALITY_THRESHOLD = 0.8
@@ -67,8 +62,7 @@ class AblationSpec(JsonConfig):
     ring_topology: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.combinatorial_depth < 1:
-            raise InvalidSpecError("combinatorial_depth must be positive")
+        self.check_positive_ints("combinatorial_depth")
         if self.shift_metric not in SHIFT_METRICS:
             raise InvalidSpecError(
                 f"shift_metric must be one of {SHIFT_METRICS}, got {self.shift_metric!r}: "
@@ -123,34 +117,20 @@ class AblationReport:
     redundancy_notes: dict[str, tuple[int, ...]] = field(default_factory=dict)
     compensation: tuple[CompensationNote, ...] = ()
 
-    def shift_for(self, class_label: str, subset: tuple[int, ...]) -> float:
-        ci = self.classes.index(class_label)
-        si = self.subsets.index(tuple(subset))
-        return float(self.raw_shift[ci, si])
 
-
-def neighbour_compensation(
-    report: AblationReport,
-    topology: tuple[int, ...] | None = None,
-    criticality_threshold: float | None = None,
-    redundancy_threshold: float | None = None,
-) -> tuple[CompensationNote, ...]:
-    """Ring-neighbour check for every critical sensor of every class.
+def neighbour_compensation(report: AblationReport) -> tuple[CompensationNote, ...]:
+    """Ring-neighbour check for every critical sensor of every class, on
+    the report's own ring topology and thresholds.
 
     A critical sensor is ``uncompensated`` when both ring neighbours sit
     below the redundancy threshold, ``compensated`` otherwise.
     """
-    topo = tuple(report.ring_topology if topology is None else topology)
+    topo = tuple(report.ring_topology)
     if sorted(topo) != list(range(report.channel_count)):
         raise TopologyMismatchError(
             f"topology {topo} is not a permutation of 0..{report.channel_count - 1}"
         )
-    crit_thr = (
-        report.criticality_threshold if criticality_threshold is None else criticality_threshold
-    )
-    red_thr = (
-        report.redundancy_threshold if redundancy_threshold is None else redundancy_threshold
-    )
+    crit_thr, red_thr = report.criticality_threshold, report.redundancy_threshold
 
     position = {sensor: i for i, sensor in enumerate(topo)}
     m = len(topo)
@@ -179,34 +159,48 @@ def neighbour_compensation(
 
 
 def run_ablation_audit(
-    windows: Windows,
+    matrices: dict[str, FeatureMatrix],
     spec: AblationSpec,
-    fcfg: FeatureConfig,
-    fs: float,
+    failed_row: np.ndarray,
     criticality_threshold: float = DEFAULT_CRITICALITY_THRESHOLD,
     redundancy_threshold: float = DEFAULT_REDUNDANCY_THRESHOLD,
-    baselines: dict[str, FeatureMatrix] | None = None,
 ) -> AblationReport:
     """Evaluate every (class, sensor subset) shift and rank sensors.
+
+    ``matrices`` are the per-class feature matrices (``build_class_matrices``)
+    and ``failed_row`` the F feature values a dead sensor's columns read
+    (``zero_window_features`` at the run's window length). Every audited
+    class must share one channel-major column map of C * F columns, or
+    ``MismatchedColumnsError`` is raised.
 
     One ``separability_score`` call per class gives every sensor's shift;
     a subset's shift is the max of its members' (see the module
     docstring). Output ordering is fixed (classes as configured or
-    sorted, subsets smaller-first lexicographic). Pass
-    ``baselines`` (per-class matrices extracted from the same windows)
-    to reuse an existing feature pass.
+    sorted, subsets smaller-first lexicographic).
     """
-    if not len(windows):
+    classes = tuple(spec.classes) if spec.classes else tuple(sorted(matrices))
+    if not classes:
         raise TooFewRowsError("no windows to audit")
-    counts = Counter(windows.labels)
-    classes = tuple(spec.classes) if spec.classes else tuple(sorted(counts))
     for label in classes:
-        if label not in counts:
+        if label not in matrices:
             raise TooFewRowsError(f"class {label!r} has no windows")
-        if counts[label] < 2:
-            raise TooFewRowsError(f"class {label!r} has {counts[label]} windows, needs >= 2")
+        n_rows = matrices[label].n_rows
+        if n_rows < 2:
+            raise TooFewRowsError(f"class {label!r} has {n_rows} windows, needs >= 2")
 
-    _, channel_count, window_len = windows.data.shape
+    columns = matrices[classes[0]].column_index
+    width = len(failed_row)
+    channel_count = len(columns) // width if width else 0
+    names = [name for _, name in columns[:width]]
+    if (
+        not width
+        or columns != tuple((ch, name) for ch in range(channel_count) for name in names)
+        or any(matrices[label].column_index != columns for label in classes)
+    ):
+        raise MismatchedColumnsError(
+            f"classes {classes} do not share one channel-major column map "
+            f"of C * {width} columns for a {width}-value failed row"
+        )
     subsets = (
         tuple(spec.sensor_subsets)
         if spec.sensor_subsets is not None
@@ -220,29 +214,11 @@ def run_ablation_audit(
                 raise IndexOutOfRangeError(f"sensor {s} outside [0, {channel_count})")
     topology = spec.ring_topology if spec.ring_topology else tuple(range(channel_count))
 
-    expected_columns = feature_columns(channel_count, fcfg)
-    baselines = baselines or {}
-    missing = [label for label in classes if baselines.get(label) is None]
-    resolved = build_class_matrices(windows.select(missing), fcfg, fs)
-    for label in classes:
-        if label in resolved:
-            continue
-        matrix = resolved[label] = baselines[label]
-        if matrix.column_index != expected_columns:
-            raise MismatchedColumnsError(
-                f"baseline for {label!r} does not match the feature configuration"
-            )
-        if matrix.n_rows != counts[label]:
-            raise InvalidSpecError(
-                f"baseline for {label!r} has {matrix.n_rows} rows for {counts[label]} windows"
-            )
-
-    # every row of a failed matrix holds the zero-window constants
-    constants = np.tile(zero_window_features(fcfg, window_len, fs), channel_count)
+    failed_values = np.tile(failed_row, channel_count)
     sensor_shift = np.empty((len(classes), channel_count))
     for ci, label in enumerate(classes):
-        base = resolved[label]
-        failed = replace(base, values=np.broadcast_to(constants, base.values.shape))
+        base = matrices[label]
+        failed = replace(base, values=np.broadcast_to(failed_values, base.values.shape))
         fisher = separability_score(base, failed).per_dim_fisher
         sensor_shift[ci] = fisher.reshape(channel_count, -1).max(axis=1)
     # pad each subset with its first member, which leaves its max alone

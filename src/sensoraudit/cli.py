@@ -24,7 +24,6 @@ so it cannot change the outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import sys
@@ -40,15 +39,15 @@ from .ablation import (
     AblationSpec,
     run_ablation_audit,
 )
-from .errors import (
-    AuditError,
-    ConfigError,
-    InvalidSpecError,
-    MissingFileError,
-    TooFewRowsError,
+from .errors import AuditError, ConfigError, TooFewRowsError
+from .features import (
+    FeatureConfig,
+    build_class_matrices,
+    column_labels,
+    feature_columns,
+    zero_window_features,
 )
-from .features import FeatureConfig, build_class_matrices, column_labels, feature_columns
-from .ingest import REST_CLASS, SegmentationConfig, Windows, load_dataset, segment
+from .ingest import REST_CLASS, JsonConfig, SegmentationConfig, Windows, load_dataset, segment
 from .oracle import OracleConfig, run_oracle_audit
 from .reports import (
     ARTIFACTS,
@@ -109,34 +108,40 @@ class AuditRunConfig:
         }
 
 
-def _load_config_file(path: Path) -> dict:
-    if not path.is_file():
-        raise MissingFileError(f"config file not found: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InvalidSpecError(f"{path}: invalid JSON ({exc})") from exc
-    known = {"segmentation", "features", "ablation", "oracle", "thresholds"}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise InvalidSpecError(f"{path}: unknown config sections: {', '.join(unknown)}")
-    return payload
+@dataclass(frozen=True)
+class Thresholds(JsonConfig):
+    criticality: float = DEFAULT_CRITICALITY_THRESHOLD
+    redundancy: float = DEFAULT_REDUNDANCY_THRESHOLD
+
+    def __post_init__(self) -> None:
+        self.check_finite("criticality", "redundancy")
+
+
+def _section(cls):
+    return field(default_factory=cls, metadata={"parse": cls.from_json_dict})
+
+
+@dataclass(frozen=True)
+class ConfigFile(JsonConfig):
+    """The ``--config`` file: each section optional, each parsed by its own config."""
+
+    segmentation: SegmentationConfig = _section(SegmentationConfig)
+    features: FeatureConfig = _section(FeatureConfig)
+    ablation: AblationSpec = _section(AblationSpec)
+    oracle: OracleConfig = _section(OracleConfig)
+    thresholds: Thresholds = _section(Thresholds)
+
+
+def _config_file(path: str | None) -> ConfigFile:
+    return ConfigFile.from_json_file(path) if path else ConfigFile()
 
 
 def _config_from_args(args: argparse.Namespace) -> AuditRunConfig:
-    sections = _load_config_file(Path(args.config)) if args.config else {}
-    segmentation = SegmentationConfig.from_json_dict(sections.get("segmentation", {}))
-    features = FeatureConfig.from_json_dict(sections.get("features", {}))
-    ablation = AblationSpec.from_json_dict(sections.get("ablation", {}))
-    oracle_cfg = OracleConfig.from_json_dict(sections.get("oracle", {}))
-    thresholds = sections.get("thresholds", {})
-    unknown = sorted(set(thresholds) - {"criticality", "redundancy"})
-    if unknown:
-        raise InvalidSpecError(f"unknown threshold keys: {', '.join(unknown)}")
-
+    sections = _config_file(args.config)
+    ablation, oracle_cfg = sections.ablation, sections.oracle
     if getattr(args, "metric", None):
         ablation = replace(ablation, shift_metric=args.metric)
-    if getattr(args, "depth", None):
+    if getattr(args, "depth", None) is not None:
         ablation = replace(ablation, combinatorial_depth=args.depth)
     if args.seed is not None:
         oracle_cfg = replace(oracle_cfg, seed=args.seed)
@@ -150,12 +155,12 @@ def _config_from_args(args: argparse.Namespace) -> AuditRunConfig:
         overwrite=args.overwrite,
         jobs=args.jobs,
         dump_features=getattr(args, "dump_features", False),
-        segmentation=segmentation,
-        features=features,
+        segmentation=sections.segmentation,
+        features=sections.features,
         ablation=ablation,
         oracle=oracle_cfg,
-        criticality_threshold=float(thresholds.get("criticality", DEFAULT_CRITICALITY_THRESHOLD)),
-        redundancy_threshold=float(thresholds.get("redundancy", DEFAULT_REDUNDANCY_THRESHOLD)),
+        criticality_threshold=float(sections.thresholds.criticality),
+        redundancy_threshold=float(sections.thresholds.redundancy),
     )
 
 
@@ -268,14 +273,13 @@ def _run(cfg: AuditRunConfig, stages: tuple[str, ...]) -> int:
                 ovr = pairwise_audit(matrices, mode="one-vs-rest")
     if "ablation" in stages:
         with _Stage("ablation"):
+            failed_row = zero_window_features(cfg.features, windows.data.shape[2], data.fs)
             report = run_ablation_audit(
-                data.windows,
+                matrices,
                 cfg.ablation,
-                cfg.features,
-                data.fs,
+                failed_row,
                 criticality_threshold=cfg.criticality_threshold,
                 redundancy_threshold=cfg.redundancy_threshold,
-                baselines=matrices,
             )
     if "oracle" in stages:
         with _Stage("oracle"):
@@ -332,11 +336,7 @@ def cmd_synth(cfg_args: argparse.Namespace) -> int:
 def cmd_ingest_check(cfg_args: argparse.Namespace) -> int:
     with _Stage("ingest"):
         rset = load_dataset(Path(cfg_args.data))
-        sections = (
-            _load_config_file(Path(cfg_args.config)) if cfg_args.config else {}
-        )
-        seg = SegmentationConfig.from_json_dict(sections.get("segmentation", {}))
-        counts = Counter(segment(rset, seg).labels)
+        counts = Counter(segment(rset, _config_file(cfg_args.config).segmentation).labels)
         print(
             f"ok: {len(rset.recordings)} recordings, "
             f"{rset.channel_count} channels at {rset.sampling_rate_hz:g} Hz"

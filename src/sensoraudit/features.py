@@ -106,14 +106,8 @@ class FeatureConfig(JsonConfig):
     enabled_features: tuple[str, ...] = FEATURE_NAMES
 
     def __post_init__(self) -> None:
-        for name in ("entropy_bins", "sampen_m", "wavelet_levels"):
-            value = getattr(self, name)
-            # bool is an int subclass, and NaN or 2.5 would pass "< 1"
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise InvalidSpecError(f"{name} must be a positive integer, got {value!r}")
-        for name in ("sampen_r_coeff", "zc_threshold", "ssc_threshold"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidSpecError(f"{name} must be finite")
+        self.check_positive_ints("entropy_bins", "sampen_m", "wavelet_levels")
+        self.check_finite("sampen_r_coeff", "zc_threshold", "ssc_threshold")
         if self.sampen_r_coeff <= 0:
             raise InvalidSpecError("sampen_r_coeff must be positive")
         if self.zc_threshold < 0 or self.ssc_threshold < 0:

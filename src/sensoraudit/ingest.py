@@ -24,7 +24,8 @@ import csv
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import MISSING, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,17 +59,26 @@ def is_safe_label(label) -> bool:
     )
 
 
-def _checked_fields(cls, d: dict) -> dict:
-    """Constructor arguments of the dataclass ``cls`` from its JSON dict.
+def _checked_fields(cls, d) -> dict:
+    """Constructor arguments of the dataclass ``cls`` from its JSON object.
 
     A field is read from the key ``metadata["json"]`` (default: its name)
-    and converted by ``metadata["parse"]`` when the field has one. Any
-    other key raises ``InvalidSpecError``.
+    and converted by ``metadata["parse"]`` when the field has one. A
+    non-object, any other key, or a missing field that has no default
+    raises ``InvalidSpecError``.
     """
+    if not isinstance(d, dict):
+        raise InvalidSpecError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
     fields = {f.metadata.get("json", f.name): f for f in dataclasses.fields(cls)}
     unknown = sorted(set(d) - set(fields))
     if unknown:
         raise InvalidSpecError(f"unknown {cls.__name__} fields: {', '.join(unknown)}")
+    required = [
+        k for k, f in fields.items() if f.default is MISSING and f.default_factory is MISSING
+    ]
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise InvalidSpecError(f"missing {cls.__name__} fields: {', '.join(missing)}")
     kwargs = {}
     for key, value in d.items():
         parse = fields[key].metadata.get("parse")
@@ -88,17 +98,47 @@ def _to_json(value):
 
 class JsonConfig:
     """JSON (de)serialisation for a config dataclass: one key per field, in
-    field order, sequences as lists; see ``_checked_fields`` for parsing."""
+    field order, sequences as lists; see ``_checked_fields`` for parsing.
+    The ``check_*`` methods are the field rules every config shares."""
 
     @classmethod
-    def from_json_dict(cls, d: dict):
+    def from_json_dict(cls, d):
         return cls(**_checked_fields(cls, d))
+
+    @classmethod
+    def from_json_file(cls, path: str | Path):
+        """The config in the JSON file ``path``; a path that is not a file
+        raises ``MissingFileError``, invalid JSON ``InvalidSpecError``."""
+        path = Path(path)
+        if not path.is_file():
+            raise MissingFileError(f"{cls.__name__} not found: {path}")
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise InvalidSpecError(f"{path}: invalid JSON ({exc})") from exc
+        return cls.from_json_dict(payload)
 
     def to_json_dict(self) -> dict:
         return {
             f.metadata.get("json", f.name): _to_json(getattr(self, f.name))
             for f in dataclasses.fields(self)
         }
+
+    def check_positive_ints(self, *names: str) -> None:
+        """Reject, by name, the first of these fields that is not a positive ``int``."""
+        for name in names:
+            value = getattr(self, name)
+            # bool is an int subclass, and NaN or 2.5 would pass "< 1"
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise InvalidSpecError(f"{name} must be a positive integer, got {value!r}")
+
+    def check_finite(self, *names: str) -> None:
+        """Reject, by name, the first of these fields that is not a finite number."""
+        for name in names:
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not real or not math.isfinite(value):
+                raise InvalidSpecError(f"{name} must be a finite number, got {value!r}")
 
 
 def round_half_up(x: float) -> int:
@@ -180,8 +220,7 @@ class SegmentationConfig(JsonConfig):
     def __post_init__(self) -> None:
         if self.trim_head_ms < 0 or self.trim_tail_ms < 0:
             raise InvalidSpecError("trim amounts must be nonnegative")
-        if self.window_len_samples < 1:
-            raise InvalidSpecError("window_len_samples must be positive")
+        self.check_positive_ints("window_len_samples")
         if not 0.0 <= self.overlap_fraction < 1.0:
             raise InvalidSpecError("overlap_fraction must lie in [0, 1)")
         if self.stride < 1:

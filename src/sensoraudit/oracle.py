@@ -42,8 +42,7 @@ class OracleConfig(JsonConfig):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.hidden_units < 1 or self.epochs < 1 or self.batch_size < 1:
-            raise InvalidSpecError("hidden_units, epochs and batch_size must be positive")
+        self.check_positive_ints("hidden_units", "epochs", "batch_size")
         if self.learning_rate <= 0:
             raise InvalidSpecError("learning_rate must be positive")
         if not 0.0 < self.test_fraction < 1.0:

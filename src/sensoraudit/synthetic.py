@@ -21,10 +21,8 @@ class -> trial -> channel order from one ``numpy`` generator.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -89,14 +87,9 @@ class SyntheticSpec(JsonConfig):
         for label in self.class_names:
             if not is_safe_label(label):
                 raise InvalidSpecError(f"class name {label!r} cannot be part of a file name")
-        for name, value in (
-            ("channel_count", self.channel_count),
-            ("windows_per_class", self.windows_per_class),
-            ("window_len_samples", self.window_len_samples),
-            ("trials_per_class", self.trials_per_class),
-        ):
-            if value < 1:
-                raise InvalidSpecError(f"{name} must be positive")
+        self.check_positive_ints(
+            "channel_count", "windows_per_class", "window_len_samples", "trials_per_class"
+        )
         if self.sampling_rate_hz <= 0:
             raise InvalidSpecError("sampling_rate_hz must be positive")
         if not 0.0 <= self.overlap_fraction < 1.0:
@@ -123,18 +116,6 @@ class SyntheticSpec(JsonConfig):
             overlap_fraction=self.overlap_fraction,
             concat_trials_within_session=False,
         )
-
-    @classmethod
-    def from_json_file(cls, path: str | Path) -> "SyntheticSpec":
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            from .errors import MissingFileError
-
-            raise MissingFileError(f"synthetic spec not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise InvalidSpecError(f"{path}: invalid JSON ({exc})") from exc
-        return cls.from_json_dict(payload)
 
 
 def _smooth(x: np.ndarray, kernel: int) -> np.ndarray:

@@ -6,7 +6,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from sensoraudit.features import FeatureConfig, FeatureMatrix, build_class_matrices
+from sensoraudit.ablation import run_ablation_audit
+from sensoraudit.features import (
+    FeatureConfig,
+    FeatureMatrix,
+    build_class_matrices,
+    zero_window_features,
+)
 from sensoraudit.ingest import Windows, segment
 from sensoraudit.synthetic import (
     ChannelProfile,
@@ -73,6 +79,13 @@ def windows_from(rows) -> Windows:
     each ``data`` one ``(C, W)`` window."""
     data, labels, trials, starts = zip(*rows)
     return Windows(np.array(data, dtype=float), labels, tuple(zip(trials, starts)))
+
+
+def ablate(windows: Windows, spec, fcfg: FeatureConfig, fs: float):
+    """``run_ablation_audit`` on the matrices and failed row the CLI passes it
+    for these windows."""
+    failed_row = zero_window_features(fcfg, windows.data.shape[2], fs)
+    return run_ablation_audit(build_class_matrices(windows, fcfg, fs), spec, failed_row)
 
 
 def feature_row(data, cfg: FeatureConfig, fs: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CLASSES, criticality_spec, windows_from, windows_of
+from conftest import CLASSES, ablate, criticality_spec, windows_from, windows_of
 from reference_impls import ablated_matrix, ablated_shift, nullify
 
 from sensoraudit import ablation
@@ -20,6 +21,7 @@ from sensoraudit.errors import (
     EmptySpecError,
     IndexOutOfRangeError,
     InvalidSpecError,
+    MismatchedColumnsError,
     TooFewRowsError,
     TopologyMismatchError,
 )
@@ -31,7 +33,6 @@ from sensoraudit.features import (
     feature_columns,
     zero_window_features,
 )
-from sensoraudit.ingest import Windows
 from sensoraudit.separability import separability_score
 
 
@@ -181,19 +182,19 @@ class TestNeighbourCompensation:
 
     def test_custom_topology(self):
         report = report_from_normalized([[1.0, 0.0, 0.5, 0.0]])
-        notes = neighbour_compensation(report, topology=(0, 2, 1, 3))
+        notes = neighbour_compensation(replace(report, ring_topology=(0, 2, 1, 3)))
         assert notes[0].neighbours == (3, 2)
 
     def test_topology_mismatch(self):
         report = report_from_normalized([[1.0, 0.0]])
         with pytest.raises(TopologyMismatchError):
-            neighbour_compensation(report, topology=(0, 5))
+            neighbour_compensation(replace(report, ring_topology=(0, 5)))
 
 
 class TestRunAblationAudit:
     def test_informative_channel_ranks_top_per_class(self, fcfg):
         windows, fs = windows_of(criticality_spec(0))
-        report = run_ablation_audit(windows, AblationSpec(), fcfg, fs)
+        report = ablate(windows, AblationSpec(), fcfg, fs)
         informative = {label: i for i, label in enumerate(CLASSES)}
         for ci, label in enumerate(report.classes):
             assert int(np.nanargmax(report.normalized_criticality[ci])) == informative[label]
@@ -201,7 +202,7 @@ class TestRunAblationAudit:
 
     def test_redundant_channels_score_low(self, fcfg):
         windows, fs = windows_of(criticality_spec(1))
-        report = run_ablation_audit(windows, AblationSpec(), fcfg, fs)
+        report = ablate(windows, AblationSpec(), fcfg, fs)
         for ci in range(len(report.classes)):
             for sensor in (3, 4):
                 assert report.normalized_criticality[ci, sensor] < 0.3
@@ -209,7 +210,7 @@ class TestRunAblationAudit:
 
     def test_normalization_and_ranking_contracts(self, fcfg):
         windows, fs = windows_of(criticality_spec(2))
-        report = run_ablation_audit(windows, AblationSpec(), fcfg, fs)
+        report = ablate(windows, AblationSpec(), fcfg, fs)
         finite = report.normalized_criticality[np.isfinite(report.normalized_criticality)]
         assert finite.min() >= 0.0 and finite.max() == 1.0
         assert np.nanmax(report.normalized_criticality, axis=1).tolist() == [1.0, 1.0, 1.0]
@@ -218,64 +219,33 @@ class TestRunAblationAudit:
     def test_combinatorial_depth_two(self, fcfg):
         windows = make_windows(n=6, channels=4, width=64)
         spec = AblationSpec(combinatorial_depth=2)
-        report = run_ablation_audit(windows, spec, fcfg, 200.0)
+        report = ablate(windows, spec, fcfg, 200.0)
         assert len(report.subsets) == 4 + 6
         assert report.raw_shift.shape == (1, 10)
 
     def test_explicit_subsets(self, fcfg):
         windows = make_windows(n=6, channels=4, width=64)
         spec = AblationSpec(sensor_subsets=[(1,), (3,), (1, 3)])
-        report = run_ablation_audit(windows, spec, fcfg, 200.0)
+        report = ablate(windows, spec, fcfg, 200.0)
         assert report.subsets == ((1,), (3,), (1, 3))
         # channels without singleton scores stay unranked but present
         assert np.isnan(report.normalized_criticality[0, 0])
         assert np.isfinite(report.normalized_criticality[0, 1])
 
-    def test_precomputed_baselines_reused(self, fcfg):
-        windows, fs = windows_of(criticality_spec(4))
-        matrices = build_class_matrices(windows, fcfg, fs)
-        fresh = run_ablation_audit(windows, AblationSpec(), fcfg, fs)
-        reused = run_ablation_audit(windows, AblationSpec(), fcfg, fs, baselines=matrices)
-        assert np.array_equal(fresh.raw_shift, reused.raw_shift)
-        assert fresh.ranking == reused.ranking
-
-    def test_precomputed_baseline_mismatch_rejected(self, fcfg):
-        windows = make_windows(n=6, channels=3, width=64)
-        matrices = build_class_matrices(windows, fcfg, 200.0)
-        first_three = make_windows(n=3, channels=3, width=64)
-        bad = {"a": build_class_matrices(first_three, fcfg, 200.0)["a"]}
-        with pytest.raises(InvalidSpecError):
-            run_ablation_audit(windows, AblationSpec(), fcfg, 200.0, baselines=bad)
-        assert matrices  # full dict works
-        run_ablation_audit(windows, AblationSpec(), fcfg, 200.0, baselines=matrices)
-
-    def test_zero_window_constants_computed_once(self, fcfg, monkeypatch):
-        windows, fs = windows_of(criticality_spec(5))
-        spec = AblationSpec(combinatorial_depth=3)
-        matrices = build_class_matrices(windows, fcfg, fs)
-        width = windows.data.shape[2]
-        subsets = enumerate_subsets(windows.data.shape[1], 3)
-        expected = [
-            [
-                separability_score(
-                    matrices[label], ablated_matrix(matrices[label], subset, fcfg, width, fs)
-                ).f1
-                for subset in subsets
-            ]
-            for label in sorted(matrices)
-        ]
-
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return zero_window_features(*args)
-
-        monkeypatch.setattr(ablation, "zero_window_features", counting)
-        report = run_ablation_audit(windows, spec, fcfg, fs)
-        assert len(calls) == 1
-        assert report.subsets == tuple(subsets)
-        assert report.raw_shift.tolist() == expected
+    def test_column_map_and_failed_row_mismatch_rejected(self, fcfg):
+        matrices = build_class_matrices(make_windows(n=6, channels=3, width=64), fcfg, 200.0)
+        matrices["b"] = build_class_matrices(
+            make_windows(n=6, channels=2, width=64, label="b"), fcfg, 200.0
+        )["b"]
+        failed_row = zero_window_features(fcfg, 64, 200.0)
+        with pytest.raises(MismatchedColumnsError):  # 3 channels against 2
+            run_ablation_audit(matrices, AblationSpec(), failed_row)
+        one_class = AblationSpec(classes=["a"])
+        for bad_row in (failed_row[:-1], failed_row[:3], np.tile(failed_row, 3), failed_row[:0]):
+            with pytest.raises(MismatchedColumnsError):
+                run_ablation_audit(matrices, one_class, bad_row)
+        report = run_ablation_audit(matrices, one_class, failed_row)
+        assert report.channel_count == 3
 
     @pytest.mark.parametrize("metric", ["f2", "f3"])
     def test_flat_shift_metrics_rejected(self, metric):
@@ -295,7 +265,7 @@ class TestRunAblationAudit:
     def test_class_with_too_few_windows(self, fcfg):
         windows = make_windows(n=1)
         with pytest.raises(TooFewRowsError) as err:
-            run_ablation_audit(windows, AblationSpec(), fcfg, 200.0)
+            ablate(windows, AblationSpec(), fcfg, 200.0)
         assert "'a'" in str(err.value)
 
     def test_invalid_specs(self):
@@ -377,7 +347,7 @@ def test_closed_form_matches_per_cell_bits(case):
     rng = np.random.default_rng(seed)
     constants = zero_window_features(fcfg, width, fs)
     columns = feature_columns(channels, fcfg)
-    labels, starts, baselines = [], [], {}
+    baselines = {}
     for label, (rows, kinds) in classes.items():
         values = np.column_stack(
             [
@@ -387,11 +357,8 @@ def test_closed_form_matches_per_cell_bits(case):
         )
         provenance = tuple(("t", i) for i in range(rows))
         baselines[label] = FeatureMatrix(values, label, columns, provenance)
-        labels += [label] * rows
-        starts += range(rows)
 
-    windows = Windows(np.zeros((len(labels), channels, width)), labels, [("t", i) for i in starts])
-    report = run_ablation_audit(windows, spec, fcfg, fs, baselines=baselines)
+    report = run_ablation_audit(baselines, spec, constants)
     expected = [
         [
             separability_score(
@@ -417,7 +384,7 @@ class TestClosedFormAblation:
 
         monkeypatch.setattr(ablation, "separability_score", counting)
         report = run_ablation_audit(
-            windows, AblationSpec(combinatorial_depth=depth), fcfg, fs, baselines=matrices
+            matrices, AblationSpec(combinatorial_depth=depth), zero_window_features(fcfg, 128, fs)
         )
         assert len(report.subsets) == len(enumerate_subsets(5, depth))
         assert len(calls) == len(report.classes)
@@ -426,11 +393,7 @@ class TestClosedFormAblation:
         windows, fs = windows_of(criticality_spec(7))
         matrices = build_class_matrices(windows, fcfg, fs)
         report = run_ablation_audit(
-            windows,
-            AblationSpec(combinatorial_depth=3),
-            fcfg,
-            fs,
-            baselines=matrices,
+            matrices, AblationSpec(combinatorial_depth=3), zero_window_features(fcfg, 128, fs)
         )
         for ci, label in enumerate(report.classes):
             class_windows = windows.select([label])

@@ -29,6 +29,7 @@ from sensoraudit.features import (
     median_frequency,
     sample_entropy,
     wavelet_energy,
+    zero_window_features,
 )
 from sensoraudit.ingest import SegmentationConfig, load_dataset, segment
 from sensoraudit.oracle import (
@@ -208,7 +209,11 @@ def test_criterion_5_stage2_criticality_recovery():
     fcfg = FeatureConfig()
     for seed in range(n_seeds):
         windows, fs = windows_of(criticality_spec(seed))
-        report = run_ablation_audit(windows, AblationSpec(), fcfg, fs)
+        report = run_ablation_audit(
+            build_class_matrices(windows, fcfg, fs),
+            AblationSpec(),
+            zero_window_features(fcfg, windows.data.shape[2], fs),
+        )
         seed_clean = True
         for ci, label in enumerate(report.classes):
             top_total += 1
@@ -252,7 +257,11 @@ def test_criterion_6_dataset_reproduction():
     mcc = {r.pair: r.mcc for r in results}
     assert all(mcc[hard] < mcc[p] for p in mcc if p != hard), mcc
 
-    report = run_ablation_audit(windows, AblationSpec(), fcfg, rset.sampling_rate_hz)
+    report = run_ablation_audit(
+        matrices,
+        AblationSpec(),
+        zero_window_features(fcfg, windows.data.shape[2], rset.sampling_rate_hz),
+    )
     bottom_three = set(report.ranking[-3:])
     assert {5, 6}.issubset(bottom_three), report.ranking  # channels ch6 and ch7
     _report(6)

@@ -83,6 +83,48 @@ class TestSynthAndIngestCheck:
         assert "missing" in capsys.readouterr().err
 
 
+# Inputs of the wrong type or shape, each with the exit code it must give
+# and a word its error must name: (where, value, exit code, named). "spec"
+# values map the valid spec to a bad one; None makes the spec path a
+# directory. JSON writes NaN for float("nan"), and Python's reader accepts it.
+NAN = float("nan")
+BAD_INPUTS = {
+    "entropy-bins-nan": ("config", {"features": {"entropy_bins": NAN}}, EXIT_CONFIG, "entropy_bins"),
+    "sampen-m-float": ("config", {"features": {"sampen_m": 2.5}}, EXIT_CONFIG, "sampen_m"),
+    "wavelet-levels-bool": ("config", {"features": {"wavelet_levels": True}}, EXIT_CONFIG, "wavelet_levels"),
+    "config-list": ("config", [], EXIT_CONFIG, "ConfigFile"),
+    "features-int": ("config", {"features": 3}, EXIT_CONFIG, "FeatureConfig"),
+    "thresholds-int": ("config", {"thresholds": 5}, EXIT_CONFIG, "Thresholds"),
+    "threshold-text": ("config", {"thresholds": {"criticality": "abc"}}, EXIT_CONFIG, "criticality"),
+    "threshold-nan": ("config", {"thresholds": {"criticality": NAN}}, EXIT_CONFIG, "criticality"),
+    "depth-float": ("config", {"ablation": {"combinatorial_depth": 1.5}}, EXIT_CONFIG, "combinatorial_depth"),
+    "depth-bool": ("config", {"ablation": {"combinatorial_depth": True}}, EXIT_CONFIG, "combinatorial_depth"),
+    "window-len-text": (
+        "config",
+        {"segmentation": {"window_len_samples": "40"}},
+        EXIT_CONFIG,
+        "window_len_samples",
+    ),
+    "epochs-float": ("config", {"oracle": {"epochs": 2.5}}, EXIT_CONFIG, "epochs"),
+    "spec-list": ("spec", lambda spec: [], EXIT_CONFIG, "SyntheticSpec"),
+    "spec-no-class-names": (
+        "spec",
+        lambda spec: {k: v for k, v in spec.items() if k != "class_names"},
+        EXIT_CONFIG,
+        "class_names",
+    ),
+    "channel-count-float": ("spec", lambda spec: spec | {"channel_count": 2.5}, EXIT_CONFIG, "channel_count"),
+    "windows-per-class-text": (
+        "spec",
+        lambda spec: spec | {"windows_per_class": "8"},
+        EXIT_CONFIG,
+        "windows_per_class",
+    ),
+    "spec-directory": ("spec", None, EXIT_MISSING_FILE, "spec.json"),
+    "depth-flag-zero": ("argv", ["--depth", "0"], EXIT_CONFIG, "combinatorial_depth"),
+}
+
+
 class TestComplexity:
     def test_three_pair_table(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json")
@@ -124,20 +166,23 @@ class TestComplexity:
             assert field in capsys.readouterr().err
             assert not (tmp_path / field).exists()
 
-    def test_non_integer_feature_setting_is_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("where, value, code, named", BAD_INPUTS.values(), ids=BAD_INPUTS)
+    def test_bad_input_is_a_typed_error(self, tmp_path, capsys, where, value, code, named):
         spec = write_spec(tmp_path / "spec.json")
-        for field, value in (
-            ("entropy_bins", float("nan")),
-            ("sampen_m", 2.5),
-            ("wavelet_levels", True),
-        ):
-            cfg = tmp_path / f"{field}.json"
-            cfg.write_text(json.dumps({"features": {field: value}}))
-            out = tmp_path / field
-            code = main(["full", "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)])
-            assert code == EXIT_CONFIG
-            assert field in capsys.readouterr().err
-            assert not out.exists()
+        argv = ["full", "--synthetic", str(spec), "--out", str(tmp_path / "out")]
+        if where == "config":
+            (tmp_path / "audit.json").write_text(json.dumps(value))
+            argv += ["--config", str(tmp_path / "audit.json")]
+        elif where == "spec" and value is None:
+            spec.unlink()
+            spec.mkdir()
+        elif where == "spec":
+            spec.write_text(json.dumps(value(json.loads(spec.read_text()))))
+        else:
+            argv += value
+        assert main(argv) == code
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_near_constant_channel_is_bad_data(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
@@ -289,6 +334,23 @@ class TestAblate:
         assert counted == [(["alpha", "gamma"], 40)]  # 20 windows per class
         for path in (tmp_path / "ablate").iterdir():
             assert path.read_bytes() == (tmp_path / "full" / path.name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["ablate", "full"])
+    def test_zero_window_constants_computed_once(self, tmp_path, monkeypatch, command):
+        spec = write_spec(tmp_path / "spec.json")
+        cfg = fast_config(tmp_path / "audit.json")
+        calls = []
+        compute = cli.zero_window_features
+
+        def counting(*args):
+            calls.append(args)
+            return compute(*args)
+
+        monkeypatch.setattr(cli, "zero_window_features", counting)
+        argv = [command, "--synthetic", str(spec), "--config", str(cfg), "--depth", "3"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+        assert calls[0][1:] == (64, 200.0)  # the run's window length and rate
 
     def test_overwrite_refusal(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json")

@@ -3,9 +3,9 @@ import csv
 import numpy as np
 import pytest
 
-from conftest import windows_from
+from conftest import ablate, windows_from
 
-from sensoraudit.ablation import AblationSpec, run_ablation_audit
+from sensoraudit.ablation import AblationSpec
 from sensoraudit.errors import InvalidSpecError
 from sensoraudit.features import FeatureConfig
 from sensoraudit.reports import ARTIFACTS, artifact_names, kendall_tau, write_ablation
@@ -44,7 +44,7 @@ class TestUnsafeLabelInWriter:
             ]
         )
         fcfg = FeatureConfig(enabled_features=("rms", "waveform_length"))
-        report = run_ablation_audit(windows, AblationSpec(), fcfg, 100.0)
+        report = ablate(windows, AblationSpec(), fcfg, 100.0)
         assert "../escaped" in report.classes
         out = tmp_path / "out"
         out.mkdir()
@@ -65,7 +65,7 @@ class TestAblationCsv:
             ]
         )
         fcfg = FeatureConfig(enabled_features=("rms", "waveform_length"))
-        report = run_ablation_audit(windows, AblationSpec(combinatorial_depth=2), fcfg, 100.0)
+        report = ablate(windows, AblationSpec(combinatorial_depth=2), fcfg, 100.0)
         write_ablation(tmp_path, report, {})
         with (tmp_path / "ablation.csv").open(newline="") as fh:
             cells = [row["raw_shift"] for row in csv.DictReader(fh)]
