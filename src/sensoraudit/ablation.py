@@ -61,7 +61,7 @@ class AblationSpec(JsonConfig):
     classes: list[str] | None = None
     ring_topology: tuple[int, ...] | None = None
 
-    def __post_init__(self) -> None:
+    def check_bounds(self) -> None:
         self.check_positive_ints("combinatorial_depth")
         if self.shift_metric not in SHIFT_METRICS:
             raise InvalidSpecError(
@@ -72,14 +72,11 @@ class AblationSpec(JsonConfig):
         if self.sensor_subsets is not None:
             if not self.sensor_subsets:
                 raise EmptySpecError("sensor_subsets is empty")
-            normalized = []
-            for subset in self.sensor_subsets:
-                if not subset:
-                    raise InvalidSpecError("sensor subsets must be nonempty")
-                normalized.append(tuple(sorted(set(int(s) for s in subset))))
-            self.sensor_subsets = normalized
+            if not all(self.sensor_subsets):
+                raise InvalidSpecError("sensor subsets must be nonempty")
+            self.sensor_subsets = [tuple(sorted(set(subset))) for subset in self.sensor_subsets]
         if self.ring_topology is not None:
-            self.ring_topology = tuple(int(s) for s in self.ring_topology)
+            self.ring_topology = tuple(self.ring_topology)
 
 
 def enumerate_subsets(channel_count: int, depth: int) -> list[tuple[int, ...]]:

@@ -70,98 +70,38 @@ from .synthetic import SyntheticSpec, generate_recordings
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class AuditRunConfig:
-    data_root: Path | None = None
-    synthetic_spec: Path | None = None
-    out_dir: Path = Path("audit_out")
-    seed: int | None = None
-    include_rest: bool = False
-    overwrite: bool = False
-    jobs: int = 1
-    dump_features: bool = False
-    segmentation: SegmentationConfig = field(default_factory=SegmentationConfig)
-    features: FeatureConfig = field(default_factory=FeatureConfig)
-    ablation: AblationSpec = field(default_factory=AblationSpec)
-    oracle: OracleConfig = field(default_factory=OracleConfig)
-    criticality_threshold: float = DEFAULT_CRITICALITY_THRESHOLD
-    redundancy_threshold: float = DEFAULT_REDUNDANCY_THRESHOLD
-
-    def __post_init__(self) -> None:
-        if (self.data_root is None) == (self.synthetic_spec is None):
-            raise ConfigError("exactly one of --data and --synthetic must be given")
-        if self.jobs < 1:
-            raise ConfigError("--jobs must be positive")
-
-    def resolved_echo(self, source_kind: str, source: str, seed: int) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "source": {"kind": source_kind, "path": source},
-            "seed": seed,
-            "include_rest": self.include_rest,
-            "segmentation": self.segmentation.to_json_dict(),
-            "features": self.features.to_json_dict(),
-            "ablation": self.ablation.to_json_dict(),
-            "oracle": self.oracle.to_json_dict(),
-            "criticality_threshold": self.criticality_threshold,
-            "redundancy_threshold": self.redundancy_threshold,
-        }
-
-
 @dataclass(frozen=True)
 class Thresholds(JsonConfig):
     criticality: float = DEFAULT_CRITICALITY_THRESHOLD
     redundancy: float = DEFAULT_REDUNDANCY_THRESHOLD
-
-    def __post_init__(self) -> None:
-        self.check_finite("criticality", "redundancy")
-
-
-def _section(cls):
-    return field(default_factory=cls, metadata={"parse": cls.from_json_dict})
 
 
 @dataclass(frozen=True)
 class ConfigFile(JsonConfig):
     """The ``--config`` file: each section optional, each parsed by its own config."""
 
-    segmentation: SegmentationConfig = _section(SegmentationConfig)
-    features: FeatureConfig = _section(FeatureConfig)
-    ablation: AblationSpec = _section(AblationSpec)
-    oracle: OracleConfig = _section(OracleConfig)
-    thresholds: Thresholds = _section(Thresholds)
+    segmentation: SegmentationConfig = field(default_factory=SegmentationConfig)
+    features: FeatureConfig = field(default_factory=FeatureConfig)
+    ablation: AblationSpec = field(default_factory=AblationSpec)
+    oracle: OracleConfig = field(default_factory=OracleConfig)
+    thresholds: Thresholds = field(default_factory=Thresholds)
 
 
 def _config_file(path: str | None) -> ConfigFile:
     return ConfigFile.from_json_file(path) if path else ConfigFile()
 
 
-def _config_from_args(args: argparse.Namespace) -> AuditRunConfig:
-    sections = _config_file(args.config)
-    ablation, oracle_cfg = sections.ablation, sections.oracle
+def _config_from_args(args: argparse.Namespace) -> ConfigFile:
+    """The ``--config`` file with ``--metric``, ``--depth`` and ``--seed`` applied."""
+    cfg = _config_file(args.config)
+    ablation, oracle_cfg = cfg.ablation, cfg.oracle
     if getattr(args, "metric", None):
         ablation = replace(ablation, shift_metric=args.metric)
     if getattr(args, "depth", None) is not None:
         ablation = replace(ablation, combinatorial_depth=args.depth)
     if args.seed is not None:
         oracle_cfg = replace(oracle_cfg, seed=args.seed)
-
-    return AuditRunConfig(
-        data_root=Path(args.data) if args.data else None,
-        synthetic_spec=Path(args.synthetic) if args.synthetic else None,
-        out_dir=Path(args.out),
-        seed=args.seed,
-        include_rest=args.include_rest,
-        overwrite=args.overwrite,
-        jobs=args.jobs,
-        dump_features=getattr(args, "dump_features", False),
-        segmentation=sections.segmentation,
-        features=sections.features,
-        ablation=ablation,
-        oracle=oracle_cfg,
-        criticality_threshold=float(sections.thresholds.criticality),
-        redundancy_threshold=float(sections.thresholds.redundancy),
-    )
+    return replace(cfg, ablation=ablation, oracle=oracle_cfg)
 
 
 class _Stage:
@@ -184,27 +124,21 @@ class _PipelineData:
     windows: Windows
     fs: float
     classes: list[str]
-    source_kind: str
-    source: str
     seed: int
 
 
-def _ingest(cfg: AuditRunConfig) -> _PipelineData:
+def _ingest(cfg: ConfigFile, args: argparse.Namespace) -> _PipelineData:
     with _Stage("ingest"):
-        if cfg.synthetic_spec is not None:
-            spec = SyntheticSpec.from_json_file(cfg.synthetic_spec)
-            seed = cfg.seed if cfg.seed is not None else spec.seed
+        if args.synthetic:
+            spec = SyntheticSpec.from_json_file(args.synthetic)
+            seed = args.seed if args.seed is not None else spec.seed
             rset = generate_recordings(spec, seed=seed)
             seg = spec.segmentation()
-            source_kind, source = "synthetic", str(cfg.synthetic_spec)
         else:
-            rset = load_dataset(cfg.data_root)
-            seed = cfg.seed if cfg.seed is not None else cfg.oracle.seed
+            rset = load_dataset(args.data)
+            seed = cfg.oracle.seed
             seg = cfg.segmentation
-            source_kind, source = "dataset", str(cfg.data_root)
-        classes = [
-            c for c in rset.class_names if cfg.include_rest or c != REST_CLASS
-        ]
+        classes = [c for c in rset.class_names if args.include_rest or c != REST_CLASS]
         if not classes:
             raise ConfigError("no classes left after excluding the rest class")
         windows = segment(rset, seg, classes=classes)
@@ -214,14 +148,7 @@ def _ingest(cfg: AuditRunConfig) -> _PipelineData:
             raise TooFewRowsError(
                 f"class {missing[0]!r} produced no windows after segmentation"
             )
-        return _PipelineData(
-            windows=windows,
-            fs=rset.sampling_rate_hz,
-            classes=present,
-            source_kind=source_kind,
-            source=source,
-            seed=seed,
-        )
+        return _PipelineData(windows, rset.sampling_rate_hz, present, seed)
 
 
 # Audit command -> (help, stages it runs); "full" also writes the summary.
@@ -252,14 +179,21 @@ def _commit(out: Path, write) -> None:
     staging.rmdir()
 
 
-def _run(cfg: AuditRunConfig, stages: tuple[str, ...]) -> int:
+def _run(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
     """Ingest and build features once, run ``stages`` over them, and write
     the files those stages own (the ``ARTIFACTS`` groups of the same names)."""
-    data = _ingest(cfg)
+    cfg = _config_from_args(args)
+    if (not args.data) == (not args.synthetic):
+        raise ConfigError("exactly one of --data and --synthetic must be given")
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be positive")
+    data = _ingest(cfg, args)
     summary = stages == STAGES
-    groups = list(stages) + ["summary"] * summary + ["features"] * cfg.dump_features
+    dump_features = getattr(args, "dump_features", False)
+    groups = list(stages) + ["summary"] * summary + ["features"] * dump_features
     report_classes = list(cfg.ablation.classes) if cfg.ablation.classes else data.classes
-    ensure_writable([cfg.out_dir / n for n in artifact_names(groups, report_classes)], cfg.overwrite)
+    out_dir = Path(args.out)
+    ensure_writable([out_dir / n for n in artifact_names(groups, report_classes)], args.overwrite)
 
     windows = data.windows
     if stages == ("ablation",) and cfg.ablation.classes:
@@ -278,14 +212,28 @@ def _run(cfg: AuditRunConfig, stages: tuple[str, ...]) -> int:
                 matrices,
                 cfg.ablation,
                 failed_row,
-                criticality_threshold=cfg.criticality_threshold,
-                redundancy_threshold=cfg.redundancy_threshold,
+                criticality_threshold=float(cfg.thresholds.criticality),
+                redundancy_threshold=float(cfg.thresholds.redundancy),
             )
     if "oracle" in stages:
         with _Stage("oracle"):
             results = run_oracle_audit(matrices, replace(cfg.oracle, seed=data.seed))
 
-    echo = cfg.resolved_echo(data.source_kind, data.source, data.seed)
+    echo = {
+        "schema_version": SCHEMA_VERSION,
+        "source": {
+            "kind": "synthetic" if args.synthetic else "dataset",
+            "path": str(Path(args.synthetic or args.data)),
+        },
+        "seed": data.seed,
+        "include_rest": args.include_rest,
+        "segmentation": cfg.segmentation.to_json_dict(),
+        "features": cfg.features.to_json_dict(),
+        "ablation": cfg.ablation.to_json_dict(),
+        "oracle": cfg.oracle.to_json_dict(),
+        "criticality_threshold": float(cfg.thresholds.criticality),
+        "redundancy_threshold": float(cfg.thresholds.redundancy),
+    }
     columns = column_labels(feature_columns(data.windows.data.shape[1], cfg.features))
 
     def write(out: Path) -> None:
@@ -296,7 +244,7 @@ def _run(cfg: AuditRunConfig, stages: tuple[str, ...]) -> int:
         if "oracle" in stages:
             write_oracle(out, results, echo)
             write_validation(out, ovo, results)
-        if cfg.dump_features:
+        if dump_features:
             write_feature_matrices(out, matrices)
         if summary:
             window_counts = Counter(data.windows.labels)
@@ -315,19 +263,18 @@ def _run(cfg: AuditRunConfig, stages: tuple[str, ...]) -> int:
             (name,) = ARTIFACTS["summary"]
             write_json(out / name, payload)
 
-    _commit(cfg.out_dir, write)
+    _commit(out_dir, write)
     return 0
 
 
 def cmd_synth(cfg_args: argparse.Namespace) -> int:
     with _Stage("synth"):
         spec = SyntheticSpec.from_json_file(Path(cfg_args.synthetic))
-        seed = cfg_args.seed if cfg_args.seed is not None else spec.seed
-        rset = generate_recordings(spec, seed=seed)
+        if cfg_args.seed is not None:
+            spec = replace(spec, seed=cfg_args.seed)
+        rset = generate_recordings(spec)
         root = Path(cfg_args.out)
-        manifest = root / "dataset.json"
-        if manifest.exists() and not cfg_args.overwrite:
-            ensure_writable([manifest], overwrite=False)
+        ensure_writable([root / "dataset.json"], cfg_args.overwrite)
         write_dataset(root, rset)
         print(f"wrote {len(rset.recordings)} recordings under {root}")
     return 0
@@ -375,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--depth", type=int, help="combinatorial ablation depth")
         if "complexity" in stages:
             p.add_argument("--dump-features", action="store_true", help="also export feature matrices")
-        p.set_defaults(func=lambda a, stages=stages: _run(_config_from_args(a), stages))
+        p.set_defaults(func=lambda a, stages=stages: _run(a, stages))
 
     p = sub.add_parser("synth", help="write a synthetic dataset to disk")
     p.add_argument("--synthetic", required=True, help="synthetic spec JSON")
@@ -386,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest-check", help="validate a dataset without computing")
     p.add_argument("--data", required=True, help="dataset root directory")
-    p.add_argument("--config", help="audit config JSON (segmentation section)")
+    p.add_argument("--config", help="audit config JSON (every section is validated)")
     p.set_defaults(func=cmd_ingest_check)
 
     return parser

@@ -105,9 +105,8 @@ class FeatureConfig(JsonConfig):
     wavelet_levels: int = 4
     enabled_features: tuple[str, ...] = FEATURE_NAMES
 
-    def __post_init__(self) -> None:
+    def check_bounds(self) -> None:
         self.check_positive_ints("entropy_bins", "sampen_m", "wavelet_levels")
-        self.check_finite("sampen_r_coeff", "zc_threshold", "ssc_threshold")
         if self.sampen_r_coeff <= 0:
             raise InvalidSpecError("sampen_r_coeff must be positive")
         if self.zc_threshold < 0 or self.ssc_threshold < 0:

@@ -25,8 +25,12 @@ import dataclasses
 import json
 import math
 import numbers
+import sys
 from dataclasses import MISSING, dataclass, replace
+from functools import cache
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -59,31 +63,95 @@ def is_safe_label(label) -> bool:
     )
 
 
+_NOUNS = {int: "integer", float: "finite number", bool: "boolean", str: "string", NoneType: "null"}
+
+
+def _conforms(t, value) -> bool:
+    """True when ``value`` is of the declared type ``t``: an ``int`` that is
+    not a bool, a finite real (not a bool) for ``float``, a list or tuple
+    (never a string) of ``X`` for ``list[X]`` and ``tuple[X, ...]``, an
+    object of ``X`` for ``dict[str, X]``, None or ``X`` for ``X | None``,
+    and an instance of any other class."""
+    origin, args = get_origin(t), get_args(t)
+    if origin in (Union, UnionType):
+        return any(_conforms(a, value) for a in args)
+    if origin in (list, tuple):
+        return isinstance(value, (list, tuple)) and all(_conforms(args[0], v) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _conforms(args[0], k) and _conforms(args[1], v) for k, v in value.items()
+        )
+    if isinstance(value, bool):
+        return t is bool
+    if t is float:  # the comparison is False for NaN and for ints beyond float range
+        return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    return isinstance(value, t)
+
+
+def _wanted(t, many: bool = False) -> str:
+    """The declared type ``t`` in words, plural with ``many``."""
+    origin, args = get_origin(t), get_args(t)
+    if origin in (Union, UnionType):
+        return " or ".join(_wanted(a, many) for a in args)
+    if origin in (list, tuple):
+        return f"list{'s' * many} of {_wanted(args[0], True)}"
+    if origin is dict:
+        return f"object{'s' * many} of {_wanted(args[1], True)}"
+    return _NOUNS.get(t, f"{t.__name__} object") + "s" * many
+
+
+def check_type(name: str, t, value, error: type[Exception] = InvalidSpecError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is of the declared
+    type ``t`` (see ``_conforms``)."""
+    if not _conforms(t, value):
+        wanted = _wanted(t)
+        article = "an" if wanted[0] in "aeiou" else "a"
+        raise error(f"{name} must be {article} {wanted}, got {value!r}")
+
+
+@cache
+def _json_fields(cls) -> dict:
+    """JSON key -> (field, resolved type) of each field of ``cls``, in field order."""
+    hints = get_type_hints(cls)
+    return {f.metadata.get("json", f.name): (f, hints[f.name]) for f in dataclasses.fields(cls)}
+
+
+def _from_json(t, value):
+    """``value`` read from JSON as the declared type ``t``: each config that
+    ``t`` declares is built from its JSON object, directly or inside a
+    list, dict or ``| None``; anything else is left for the type check."""
+    origin, args = get_origin(t), get_args(t)
+    if origin in (Union, UnionType):
+        return None if value is None else _from_json(args[0], value)
+    if origin in (list, tuple) and isinstance(value, (list, tuple)):
+        return [_from_json(args[0], v) for v in value]
+    if origin is dict and isinstance(value, dict):
+        return {k: _from_json(args[1], v) for k, v in value.items()}
+    if origin is None and issubclass(t, JsonConfig) and isinstance(value, dict):
+        return t.from_json_dict(value)
+    return value
+
+
 def _checked_fields(cls, d) -> dict:
     """Constructor arguments of the dataclass ``cls`` from its JSON object.
 
-    A field is read from the key ``metadata["json"]`` (default: its name)
-    and converted by ``metadata["parse"]`` when the field has one. A
-    non-object, any other key, or a missing field that has no default
+    A field is read from the key ``metadata["json"]`` (default: its name).
+    A non-object, any other key, or a missing field that has no default
     raises ``InvalidSpecError``.
     """
     if not isinstance(d, dict):
         raise InvalidSpecError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
-    fields = {f.metadata.get("json", f.name): f for f in dataclasses.fields(cls)}
+    fields = _json_fields(cls)
     unknown = sorted(set(d) - set(fields))
     if unknown:
         raise InvalidSpecError(f"unknown {cls.__name__} fields: {', '.join(unknown)}")
     required = [
-        k for k, f in fields.items() if f.default is MISSING and f.default_factory is MISSING
+        k for k, (f, _) in fields.items() if f.default is MISSING and f.default_factory is MISSING
     ]
     missing = [k for k in required if k not in d]
     if missing:
         raise InvalidSpecError(f"missing {cls.__name__} fields: {', '.join(missing)}")
-    kwargs = {}
-    for key, value in d.items():
-        parse = fields[key].metadata.get("parse")
-        kwargs[fields[key].name] = value if parse is None else parse(value)
-    return kwargs
+    return {fields[key][0].name: _from_json(fields[key][1], value) for key, value in d.items()}
 
 
 def _to_json(value):
@@ -97,9 +165,20 @@ def _to_json(value):
 
 
 class JsonConfig:
-    """JSON (de)serialisation for a config dataclass: one key per field, in
-    field order, sequences as lists; see ``_checked_fields`` for parsing.
-    The ``check_*`` methods are the field rules every config shares."""
+    """A config dataclass read from and written to JSON: one key per field,
+    in field order, sequences as lists (see ``_checked_fields``).
+
+    Every field must be of its declared type (``check_type``), whether the
+    config comes from JSON or from Python; ``check_bounds`` then applies
+    the class's own limits on the values."""
+
+    def __post_init__(self) -> None:
+        for key, (f, t) in _json_fields(type(self)).items():
+            check_type(key, t, getattr(self, f.name))
+        self.check_bounds()
+
+    def check_bounds(self) -> None:
+        """The class's limits on its well-typed fields; none by default."""
 
     @classmethod
     def from_json_dict(cls, d):
@@ -119,26 +198,15 @@ class JsonConfig:
         return cls.from_json_dict(payload)
 
     def to_json_dict(self) -> dict:
-        return {
-            f.metadata.get("json", f.name): _to_json(getattr(self, f.name))
-            for f in dataclasses.fields(self)
-        }
+        fields = _json_fields(type(self)).items()
+        return {key: _to_json(getattr(self, f.name)) for key, (f, _) in fields}
 
     def check_positive_ints(self, *names: str) -> None:
-        """Reject, by name, the first of these fields that is not a positive ``int``."""
+        """Reject, by name, the first of these int fields that is below 1."""
         for name in names:
             value = getattr(self, name)
-            # bool is an int subclass, and NaN or 2.5 would pass "< 1"
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if value < 1:
                 raise InvalidSpecError(f"{name} must be a positive integer, got {value!r}")
-
-    def check_finite(self, *names: str) -> None:
-        """Reject, by name, the first of these fields that is not a finite number."""
-        for name in names:
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not real or not math.isfinite(value):
-                raise InvalidSpecError(f"{name} must be a finite number, got {value!r}")
 
 
 def round_half_up(x: float) -> int:
@@ -217,7 +285,7 @@ class SegmentationConfig(JsonConfig):
     overlap_fraction: float = 0.5
     concat_trials_within_session: bool = True
 
-    def __post_init__(self) -> None:
+    def check_bounds(self) -> None:
         if self.trim_head_ms < 0 or self.trim_tail_ms < 0:
             raise InvalidSpecError("trim amounts must be nonnegative")
         self.check_positive_ints("window_len_samples")
@@ -256,30 +324,33 @@ def validate_recording_set(rset: RecordingSet) -> None:
             raise DataFormatError(f"trial {rec.provenance()} contains non-finite values")
 
 
-def load_dataset(root_path: str | Path, manifest_name: str = MANIFEST_NAME) -> RecordingSet:
+def load_dataset(root_path: str | Path) -> RecordingSet:
     """Load every trial under ``root_path`` in lexicographic file order."""
     root = Path(root_path)
     if not root.is_dir():
         raise MissingFileError(f"dataset root not found: {root}")
-    manifest_path = root / manifest_name
+    manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
         raise MissingFileError(f"manifest not found: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{manifest_path}: invalid JSON ({exc})") from exc
-    for key in ("sampling_rate_hz", "class_names", "channel_count"):
+    if not isinstance(manifest, dict):
+        raise DataFormatError(f"{manifest_path}: must be a JSON object")
+    for key, t in (("sampling_rate_hz", float), ("class_names", list[str]), ("channel_count", int)):
         if key not in manifest:
             raise DataFormatError(f"{manifest_path}: missing key {key!r}")
+        check_type(f"{manifest_path}: {key}", t, manifest[key], DataFormatError)
 
     fs = float(manifest["sampling_rate_hz"])
-    class_names = [str(c) for c in manifest["class_names"]]
+    class_names = list(manifest["class_names"])
     for label in class_names:
         if not is_safe_label(label):
             raise DataFormatError(
                 f"{manifest_path}: class name {label!r} cannot be part of a file name"
             )
-    channel_count = int(manifest["channel_count"])
+    channel_count = manifest["channel_count"]
 
     recordings: list[Recording] = []
     for participant_dir in sorted(p for p in root.iterdir() if p.is_dir()):

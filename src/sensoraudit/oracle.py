@@ -41,12 +41,14 @@ class OracleConfig(JsonConfig):
     test_fraction: float = 0.2
     seed: int = 0
 
-    def __post_init__(self) -> None:
+    def check_bounds(self) -> None:
         self.check_positive_ints("hidden_units", "epochs", "batch_size")
         if self.learning_rate <= 0:
             raise InvalidSpecError("learning_rate must be positive")
         if not 0.0 < self.test_fraction < 1.0:
             raise InvalidSpecError("test_fraction must lie in (0, 1)")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 def standardize(

@@ -149,12 +149,6 @@ class PairwiseAudit:
     def class_pairs(self) -> list[tuple[str, str]]:
         return [(r.target, r.reference) for r in self.results]
 
-    def result_for(self, target: str, reference: str) -> PairResult:
-        for r in self.results:
-            if (r.target, r.reference) == (target, reference):
-                return r
-        raise KeyError((target, reference))
-
 
 def _pool_rest(matrices: list[FeatureMatrix]) -> FeatureMatrix:
     first = matrices[0]

@@ -40,7 +40,7 @@ class ChannelProfile(JsonConfig):
     am_depth: float = 0.25  # tonic: texture fraction added to the carrier
     amp_jitter: float = 0.08  # tonic: relative amplitude drift (window timescale)
 
-    def __post_init__(self) -> None:
+    def check_bounds(self) -> None:
         if self.kind not in PROFILE_KINDS:
             raise InvalidSpecError(f"unknown profile kind {self.kind!r}")
         if self.gain <= 0:
@@ -49,16 +49,8 @@ class ChannelProfile(JsonConfig):
 
 @dataclass
 class ChannelSpec(JsonConfig):
-    default: ChannelProfile = field(
-        default_factory=ChannelProfile, metadata={"parse": ChannelProfile.from_json_dict}
-    )
-    per_class: dict[str, ChannelProfile] = field(
-        default_factory=dict,
-        metadata={
-            "json": "classes",
-            "parse": lambda d: {k: ChannelProfile.from_json_dict(p) for k, p in d.items()},
-        },
-    )
+    default: ChannelProfile = field(default_factory=ChannelProfile)
+    per_class: dict[str, ChannelProfile] = field(default_factory=dict, metadata={"json": "classes"})
 
     def profile(self, class_label: str) -> ChannelProfile:
         return self.per_class.get(class_label, self.default)
@@ -74,12 +66,9 @@ class SyntheticSpec(JsonConfig):
     overlap_fraction: float = 0.5
     trials_per_class: int = 4
     seed: int = 0
-    channels: list[ChannelSpec] = field(
-        default_factory=list,
-        metadata={"parse": lambda cs: [ChannelSpec.from_json_dict(c) for c in cs]},
-    )
+    channels: list[ChannelSpec] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
+    def check_bounds(self) -> None:
         if not self.class_names:
             raise InvalidSpecError("class_names must be nonempty")
         if len(set(self.class_names)) != len(self.class_names):
@@ -87,13 +76,12 @@ class SyntheticSpec(JsonConfig):
         for label in self.class_names:
             if not is_safe_label(label):
                 raise InvalidSpecError(f"class name {label!r} cannot be part of a file name")
-        self.check_positive_ints(
-            "channel_count", "windows_per_class", "window_len_samples", "trials_per_class"
-        )
+        self.check_positive_ints("channel_count", "windows_per_class", "trials_per_class")
+        self.segmentation()  # checks the window length and overlap
         if self.sampling_rate_hz <= 0:
             raise InvalidSpecError("sampling_rate_hz must be positive")
-        if not 0.0 <= self.overlap_fraction < 1.0:
-            raise InvalidSpecError("overlap_fraction must lie in [0, 1)")
+        if self.seed < 0:
+            raise InvalidSpecError(f"seed must be a nonnegative integer, got {self.seed}")
         if len(self.channels) > self.channel_count:
             raise InvalidSpecError("more channel specs than channel_count")
         known = set(self.class_names)
@@ -104,8 +92,6 @@ class SyntheticSpec(JsonConfig):
         # pad with default (noise) channels
         while len(self.channels) < self.channel_count:
             self.channels.append(ChannelSpec())
-        # __post_init__ runs before stride validation is available; delegate
-        self.segmentation()
 
     def segmentation(self) -> SegmentationConfig:
         """The natural segmentation for this spec: no trimming, own geometry."""

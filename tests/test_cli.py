@@ -83,10 +83,19 @@ class TestSynthAndIngestCheck:
         assert "missing" in capsys.readouterr().err
 
 
+def with_profile(spec, **changes):
+    """The spec with ``changes`` made to channel 0's alpha profile."""
+    channels = [{"classes": {**spec["channels"][0]["classes"]}}]
+    channels[0]["classes"]["alpha"] = channels[0]["classes"]["alpha"] | changes
+    return spec | {"channels": channels}
+
+
 # Inputs of the wrong type or shape, each with the exit code it must give
 # and a word its error must name: (where, value, exit code, named). "spec"
 # values map the valid spec to a bad one; None makes the spec path a
-# directory. JSON writes NaN for float("nan"), and Python's reader accepts it.
+# directory. "manifest" values are keys that replace those of the manifest
+# of the dataset ``synth`` writes from the spec. JSON writes NaN for
+# float("nan"), and Python's reader accepts it.
 NAN = float("nan")
 BAD_INPUTS = {
     "entropy-bins-nan": ("config", {"features": {"entropy_bins": NAN}}, EXIT_CONFIG, "entropy_bins"),
@@ -122,6 +131,32 @@ BAD_INPUTS = {
     ),
     "spec-directory": ("spec", None, EXIT_MISSING_FILE, "spec.json"),
     "depth-flag-zero": ("argv", ["--depth", "0"], EXIT_CONFIG, "combinatorial_depth"),
+    "learning-rate-nan": ("config", {"oracle": {"learning_rate": NAN}}, EXIT_CONFIG, "learning_rate"),
+    "trim-head-text": ("config", {"segmentation": {"trim_head_ms": "abc"}}, EXIT_CONFIG, "trim_head_ms"),
+    "test-fraction-text": ("config", {"oracle": {"test_fraction": "x"}}, EXIT_CONFIG, "test_fraction"),
+    "subsets-int": ("config", {"ablation": {"sensor_subsets": 5}}, EXIT_CONFIG, "sensor_subsets"),
+    "subsets-float": ("config", {"ablation": {"sensor_subsets": [[1.5]]}}, EXIT_CONFIG, "sensor_subsets"),
+    "ring-text": ("config", {"ablation": {"ring_topology": "abc"}}, EXIT_CONFIG, "ring_topology"),
+    "ablation-classes-text": ("config", {"ablation": {"classes": "ab"}}, EXIT_CONFIG, "classes"),
+    "enabled-features-int": ("config", {"features": {"enabled_features": 3}}, EXIT_CONFIG, "enabled_features"),
+    "concat-text": (
+        "config",
+        {"segmentation": {"concat_trials_within_session": "no"}},
+        EXIT_CONFIG,
+        "concat_trials_within_session",
+    ),
+    "rate-nan": ("spec", lambda spec: spec | {"sampling_rate_hz": NAN}, EXIT_CONFIG, "sampling_rate_hz"),
+    "gain-nan": ("spec", lambda spec: with_profile(spec, gain=NAN), EXIT_CONFIG, "gain"),
+    "carrier-text": ("spec", lambda spec: with_profile(spec, carrier_hz="x"), EXIT_CONFIG, "carrier_hz"),
+    "channels-int": ("spec", lambda spec: spec | {"channels": 5}, EXIT_CONFIG, "channels"),
+    "profiles-int": ("spec", lambda spec: spec | {"channels": [{"classes": 5}]}, EXIT_CONFIG, "classes"),
+    "class-name-int": ("spec", lambda spec: spec | {"class_names": ["alpha", 3]}, EXIT_CONFIG, "class_names"),
+    "spec-seed-negative": ("spec", lambda spec: spec | {"seed": -1}, EXIT_CONFIG, "seed"),
+    "seed-flag-negative": ("argv", ["--seed", "-1"], EXIT_CONFIG, "seed"),
+    "manifest-rate-text": ("manifest", {"sampling_rate_hz": "abc"}, EXIT_BAD_DATA, "sampling_rate_hz"),
+    "manifest-rate-nan": ("manifest", {"sampling_rate_hz": NAN}, EXIT_BAD_DATA, "sampling_rate_hz"),
+    "manifest-channels-float": ("manifest", {"channel_count": 3.7}, EXIT_BAD_DATA, "channel_count"),
+    "manifest-classes-text": ("manifest", {"class_names": "ab"}, EXIT_BAD_DATA, "class_names"),
 }
 
 
@@ -178,6 +213,12 @@ class TestComplexity:
             spec.mkdir()
         elif where == "spec":
             spec.write_text(json.dumps(value(json.loads(spec.read_text()))))
+        elif where == "manifest":
+            ds = tmp_path / "ds"
+            assert main(["synth", "--synthetic", str(spec), "--out", str(ds)]) == 0
+            manifest = ds / "dataset.json"
+            manifest.write_text(json.dumps(json.loads(manifest.read_text()) | value))
+            argv = ["full", "--data", str(ds), "--out", str(tmp_path / "out")]
         else:
             argv += value
         assert main(argv) == code
@@ -627,3 +668,11 @@ class TestRunner:
         with pytest.raises(RuntimeError):
             main(["complexity", "--synthetic", str(spec), "--out", str(tmp_path / "a" / "b")])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
+def test_readme_config_example_is_the_default():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Audit configuration", 1)[1]
+    block = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    assert cli.ConfigFile.from_json_dict(block) == cli.ConfigFile()
+    assert cli.ConfigFile().to_json_dict() == block

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -16,13 +18,16 @@ from sensoraudit.errors import (
     TrimExceedsLengthError,
     UnknownClassLabelError,
 )
+from sensoraudit.cli import ConfigFile
 from sensoraudit.ingest import (
+    JsonConfig,
     Recording,
     RecordingSet,
     SegmentationConfig,
     Windows,
     load_dataset,
     round_half_up,
+    check_type,
     segment,
     trim,
 )
@@ -318,6 +323,13 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError, match="file name"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("payload", ["3", "null", "[]"])
+    def test_manifest_that_is_not_an_object(self, tmp_path, payload):
+        build_dataset(tmp_path, trials=1, classes=("a",), channels=2, rows=3)
+        (tmp_path / "dataset.json").write_text(payload)
+        with pytest.raises(DataFormatError, match="must be a JSON object"):
+            load_dataset(tmp_path)
+
     def test_file_order_is_lexicographic(self, tmp_path):
         build_dataset(tmp_path, participants=2, sessions=2, trials=2, channels=2, rows=5)
         rset = load_dataset(tmp_path)
@@ -402,3 +414,68 @@ class TestConfigJson:
             "ring_topology": [2, 0, 1],
         }
         assert CONFIGS[1].to_json_dict()["enabled_features"] == ["rms", "zero_crossings"]
+
+
+def json_configs(cls=JsonConfig):
+    """Every subclass of ``cls``, depth first."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from json_configs(sub)
+
+
+ALL_CONFIGS = sorted(json_configs(), key=lambda c: c.__name__)
+REQUIRED = {SyntheticSpec: {"class_names": ["a"], "channel_count": 1}}
+
+
+class TestTypeRule:
+    def test_every_config_is_found(self):
+        assert {c.__name__ for c in ALL_CONFIGS} >= {
+            "AblationSpec", "ChannelProfile", "ChannelSpec", "ConfigFile", "FeatureConfig",
+            "OracleConfig", "SegmentationConfig", "SyntheticSpec", "Thresholds",
+        }
+        assert ConfigFile in ALL_CONFIGS
+
+    @pytest.mark.parametrize("cls", ALL_CONFIGS, ids=lambda c: c.__name__)
+    def test_every_field_is_typed_by_its_annotation(self, cls):
+        base = cls.from_json_dict(REQUIRED.get(cls, {}))  # the defaults pass the rule
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            key = f.metadata.get("json", f.name)
+            bad = 1 if hints[f.name] is str else "x"
+            with pytest.raises(InvalidSpecError, match=f"^{key} must be"):
+                cls.from_json_dict(base.to_json_dict() | {key: bad})
+            with pytest.raises(InvalidSpecError, match=f"^{key} must be"):
+                dataclasses.replace(base, **{f.name: bad})
+
+    @pytest.mark.parametrize(
+        "t, value, ok",
+        [
+            (int, 3, True),
+            (int, True, False),
+            (int, 3.0, False),
+            (float, 1, True),
+            (float, np.float64(0.5), True),
+            (float, float("inf"), False),
+            (float, 10**400, False),
+            (float, False, False),
+            (bool, 1, False),
+            (list[str], ("a", "b"), True),
+            (list[str], "ab", False),
+            (tuple[int, ...], [1, 2], True),
+            (dict[str, int], {"a": 1}, True),
+            (dict[str, int], {1: 1}, False),
+            (list[str] | None, None, True),
+            (ChannelProfile, ChannelProfile(), True),
+            (ChannelProfile, {}, False),
+        ],
+    )
+    def test_check_type(self, t, value, ok):
+        if ok:
+            check_type("field", t, value)
+        else:
+            with pytest.raises(InvalidSpecError, match="^field must be"):
+                check_type("field", t, value)
+
+    def test_json_ints_stay_ints_in_float_fields(self):
+        payload = OracleConfig.from_json_dict({"learning_rate": 1}).to_json_dict()
+        assert type(payload["learning_rate"]) is int
