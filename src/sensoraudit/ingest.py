@@ -15,7 +15,8 @@ The manifest carries ``sampling_rate_hz``, ``class_names`` and
 ``channel_count``. Class names become parts of artifact file names, so
 each must be a safe file-name token (``is_safe_label``). Amplitudes are
 decimal text; any non-numeric or non-finite cell rejects the file with
-its line number.
+its line number. Each file is parsed whole by ``np.loadtxt``; the line
+parser reruns on any file that parse cannot decide (``_parse_trial_csv``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import math
 import numbers
 import sys
+import warnings
 from dataclasses import MISSING, dataclass, replace
 from functools import cache
 from pathlib import Path
@@ -385,43 +387,90 @@ def _load_trial_csv(
     if class_label not in class_names:
         raise UnknownClassLabelError(f"{path}: class {class_label!r} not in manifest")
 
-    rows: list[list[float]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRowError(f"{path}:1: empty file") from None
-        if len(header) != channel_count + 1:
-            raise InconsistentChannelCountError(
-                f"{path}: header has {len(header) - 1} channels, expected {channel_count}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != channel_count + 1:
-                raise MalformedRowError(
-                    f"{path}:{lineno}: {len(row)} fields, expected {channel_count + 1}"
+    samples = _parse_trial_csv(path, channel_count)
+    return Recording(samples, class_label, trial_id, session_id, participant_id)
+
+
+def _parse_trial_csv(path: Path, channel_count: int) -> np.ndarray:
+    """The ``(C, T)`` samples of one trial file, parsed as a whole by
+    ``np.loadtxt``. Whenever that parse fails, or could accept what the
+    line parser refuses, the line parser reruns and gives the samples or
+    the error, so the fast path never decides either."""
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), [])
+        if len(header) == channel_count + 1 and not _has_numpy_only_space(path):
+            with warnings.catch_warnings():  # a header-only file has no rows
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                values = np.loadtxt(
+                    path, delimiter=",", skiprows=1, ndmin=2, comments=None, encoding="utf-8"
                 )
+            if values.shape[0] and values.shape[1] == channel_count + 1:
+                samples = values[:, 1:].T  # rows are timestamps
+                if np.isfinite(samples).all():
+                    return samples
+    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+        pass
+    return _parse_csv_lines(path, channel_count)
+
+
+def _has_numpy_only_space(path: Path) -> bool:
+    """True when the file holds a byte 0x1C-0x1F: cell padding that numpy's
+    float parser strips and Python's ``float()`` refuses."""
+    with path.open("rb") as fh:
+        while chunk := fh.read(1 << 16):
+            if any(b in chunk for b in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+                return True
+    return False
+
+
+def _parse_csv_lines(path: Path, channel_count: int) -> np.ndarray:
+    """The ``(C, T)`` samples of one trial file, read row by row: the
+    reference parser, and the one that names the file and line of every
+    error. Blank lines are skipped; the ``t`` column is not read."""
+    rows: list[list[float]] = []
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                values = [float(cell) for cell in row[1:]]
-            except ValueError:
-                raise MalformedRowError(f"{path}:{lineno}: non-numeric amplitude") from None
-            if not all(math.isfinite(v) for v in values):
-                raise MalformedRowError(f"{path}:{lineno}: non-finite amplitude")
-            rows.append(values)
+                header = next(reader)
+            except StopIteration:
+                raise MalformedRowError(f"{path}:1: empty file") from None
+            if len(header) != channel_count + 1:
+                raise InconsistentChannelCountError(
+                    f"{path}: header has {len(header) - 1} channels, expected {channel_count}"
+                )
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != channel_count + 1:
+                    raise MalformedRowError(
+                        f"{path}:{lineno}: {len(row)} fields, expected {channel_count + 1}"
+                    )
+                try:
+                    values = [float(cell) for cell in row[1:]]
+                except ValueError:
+                    raise MalformedRowError(f"{path}:{lineno}: non-numeric amplitude") from None
+                if not all(math.isfinite(v) for v in values):
+                    raise MalformedRowError(f"{path}:{lineno}: non-finite amplitude")
+                rows.append(values)
+    except UnicodeDecodeError as exc:
+        raise MalformedRowError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise MalformedRowError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise MalformedRowError(f"{path}:1: no data rows")
-
-    samples = np.asarray(rows, dtype=float).T  # rows are timestamps
-    return Recording(samples, class_label, trial_id, session_id, participant_id)
+    return np.asarray(rows, dtype=float).T  # rows are timestamps
 
 
 def trim(recording: Recording, cfg: SegmentationConfig, fs: float) -> Recording:
     """Drop the configured head/tail milliseconds, ms converted half-up.
     The result's samples are a view of the recording's."""
-    head = round_half_up(cfg.trim_head_ms * fs / 1000.0)
-    tail = round_half_up(cfg.trim_tail_ms * fs / 1000.0)
+    # a trim past float range stays inf samples, and is refused below
+    head, tail = (
+        round_half_up(x) if math.isfinite(x) else x
+        for x in (cfg.trim_head_ms * fs / 1000.0, cfg.trim_tail_ms * fs / 1000.0)
+    )
     remaining = recording.length - head - tail
     if remaining < 1:
         raise TrimExceedsLengthError(

@@ -158,15 +158,25 @@ class MlpClassifier:
         n = x.shape[0]
         bs = self.cfg.batch_size
         lr = self.cfg.learning_rate
-        self.loss_history = [mean_loss(params, x, y)]
-        for _ in range(self.cfg.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, bs):
-                idx = order[start : start + bs]
-                grads = gradients(params, x[idx], y[idx])
-                for key in params:
-                    params[key] -= lr * grads[key]
-        self.loss_history.append(mean_loss(params, x, y))
+        # a step too large overflows the parameters; that run is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.loss_history = [mean_loss(params, x, y)]
+            for _ in range(self.cfg.epochs):
+                order = rng.permutation(n)
+                for start in range(0, n, bs):
+                    idx = order[start : start + bs]
+                    grads = gradients(params, x[idx], y[idx])
+                    for key in params:
+                        params[key] -= lr * grads[key]
+            self.loss_history.append(mean_loss(params, x, y))
+        if not (
+            math.isfinite(self.loss_history[-1])
+            and all(np.isfinite(p).all() for p in params.values())
+        ):
+            raise InvalidSpecError(
+                f"learning_rate {lr!r} makes training diverge: the final loss is "
+                f"{self.loss_history[-1]}; use a smaller learning_rate"
+            )
         self.params = params
         return self
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -93,8 +94,10 @@ def with_profile(spec, **changes):
 # Inputs of the wrong type or shape, each with the exit code it must give
 # and a word its error must name: (where, value, exit code, named). "spec"
 # values map the valid spec to a bad one; None makes the spec path a
-# directory. "manifest" values are keys that replace those of the manifest
-# of the dataset ``synth`` writes from the spec. JSON writes NaN for
+# directory. "manifest", "csv" and "data-config" rows audit the dataset
+# ``synth`` writes from the spec: "manifest" values are keys that replace
+# those of its manifest, "csv" values map the bytes of its first trial file,
+# and "data-config" values are the config. JSON writes NaN for
 # float("nan"), and Python's reader accepts it.
 NAN = float("nan")
 BAD_INPUTS = {
@@ -157,6 +160,20 @@ BAD_INPUTS = {
     "manifest-rate-nan": ("manifest", {"sampling_rate_hz": NAN}, EXIT_BAD_DATA, "sampling_rate_hz"),
     "manifest-channels-float": ("manifest", {"channel_count": 3.7}, EXIT_BAD_DATA, "channel_count"),
     "manifest-classes-text": ("manifest", {"class_names": "ab"}, EXIT_BAD_DATA, "class_names"),
+    "learning-rate-huge": ("config", {"oracle": {"learning_rate": 1e300}}, EXIT_CONFIG, "learning_rate"),
+    "trim-past-float-range": (
+        "data-config",
+        {"segmentation": {"trim_head_ms": 1e308}},
+        EXIT_TOO_SMALL,
+        "trim removes inf+",
+    ),
+    "csv-not-utf8": ("csv", lambda body: body + b"9,\xff,0,0\n", EXIT_BAD_DATA, "alpha_t00.csv: not UTF-8"),
+    "csv-oversized-field": (
+        "csv",
+        lambda body: body.replace(b"\n", b"\n9," + b"x" * 200_000 + b",0,0\n", 1),
+        EXIT_BAD_DATA,
+        "alpha_t00.csv:2: field larger than field limit",
+    ),
 }
 
 
@@ -205,7 +222,11 @@ class TestComplexity:
     def test_bad_input_is_a_typed_error(self, tmp_path, capsys, where, value, code, named):
         spec = write_spec(tmp_path / "spec.json")
         argv = ["full", "--synthetic", str(spec), "--out", str(tmp_path / "out")]
-        if where == "config":
+        if where in ("manifest", "csv", "data-config"):
+            ds = tmp_path / "ds"
+            assert main(["synth", "--synthetic", str(spec), "--out", str(ds)]) == 0
+            argv = ["full", "--data", str(ds), "--out", str(tmp_path / "out")]
+        if where in ("config", "data-config"):
             (tmp_path / "audit.json").write_text(json.dumps(value))
             argv += ["--config", str(tmp_path / "audit.json")]
         elif where == "spec" and value is None:
@@ -214,15 +235,26 @@ class TestComplexity:
         elif where == "spec":
             spec.write_text(json.dumps(value(json.loads(spec.read_text()))))
         elif where == "manifest":
-            ds = tmp_path / "ds"
-            assert main(["synth", "--synthetic", str(spec), "--out", str(ds)]) == 0
             manifest = ds / "dataset.json"
             manifest.write_text(json.dumps(json.loads(manifest.read_text()) | value))
-            argv = ["full", "--data", str(ds), "--out", str(tmp_path / "out")]
+        elif where == "csv":
+            victim = sorted(ds.rglob("*.csv"))[0]
+            victim.write_bytes(value(victim.read_bytes()))
         else:
             argv += value
         assert main(argv) == code
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_diverging_oracle_warns_nothing_under_default_filters(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json")
+        (tmp_path / "audit.json").write_text(json.dumps({"oracle": {"learning_rate": 1e300}}))
+        argv = ["full", "--synthetic", str(spec), "--config", str(tmp_path / "audit.json")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert [str(w.message) for w in caught] == []
+        assert "learning_rate" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_near_constant_channel_is_bad_data(self, tmp_path, capsys):

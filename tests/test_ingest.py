@@ -1,12 +1,17 @@
 import dataclasses
 import json
 import typing
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from reference_impls import enumerate_window_starts
 
+from sensoraudit import ingest
 from sensoraudit.ablation import AblationSpec
 from sensoraudit.errors import (
     DataFormatError,
@@ -79,6 +84,11 @@ class TestTrim:
         # 1 ms at 500 Hz -> 0.5 samples -> rounds to 1
         trimmed = trim(rec(10), seg_cfg(trim_head_ms=1.0), fs=500.0)
         assert trimmed.length == 9
+
+    def test_trim_past_float_range_exceeds_length(self):
+        # 1e308 ms at 200 Hz is inf samples, which no int holds
+        with pytest.raises(TrimExceedsLengthError, match="trim removes inf\\+0"):
+            trim(rec(200), seg_cfg(trim_head_ms=1e308), fs=200.0)
 
 
 class TestWindow:
@@ -354,6 +364,142 @@ class TestLoadDataset:
         for a, b in zip(original.recordings, loaded.recordings):
             assert np.array_equal(a.samples, b.samples)
             assert a.class_label == b.class_label
+
+
+def line_parse(path, channel_count):
+    """The reference line parser's samples or error, as one comparable value."""
+    try:
+        return ingest._parse_csv_lines(path, channel_count)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def loaded(root):
+    """``load_dataset``'s first recording's samples or error, the same way."""
+    try:
+        return load_dataset(root).recordings[0].samples
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def same(got, want):
+    if isinstance(want, np.ndarray):
+        return isinstance(got, np.ndarray) and got.shape == want.shape and (
+            np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+        )
+    return got == want
+
+
+def one_trial_dataset(root, body: bytes, channels=2):
+    """A dataset whose one trial file is the header plus ``body``."""
+    (root / "dataset.json").write_text(
+        json.dumps({"sampling_rate_hz": 100.0, "class_names": ["a"], "channel_count": channels})
+    )
+    path = root / "p0" / "s0" / "a_t0.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    header = ",".join(["t", *(f"ch{c + 1}" for c in range(channels))])
+    path.write_bytes(header.encode() + b"\n" + body)
+    return path
+
+
+# Pieces of cells and lines: every case the two parsers could read apart.
+CELL_TOKENS = ["0", "1", "9", ".", "e", "-", "+", " ", "#", '"', "nan", "inf", "_", "x"]
+PADDING = ["", " ", "\t", "\x1c", "\x1f", "\xa0"]  # \x1c-\x1f: numpy strips, float() refuses
+numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr), st.integers(-10, 10).map(str)
+)
+cells = st.one_of(
+    numbers,
+    numbers,
+    st.tuples(st.sampled_from(PADDING), numbers, st.sampled_from(PADDING)).map("".join),
+    st.lists(st.sampled_from(CELL_TOKENS), max_size=4).map("".join),
+)
+rows = st.one_of(
+    st.lists(cells, min_size=3, max_size=3),  # t plus the two channels
+    st.tuples(st.sampled_from(["0", "x", "nan", "", " 1"]), numbers, numbers).map(list),
+    st.lists(cells, min_size=1, max_size=5),
+).map(",".join)
+lines = st.one_of(rows, rows, st.sampled_from(["", " ", "\t", "#", ",", "1,2,3,"]))
+newlines = st.sampled_from(["\n", "\r\n", "\r"])
+# ended lines, then an unended last line or nothing
+bodies = st.tuples(
+    st.lists(st.tuples(lines, newlines).map("".join), max_size=6).map("".join),
+    st.one_of(st.just(""), lines),
+).map("".join)
+
+
+class TestParseRule:
+    """``load_dataset`` parses each file whole; the line parser decides every
+    file that parse cannot, so both give the same bits and the same errors."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(body=bodies)
+    def test_same_result_as_the_line_parser(self, tmp_path_factory, body):
+        root = tmp_path_factory.mktemp("ds")
+        path = one_trial_dataset(root, body.encode())
+        assert same(loaded(root), line_parse(path, 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        samples=st.integers(1, 3).flatmap(
+            lambda c: hnp.arrays(
+                float,
+                st.tuples(st.just(c), st.integers(1, 30)),
+                elements=st.floats(allow_nan=False, allow_infinity=False),
+            )
+        )
+    )
+    def test_writer_round_trip_is_bitwise_on_the_fast_path(self, tmp_path_factory, samples):
+        # zero line-parser calls: the writer's output never leaves the fast path
+        root = tmp_path_factory.mktemp("ds")
+        rset = RecordingSet([Recording(samples, "a", "t00", "s00", "p00")], 250.0, ["a"], len(samples))
+        write_dataset(root, rset)
+        with mock.patch.object(ingest, "_parse_csv_lines", wraps=ingest._parse_csv_lines) as lines:
+            got = load_dataset(root).recordings[0].samples
+        assert lines.call_count == 0
+        assert same(got, samples)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"",  # header only: numpy's no-data warning must not escape
+            b"\n\n",
+            b"0,1,2\n# note\n",
+            b"0,1,2#x\n",
+            b"0,1,2,\n",
+            b'0,"1",2\n',
+            b"0,1_0,2\n",
+            b"0,\x1c1,2\n",
+            b"0,1\x1d,2\n",
+            b"0,1,\x1e2\n",
+            b"0,1,2\x1f\n",
+            b"0,1,nan\n",
+            b"x,1,2\n",
+        ],
+    )
+    def test_awkward_files(self, tmp_path, body):
+        path = one_trial_dataset(tmp_path, body)
+        assert same(loaded(tmp_path), line_parse(path, 2))
+
+    def test_header_only_file_without_channels(self, tmp_path):
+        # a t-only header matches channel_count 0, and so does loadtxt's empty result
+        path = one_trial_dataset(tmp_path, b"", channels=0)
+        assert same(loaded(tmp_path), line_parse(path, 0))
+
+    def test_non_utf8_byte_names_the_file(self, tmp_path):
+        path = one_trial_dataset(tmp_path, b"0,1,2\n1,\xff,2\n")
+        with pytest.raises(MalformedRowError, match="a_t0.csv: not UTF-8 text"):
+            load_dataset(tmp_path)
+        assert same(loaded(tmp_path), line_parse(path, 2))
+
+    def test_oversized_field_names_file_and_line(self, tmp_path):
+        one_trial_dataset(tmp_path, b"0,1,2\n1," + b"x" * 200_000 + b",2\n")
+        with pytest.raises(MalformedRowError, match="a_t0.csv:3: field larger than field limit"):
+            load_dataset(tmp_path)
+
+    def test_long_numeric_field_is_read_whole(self, tmp_path):
+        one_trial_dataset(tmp_path, b"0,1,2\n1,0." + b"0" * 200_000 + b"25,2\n")
+        assert load_dataset(tmp_path).recordings[0].samples.tolist() == [[1.0, 0.0], [2.0, 2.0]]
 
 
 CONFIGS = [

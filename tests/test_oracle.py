@@ -7,6 +7,7 @@ from conftest import matrix_from_rows
 
 from sensoraudit.errors import (
     EmptyTrainingSetError,
+    InvalidSpecError,
     LengthMismatchError,
     SingleClassTrainingError,
     TooFewClassesError,
@@ -196,6 +197,13 @@ class TestTraining:
         b = MlpClassifier(cfg).fit(x, y)
         for key in a.params:
             assert np.array_equal(a.params[key], b.params[key])
+
+    def test_diverging_learning_rate_is_refused(self):
+        # the parameters overflow; no RuntimeWarning may escape on the way
+        x, y = blobs(n=40, dims=3, seed=5)
+        cfg = OracleConfig(hidden_units=6, epochs=3, learning_rate=1e300)
+        with pytest.raises(InvalidSpecError, match="learning_rate 1e\\+300 makes training diverge"):
+            MlpClassifier(cfg).fit(x, y)
 
     def test_permuted_labels_give_null_mcc(self):
         # mean test MCC over 20 seeds stays near zero
