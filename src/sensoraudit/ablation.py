@@ -18,14 +18,16 @@ matrix against one whose every row holds the failed row on every channel.
 
 So a sensor's shift is the max of its feature columns' ratios, and a
 subset's shift is the max of its members' shifts, bitwise equal to
-scoring each ablated matrix on its own. Depth > 1 therefore adds no
-information under f1; the subsets are still reported. The f2 and f3
-shifts are not offered: against a point mass every cell reads f2 = 0
+scoring each ablated matrix on its own. The subsets are every sensor
+set of size 1 .. ``combinatorial_depth``, so depth > 1 adds no
+information under f1; the larger subsets are still reported. The f2 and
+f3 shifts are not offered: against a point mass every cell reads f2 = 0
 and f3 = 1, which ranks sensors by index.
 
-Criticality is the per-class normalized singleton shift (max per class
-is 1 whenever any shift is positive); the global ranking orders sensors
-by the mean of those normalized scores across classes.
+Criticality is each sensor's shift divided by its class's largest (0
+when every shift of the class is 0), so it is 1 for the top sensor of a
+class with any positive shift; the global ranking orders sensors by the
+mean of those normalized scores across classes.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
-    EmptySpecError,
-    IndexOutOfRangeError,
-    InvalidSpecError,
     MismatchedColumnsError,
     TooFewRowsError,
     TopologyMismatchError,
@@ -49,32 +48,17 @@ from .separability import separability_score
 
 DEFAULT_CRITICALITY_THRESHOLD = 0.8
 DEFAULT_REDUNDANCY_THRESHOLD = 0.3
-
-SHIFT_METRICS = ("f1",)
+SHIFT_METRIC = "f1"  # the one shift the artifacts report
 
 
 @dataclass
 class AblationSpec(JsonConfig):
-    sensor_subsets: list[tuple[int, ...]] | None = None
     combinatorial_depth: int = 1
-    shift_metric: str = "f1"
     classes: list[str] | None = None
     ring_topology: tuple[int, ...] | None = None
 
     def check_bounds(self) -> None:
         self.check_positive_ints("combinatorial_depth")
-        if self.shift_metric not in SHIFT_METRICS:
-            raise InvalidSpecError(
-                f"shift_metric must be one of {SHIFT_METRICS}, got {self.shift_metric!r}: "
-                "f2 and f3 read 0 and 1 in every cell against a failed sensor, "
-                "so they cannot rank sensors"
-            )
-        if self.sensor_subsets is not None:
-            if not self.sensor_subsets:
-                raise EmptySpecError("sensor_subsets is empty")
-            if not all(self.sensor_subsets):
-                raise InvalidSpecError("sensor subsets must be nonempty")
-            self.sensor_subsets = [tuple(sorted(set(subset))) for subset in self.sensor_subsets]
         if self.ring_topology is not None:
             self.ring_topology = tuple(self.ring_topology)
 
@@ -103,9 +87,8 @@ class AblationReport:
     classes: tuple[str, ...]
     channel_count: int
     subsets: tuple[tuple[int, ...], ...]
-    shift_metric: str
     raw_shift: np.ndarray  # classes x subsets
-    normalized_criticality: np.ndarray  # classes x channels (nan: no singleton score)
+    normalized_criticality: np.ndarray  # classes x channels
     mean_criticality: np.ndarray  # channels
     ranking: tuple[int, ...]
     ring_topology: tuple[int, ...]
@@ -136,7 +119,7 @@ def neighbour_compensation(report: AblationReport) -> tuple[CompensationNote, ..
         scores = report.normalized_criticality[ci]
         for sensor in range(report.channel_count):
             value = float(scores[sensor])
-            if not np.isfinite(value) or value < crit_thr:
+            if value < crit_thr:
                 continue
             p = position[sensor]
             left, right = topo[(p - 1) % m], topo[(p + 1) % m]
@@ -173,7 +156,7 @@ def run_ablation_audit(
     One ``separability_score`` call per class gives every sensor's shift;
     a subset's shift is the max of its members' (see the module
     docstring). Output ordering is fixed (classes as configured or
-    sorted, subsets smaller-first lexicographic).
+    sorted, subsets as ``enumerate_subsets``).
     """
     classes = tuple(spec.classes) if spec.classes else tuple(sorted(matrices))
     if not classes:
@@ -190,7 +173,7 @@ def run_ablation_audit(
     channel_count = len(columns) // width if width else 0
     names = [name for _, name in columns[:width]]
     if (
-        not width
+        not channel_count
         or columns != tuple((ch, name) for ch in range(channel_count) for name in names)
         or any(matrices[label].column_index != columns for label in classes)
     ):
@@ -198,17 +181,7 @@ def run_ablation_audit(
             f"classes {classes} do not share one channel-major column map "
             f"of C * {width} columns for a {width}-value failed row"
         )
-    subsets = (
-        tuple(spec.sensor_subsets)
-        if spec.sensor_subsets is not None
-        else tuple(enumerate_subsets(channel_count, spec.combinatorial_depth))
-    )
-    if not subsets:
-        raise EmptySpecError("no sensor subsets to ablate")
-    for subset in subsets:
-        for s in subset:
-            if not 0 <= s < channel_count:
-                raise IndexOutOfRangeError(f"sensor {s} outside [0, {channel_count})")
+    subsets = tuple(enumerate_subsets(channel_count, spec.combinatorial_depth))
     topology = spec.ring_topology if spec.ring_topology else tuple(range(channel_count))
 
     failed_values = np.tile(failed_row, channel_count)
@@ -223,33 +196,12 @@ def run_ablation_audit(
     members = np.array([subset + subset[:1] * (width - len(subset)) for subset in subsets])
     raw = sensor_shift[:, members].max(axis=2)
 
-    # Singleton shifts drive criticality; larger subsets are reported raw.
-    singleton_col = {subset[0]: j for j, subset in enumerate(subsets) if len(subset) == 1}
-    normalized = np.full((len(classes), channel_count), np.nan)
-    for ci in range(len(classes)):
-        scores = np.full(channel_count, np.nan)
-        for sensor, j in singleton_col.items():
-            scores[sensor] = raw[ci, j]
-        finite = np.isfinite(scores)
-        if finite.any():
-            peak = float(np.nanmax(scores))
-            if peak > 0.0:
-                normalized[ci, finite] = scores[finite] / peak
-            else:
-                normalized[ci, finite] = 0.0
-
-    finite_counts = np.isfinite(normalized).sum(axis=0)
-    sums = np.nansum(np.where(np.isfinite(normalized), normalized, 0.0), axis=0)
-    mean_crit = np.where(finite_counts > 0, sums / np.maximum(finite_counts, 1), np.nan)
-    sort_key = np.where(np.isfinite(mean_crit), mean_crit, -1.0)
-    ranking = tuple(sorted(range(channel_count), key=lambda s: (-sort_key[s], s)))
-
+    peak = sensor_shift.max(axis=1, keepdims=True)
+    normalized = np.divide(sensor_shift, peak, out=np.zeros_like(sensor_shift), where=peak > 0.0)
+    mean_crit = normalized.mean(axis=0)
+    ranking = tuple(sorted(range(channel_count), key=lambda s: (-mean_crit[s], s)))
     redundancy_notes = {
-        label: tuple(
-            s
-            for s in range(channel_count)
-            if np.isfinite(normalized[ci, s]) and normalized[ci, s] < redundancy_threshold
-        )
+        label: tuple(np.flatnonzero(normalized[ci] < redundancy_threshold).tolist())
         for ci, label in enumerate(classes)
     }
 
@@ -257,7 +209,6 @@ def run_ablation_audit(
         classes=classes,
         channel_count=channel_count,
         subsets=subsets,
-        shift_metric=spec.shift_metric,
         raw_shift=raw,
         normalized_criticality=normalized,
         mean_criticality=mean_crit,

@@ -18,7 +18,8 @@ computed, on the names in ``reports.ARTIFACTS``.
 Every run embeds its resolved configuration and seed in the JSON
 artifacts, and a fixed seed reproduces outputs byte for byte. --jobs is
 validated and accepted for compatibility; every stage runs in one thread,
-so it cannot change the outputs.
+so it cannot change the outputs. --metric accepts only f1, the one shift
+the ablation reports, and is likewise accepted for compatibility.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 from .ablation import (
     DEFAULT_CRITICALITY_THRESHOLD,
     DEFAULT_REDUNDANCY_THRESHOLD,
-    SHIFT_METRICS,
+    SHIFT_METRIC,
     AblationSpec,
     run_ablation_audit,
 )
@@ -92,11 +93,9 @@ def _config_file(path: str | None) -> ConfigFile:
 
 
 def _config_from_args(args: argparse.Namespace) -> ConfigFile:
-    """The ``--config`` file with ``--metric``, ``--depth`` and ``--seed`` applied."""
+    """The ``--config`` file with ``--depth`` and ``--seed`` applied."""
     cfg = _config_file(args.config)
     ablation, oracle_cfg = cfg.ablation, cfg.oracle
-    if getattr(args, "metric", None):
-        ablation = replace(ablation, shift_metric=args.metric)
     if getattr(args, "depth", None) is not None:
         ablation = replace(ablation, combinatorial_depth=args.depth)
     if args.seed is not None:
@@ -318,7 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         _add_source_flags(p)
         if "ablation" in stages:
-            p.add_argument("--metric", choices=SHIFT_METRICS, help="accepted for compatibility; f1 only")
+            p.add_argument(
+                "--metric", choices=(SHIFT_METRIC,), help="accepted for compatibility; the shift is always f1"
+            )
             p.add_argument("--depth", type=int, help="combinatorial ablation depth")
         if "complexity" in stages:
             p.add_argument("--dump-features", action="store_true", help="also export feature matrices")

@@ -25,10 +25,6 @@ class InvalidSpecError(ConfigError):
     pass
 
 
-class EmptySpecError(ConfigError):
-    pass
-
-
 class TopologyMismatchError(ConfigError):
     pass
 

@@ -226,8 +226,9 @@ def sample_entropy(
     reaches W^2 only when almost every value lies within r of every
     other. Candidates are confirmed in chunks of ``SAMPEN_CHUNK_PAIRS``,
     so working memory is O(W + chunk) either way. A window whose values
-    are all equal returns -ln(1) = -0.0 at once. Several rows are
-    counted one row at a time.
+    are all equal returns -ln(1) = -0.0 at once. A row whose SD
+    overflows float64 is first scaled by a power of two, which is exact
+    and keeps every count. Several rows are counted one row at a time.
     """
     x = np.asarray(signal, dtype=float)
     n = x.shape[-1]
@@ -245,7 +246,12 @@ def sample_entropy(
 
 def _sample_entropy_row(x: np.ndarray, m: int, r_coeff: float) -> tuple[float, bool]:
     n = x.size
-    r = r_coeff * float(x.std())
+    with np.errstate(over="ignore"):
+        sd = float(x.std())
+    if sd == math.inf:  # a power-of-two scale is exact and keeps every count
+        x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+        sd = float(x.std())
+    r = r_coeff * sd
     if not r >= 0.0 or x.min() == x.max():
         # Equal values: every template matches, so A == B. With a NaN or
         # negative tolerance no comparison holds, not even a template with

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ablation import AblationReport
+from .ablation import SHIFT_METRIC, AblationReport
 from .errors import InvalidSpecError, OutputExistsError
 from .features import FeatureMatrix, column_labels
 from .ingest import MANIFEST_NAME, RecordingSet, is_safe_label
@@ -167,8 +167,7 @@ def _advice(report: AblationReport) -> dict:
     critical_for: dict[int, list[str]] = {}
     for ci, label in enumerate(report.classes):
         for sensor in range(report.channel_count):
-            value = report.normalized_criticality[ci, sensor]
-            if np.isfinite(value) and value >= crit:
+            if report.normalized_criticality[ci, sensor] >= crit:
                 critical_for.setdefault(sensor, []).append(label)
     always_redundant = [
         sensor
@@ -216,12 +215,9 @@ def _advice(report: AblationReport) -> dict:
 
 
 def ablation_payload(report: AblationReport, config_echo: dict) -> dict:
-    def cell(v: float) -> float | None:
-        return float(v) if np.isfinite(v) else None
-
     return {
         "config": config_echo,
-        "shift_metric": report.shift_metric,
+        "shift_metric": SHIFT_METRIC,
         "classes": list(report.classes),
         "channel_count": report.channel_count,
         "subsets": [list(s) for s in report.subsets],
@@ -230,10 +226,10 @@ def ablation_payload(report: AblationReport, config_echo: dict) -> dict:
             for ci, label in enumerate(report.classes)
         },
         "normalized_criticality": {
-            label: [cell(v) for v in report.normalized_criticality[ci]]
+            label: [float(v) for v in report.normalized_criticality[ci]]
             for ci, label in enumerate(report.classes)
         },
-        "mean_criticality": [cell(v) for v in report.mean_criticality],
+        "mean_criticality": [float(v) for v in report.mean_criticality],
         "ranking": list(report.ranking),
         "ring_topology": list(report.ring_topology),
         "criticality_threshold": float(report.criticality_threshold),
@@ -264,14 +260,8 @@ def write_ablation(out_dir: Path, report: AblationReport, config_echo: dict) -> 
     rows = []
     for ci, label in enumerate(report.classes):
         for j, subset in enumerate(report.subsets):
-            normalized = ""
-            if len(subset) == 1:
-                value = report.normalized_criticality[ci, subset[0]]
-                if np.isfinite(value):
-                    normalized = float(value)
-            rows.append(
-                [label, subset_label(subset), report.shift_metric, report.raw_shift[ci, j], normalized]
-            )
+            normalized = report.normalized_criticality[ci, subset[0]] if len(subset) == 1 else ""
+            rows.append([label, subset_label(subset), SHIFT_METRIC, report.raw_shift[ci, j], normalized])
     write_csv(csv_path, ["class", "subset", "shift_metric", "raw_shift", "normalized"], rows)
 
     write_csv(
@@ -317,7 +307,6 @@ def write_ablation(out_dir: Path, report: AblationReport, config_echo: dict) -> 
             [
                 [s, channel_name(s), float(report.normalized_criticality[ci, s])]
                 for s in range(report.channel_count)
-                if np.isfinite(report.normalized_criticality[ci, s])
             ],
         )
     return [json_path, csv_path, ranking_path, comp_path, *plot_paths]

@@ -18,7 +18,6 @@ from sensoraudit.ablation import (
     run_ablation_audit,
 )
 from sensoraudit.errors import (
-    EmptySpecError,
     IndexOutOfRangeError,
     InvalidSpecError,
     MismatchedColumnsError,
@@ -141,7 +140,6 @@ def report_from_normalized(normalized, classes=("a",), topology=None):
         classes=tuple(classes),
         channel_count=channels,
         subsets=tuple((s,) for s in range(channels)),
-        shift_metric="f1",
         raw_shift=normalized.copy(),
         normalized_criticality=normalized,
         mean_criticality=normalized.mean(axis=0),
@@ -208,12 +206,18 @@ class TestRunAblationAudit:
                 assert report.normalized_criticality[ci, sensor] < 0.3
                 assert sensor in report.redundancy_notes[report.classes[ci]]
 
-    def test_normalization_and_ranking_contracts(self, fcfg):
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_normalization_and_ranking_contracts(self, fcfg, depth):
         windows, fs = windows_of(criticality_spec(2))
-        report = ablate(windows, AblationSpec(), fcfg, fs)
-        finite = report.normalized_criticality[np.isfinite(report.normalized_criticality)]
-        assert finite.min() >= 0.0 and finite.max() == 1.0
-        assert np.nanmax(report.normalized_criticality, axis=1).tolist() == [1.0, 1.0, 1.0]
+        report = ablate(windows, AblationSpec(combinatorial_depth=depth), fcfg, fs)
+        normalized = report.normalized_criticality
+        assert normalized.shape == (3, 5) and report.mean_criticality.shape == (5,)
+        assert not np.isnan(normalized).any() and not np.isnan(report.mean_criticality).any()
+        assert normalized.min() >= 0.0
+        assert normalized.max(axis=1).tolist() == [1.0, 1.0, 1.0]
+        assert same_bits(report.mean_criticality, normalized.mean(axis=0))
+        singletons = report.raw_shift[:, :5]  # every depth reports the singletons first
+        assert same_bits(normalized, singletons / singletons.max(axis=1, keepdims=True))
         assert sorted(report.ranking) == list(range(report.channel_count))
 
     def test_combinatorial_depth_two(self, fcfg):
@@ -222,15 +226,6 @@ class TestRunAblationAudit:
         report = ablate(windows, spec, fcfg, 200.0)
         assert len(report.subsets) == 4 + 6
         assert report.raw_shift.shape == (1, 10)
-
-    def test_explicit_subsets(self, fcfg):
-        windows = make_windows(n=6, channels=4, width=64)
-        spec = AblationSpec(sensor_subsets=[(1,), (3,), (1, 3)])
-        report = ablate(windows, spec, fcfg, 200.0)
-        assert report.subsets == ((1,), (3,), (1, 3))
-        # channels without singleton scores stay unranked but present
-        assert np.isnan(report.normalized_criticality[0, 0])
-        assert np.isfinite(report.normalized_criticality[0, 1])
 
     def test_column_map_and_failed_row_mismatch_rejected(self, fcfg):
         matrices = build_class_matrices(make_windows(n=6, channels=3, width=64), fcfg, 200.0)
@@ -247,13 +242,8 @@ class TestRunAblationAudit:
         report = run_ablation_audit(matrices, one_class, failed_row)
         assert report.channel_count == 3
 
-    @pytest.mark.parametrize("metric", ["f2", "f3"])
-    def test_flat_shift_metrics_rejected(self, metric):
-        with pytest.raises(InvalidSpecError, match="cannot rank sensors"):
-            AblationSpec(shift_metric=metric)
-
     def test_f2_f3_are_flat_per_cell(self, fcfg):
-        # why they are rejected: every cell reads f2 = 0 and f3 = 1
+        # why they are not offered: every cell reads f2 = 0 and f3 = 1
         windows, fs = windows_of(criticality_spec(0))
         for label in CLASSES:
             class_windows = windows.select([label])
@@ -269,10 +259,6 @@ class TestRunAblationAudit:
         assert "'a'" in str(err.value)
 
     def test_invalid_specs(self):
-        with pytest.raises(InvalidSpecError):
-            AblationSpec(shift_metric="f9")
-        with pytest.raises(EmptySpecError):
-            AblationSpec(sensor_subsets=[])
         with pytest.raises(InvalidSpecError):
             AblationSpec(combinatorial_depth=0)
 
@@ -311,17 +297,7 @@ def ablation_cases(draw):
     )
     fcfg = FeatureConfig(enabled_features=tuple(names))
     channels = draw(st.integers(1, 5))
-    if draw(st.booleans()):
-        subsets = draw(
-            st.lists(
-                st.lists(st.integers(0, channels - 1), min_size=1, max_size=channels),
-                min_size=1,
-                max_size=12,
-            )
-        )
-        spec_kw = {"sensor_subsets": [tuple(s) for s in subsets]}
-    else:
-        spec_kw = {"combinatorial_depth": draw(st.integers(1, 3))}
+    depth = draw(st.integers(1, 3))
     classes = {
         label: (
             draw(st.integers(2, 6)),
@@ -336,7 +312,7 @@ def ablation_cases(draw):
         for label in ("a", "b")[: draw(st.integers(1, 2))]
     }
     seed = draw(st.integers(0, 2**32 - 1))
-    return fcfg, channels, AblationSpec(**spec_kw), classes, seed
+    return fcfg, channels, AblationSpec(combinatorial_depth=depth), classes, seed
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,12 +1,16 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sensoraudit
 from sensoraudit import cli
 from sensoraudit.cli import main
 from sensoraudit.errors import (
@@ -384,7 +388,7 @@ class TestAblate:
             cfg.write_text(json.dumps({"ablation": {"shift_metric": metric}}))
             argv = ["ablate", "--synthetic", str(spec), "--config", str(cfg), "--out", str(tmp_path / metric)]
             assert main(argv) == EXIT_CONFIG
-            assert "cannot rank sensors" in capsys.readouterr().err
+            assert "unknown AblationSpec fields: shift_metric" in capsys.readouterr().err
             assert not (tmp_path / metric).exists()
 
     def test_ablated_classes_alone_get_features(self, tmp_path, monkeypatch):
@@ -424,6 +428,19 @@ class TestAblate:
         assert main([*argv, "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == 1
         assert calls[0][1:] == (64, 200.0)  # the run's window length and rate
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_every_channel_is_scored_at_every_depth(self, tmp_path, depth):
+        spec = write_spec(tmp_path / "spec.json", channel_count=4)
+        out = tmp_path / "out"
+        assert main(["ablate", "--synthetic", str(spec), "--out", str(out), "--depth", str(depth)]) == 0
+        payload = json.loads((out / "ablation.json").read_text())
+        for values in [*payload["normalized_criticality"].values(), payload["mean_criticality"]]:
+            assert len(values) == 4 and all(isinstance(v, float) for v in values)
+        for label in ("alpha", "beta", "gamma"):
+            rows = read_csv(out / f"criticality_{label}.csv")
+            assert [r["sensor"] for r in rows] == ["0", "1", "2", "3"]
+            assert all(float(r["normalized_criticality"]) >= 0.0 for r in rows)
 
     def test_overwrite_refusal(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json")
@@ -708,3 +725,24 @@ def test_readme_config_example_is_the_default():
     block = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
     assert cli.ConfigFile.from_json_dict(block) == cli.ConfigFile()
     assert cli.ConfigFile().to_json_dict() == block
+
+
+@pytest.mark.parametrize("runner", [[], ["-m", "cProfile", "-o", "run.prof"]], ids=["plain", "cProfile"])
+def test_python_m_sensoraudit_runs_the_cli(tmp_path, runner):
+    spec = write_spec(tmp_path / "spec.json")
+    src = str(Path(sensoraudit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["ablate", "--synthetic", str(spec), "--depth", "2"]
+    proc = subprocess.run(
+        [sys.executable, *runner, "-m", "sensoraudit", *argv, "--out", "out"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main([*argv, "--out", str(tmp_path / "in_process")]) == 0
+    for path in (tmp_path / "in_process").iterdir():
+        assert (tmp_path / "out" / path.name).read_bytes() == path.read_bytes()
+    bad = subprocess.run(
+        [sys.executable, "-m", "sensoraudit", "ablate", "--synthetic", "missing.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert bad.returncode == EXIT_MISSING_FILE and "SyntheticSpec not found" in bad.stderr

@@ -137,6 +137,14 @@ class TestSampleEntropy:
             monkeypatch.setattr(features, "SAMPEN_CHUNK_PAIRS", chunk)
             assert sample_entropy(x, 2, 0.2, with_flag=True) == whole
 
+    def test_overflowing_sd_keeps_every_count(self):
+        # x.std() overflows at this scale; unscaled r would be inf and
+        # every template would match, reading -0.0
+        x = np.random.default_rng(0).standard_normal(200)
+        assert same_bits(sample_entropy(x * 2.0**600), sample_entropy(x))
+        rows = np.stack([x, x[::-1] * 3.0, np.full(200, 5.0)])
+        assert same_bits(sample_entropy(rows * 2.0**600), sample_entropy(rows))
+
     def test_constant_is_negative_zero(self):
         assert math.copysign(1.0, sample_entropy(np.zeros(50))) == -1.0
         assert math.copysign(1.0, sample_entropy(np.full(50, 2.0))) == -1.0

@@ -506,9 +506,7 @@ CONFIGS = [
     SegmentationConfig(trim_head_ms=0.0, window_len_samples=64, overlap_fraction=0.25),
     FeatureConfig(entropy_bins=16, enabled_features=("rms", "zero_crossings")),
     OracleConfig(hidden_units=8, epochs=5, seed=9),
-    AblationSpec(
-        sensor_subsets=[(2, 0), (1,)], shift_metric="f1", classes=["a"], ring_topology=(2, 0, 1)
-    ),
+    AblationSpec(combinatorial_depth=2, classes=["a"], ring_topology=(2, 0, 1)),
     ChannelProfile(kind="tonic", gain=2.5, carrier_hz=40.0),
     ChannelSpec(per_class={"a": ChannelProfile(kind="tonic", gain=3.0)}),
     SyntheticSpec(
@@ -545,17 +543,16 @@ class TestConfigJson:
 
     @pytest.mark.parametrize("metric", ["f2", "f3"])
     def test_flat_shift_metric_is_rejected_on_load(self, metric):
+        # the shift is always f1, so shift_metric is no field at all
         payload = CONFIGS[3].to_json_dict() | {"shift_metric": metric}
-        with pytest.raises(InvalidSpecError, match="cannot rank sensors") as err:
+        with pytest.raises(InvalidSpecError, match="unknown AblationSpec fields: shift_metric") as err:
             AblationSpec.from_json_dict(payload)
         assert err.value.exit_code == 2
 
     def test_sequences_are_written_as_lists(self):
         payload = CONFIGS[3].to_json_dict()
         assert payload == {
-            "sensor_subsets": [[0, 2], [1]],
-            "combinatorial_depth": 1,
-            "shift_metric": "f1",
+            "combinatorial_depth": 2,
             "classes": ["a"],
             "ring_topology": [2, 0, 1],
         }
