@@ -75,8 +75,7 @@ def run(out_dir: Path, seed: int) -> int:
     ablation = summary["ablation"]
     for rank, sensor in enumerate(ablation["ranking"], start=1):
         mean = ablation["mean_criticality"][sensor]
-        mean_str = "n/a" if mean is None else f"{mean:.3f}"
-        print(f"  {rank}. ch{sensor + 1}  mean normalized criticality {mean_str}")
+        print(f"  {rank}. ch{sensor + 1}  mean normalized criticality {mean:.3f}")
     advice = ablation["advice"]
     print("\nadvice:")
     print(f"  reinforce: {[f'ch{s + 1}' for s in advice['reinforce_critical_components']['sensors']]}")

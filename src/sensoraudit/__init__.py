@@ -27,10 +27,8 @@ from .ingest import (
     trim,
 )
 from .oracle import (
-    MlpClassifier,
     OracleConfig,
     OracleResult,
-    evaluate_mcc,
     run_oracle_audit,
     standardize,
 )
@@ -56,7 +54,6 @@ __all__ = [
     "FEATURE_NAMES",
     "FeatureConfig",
     "FeatureMatrix",
-    "MlpClassifier",
     "OracleConfig",
     "OracleResult",
     "PairwiseAudit",
@@ -68,7 +65,6 @@ __all__ = [
     "Windows",
     "build_class_matrices",
     "enumerate_subsets",
-    "evaluate_mcc",
     "generate_recordings",
     "load_dataset",
     "neighbour_compensation",

@@ -187,36 +187,13 @@ def _run(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
     if args.jobs < 1:
         raise ConfigError("--jobs must be positive")
     data = _ingest(cfg, args)
+    cfg = replace(cfg, oracle=replace(cfg.oracle, seed=data.seed))
     summary = stages == STAGES
     dump_features = getattr(args, "dump_features", False)
     groups = list(stages) + ["summary"] * summary + ["features"] * dump_features
     report_classes = list(cfg.ablation.classes) if cfg.ablation.classes else data.classes
     out_dir = Path(args.out)
     ensure_writable([out_dir / n for n in artifact_names(groups, report_classes)], args.overwrite)
-
-    windows = data.windows
-    if stages == ("ablation",) and cfg.ablation.classes:
-        windows = windows.select(report_classes)
-    with _Stage("features"):
-        matrices = build_class_matrices(windows, cfg.features, data.fs)
-    if "complexity" in stages or "oracle" in stages:
-        with _Stage("separability"):
-            ovo = pairwise_audit(matrices, mode="one-vs-one")
-            if "complexity" in stages:
-                ovr = pairwise_audit(matrices, mode="one-vs-rest")
-    if "ablation" in stages:
-        with _Stage("ablation"):
-            failed_row = zero_window_features(cfg.features, windows.data.shape[2], data.fs)
-            report = run_ablation_audit(
-                matrices,
-                cfg.ablation,
-                failed_row,
-                criticality_threshold=float(cfg.thresholds.criticality),
-                redundancy_threshold=float(cfg.thresholds.redundancy),
-            )
-    if "oracle" in stages:
-        with _Stage("oracle"):
-            results = run_oracle_audit(matrices, replace(cfg.oracle, seed=data.seed))
 
     echo = {
         "schema_version": SCHEMA_VERSION,
@@ -233,34 +210,63 @@ def _run(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
         "criticality_threshold": float(cfg.thresholds.criticality),
         "redundancy_threshold": float(cfg.thresholds.redundancy),
     }
-    columns = column_labels(feature_columns(data.windows.data.shape[1], cfg.features))
+
+    windows = data.windows
+    if stages == ("ablation",) and cfg.ablation.classes:
+        windows = windows.select(report_classes)
+    with _Stage("features"):
+        matrices = build_class_matrices(windows, cfg.features, data.fs)
+    # each group's payload, built once for its own files and the summary
+    payloads = {}
+    if "complexity" in stages or "oracle" in stages:
+        with _Stage("separability"):
+            ovo = pairwise_audit(matrices, mode="one-vs-one")
+            if "complexity" in stages:
+                ovr = pairwise_audit(matrices, mode="one-vs-rest")
+                columns = column_labels(feature_columns(data.windows.data.shape[1], cfg.features))
+                payloads["complexity"] = {
+                    "one_vs_one": complexity_payload(ovo, columns),
+                    "one_vs_rest": complexity_payload(ovr, columns),
+                }
+    if "ablation" in stages:
+        with _Stage("ablation"):
+            failed_row = zero_window_features(cfg.features, windows.data.shape[2], data.fs)
+            report = run_ablation_audit(
+                matrices,
+                cfg.ablation,
+                failed_row,
+                criticality_threshold=float(cfg.thresholds.criticality),
+                redundancy_threshold=float(cfg.thresholds.redundancy),
+            )
+        payloads["ablation"] = ablation_payload(report, echo)
+    if "oracle" in stages:
+        with _Stage("oracle"):
+            results = run_oracle_audit(matrices, cfg.oracle)
+        payloads["oracle"] = oracle_payload(results)
 
     def write(out: Path) -> None:
         if "complexity" in stages:
-            write_complexity(out, ovo, ovr, columns, echo)
+            write_complexity(out, payloads["complexity"], echo)
         if "ablation" in stages:
-            write_ablation(out, report, echo)
+            write_ablation(out, payloads["ablation"])
         if "oracle" in stages:
-            write_oracle(out, results, echo)
+            write_oracle(out, payloads["oracle"], echo)
             write_validation(out, ovo, results)
         if dump_features:
             write_feature_matrices(out, matrices)
         if summary:
             window_counts = Counter(data.windows.labels)
-            payload = {
-                "schema_version": SCHEMA_VERSION,
-                "config": echo,
-                "classes": data.classes,
-                "window_counts": {label: window_counts[label] for label in data.classes},
-                "complexity": {
-                    "one_vs_one": complexity_payload(ovo, columns),
-                    "one_vs_rest": complexity_payload(ovr, columns),
-                },
-                "ablation": ablation_payload(report, echo),
-                "oracle": oracle_payload(results),
-            }
             (name,) = ARTIFACTS["summary"]
-            write_json(out / name, payload)
+            write_json(
+                out / name,
+                {
+                    "schema_version": SCHEMA_VERSION,
+                    "config": echo,
+                    "classes": data.classes,
+                    "window_counts": {label: window_counts[label] for label in data.classes},
+                    **payloads,
+                },
+            )
 
     _commit(out_dir, write)
     return 0

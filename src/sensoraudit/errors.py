@@ -1,6 +1,5 @@
 """Exception hierarchy and the process exit code attached to each family."""
 
-EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_MISSING_FILE = 3
@@ -26,10 +25,6 @@ class InvalidSpecError(ConfigError):
 
 
 class TopologyMismatchError(ConfigError):
-    pass
-
-
-class IndexOutOfRangeError(ConfigError):
     pass
 
 

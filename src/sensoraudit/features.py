@@ -31,6 +31,12 @@ Two extractors take care to stay exact per row:
 search keeps its working set small, which a search over all rows at once
 would not.
 
+Where a product or square would leave float64's range, ``zero_crossings``
+and ``slope_sign_changes`` compare signs and exponents instead, and
+``rms``, ``median_frequency`` and ``sample_entropy`` scale the row by an
+exact power of two. Where nothing over- or underflows, each keeps the
+bits of its plain formula.
+
 Degenerate inputs map to fixed finite values so that a matrix built from
 nullified (all-zero) channels stays finite:
 
@@ -82,6 +88,7 @@ FEATURE_NAMES: tuple[str, ...] = (
 
 _SQRT2 = math.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 # Candidate template pairs that sample_entropy confirms per step; the
 # index and difference arrays of one step stay under 128 KB.
@@ -299,8 +306,9 @@ def _sample_entropy_row(x: np.ndarray, m: int, r_coeff: float) -> tuple[float, b
 def zero_crossings(signal: np.ndarray, threshold: float = 0.0):
     """Sign changes between neighbours; exact zeros never cross."""
     x = np.asarray(signal, dtype=float)
-    a, b = x[..., :-1], x[..., 1:]
-    crossings = (a * b < 0.0) & (np.abs(a - b) >= threshold)
+    pos, neg = x > 0.0, x < 0.0
+    opposite = pos[..., :-1] & neg[..., 1:] | neg[..., :-1] & pos[..., 1:]
+    crossings = opposite & (np.abs(x[..., :-1] - x[..., 1:]) >= threshold)
     return _scalar_or_rows(np.count_nonzero(crossings, axis=-1), int)
 
 
@@ -310,16 +318,29 @@ def waveform_length(signal: np.ndarray):
 
 
 def rms(signal: np.ndarray):
+    """Root mean square; a row whose mean square leaves the normal range is scaled by 2**k."""
     x = np.asarray(signal, dtype=float)
-    return _scalar_or_rows(np.sqrt(np.mean(np.square(x), axis=-1)))
+    rows = x.reshape(-1, x.shape[-1])
+    with np.errstate(over="ignore"):
+        mean_square = np.mean(np.square(rows), axis=1)
+    odd = (mean_square == math.inf) | (mean_square < _TINY)
+    out = np.sqrt(mean_square)
+    if odd.any():
+        shift = -np.frexp(np.abs(rows[odd]).max(axis=1))[1]
+        scaled = np.ldexp(rows[odd], shift[:, None])
+        out[odd] = np.ldexp(np.sqrt(np.mean(np.square(scaled), axis=1)), -shift)
+    return _scalar_or_rows(out.reshape(x.shape[:-1]))
 
 
 def slope_sign_changes(signal: np.ndarray, threshold: float = 0.0):
     """Interior points where both neighbour slopes oppose beyond threshold."""
     x = np.asarray(signal, dtype=float)
-    left = x[..., 1:-1] - x[..., :-2]
-    right = x[..., 1:-1] - x[..., 2:]
-    return _scalar_or_rows(np.count_nonzero(left * right > threshold, axis=-1), int)
+    left, e_left = np.frexp(x[..., 1:-1] - x[..., :-2])
+    right, e_right = np.frexp(x[..., 1:-1] - x[..., 2:])
+    # left * right > threshold, as mantissas against the exponent-scaled threshold
+    with np.errstate(over="ignore"):
+        limit = np.ldexp(threshold, -(e_left + e_right))
+    return _scalar_or_rows(np.count_nonzero(left * right > limit, axis=-1), int)
 
 
 def median_frequency(signal: np.ndarray, fs: float):

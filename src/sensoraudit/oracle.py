@@ -5,6 +5,10 @@ audit's predictions show up in an actual learner. Everything is
 deterministic for a fixed seed: each pair derives its own generator from
 (seed, sha256(pair)), so no pair's draws depend on the pairs before it.
 
+A classifier is its parameter dict: ``train`` returns it and ``predict``
+labels rows with it. ``run_pair`` counts the test predictions with
+``confusion`` and builds the pair's one ``OracleResult`` from the counts.
+
 Architecture: one rectified hidden layer, a single logistic output,
 cross-entropy on logits, plain mini-batch gradient descent with a fixed
 learning rate. Weights start uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)];
@@ -51,26 +55,21 @@ class OracleConfig(JsonConfig):
             raise InvalidSpecError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
-def standardize(
-    train: np.ndarray, test: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Z-score both splits with train statistics only.
+def standardize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z-score both splits with train statistics only: (train_z, test_z).
 
-    Columns constant in train map to exactly 0 in both splits. Returns
-    (train_z, test_z, mean, sd) with the raw per-column train mean/sd,
-    which read inf where they overflow float64.
+    Columns constant in train map to exactly 0 in both splits.
     """
     train = np.asarray(train, dtype=float)
     test = np.asarray(test, dtype=float)
     if train.shape[0] == 0:
         raise EmptyTrainingSetError("standardize needs a nonempty training split")
     with np.errstate(over="ignore"):
-        mean = train.mean(axis=0)
-        sd = train.std(axis=0)
-    center, spread = mean, sd
+        center, spread = train.mean(axis=0), train.std(axis=0)
+    dead = spread == 0.0
     # values beyond ~1e154 overflow the variance; scaling a column's values
     # by a power of two is exact and leaves its z-scores as they are
-    big = ~(np.isfinite(mean) & np.isfinite(sd))
+    big = ~(np.isfinite(center) & np.isfinite(spread))
     if big.any():
         shift = np.where(big, -np.frexp(np.abs(train).max(axis=0))[1], 0)
         train, test = np.ldexp(train, shift), np.ldexp(test, shift)
@@ -78,10 +77,9 @@ def standardize(
     scale = np.where(spread > 0.0, spread, 1.0)
     train_z = (train - center) / scale
     test_z = (test - center) / scale
-    dead = sd == 0.0
     train_z[:, dead] = 0.0
     test_z[:, dead] = 0.0
-    return train_z, test_z, mean, sd
+    return train_z, test_z
 
 
 def init_params(n_in: int, n_hidden: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -132,72 +130,45 @@ def gradients(
     return {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
 
 
-class MlpClassifier:
-    """Deterministic one-hidden-layer binary classifier.
+def train(
+    x: np.ndarray, y: np.ndarray, cfg: OracleConfig, rng: np.random.Generator
+) -> dict[str, np.ndarray]:
+    """Parameters after ``cfg.epochs`` epochs of mini-batch descent on (x, y).
 
-    After ``fit``, ``loss_history`` is ``[initial, final]``: the mean
-    training loss before the first epoch and after the last.
+    ``rng`` draws the initial weights, then one permutation per epoch.
     """
-
-    def __init__(self, cfg: OracleConfig):
-        self.cfg = cfg
-        self.params: dict[str, np.ndarray] | None = None
-        self.loss_history: list[float] = []
-
-    def fit(self, x: np.ndarray, y: np.ndarray, rng: np.random.Generator | None = None):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape[0] != y.shape[0]:
-            raise LengthMismatchError("x and y row counts differ")
-        present = np.unique(y)
-        if present.size < 2:
-            raise SingleClassTrainingError("training labels contain a single class")
-        if rng is None:
-            rng = np.random.default_rng(self.cfg.seed)
-        params = init_params(x.shape[1], self.cfg.hidden_units, rng)
-        n = x.shape[0]
-        bs = self.cfg.batch_size
-        lr = self.cfg.learning_rate
-        # a step too large overflows the parameters; that run is refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.loss_history = [mean_loss(params, x, y)]
-            for _ in range(self.cfg.epochs):
-                order = rng.permutation(n)
-                for start in range(0, n, bs):
-                    idx = order[start : start + bs]
-                    grads = gradients(params, x[idx], y[idx])
-                    for key in params:
-                        params[key] -= lr * grads[key]
-            self.loss_history.append(mean_loss(params, x, y))
-        if not (
-            math.isfinite(self.loss_history[-1])
-            and all(np.isfinite(p).all() for p in params.values())
-        ):
-            raise InvalidSpecError(
-                f"learning_rate {lr!r} makes training diverge: the final loss is "
-                f"{self.loss_history[-1]}; use a smaller learning_rate"
-            )
-        self.params = params
-        return self
-
-    def decision_values(self, x: np.ndarray) -> np.ndarray:
-        if self.params is None:
-            raise InvalidSpecError("classifier is not fitted")
-        _, _, logits = _forward(self.params, np.asarray(x, dtype=float))
-        return logits
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return (self.decision_values(x) >= 0.0).astype(int)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape[0] != y.shape[0]:
+        raise LengthMismatchError("x and y row counts differ")
+    if np.unique(y).size < 2:
+        raise SingleClassTrainingError("training labels contain a single class")
+    params = init_params(x.shape[1], cfg.hidden_units, rng)
+    n = x.shape[0]
+    bs = cfg.batch_size
+    lr = cfg.learning_rate
+    # a step too large overflows the parameters; that run is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, bs):
+                idx = order[start : start + bs]
+                grads = gradients(params, x[idx], y[idx])
+                for key in params:
+                    params[key] -= lr * grads[key]
+        final_loss = mean_loss(params, x, y)
+    if not (math.isfinite(final_loss) and all(np.isfinite(p).all() for p in params.values())):
+        raise InvalidSpecError(
+            f"learning_rate {lr!r} makes training diverge: the final loss is "
+            f"{final_loss}; use a smaller learning_rate"
+        )
+    return params
 
 
-@dataclass
-class Evaluation:
-    mcc: float
-    accuracy: float
-    tp: int
-    tn: int
-    fp: int
-    fn: int
+def predict(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Label 1 where the logit is nonnegative, else 0."""
+    _, _, logits = _forward(params, np.asarray(x, dtype=float))
+    return (logits >= 0.0).astype(int)
 
 
 def mcc_from_counts(tp: int, tn: int, fp: int, fn: int) -> float:
@@ -208,19 +179,20 @@ def mcc_from_counts(tp: int, tn: int, fp: int, fn: int) -> float:
     return float((tp * tn - fp * fn) / math.sqrt(denom))
 
 
-def evaluate_mcc(predictions: np.ndarray, truth: np.ndarray) -> Evaluation:
+def confusion(predictions: np.ndarray, truth: np.ndarray) -> tuple[int, int, int, int]:
+    """(tp, tn, fp, fn) of binary predictions against the truth."""
     pred = np.asarray(predictions).astype(int)
     true = np.asarray(truth).astype(int)
     if pred.shape != true.shape or pred.size == 0:
         raise LengthMismatchError(
             f"predictions ({pred.size}) and truth ({true.size}) must be equal-length and nonempty"
         )
-    tp = int(np.count_nonzero((pred == 1) & (true == 1)))
-    tn = int(np.count_nonzero((pred == 0) & (true == 0)))
-    fp = int(np.count_nonzero((pred == 1) & (true == 0)))
-    fn = int(np.count_nonzero((pred == 0) & (true == 1)))
-    accuracy = (tp + tn) / pred.size
-    return Evaluation(mcc_from_counts(tp, tn, fp, fn), accuracy, tp, tn, fp, fn)
+    return (
+        int(np.count_nonzero((pred == 1) & (true == 1))),
+        int(np.count_nonzero((pred == 0) & (true == 0))),
+        int(np.count_nonzero((pred == 1) & (true == 0))),
+        int(np.count_nonzero((pred == 0) & (true == 1))),
+    )
 
 
 @dataclass
@@ -272,14 +244,14 @@ def run_pair(
     x_test = np.vstack([matrix_a.values[a_test], matrix_b.values[b_test]])
     y_test = np.concatenate([np.zeros(len(a_test)), np.ones(len(b_test))])
 
-    x_train, x_test, _, _ = standardize(x_train, x_test)
-    clf = MlpClassifier(cfg).fit(x_train, y_train, rng=rng)
-    ev = evaluate_mcc(clf.predict(x_test), y_test)
+    x_train, x_test = standardize(x_train, x_test)
+    counts = confusion(predict(train(x_train, y_train, cfg, rng), x_test), y_test)
+    tp, tn, _, _ = counts
     return OracleResult(
         pair=(class_a, class_b),
-        mcc=ev.mcc,
-        accuracy=ev.accuracy,
-        confusion=(ev.tp, ev.tn, ev.fp, ev.fn),
+        mcc=mcc_from_counts(*counts),
+        accuracy=(tp + tn) / y_test.size,
+        confusion=counts,
         seed=cfg.seed,
     )
 

@@ -2,10 +2,12 @@
 
 ``ARTIFACTS`` names every file an audit writes, by the group that owns
 it; the writers and the CLI's overwrite check both take their names from
-it. The writers themselves write file by file: the CLI runs them into a
-staging directory and moves the finished set into place, so a failed run
-leaves the output directory as it was. Floats are serialized with repr
-(shortest round-trip), which keeps reruns byte-identical.
+it. Each group's writer takes the group's payload, which the CLI builds
+once and also puts in the summary. The writers write file by file: the
+CLI runs them into a staging directory and moves the finished set into
+place, so a failed run leaves the output directory as it was. Floats are
+serialized with repr (shortest round-trip), which keeps reruns
+byte-identical.
 """
 
 from __future__ import annotations
@@ -90,14 +92,10 @@ def channel_name(sensor: int) -> str:
 
 # -- complexity (stage 1) ----------------------------------------------------
 
-def complexity_rows(audit: PairwiseAudit) -> list[list]:
-    rows = []
-    for r in audit.results:
-        s = r.score
-        rows.append(
-            [r.target, r.reference, s.f1, s.f1_argmax, s.f2, s.f3, s.f3_argmax, r.normalized_fdr]
-        )
-    return rows
+# complexity.csv: one one-vs-one pair record per row, these keys as columns
+COMPLEXITY_COLUMNS = (
+    "target", "reference", "f1", "f1_argmax_column", "f2", "f3", "f3_argmax_column", "normalized_fdr"
+)
 
 
 def complexity_payload(audit: PairwiseAudit, columns: list[str]) -> dict:
@@ -125,37 +123,16 @@ def complexity_payload(audit: PairwiseAudit, columns: list[str]) -> dict:
     return {"mode": audit.mode, "columns": columns, "pairs": pairs}
 
 
-def write_complexity(
-    out_dir: Path,
-    one_vs_one: PairwiseAudit,
-    one_vs_rest: PairwiseAudit,
-    columns: list[str],
-    config_echo: dict,
-) -> list[Path]:
+def write_complexity(out_dir: Path, payload: dict, config_echo: dict) -> list[Path]:
+    """``payload`` maps "one_vs_one" and "one_vs_rest" to their ``complexity_payload``."""
     csv_path, json_path, plot_path = (out_dir / n for n in ARTIFACTS["complexity"])
-    header = [
-        "target",
-        "reference",
-        "f1",
-        "f1_argmax_column",
-        "f2",
-        "f3",
-        "f3_argmax_column",
-        "normalized_fdr",
-    ]
-    write_csv(csv_path, header, complexity_rows(one_vs_one))
-    write_json(
-        json_path,
-        {
-            "config": config_echo,
-            "one_vs_one": complexity_payload(one_vs_one, columns),
-            "one_vs_rest": complexity_payload(one_vs_rest, columns),
-        },
-    )
+    pairs = payload["one_vs_one"]["pairs"]
+    write_csv(csv_path, list(COMPLEXITY_COLUMNS), [[p[c] for c in COMPLEXITY_COLUMNS] for p in pairs])
+    write_json(json_path, {"config": config_echo, **payload})
     write_csv(
         plot_path,
         ["pair", "normalized_fdr"],
-        [[f"{r.target} vs {r.reference}", r.normalized_fdr] for r in one_vs_one.results],
+        [[f"{p['target']} vs {p['reference']}", p["normalized_fdr"]] for p in pairs],
     )
     return [csv_path, json_path, plot_path]
 
@@ -252,24 +229,27 @@ def ablation_payload(report: AblationReport, config_echo: dict) -> dict:
     }
 
 
-def write_ablation(out_dir: Path, report: AblationReport, config_echo: dict) -> list[Path]:
-    plot_paths = [out_dir / criticality_name(label) for label in report.classes]
+def write_ablation(out_dir: Path, payload: dict) -> list[Path]:
+    """Write the ablation group from its ``ablation_payload``."""
+    classes = payload["classes"]
+    normalized = payload["normalized_criticality"]
+    plot_paths = [out_dir / criticality_name(label) for label in classes]
     json_path, csv_path, ranking_path, comp_path = (out_dir / n for n in ARTIFACTS["ablation"])
-    write_json(json_path, ablation_payload(report, config_echo))
+    write_json(json_path, payload)
 
     rows = []
-    for ci, label in enumerate(report.classes):
-        for j, subset in enumerate(report.subsets):
-            normalized = report.normalized_criticality[ci, subset[0]] if len(subset) == 1 else ""
-            rows.append([label, subset_label(subset), SHIFT_METRIC, report.raw_shift[ci, j], normalized])
+    for label in classes:
+        for subset, shift in zip(payload["subsets"], payload["raw_shift"][label]):
+            single = normalized[label][subset[0]] if len(subset) == 1 else ""
+            rows.append([label, subset_label(subset), SHIFT_METRIC, shift, single])
     write_csv(csv_path, ["class", "subset", "shift_metric", "raw_shift", "normalized"], rows)
 
     write_csv(
         ranking_path,
         ["rank", "sensor", "channel", "mean_normalized_criticality"],
         [
-            [rank + 1, sensor, channel_name(sensor), float(report.mean_criticality[sensor])]
-            for rank, sensor in enumerate(report.ranking)
+            [rank + 1, sensor, channel_name(sensor), payload["mean_criticality"][sensor]]
+            for rank, sensor in enumerate(payload["ranking"])
         ],
     )
 
@@ -287,48 +267,32 @@ def write_ablation(out_dir: Path, report: AblationReport, config_echo: dict) -> 
         ],
         [
             [
-                n.class_label,
-                n.sensor,
-                n.criticality,
-                n.neighbours[0],
-                n.neighbour_criticality[0],
-                n.neighbours[1],
-                n.neighbour_criticality[1],
-                n.verdict,
+                n["class"],
+                n["sensor"],
+                n["criticality"],
+                n["neighbours"][0],
+                n["neighbour_criticality"][0],
+                n["neighbours"][1],
+                n["neighbour_criticality"][1],
+                n["verdict"],
             ]
-            for n in report.compensation
+            for n in payload["neighbour_compensation"]
         ],
     )
 
-    for ci, plot_path in enumerate(plot_paths):
+    for label, plot_path in zip(classes, plot_paths):
         write_csv(
             plot_path,
             ["sensor", "channel", "normalized_criticality"],
-            [
-                [s, channel_name(s), float(report.normalized_criticality[ci, s])]
-                for s in range(report.channel_count)
-            ],
+            [[s, channel_name(s), v] for s, v in enumerate(normalized[label])],
         )
     return [json_path, csv_path, ranking_path, comp_path, *plot_paths]
 
 
 # -- oracle ------------------------------------------------------------------
 
-def write_oracle(
-    out_dir: Path, results: list[OracleResult], config_echo: dict
-) -> list[Path]:
-    csv_path, json_path = (out_dir / n for n in ARTIFACTS["oracle"][:2])
-    rows = []
-    for r in results:
-        tp, tn, fp, fn = r.confusion
-        rows.append([r.pair[0], r.pair[1], r.mcc, r.accuracy, tp, tn, fp, fn, r.seed])
-    write_csv(
-        csv_path,
-        ["class_a", "class_b", "mcc", "accuracy", "tp", "tn", "fp", "fn", "seed"],
-        rows,
-    )
-    write_json(json_path, {"config": config_echo, "results": oracle_payload(results)})
-    return [csv_path, json_path]
+# oracle.csv: one oracle_payload record per row; tp..fn come from its confusion
+ORACLE_COLUMNS = ("class_a", "class_b", "mcc", "accuracy", "tp", "tn", "fp", "fn", "seed")
 
 
 def oracle_payload(results: list[OracleResult]) -> list[dict]:
@@ -338,16 +302,20 @@ def oracle_payload(results: list[OracleResult]) -> list[dict]:
             "class_b": r.pair[1],
             "mcc": float(r.mcc),
             "accuracy": float(r.accuracy),
-            "confusion": {
-                "tp": r.confusion[0],
-                "tn": r.confusion[1],
-                "fp": r.confusion[2],
-                "fn": r.confusion[3],
-            },
+            "confusion": dict(zip(("tp", "tn", "fp", "fn"), r.confusion)),
             "seed": r.seed,
         }
         for r in results
     ]
+
+
+def write_oracle(out_dir: Path, payload: list[dict], config_echo: dict) -> list[Path]:
+    """Write oracle.csv and oracle.json from the ``oracle_payload`` records."""
+    csv_path, json_path = (out_dir / n for n in ARTIFACTS["oracle"][:2])
+    rows = [[{**r, **r["confusion"]}[c] for c in ORACLE_COLUMNS] for r in payload]
+    write_csv(csv_path, list(ORACLE_COLUMNS), rows)
+    write_json(json_path, {"config": config_echo, "results": payload})
+    return [csv_path, json_path]
 
 
 def write_validation(

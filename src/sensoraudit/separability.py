@@ -145,10 +145,6 @@ class PairwiseAudit:
     mode: str  # "one-vs-one" or "one-vs-rest"
     results: list[PairResult] = field(default_factory=list)
 
-    @property
-    def class_pairs(self) -> list[tuple[str, str]]:
-        return [(r.target, r.reference) for r in self.results]
-
 
 def _pool_rest(matrices: list[FeatureMatrix]) -> FeatureMatrix:
     first = matrices[0]

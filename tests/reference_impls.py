@@ -9,10 +9,14 @@ closed-form ablation audit replaces.
 
 import math
 
-from sensoraudit.errors import IndexOutOfRangeError, InvalidSpecError, TooFewRowsError
+from sensoraudit.errors import InvalidSpecError, TooFewRowsError
 from sensoraudit.features import FeatureMatrix, build_class_matrices, zero_window_features
 from sensoraudit.ingest import Windows
 from sensoraudit.separability import separability_score
+
+
+class IndexOutOfRangeError(ValueError):
+    """A sensor index outside the recording's channels."""
 
 
 def naive_mean(xs):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CLASSES, ablate, criticality_spec, windows_from, windows_of
-from reference_impls import ablated_matrix, ablated_shift, nullify
+from reference_impls import IndexOutOfRangeError, ablated_matrix, ablated_shift, nullify
 
 from sensoraudit import ablation
 from sensoraudit.ablation import (
@@ -18,7 +18,6 @@ from sensoraudit.ablation import (
     run_ablation_audit,
 )
 from sensoraudit.errors import (
-    IndexOutOfRangeError,
     InvalidSpecError,
     MismatchedColumnsError,
     TooFewRowsError,

@@ -1,17 +1,19 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sensoraudit
-from sensoraudit import cli
+from sensoraudit import cli, reports
 from sensoraudit.cli import main
 from sensoraudit.errors import (
     EXIT_BAD_DATA,
@@ -466,10 +468,6 @@ def write_noise_spec(path: Path, gain: float) -> Path:
     return path
 
 
-# rms, median_frequency and the oracle's standardize still warn on overflow
-# here (their formulas are left as they are); an invalid-value warning,
-# which a NaN separability score raises, still fails the test
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestHugeAmplitudes:
     @pytest.mark.parametrize("gain", [1e140, 1e152])
     def test_full_audit_has_no_nan(self, tmp_path, gain):
@@ -481,6 +479,22 @@ class TestHugeAmplitudes:
             assert not re.search(r"\bnan\b", path.read_text(), re.IGNORECASE), path.name
         assert float(read_csv(out / "complexity.csv")[0]["f1"]) > 0.0
 
+    def test_rms_and_sign_counts_stay_finite(self, tmp_path):
+        # rms read inf at this gain, and the run exited 4
+        spec = write_noise_spec(tmp_path / "spec.json", 1e155)
+        cfg = tmp_path / "c.json"
+        features = ["rms", "waveform_length", "zero_crossings", "slope_sign_changes"]
+        cfg.write_text(json.dumps({"features": {"enabled_features": features}}))
+        out = tmp_path / "out"
+        argv = ["complexity", "--synthetic", str(spec), "--config", str(cfg), "--dump-features"]
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = read_csv(out / "features.csv")
+        assert all(math.isfinite(float(r["ch1_rms"])) and float(r["ch1_rms"]) > 1e154 for r in rows)
+        assert all(float(r["ch1_zero_crossings"]) > 0.0 for r in rows)
+
+    # wavelet_energy's squares overflow at this gain (that energy exceeds
+    # float64) before fractal_dimension refuses the window
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_fractal_dimension_overflow_is_bad_data(self, tmp_path, capsys):
         spec = write_noise_spec(tmp_path / "spec.json", 1e154)
         out = tmp_path / "out"
@@ -544,6 +558,17 @@ class TestOracleCmd:
             assert row["seed"] == "3"
         for row in validation_rows:
             assert 0.0 <= float(row["normalized_fdr"]) <= 1.0
+
+    def test_echoes_the_seed_it_trained_with(self, tmp_path):
+        # without --seed the spec's seed trains the oracle, not the config's 3
+        spec = write_spec(tmp_path / "spec.json", seed=5)
+        cfg = fast_config(tmp_path / "audit.json")
+        out = tmp_path / "out"
+        assert main(["oracle", "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "oracle.json").read_text())
+        assert payload["config"]["seed"] == 5
+        assert payload["config"]["oracle"]["seed"] == 5
+        assert {r["seed"] for r in payload["results"]} == {5}
 
 
 class TestFull:
@@ -642,6 +667,18 @@ class TestRestHandling:
         assert len(rows) == 3  # all three classes audited pairwise
 
 
+# the writers the CLI calls, each returning what it wrote; write_json
+# writes the summary and returns nothing
+WRITERS = (
+    "write_complexity",
+    "write_ablation",
+    "write_oracle",
+    "write_validation",
+    "write_feature_matrices",
+    "write_json",
+)
+
+
 class TestRunner:
     @pytest.mark.parametrize(
         "command, dump",
@@ -654,16 +691,58 @@ class TestRunner:
             ("full", True),
         ],
     )
-    def test_writes_exactly_the_table_names(self, tmp_path, command, dump):
+    def test_writes_exactly_the_table_names(self, tmp_path, monkeypatch, command, dump):
         spec = write_spec(tmp_path / "spec.json")
         cfg = fast_config(tmp_path / "audit.json")
         out = tmp_path / "out"
         argv = [command, "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)]
+        # what each writer returns, and write_json's path: what a caller counts
+        written = []
+
+        def recording(write):
+            def recorded(*args):
+                result = write(*args)
+                paths = [args[0]] if result is None else result if isinstance(result, list) else [result]
+                written.extend(Path(p).name for p in paths)
+                return result
+
+            return recorded
+
+        for name in WRITERS:
+            monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
         assert main(argv + (["--dump-features"] if dump else [])) == 0
         stages = cli.COMMANDS[command][1]
         groups = [*stages, *(["summary"] if command == "full" else []), *(["features"] if dump else [])]
         expected = artifact_names(groups, ["alpha", "beta", "gamma"])
         assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+        assert sorted(written) == sorted(expected)
+
+    def test_each_payload_is_built_once(self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def counting(name, build):
+            def counted(*args):
+                calls[name] += 1
+                return build(*args)
+
+            return counted
+
+        for name in ("complexity_payload", "ablation_payload", "oracle_payload", "_advice"):
+            build = counting(name, getattr(reports, name))
+            monkeypatch.setattr(reports, name, build)
+            if hasattr(cli, name):
+                monkeypatch.setattr(cli, name, build)
+        spec = write_spec(tmp_path / "spec.json")
+        cfg = fast_config(tmp_path / "audit.json")
+        out = tmp_path / "out"
+        assert main(["full", "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)]) == 0
+        # one build per audit mode for complexity, one for each other group
+        assert calls == {"complexity_payload": 2, "ablation_payload": 1, "oracle_payload": 1, "_advice": 1}
+        summary = json.loads((out / "audit_summary.json").read_text())
+        complexity = json.loads((out / "complexity.json").read_text())
+        assert {k: complexity[k] for k in ("one_vs_one", "one_vs_rest")} == summary["complexity"]
+        assert json.loads((out / "ablation.json").read_text()) == summary["ablation"]
+        assert json.loads((out / "oracle.json").read_text())["results"] == summary["oracle"]
 
     @pytest.mark.parametrize("command", ["ablate", "oracle"])
     def test_dump_features_is_not_accepted(self, tmp_path, command):

@@ -319,6 +319,28 @@ def test_amplitude_features_scale_linearly(values, scale):
     )
 
 
+class TestAmplitudeFree:
+    # at 2**600 neighbour products and squares overflow, at 2**-600 they
+    # underflow to zero; the thresholds scale with the row
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_counts_and_rms_keep_their_bits(self, k):
+        x = np.random.default_rng(0).standard_normal(400)
+        rows = np.stack([x, np.round(x * 2), np.cumsum(x), np.zeros(400)])
+        scale = 2.0**k
+        for t in (0.0, 0.3):
+            assert np.array_equal(zero_crossings(rows * scale, t * scale), zero_crossings(rows, t))
+        assert np.array_equal(slope_sign_changes(rows * scale), slope_sign_changes(rows))
+        assert same_bits(rms(rows * scale), np.ldexp(rms(rows), k))
+        assert zero_crossings(x * scale) == zero_crossings(x) == 206
+        assert slope_sign_changes(x * scale) == slope_sign_changes(x) == 267
+        assert same_bits(rms(x * scale), math.ldexp(rms(x), k))
+
+    def test_nonzero_slope_threshold_over_overflowing_products(self):
+        # every product of slopes is far above 1.0 at this scale
+        x = np.random.default_rng(1).standard_normal(200)
+        assert slope_sign_changes(x * 2.0**600, 1.0) == slope_sign_changes(x)
+
+
 class TestFeatureRow:
     def test_72_dims_for_eight_channels(self, fcfg):
         rng = np.random.default_rng(0)

@@ -13,17 +13,18 @@ from sensoraudit.errors import (
     TooFewClassesError,
 )
 from sensoraudit.oracle import (
-    MlpClassifier,
     OracleConfig,
-    evaluate_mcc,
+    confusion,
     gradients,
     init_params,
     loss_and_grads,
     mcc_from_counts,
     mean_loss,
     pair_rng,
+    predict,
     run_oracle_audit,
     standardize,
+    train,
 )
 
 
@@ -40,27 +41,34 @@ def blobs(n=200, gap=3.0, dims=2, seed=0):
     return x, y
 
 
+def fit(x, y, cfg):
+    return train(x, y, cfg, np.random.default_rng(cfg.seed))
+
+
+def mcc(pred, truth):
+    return mcc_from_counts(*confusion(pred, truth))
+
+
 class TestStandardize:
     def test_constant_column_maps_to_zero(self):
         train = np.array([[1.0, 5.0], [1.0, 7.0], [1.0, 9.0]])
         test = np.array([[4.0, 7.0]])
-        train_z, test_z, mean, sd = standardize(train, test)
+        train_z, test_z = standardize(train, test)
         assert np.all(train_z[:, 0] == 0.0)
         assert np.all(test_z[:, 0] == 0.0)
-        assert sd[0] == 0.0
 
     def test_known_zscore(self):
         train = np.array([[8.0], [12.0]])  # mean 10, population sd 2
         test = np.array([[14.0]])
-        _, test_z, mean, sd = standardize(train, test)
-        assert mean[0] == 10.0 and sd[0] == 2.0
+        train_z, test_z = standardize(train, test)
+        assert train_z[:, 0].tolist() == [-1.0, 1.0]
         assert test_z[0, 0] == 2.0
 
     def test_idempotent_on_standardized_data(self):
         rng = np.random.default_rng(3)
         train = rng.normal(size=(50, 4))
         train = (train - train.mean(0)) / train.std(0)
-        train_z, _, _, _ = standardize(train, train[:5])
+        train_z, _ = standardize(train, train[:5])
         assert np.allclose(train_z, train, atol=1e-12)
 
     def test_empty_train(self):
@@ -74,40 +82,38 @@ class TestStandardize:
         scale = np.array([1.0, 2.0**900, 1.0])
         plain = standardize(train, test)
         scaled = standardize(train * scale, test * scale)
-        for a, b in zip(scaled[:2], plain[:2]):
+        for a, b in zip(scaled, plain):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-        assert scaled[3][1] == np.inf
 
 
 class TestMcc:
     def test_perfect(self):
-        ev = evaluate_mcc([1, 0, 1, 0], [1, 0, 1, 0])
-        assert ev.mcc == 1.0 and ev.accuracy == 1.0
+        assert confusion([1, 0, 1, 0], [1, 0, 1, 0]) == (2, 2, 0, 0)
+        assert mcc([1, 0, 1, 0], [1, 0, 1, 0]) == 1.0
 
     def test_inverted(self):
-        ev = evaluate_mcc([0, 1, 0, 1], [1, 0, 1, 0])
-        assert ev.mcc == -1.0
+        assert confusion([0, 1, 0, 1], [1, 0, 1, 0]) == (0, 0, 2, 2)
+        assert mcc([0, 1, 0, 1], [1, 0, 1, 0]) == -1.0
 
     def test_hand_counts(self):
         assert mcc_from_counts(45, 45, 5, 5) == 0.8
 
     def test_zero_denominator_convention(self):
         assert mcc_from_counts(10, 0, 0, 5) == 0.0
-        ev = evaluate_mcc([1, 1, 1], [1, 1, 0])
-        assert ev.mcc == 0.0
+        assert confusion([1, 1, 1], [1, 1, 0]) == (2, 0, 1, 0)
+        assert mcc([1, 1, 1], [1, 1, 0]) == 0.0
 
     def test_counts_sum_to_test_size(self):
         rng = np.random.default_rng(0)
         pred = rng.integers(0, 2, size=37)
         truth = rng.integers(0, 2, size=37)
-        ev = evaluate_mcc(pred, truth)
-        assert ev.tp + ev.tn + ev.fp + ev.fn == 37
+        assert sum(confusion(pred, truth)) == 37
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            evaluate_mcc([1, 0], [1])
+            confusion([1, 0], [1])
         with pytest.raises(LengthMismatchError):
-            evaluate_mcc([], [])
+            confusion([], [])
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,10 +121,10 @@ class TestMcc:
 def test_mcc_properties(pairs):
     pred = [p for p, _ in pairs]
     truth = [t for _, t in pairs]
-    forward = evaluate_mcc(pred, truth).mcc
+    forward = mcc(pred, truth)
     assert -1.0 <= forward <= 1.0
-    assert evaluate_mcc(truth, pred).mcc == pytest.approx(forward, abs=1e-12)
-    flipped = evaluate_mcc([1 - p for p in pred], [1 - t for t in truth]).mcc
+    assert mcc(truth, pred) == pytest.approx(forward, abs=1e-12)
+    flipped = mcc([1 - p for p in pred], [1 - t for t in truth])
     assert flipped == pytest.approx(forward, abs=1e-12)
 
 
@@ -160,10 +166,10 @@ class TestGradients:
         for key in params:
             assert np.array_equal(got[key].view(np.uint64), expected[key].view(np.uint64))
 
-    def test_fit_equals_loss_and_grads_descent(self):
+    def test_train_equals_loss_and_grads_descent(self):
         x, y = blobs(n=40, dims=3, seed=5)
         cfg = OracleConfig(hidden_units=6, epochs=4, batch_size=8, seed=2)
-        clf = MlpClassifier(cfg).fit(x, y)
+        trained = fit(x, y, cfg)
         rng = np.random.default_rng(cfg.seed)
         params = init_params(3, cfg.hidden_units, rng)
         for _ in range(cfg.epochs):
@@ -174,36 +180,37 @@ class TestGradients:
                 for key in params:
                     params[key] -= cfg.learning_rate * grads[key]
         for key in params:
-            assert np.array_equal(clf.params[key].view(np.uint64), params[key].view(np.uint64))
+            assert np.array_equal(trained[key].view(np.uint64), params[key].view(np.uint64))
 
 
 class TestTraining:
     def test_separable_blobs_train_accuracy(self):
         x, y = blobs(n=200, gap=3.0, seed=1)
         cfg = OracleConfig(seed=1)
-        clf = MlpClassifier(cfg).fit(x, y)
-        train_acc = float((clf.predict(x) == y).mean())
+        train_acc = float((predict(fit(x, y, cfg), x) == y).mean())
         assert train_acc >= 0.99
 
     def test_loss_drops_by_an_order_of_magnitude(self):
         x, y = blobs(n=200, gap=3.0, seed=2)
-        clf = MlpClassifier(OracleConfig(seed=2)).fit(x, y)
-        assert clf.loss_history[-1] < clf.loss_history[0] / 10.0
+        cfg = OracleConfig(seed=2)
+        # train draws the initial weights first from the same generator
+        initial = init_params(2, cfg.hidden_units, np.random.default_rng(cfg.seed))
+        assert mean_loss(fit(x, y, cfg), x, y) < mean_loss(initial, x, y) / 10.0
 
     def test_fixed_seed_reproduces_weights(self):
         x, y = blobs(n=120, gap=2.0, seed=3)
         cfg = OracleConfig(seed=9, epochs=20)
-        a = MlpClassifier(cfg).fit(x, y)
-        b = MlpClassifier(cfg).fit(x, y)
-        for key in a.params:
-            assert np.array_equal(a.params[key], b.params[key])
+        a = fit(x, y, cfg)
+        b = fit(x, y, cfg)
+        for key in a:
+            assert np.array_equal(a[key], b[key])
 
     def test_diverging_learning_rate_is_refused(self):
         # the parameters overflow; no RuntimeWarning may escape on the way
         x, y = blobs(n=40, dims=3, seed=5)
         cfg = OracleConfig(hidden_units=6, epochs=3, learning_rate=1e300)
         with pytest.raises(InvalidSpecError, match="learning_rate 1e\\+300 makes training diverge"):
-            MlpClassifier(cfg).fit(x, y)
+            fit(x, y, cfg)
 
     def test_permuted_labels_give_null_mcc(self):
         # mean test MCC over 20 seeds stays near zero
@@ -215,15 +222,18 @@ class TestTraining:
             train_idx = rng.permutation(200)[:160]
             test_idx = np.setdiff1d(np.arange(200), train_idx)
             cfg = OracleConfig(seed=seed, epochs=60)
-            tr, te, _, _ = standardize(x[train_idx], x[test_idx])
-            clf = MlpClassifier(cfg).fit(tr, y[train_idx])
-            values.append(evaluate_mcc(clf.predict(te), y[test_idx]).mcc)
+            tr, te = standardize(x[train_idx], x[test_idx])
+            values.append(mcc(predict(fit(tr, y[train_idx], cfg), te), y[test_idx]))
         assert abs(float(np.mean(values))) < 0.15
 
     def test_single_class_training_rejected(self):
         x = np.zeros((10, 2))
         with pytest.raises(SingleClassTrainingError):
-            MlpClassifier(OracleConfig()).fit(x, np.zeros(10))
+            fit(x, np.zeros(10), OracleConfig())
+
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(LengthMismatchError):
+            fit(np.zeros((10, 2)), np.arange(9) % 2, OracleConfig())
 
     def test_init_bounds(self):
         rng = np.random.default_rng(0)

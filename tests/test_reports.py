@@ -8,7 +8,13 @@ from conftest import ablate, windows_from
 from sensoraudit.ablation import AblationSpec
 from sensoraudit.errors import InvalidSpecError
 from sensoraudit.features import FeatureConfig
-from sensoraudit.reports import ARTIFACTS, artifact_names, kendall_tau, write_ablation
+from sensoraudit.reports import (
+    ARTIFACTS,
+    ablation_payload,
+    artifact_names,
+    kendall_tau,
+    write_ablation,
+)
 
 
 def tree(root):
@@ -50,7 +56,7 @@ class TestUnsafeLabelInWriter:
         out.mkdir()
         before = tree(tmp_path)
         with pytest.raises(InvalidSpecError, match="escaped"):
-            write_ablation(out, report, {})
+            write_ablation(out, ablation_payload(report, {}))
         assert tree(tmp_path) == before
 
 
@@ -66,7 +72,7 @@ class TestAblationCsv:
         )
         fcfg = FeatureConfig(enabled_features=("rms", "waveform_length"))
         report = ablate(windows, AblationSpec(combinatorial_depth=2), fcfg, 100.0)
-        write_ablation(tmp_path, report, {})
+        write_ablation(tmp_path, ablation_payload(report, {}))
         with (tmp_path / "ablation.csv").open(newline="") as fh:
             cells = [row["raw_shift"] for row in csv.DictReader(fh)]
         assert [float(c) for c in cells] == report.raw_shift.ravel().tolist()

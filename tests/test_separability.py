@@ -290,7 +290,7 @@ class TestPairwiseAudit:
             name: matrix_from_rows(rng.normal(size=(5, 2))) for name in ["rock", "paper", "scissors"]
         }
         audit = pairwise_audit(mats)
-        assert audit.class_pairs == [
+        assert [(r.target, r.reference) for r in audit.results] == [
             ("paper", "rock"),
             ("paper", "scissors"),
             ("rock", "scissors"),
