@@ -27,9 +27,11 @@ Two extractors take care to stay exact per row:
 * ``median_frequency`` counts the cumulative powers below half the total,
   which equals ``searchsorted`` on the nondecreasing cumulative sum.
 
-``sample_entropy`` loops over rows inside: each row's sorted candidate
-search keeps its working set small, which a search over all rows at once
-would not.
+``sample_entropy`` counts a block of rows at a time: one sort of every
+row's templates, one search for each template's candidate partners, and
+one enumeration of the whole block's candidate pairs in steps of
+``SAMPEN_CHUNK_PAIRS``. A row's counts are integers and do not depend on
+its block.
 
 Where a product or square would leave float64's range, ``zero_crossings``
 and ``slope_sign_changes`` compare signs and exponents instead, and
@@ -87,12 +89,16 @@ FEATURE_NAMES: tuple[str, ...] = (
 )
 
 _SQRT2 = math.sqrt(2.0)
-_EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
-# Candidate template pairs that sample_entropy confirms per step; the
-# index and difference arrays of one step stay under 128 KB.
-SAMPEN_CHUNK_PAIRS = 1 << 14
+# Samples per block of rows that sample_entropy counts together, and
+# candidate template pairs it confirms per step. Each array of a block or a
+# step stays below 64 KiB: glibc's free() may hand the heap top back to the
+# system after freeing 64 KiB or more, and it maps 128 KiB or more afresh
+# (its default mmap threshold); both make the time depend on what the
+# process allocated before.
+SAMPEN_BLOCK_SAMPLES = 8000
+SAMPEN_CHUNK_PAIRS = 8000
 
 # Samples per block of stacked windows (128 KB of float64).
 BLOCK_SAMPLES = 1 << 14
@@ -219,88 +225,144 @@ def sample_entropy(
     array of them for several rows).
 
     Pairs are prefiltered on the first template coordinate, as in Manis,
-    Aktaruzzaman & Sassi 2018 (Entropy 20:61): the first values of the
-    templates are sorted and a binary search finds, for each one, the
-    later sorted values that may lie within r. The search tolerance is
-    widened by a few ulps, so it can only add candidates. Each candidate
-    pair is then confirmed coordinate by coordinate with the same
-    ``|x[i] - x[j]| <= r`` comparisons as the definition, so the integer
-    counts are exact. Unordered pairs are counted once; the ordered
-    counts are twice these, which leaves A/B unchanged.
+    Aktaruzzaman & Sassi 2018 (Entropy 20:61): each row's templates are
+    sorted by their first value, and every template is paired with the
+    run of later sorted templates whose first value lies within r of its
+    own. The end of that run is settled with the same ``|x[i] - x[j]| <=
+    r`` comparison as the definition, and each candidate pair is confirmed
+    on the other coordinates with it too, so the integer counts are exact.
+    Unordered pairs are counted once; the ordered counts are twice these,
+    which leaves A/B unchanged.
 
-    Cost is about W log W for the sort plus the candidate pairs, which
-    stays far below W^2 on signals that spread over more than r; it
-    reaches W^2 only when almost every value lies within r of every
-    other. Candidates are confirmed in chunks of ``SAMPEN_CHUNK_PAIRS``,
-    so working memory is O(W + chunk) either way. A window whose values
-    are all equal returns -ln(1) = -0.0 at once. A row whose SD
-    overflows float64 is first scaled by a power of two, which is exact
-    and keeps every count. Several rows are counted one row at a time.
+    Rows are counted a block at a time, at most ``SAMPEN_BLOCK_SAMPLES``
+    samples per block (one row if it is longer), with one sort and one
+    candidate enumeration per block; a row's counts do not depend on its
+    block. Cost is about W log W per row for the sort plus the candidate
+    pairs, which stays far below W^2 on signals that spread over more
+    than r; it reaches W^2 only when almost every value lies within r of
+    every other. Candidates are confirmed in chunks of
+    ``SAMPEN_CHUNK_PAIRS``, so working memory is O(block + chunk) either
+    way. A window whose values are all equal returns -ln(1) = -0.0. A
+    row whose SD overflows float64 is first scaled by a power of two,
+    which is exact and keeps every count.
     """
     x = np.asarray(signal, dtype=float)
     n = x.shape[-1]
     if n <= m + 1:
         raise WindowTooShortError(f"sample_entropy needs > {m + 1} samples, got {n}")
+    rows = x.reshape(-1, n)
+    values = np.empty(rows.shape[0])
+    capped = np.empty(rows.shape[0], dtype=bool)
+    step = max(1, SAMPEN_BLOCK_SAMPLES // n)
+    for start in range(0, rows.shape[0], step):
+        block = slice(start, start + step)
+        values[block], capped[block] = _sample_entropy_block(rows[block], m, r_coeff)
     if x.ndim == 1:
-        value, capped = _sample_entropy_row(x, m, r_coeff)
-        return (value, capped) if with_flag else value
-    results = [_sample_entropy_row(row, m, r_coeff) for row in x.reshape(-1, n)]
-    values = np.array([value for value, _ in results]).reshape(x.shape[:-1])
-    if not with_flag:
-        return values
-    return values, np.array([capped for _, capped in results]).reshape(x.shape[:-1])
+        values, capped = float(values[0]), bool(capped[0])
+    else:
+        values, capped = values.reshape(x.shape[:-1]), capped.reshape(x.shape[:-1])
+    return (values, capped) if with_flag else values
 
 
-def _sample_entropy_row(x: np.ndarray, m: int, r_coeff: float) -> tuple[float, bool]:
-    n = x.size
+def _sample_entropy_block(
+    rows: np.ndarray, m: int, r_coeff: float
+) -> tuple[np.ndarray, np.ndarray]:
+    n = rows.shape[1]
     with np.errstate(over="ignore"):
-        sd = float(x.std())
-    if sd == math.inf:  # a power-of-two scale is exact and keeps every count
-        x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
-        sd = float(x.std())
+        sd = rows.std(axis=1)
+    big = sd == math.inf
+    if big.any():  # a power-of-two scale is exact and keeps every count
+        scaled = rows[big]
+        scaled = np.ldexp(scaled, -np.frexp(np.abs(scaled).max(axis=1))[1][:, None])
+        rows = rows.copy()
+        rows[big] = scaled
+        sd[big] = scaled.std(axis=1)
     r = r_coeff * sd
-    if not r >= 0.0 or x.min() == x.max():
-        # Equal values: every template matches, so A == B. With a NaN or
-        # negative tolerance no comparison holds, not even a template with
-        # itself; B and A, matches minus the q self-matches, are then both
-        # -q. Either way the value is -ln(1).
-        return -math.log(1.0), False
+    # Equal values: every template matches, so A == B. With a NaN or
+    # negative tolerance no comparison holds, not even a template with
+    # itself; B and A, matches minus the q self-matches, are then both -q.
+    # Either way the value is -ln(1).
+    values = np.full(rows.shape[0], -math.log(1.0))
+    capped = np.zeros(rows.shape[0], dtype=bool)
+    live = np.flatnonzero(r >= 0.0)
+    live = live[rows[live].min(axis=1) != rows[live].max(axis=1)]
+    if live.size:
+        a, b = _sampen_counts(rows[live], r[live], m)
+        cap = sampen_cap(n, m)
+        # math.log row by row: numpy's vectorised log need not round as libm's does
+        for k, a_k, b_k in zip(live.tolist(), a.tolist(), b.tolist()):
+            if a_k == 0 or b_k == 0:
+                values[k], capped[k] = cap, True
+            else:
+                values[k] = -math.log(a_k / b_k)
+    return values, capped
 
+
+def _sampen_counts(rows: np.ndarray, r: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unordered template pairs within r at length m + 1 (A) and m (B), per row."""
+    count, n = rows.shape
     q = n - m  # templates of both lengths start at 0 .. q-1
-    order = np.argsort(x[:q])
-    first = x[:q][order]
-    # Covers the rounding of first + r and of each difference, so every
-    # pair whose computed |x[i] - x[j]| is <= r is among the candidates.
-    slack = 4.0 * _EPS * (r + max(abs(first[0]), abs(first[-1])))
-    reach = np.searchsorted(first, first + (r + slack), side="right")
-    counts = reach - np.arange(1, q + 1)  # candidates after each sorted position
+    # Template t is row t // q's (t % q)-th smallest by first value; coords[k][t]
+    # is its coordinate k.
+    at = (np.argsort(rows[:, :q], axis=1) + np.arange(0, count * n, n)[:, None]).ravel()
+    samples = rows.ravel()
+    coords = [samples[at + k] for k in range(m + 1)]
+    tol = np.repeat(r, q)
+
+    # reach[t]: the first template after t in its row whose first value is
+    # beyond r. Differences from t's value grow along the sorted row, so the
+    # templates within r form a run after t. A search on keys that lay the
+    # rows end to end finds its end up to rounding; the exact comparison then
+    # moves it to the end of the run. Each row ends in a sentinel at +inf.
+    first = np.empty((count, q + 1))
+    first[:, :q] = coords[0].reshape(count, q)
+    first[:, q] = math.inf
+    lo = first[:, :1]
+    span = first[:, q - 1 : q] - lo
+    span[span == 0.0] = 1.0
+    base = 2.0 * np.arange(count)[:, None]
+    keys = (first - lo) / span + base
+    keys[:, q] = base[:, 0] + 1.5
+    target = np.minimum(first[:, :q] + r[:, None] - lo, span) / span + base
+    first = first.ravel()
+    at_first = (np.arange(count)[:, None] * (q + 1) + np.arange(q)).ravel()
+    reach = np.searchsorted(keys.ravel(), target.ravel(), side="right")
+    stuck = np.flatnonzero(first[reach] - coords[0] <= tol)
+    while stuck.size:
+        reach[stuck] += 1
+        stuck = stuck[first[reach[stuck]] - coords[0][stuck] <= tol[stuck]]
+    stuck = np.flatnonzero(first[reach - 1] - coords[0] > tol)
+    while stuck.size:
+        reach[stuck] -= 1
+        stuck = stuck[first[reach[stuck] - 1] - coords[0][stuck] > tol[stuck]]
+
+    counts = reach - at_first - 1  # candidates after each template
     ends = np.cumsum(counts)
     starts = ends - counts
-    # Flat candidate index k in row p pairs sorted position p with k + shift[p].
-    shift = np.arange(1, q + 1) - starts
+    # Flat candidate index k of template t pairs t with template k + shift[t].
+    shift = np.arange(1, count * q + 1) - starts
     total = int(ends[-1])
-
-    a = b = 0
+    # survivors stay in template order, so a search finds each row's share
+    row_starts = np.arange(0, (count + 1) * q, q)
+    a = np.zeros(count, dtype=np.intp)
+    b = np.zeros(count, dtype=np.intp)
     for k0 in range(0, total, SAMPEN_CHUNK_PAIRS):
         k1 = min(k0 + SAMPEN_CHUNK_PAIRS, total)
-        p0 = int(np.searchsorted(ends, k0, side="right"))
-        p1 = int(np.searchsorted(ends, k1 - 1, side="right")) + 1
-        per_row = counts[p0:p1].copy()  # rows p0 and p1-1 may be cut by the chunk
-        per_row[0] -= k0 - starts[p0]
-        per_row[-1] -= ends[p1 - 1] - k1
-        i = order[np.repeat(np.arange(p0, p1), per_row)]
-        j = order[np.arange(k0, k1) + np.repeat(shift[p0:p1], per_row)]
-        for offset in range(m):
-            xo = x[offset:]
-            keep = np.abs(xo[i] - xo[j]) <= r
-            i, j = i[keep], j[keep]
-        b += i.size
-        xm = x[m:]
-        a += int(np.count_nonzero(np.abs(xm[i] - xm[j]) <= r))
-
-    if a == 0 or b == 0:
-        return sampen_cap(n, m), True
-    return -math.log(a / b), False
+        t0 = int(np.searchsorted(ends, k0, side="right"))
+        t1 = int(np.searchsorted(ends, k1 - 1, side="right")) + 1
+        per_t = counts[t0:t1].copy()  # templates t0 and t1-1 may be cut by the chunk
+        per_t[0] -= k0 - starts[t0]
+        per_t[-1] -= ends[t1 - 1] - k1
+        i = np.arange(t0, t1).repeat(per_t)
+        j = np.arange(k0, k1) + shift[t0:t1].repeat(per_t)
+        r_ij = tol[t0:t1].repeat(per_t)
+        for c in coords[1:m]:
+            keep = np.flatnonzero(np.abs(c[i] - c[j]) <= r_ij)
+            i, j, r_ij = i[keep], j[keep], r_ij[keep]
+        b += np.diff(np.searchsorted(i, row_starts))
+        last = coords[m]
+        a += np.diff(np.searchsorted(i[np.abs(last[i] - last[j]) <= r_ij], row_starts))
+    return a, b
 
 
 def zero_crossings(signal: np.ndarray, threshold: float = 0.0):
@@ -378,19 +440,29 @@ def wavelet_energy(signal: np.ndarray, levels: int = 4):
     """Sum of squared detail coefficients of an orthonormal Haar cascade.
 
     Odd-length intermediates drop their final sample at that level; the
-    cascade stops early once fewer than two samples remain.
+    cascade stops early once fewer than two samples remain. An energy
+    that exceeds float64 (samples from about 1e154) raises
+    ``DataFormatError``.
     """
-    approx = np.asarray(signal, dtype=float)
-    energy = np.zeros(approx.shape[:-1])
-    for _ in range(levels):
-        if approx.shape[-1] < 2:
-            break
-        if approx.shape[-1] % 2:
-            approx = approx[..., :-1]
-        even, odd = approx[..., 0::2], approx[..., 1::2]
-        detail = (even - odd) / _SQRT2
-        approx = (even + odd) / _SQRT2
-        energy = energy + np.square(detail).sum(axis=-1)
+    x = np.asarray(signal, dtype=float)
+    approx = x
+    energy = np.zeros(x.shape[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(levels):
+            if approx.shape[-1] < 2:
+                break
+            if approx.shape[-1] % 2:
+                approx = approx[..., :-1]
+            even, odd = approx[..., 0::2], approx[..., 1::2]
+            detail = (even - odd) / _SQRT2
+            approx = (even + odd) / _SQRT2
+            energy = energy + np.square(detail).sum(axis=-1)
+    overflow = ~np.isfinite(energy) & np.isfinite(x).all(axis=-1)
+    if overflow.any():
+        raise DataFormatError(
+            "wavelet_energy: the detail energy of a window with samples up to "
+            f"{np.abs(x[overflow]).max():.3g} overflows float64"
+        )
     return _scalar_or_rows(energy)
 
 

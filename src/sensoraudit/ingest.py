@@ -114,7 +114,7 @@ def check_type(name: str, t, value, error: type[Exception] = InvalidSpecError) -
 @cache
 def _json_fields(cls) -> dict:
     """JSON key -> (field, resolved type) of each field of ``cls``, in field order."""
-    hints = get_type_hints(cls)
+    hints = get_type_hints(cls, globalns=cls._module_globals)
     return {f.metadata.get("json", f.name): (f, hints[f.name]) for f in dataclasses.fields(cls)}
 
 
@@ -173,6 +173,14 @@ class JsonConfig:
     Every field must be of its declared type (``check_type``), whether the
     config comes from JSON or from Python; ``check_bounds`` then applies
     the class's own limits on the values."""
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        # The globals its field annotations name. ``cls.__module__`` may not
+        # lead to them: run by runpy (``python -m cProfile -m
+        # sensoraudit.cli``), a module is named "__main__" while
+        # ``sys.modules["__main__"]`` is the profiler.
+        cls._module_globals = sys._getframe(1).f_globals
 
     def __post_init__(self) -> None:
         for key, (f, t) in _json_fields(type(self)).items():

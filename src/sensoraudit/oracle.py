@@ -6,8 +6,14 @@ deterministic for a fixed seed: each pair derives its own generator from
 (seed, sha256(pair)), so no pair's draws depend on the pairs before it.
 
 A classifier is its parameter dict: ``train`` returns it and ``predict``
-labels rows with it. ``run_pair`` counts the test predictions with
-``confusion`` and builds the pair's one ``OracleResult`` from the counts.
+labels rows with it. ``run_oracle_audit`` splits every pair first, then
+trains the pairs whose training sets have the same shape as one stack
+(``train_stack``): each mini-batch step is one gather and a few stacked
+``(P, n, d) @ (P, d, h)`` matmuls for all P pairs. numpy multiplies a
+stack slice by slice with the same kernel as a lone matrix, so each pair
+gets the bits it would get alone, and ``train`` is the stack of one.
+Each pair's test predictions are counted with ``confusion`` into its one
+``OracleResult``.
 
 Architecture: one rectified hidden layer, a single logistic output,
 cross-entropy on logits, plain mini-batch gradient descent with a fixed
@@ -93,16 +99,17 @@ def init_params(n_in: int, n_hidden: int, rng: np.random.Generator) -> dict[str,
     }
 
 
-def _forward(params: dict[str, np.ndarray], x: np.ndarray):
-    pre = x @ params["w1"] + params["b1"]
-    hidden = np.maximum(pre, 0.0)
-    logits = (hidden @ params["w2"]).ravel() + params["b2"][0]
+def _forward(params: dict[str, np.ndarray], x: np.ndarray, out: dict[str, np.ndarray]):
+    pre = np.matmul(x, params["w1"], out=out.get("pre"))
+    pre += params["b1"][..., None, :]
+    hidden = np.maximum(pre, 0.0, out=out.get("hidden"))
+    logits = (hidden @ params["w2"])[..., 0] + params["b2"]
     return pre, hidden, logits
 
 
 def mean_loss(params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray) -> float:
     """Mean cross-entropy on logits: softplus(z) - y*z."""
-    _, _, logits = _forward(params, x)
+    _, _, logits = _forward(params, x, {})
     return float(np.mean(np.logaddexp(0.0, logits) - y * logits))
 
 
@@ -114,19 +121,29 @@ def loss_and_grads(
 
 
 def gradients(
-    params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray
+    params: dict[str, np.ndarray],
+    x: np.ndarray,
+    y: np.ndarray,
+    out: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Analytic gradients of the mean cross-entropy w.r.t. every parameter."""
-    pre, hidden, logits = _forward(params, x)
-    n = x.shape[0]
+    """Analytic gradients of the mean cross-entropy w.r.t. every parameter.
+
+    Also takes a stack: parameters and rows with a leading pair axis give
+    each pair's gradients, bitwise equal to that pair's own call. ``out``
+    may hold arrays named "pre", "hidden", "dpre" and "w1" of the right
+    shapes; the activations and w1's gradient are then written there.
+    """
+    out = out or {}
+    pre, hidden, logits = _forward(params, x, out)
+    n = x.shape[-2]
     prob = 1.0 / (1.0 + np.exp(-logits))
     dlogits = (prob - y) / n
-    grad_w2 = hidden.T @ dlogits[:, None]
-    grad_b2 = np.array([dlogits.sum()])
-    dhidden = np.outer(dlogits, params["w2"].ravel())
-    dpre = dhidden * (pre > 0.0)
-    grad_w1 = x.T @ dpre
-    grad_b1 = dpre.sum(axis=0)
+    grad_w2 = hidden.swapaxes(-1, -2) @ dlogits[..., None]
+    grad_b2 = dlogits.sum(axis=-1, keepdims=True)
+    dpre = np.multiply(dlogits[..., None], params["w2"][..., None, :, 0], out=out.get("dpre"))
+    dpre *= pre > 0.0
+    grad_w1 = np.matmul(x.swapaxes(-1, -2), dpre, out=out.get("w1"))
+    grad_b1 = dpre.sum(axis=-2)
     return {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
 
 
@@ -136,6 +153,7 @@ def train(
     """Parameters after ``cfg.epochs`` epochs of mini-batch descent on (x, y).
 
     ``rng`` draws the initial weights, then one permutation per epoch.
+    This is ``train_stack`` with a stack of one.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -143,31 +161,72 @@ def train(
         raise LengthMismatchError("x and y row counts differ")
     if np.unique(y).size < 2:
         raise SingleClassTrainingError("training labels contain a single class")
-    params = init_params(x.shape[1], cfg.hidden_units, rng)
-    n = x.shape[0]
+    (params,) = train_stack(x[None], y[None], cfg, [rng])
+    _check_converged(params, x, y, cfg.learning_rate)
+    return params
+
+
+def train_stack(
+    x: np.ndarray, y: np.ndarray, cfg: OracleConfig, rngs: list[np.random.Generator]
+) -> list[dict[str, np.ndarray]]:
+    """Train P classifiers at once on ``x`` (P, n, d) and ``y`` (P, n).
+
+    Classifier p draws its initial weights, then one permutation per epoch,
+    from ``rngs[p]`` alone, and each of its steps is the same arithmetic on
+    its own slice as a lone run: the result is bitwise that of ``train``
+    on (x[p], y[p], rngs[p]). The parameters may have diverged; see
+    ``_check_converged``.
+    """
+    stack, n, d = x.shape
+    hidden = cfg.hidden_units
+    inits = [init_params(d, hidden, rng) for rng in rngs]
+    # popped, so no pair's initial weights outlive their stacked copy
+    params = {key: np.stack([p.pop(key) for p in inits]) for key in list(inits[0])}
+    flat_x = x.reshape(stack * n, d)
+    flat_y = y.reshape(stack * n)
+    offsets = np.arange(stack)[:, None] * n
     bs = cfg.batch_size
     lr = cfg.learning_rate
-    # a step too large overflows the parameters; that run is refused below
+    # The step's large arrays are allocated once, and a shorter last batch
+    # uses the first rows of each. Freed and allocated anew at every step,
+    # they made glibc give the heap top back and fault it in again, which
+    # took longer than the arithmetic.
+    rows = min(bs, n)
+    widths = {"x": d, "pre": hidden, "hidden": hidden, "dpre": hidden}
+    work = {key: np.empty((stack, rows, width)) for key, width in widths.items()}
+    grad_w1 = np.empty((stack, d, hidden))
+    # a step too large overflows the parameters; _check_converged refuses that run
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
-            order = rng.permutation(n)
+            order = np.stack([rng.permutation(n) for rng in rngs]) + offsets
             for start in range(0, n, bs):
-                idx = order[start : start + bs]
-                grads = gradients(params, x[idx], y[idx])
-                for key in params:
-                    params[key] -= lr * grads[key]
+                idx = order[:, start : start + bs]
+                out = {key: buf[:, : idx.shape[1]] for key, buf in work.items()}
+                out["w1"] = grad_w1
+                # every index is in range; "clip" only skips the copy "raise" makes
+                batch = np.take(flat_x, idx, axis=0, out=out["x"], mode="clip")
+                for key, grad in gradients(params, batch, flat_y[idx], out).items():
+                    grad *= lr
+                    params[key] -= grad
+    return [{key: value[p] for key, value in params.items()} for p in range(stack)]
+
+
+def _check_converged(
+    params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, lr: float
+) -> None:
+    """Refuse parameters that overflowed, naming the learning rate."""
+    with np.errstate(over="ignore", invalid="ignore"):
         final_loss = mean_loss(params, x, y)
     if not (math.isfinite(final_loss) and all(np.isfinite(p).all() for p in params.values())):
         raise InvalidSpecError(
             f"learning_rate {lr!r} makes training diverge: the final loss is "
             f"{final_loss}; use a smaller learning_rate"
         )
-    return params
 
 
 def predict(params: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
     """Label 1 where the logit is nonnegative, else 0."""
-    _, _, logits = _forward(params, np.asarray(x, dtype=float))
+    _, _, logits = _forward(params, np.asarray(x, dtype=float), {})
     return (logits >= 0.0).astype(int)
 
 
@@ -227,14 +286,20 @@ def _stratified_split(
     return a_train, a_test, b_train, b_test
 
 
-def run_pair(
-    class_a: str,
-    class_b: str,
-    matrix_a: FeatureMatrix,
-    matrix_b: FeatureMatrix,
-    cfg: OracleConfig,
-) -> OracleResult:
-    """Train and score one pair; label 1 is the lexicographically larger class."""
+@dataclass
+class _PairSplit:
+    pair: tuple[str, str]
+    rng: np.random.Generator
+    x_train: np.ndarray
+    y_train: np.ndarray
+    x_test: np.ndarray
+    y_test: np.ndarray
+
+
+def _split_pair(
+    class_a: str, class_b: str, matrix_a: FeatureMatrix, matrix_b: FeatureMatrix, cfg: OracleConfig
+) -> _PairSplit:
+    """The pair's standardised split; label 1 is the lexicographically larger class."""
     rng = pair_rng(cfg.seed, class_a, class_b)
     a_train, a_test, b_train, b_test = _stratified_split(
         matrix_a.n_rows, matrix_b.n_rows, cfg.test_fraction, rng
@@ -243,25 +308,57 @@ def run_pair(
     y_train = np.concatenate([np.zeros(len(a_train)), np.ones(len(b_train))])
     x_test = np.vstack([matrix_a.values[a_test], matrix_b.values[b_test]])
     y_test = np.concatenate([np.zeros(len(a_test)), np.ones(len(b_test))])
-
     x_train, x_test = standardize(x_train, x_test)
-    counts = confusion(predict(train(x_train, y_train, cfg, rng), x_test), y_test)
-    tp, tn, _, _ = counts
-    return OracleResult(
-        pair=(class_a, class_b),
-        mcc=mcc_from_counts(*counts),
-        accuracy=(tp + tn) / y_test.size,
-        confusion=counts,
-        seed=cfg.seed,
-    )
+    return _PairSplit((class_a, class_b), rng, x_train, y_train, x_test, y_test)
 
 
 def run_oracle_audit(matrices: dict[str, FeatureMatrix], cfg: OracleConfig) -> list[OracleResult]:
-    """One classifier per unordered pair, results in lexicographic pair order."""
+    """One classifier per unordered pair, results in lexicographic pair order.
+
+    Every pair is split first, in pair order. The pairs whose training sets
+    have the same shape then train as one stack (``train_stack``), so the
+    results do not depend on which other pairs are audited. A class too
+    small to split stops the splits there; when several pairs fail, the
+    first pair in lexicographic order decides the error.
+    """
     if len(matrices) < 2:
         raise TooFewClassesError(f"need >= 2 classes, got {len(matrices)}")
-    labels = sorted(matrices)
-    return [
-        run_pair(a, b, matrices[a], matrices[b], cfg)
-        for a, b in itertools.combinations(labels, 2)
-    ]
+    splits: list[_PairSplit] = []
+    unsplit = None
+    for a, b in itertools.combinations(sorted(matrices), 2):
+        try:
+            splits.append(_split_pair(a, b, matrices[a], matrices[b], cfg))
+        except TooFewRowsError as exc:
+            unsplit = exc
+            break
+
+    stacks: dict[tuple[int, ...], list[_PairSplit]] = {}
+    for split in splits:
+        stacks.setdefault(split.x_train.shape, []).append(split)
+    params: dict[tuple[str, str], dict[str, np.ndarray]] = {}
+    for stack in stacks.values():
+        x = np.stack([split.x_train for split in stack])
+        y = np.stack([split.y_train for split in stack])
+        for split, x_train in zip(stack, x):
+            split.x_train = x_train  # the stack holds the one copy
+        trained = train_stack(x, y, cfg, [split.rng for split in stack])
+        params.update(zip((split.pair for split in stack), trained))
+    for split in splits:
+        _check_converged(params[split.pair], split.x_train, split.y_train, cfg.learning_rate)
+    if unsplit is not None:
+        raise unsplit
+
+    results = []
+    for split in splits:
+        counts = confusion(predict(params[split.pair], split.x_test), split.y_test)
+        tp, tn, _, _ = counts
+        results.append(
+            OracleResult(
+                pair=split.pair,
+                mcc=mcc_from_counts(*counts),
+                accuracy=(tp + tn) / split.y_test.size,
+                confusion=counts,
+                seed=cfg.seed,
+            )
+        )
+    return results

@@ -492,15 +492,35 @@ class TestHugeAmplitudes:
         assert all(math.isfinite(float(r["ch1_rms"])) and float(r["ch1_rms"]) > 1e154 for r in rows)
         assert all(float(r["ch1_zero_crossings"]) > 0.0 for r in rows)
 
-    # wavelet_energy's squares overflow at this gain (that energy exceeds
-    # float64) before fractal_dimension refuses the window
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # wavelet_energy, which runs before it by default, refuses this gain too
     def test_fractal_dimension_overflow_is_bad_data(self, tmp_path, capsys):
         spec = write_noise_spec(tmp_path / "spec.json", 1e154)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"features": {"enabled_features": ["fractal_dimension", "rms"]}}))
         out = tmp_path / "out"
-        assert main(["full", "--synthetic", str(spec), "--out", str(out)]) == EXIT_BAD_DATA
+        argv = ["full", "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == EXIT_BAD_DATA
         err = capsys.readouterr().err
         assert "error [features]: fractal_dimension" in err and "overflows" in err
+        assert not out.exists()
+
+    # the detail energy exceeds float64; it printed two RuntimeWarnings and
+    # then a "non-finite feature values" error that named no extractor
+    @pytest.mark.parametrize(
+        "gain, features", [(1e155, ["wavelet_energy", "rms"]), (1e154, None)], ids=["alone", "default"]
+    )
+    def test_wavelet_energy_overflow_is_bad_data(self, tmp_path, capsys, gain, features):
+        spec = write_noise_spec(tmp_path / "spec.json", gain)
+        argv = ["complexity", "--synthetic", str(spec)]
+        if features:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"features": {"enabled_features": features}}))
+            argv += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == EXIT_BAD_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error [features]: wavelet_energy: the detail energy of a window")
+        assert "overflows float64" in err and "Warning" not in err
         assert not out.exists()
 
 
@@ -806,14 +826,24 @@ def test_readme_config_example_is_the_default():
     assert cli.ConfigFile().to_json_dict() == block
 
 
-@pytest.mark.parametrize("runner", [[], ["-m", "cProfile", "-o", "run.prof"]], ids=["plain", "cProfile"])
-def test_python_m_sensoraudit_runs_the_cli(tmp_path, runner):
+PROFILER = ["-m", "cProfile", "-o", "run.prof"]
+
+
+# Run as the profiler's module, the CLI's config classes are defined in a
+# "__main__" that is not sys.modules["__main__"]; their field types must
+# still resolve.
+@pytest.mark.parametrize(
+    "runner, module",
+    [([], "sensoraudit"), (PROFILER, "sensoraudit"), (PROFILER, "sensoraudit.cli")],
+    ids=["plain", "cProfile", "cProfile-cli"],
+)
+def test_python_m_sensoraudit_runs_the_cli(tmp_path, runner, module):
     spec = write_spec(tmp_path / "spec.json")
     src = str(Path(sensoraudit.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     argv = ["ablate", "--synthetic", str(spec), "--depth", "2"]
     proc = subprocess.run(
-        [sys.executable, *runner, "-m", "sensoraudit", *argv, "--out", "out"],
+        [sys.executable, *runner, "-m", module, *argv, "--out", "out"],
         cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr

@@ -137,6 +137,26 @@ class TestSampleEntropy:
             monkeypatch.setattr(features, "SAMPEN_CHUNK_PAIRS", chunk)
             assert sample_entropy(x, 2, 0.2, with_flag=True) == whole
 
+    def test_block_counts_equal_one_row_counts(self, monkeypatch):
+        # constant, quantised, x2**600, NaN (its r is NaN) and ordinary rows;
+        # blocks of 1, 3 and 5 rows put block boundaries inside the input
+        rows = np.random.default_rng(21).normal(size=(11, 90))
+        rows[[1, 6]] = 1.5
+        rows[[2, 8]] = np.round(rows[[2, 8]] * 2)
+        rows[3] = rows[0] * 2.0**600
+        rows[9] = rows[4] * 2.0**600
+        rows[7, 40] = np.nan
+        alone = [sample_entropy(row, 2, 0.2, with_flag=True) for row in rows]
+        for block in (1, 3, 5, len(rows)):
+            monkeypatch.setattr(features, "SAMPEN_BLOCK_SAMPLES", block * rows.shape[1])
+            values, capped = sample_entropy(rows, 2, 0.2, with_flag=True)
+            assert same_bits(values, [value for value, _ in alone])
+            assert capped.tolist() == [flag for _, flag in alone]
+        r = 0.2 * float(rows[2].std())
+        assert alone[2] == naive_sample_entropy(list(rows[2]), 2, r)
+        assert same_bits(alone[3][0], alone[0][0]) and same_bits(alone[9][0], alone[4][0])
+        assert same_bits(alone[7][0], -0.0) and same_bits(alone[1][0], -0.0)
+
     def test_overflowing_sd_keeps_every_count(self):
         # x.std() overflows at this scale; unscaled r would be inf and
         # every template would match, reading -0.0
@@ -267,6 +287,14 @@ class TestWaveletEnergy:
     def test_odd_lengths_drop_trailing_sample(self):
         x = np.arange(9, dtype=float)
         assert wavelet_energy(x, 1) == pytest.approx(wavelet_energy(x[:8], 1), rel=1e-12)
+
+    def test_overflowing_energy_is_bad_data(self):
+        # the detail energy exceeds float64; before, np.square warned twice
+        # and the rows read inf
+        rows = np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 1e155, -1e155, 1e155]])
+        with pytest.raises(DataFormatError, match="wavelet_energy.*1e\\+155 overflows"):
+            wavelet_energy(rows)
+        assert np.isnan(wavelet_energy(np.array([0.0, np.nan, 1.0, 2.0])))
 
 
 class TestFractalDimension:

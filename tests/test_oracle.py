@@ -1,6 +1,8 @@
+import copy
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import matrix_from_rows
@@ -11,7 +13,9 @@ from sensoraudit.errors import (
     LengthMismatchError,
     SingleClassTrainingError,
     TooFewClassesError,
+    TooFewRowsError,
 )
+from sensoraudit import oracle
 from sensoraudit.oracle import (
     OracleConfig,
     confusion,
@@ -228,7 +232,7 @@ class TestTraining:
 
     def test_single_class_training_rejected(self):
         x = np.zeros((10, 2))
-        with pytest.raises(SingleClassTrainingError):
+        with pytest.raises(SingleClassTrainingError, match="^training labels contain a single class$"):
             fit(x, np.zeros(10), OracleConfig())
 
     def test_row_count_mismatch_rejected(self):
@@ -294,3 +298,85 @@ class TestRunOracleAudit:
         tp, tn, fp, fn = results[0].confusion
         # 20% of 25 rows per class -> 5 + 5 test samples
         assert tp + tn + fp + fn == 10
+
+
+def same_params(a, b):
+    return a.keys() == b.keys() and all(
+        a[k].shape == b[k].shape and np.array_equal(a[k].view(np.uint64), b[k].view(np.uint64))
+        for k in a
+    )
+
+
+def class_matrices(sizes, dims, seed, gap=0.5):
+    rng = np.random.default_rng(seed)
+    return {
+        f"c{k}": matrix_from_rows(rng.normal(loc=gap * k, size=(n, dims)), f"c{k}")
+        for k, n in enumerate(sizes)
+    }
+
+
+class TestStackedTraining:
+    """Pairs trained as one stack get the bits each would get alone."""
+
+    # Equal sizes make a stack of several pairs; 25 rows give 20 training
+    # rows per class, 40 per pair, so a batch of 13 ends in a batch of 1.
+    @settings(max_examples=25, deadline=None)
+    @given(
+        sizes=st.lists(st.sampled_from([2, 3, 7, 25]), min_size=3, max_size=5),
+        dims=st.integers(1, 4),
+        hidden=st.integers(1, 5),
+        batch=st.integers(1, 14),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(sizes=[25, 25, 25, 7], dims=1, hidden=1, batch=13, seed=0)
+    @example(sizes=[3, 25, 7, 25], dims=3, hidden=1, batch=1, seed=1)
+    def test_each_pair_alone_gets_the_stacked_bits(self, sizes, dims, hidden, batch, seed):
+        cfg = OracleConfig(hidden_units=hidden, epochs=3, batch_size=batch, seed=seed)
+        calls = []
+        stacked = oracle.train_stack
+
+        def recording(x, y, cfg, rngs):
+            before = [copy.deepcopy(rng) for rng in rngs]
+            calls.append((x.copy(), y.copy(), before, stacked(x, y, cfg, rngs)))
+            return calls[-1][3]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "train_stack", recording)
+            run_oracle_audit(class_matrices(sizes, dims, seed % 1000), cfg)
+        assert sum(len(rngs) for _, _, rngs, _ in calls) == len(sizes) * (len(sizes) - 1) // 2
+        for x, y, rngs, trained in calls:
+            for p, rng in enumerate(rngs):
+                assert same_params(train(x[p], y[p], cfg, rng), trained[p])
+
+    def test_auditing_a_subset_keeps_the_shared_pairs(self):
+        # Uneven sizes: the two audits stack different sets of pairs. The
+        # classes are alike, so the test counts follow the training noise.
+        mats = class_matrices([60, 91, 60, 36, 91], 3, 4, gap=0.0)
+        cfg = OracleConfig(hidden_units=8, epochs=20, batch_size=8, seed=11)
+        whole = {r.pair: r for r in run_oracle_audit(mats, cfg)}
+        subset = run_oracle_audit({k: mats[k] for k in ("c0", "c2", "c4")}, cfg)
+        assert [r.pair for r in subset] == [("c0", "c2"), ("c0", "c4"), ("c2", "c4")]
+        for r in subset:
+            assert r == whole[r.pair]
+
+
+class TestOracleErrors:
+    """Each fault keeps its error; with several, the first pair decides."""
+
+    def test_diverging_learning_rate(self):
+        cfg = OracleConfig(hidden_units=4, epochs=3, learning_rate=1e300)
+        with pytest.raises(InvalidSpecError, match="^learning_rate 1e\\+300 makes training diverge"):
+            run_oracle_audit(class_matrices([10, 10, 14], 3, 0), cfg)
+
+    def test_class_too_small_to_split(self):
+        with pytest.raises(TooFewRowsError, match="^class with 1 rows cannot be split$"):
+            run_oracle_audit(class_matrices([10, 10, 1], 3, 0), OracleConfig(epochs=2))
+
+    def test_first_pair_decides_between_divergence_and_a_tiny_class(self):
+        cfg = OracleConfig(hidden_units=4, epochs=3, learning_rate=1e300)
+        # (c0, c1) diverges before (c0, c2) fails to split
+        with pytest.raises(InvalidSpecError, match="diverge"):
+            run_oracle_audit(class_matrices([10, 10, 1], 3, 0), cfg)
+        # (c0, c1) fails to split before (c1, c2) diverges
+        with pytest.raises(TooFewRowsError):
+            run_oracle_audit(class_matrices([1, 10, 10], 3, 0), cfg)
