@@ -120,13 +120,13 @@ class _Stage:
 
 @dataclass
 class _PipelineData:
-    windows: Windows
     fs: float
     classes: list[str]
     seed: int
+    window_counts: Counter
 
 
-def _ingest(cfg: ConfigFile, args: argparse.Namespace) -> _PipelineData:
+def _ingest(cfg: ConfigFile, args: argparse.Namespace) -> tuple[Windows, _PipelineData]:
     with _Stage("ingest"):
         if args.synthetic:
             spec = SyntheticSpec.from_json_file(args.synthetic)
@@ -141,13 +141,14 @@ def _ingest(cfg: ConfigFile, args: argparse.Namespace) -> _PipelineData:
         if not classes:
             raise ConfigError("no classes left after excluding the rest class")
         windows = segment(rset, seg, classes=classes)
-        present = sorted(set(windows.labels))
+        counts = Counter(windows.labels)
+        present = sorted(counts)
         missing = [c for c in classes if c not in present]
         if missing:
             raise TooFewRowsError(
                 f"class {missing[0]!r} produced no windows after segmentation"
             )
-        return _PipelineData(windows, rset.sampling_rate_hz, present, seed)
+        return windows, _PipelineData(rset.sampling_rate_hz, present, seed, counts)
 
 
 # Audit command -> (help, stages it runs); "full" also writes the summary.
@@ -186,7 +187,7 @@ def _run(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
         raise ConfigError("exactly one of --data and --synthetic must be given")
     if args.jobs < 1:
         raise ConfigError("--jobs must be positive")
-    data = _ingest(cfg, args)
+    windows, data = _ingest(cfg, args)
     cfg = replace(cfg, oracle=replace(cfg.oracle, seed=data.seed))
     summary = stages == STAGES
     dump_features = getattr(args, "dump_features", False)
@@ -211,11 +212,12 @@ def _run(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
         "redundancy_threshold": float(cfg.thresholds.redundancy),
     }
 
-    windows = data.windows
+    channels, width = windows.data.shape[1:]
     if stages == ("ablation",) and cfg.ablation.classes:
         windows = windows.select(report_classes)
     with _Stage("features"):
         matrices = build_class_matrices(windows, cfg.features, data.fs)
+    del windows  # the (N, C, W) array is not needed past here; free it before the oracle
     # each group's payload, built once for its own files and the summary
     payloads = {}
     if "complexity" in stages or "oracle" in stages:
@@ -223,14 +225,14 @@ def _run(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
             ovo = pairwise_audit(matrices, mode="one-vs-one")
             if "complexity" in stages:
                 ovr = pairwise_audit(matrices, mode="one-vs-rest")
-                columns = column_labels(feature_columns(data.windows.data.shape[1], cfg.features))
+                columns = column_labels(feature_columns(channels, cfg.features))
                 payloads["complexity"] = {
                     "one_vs_one": complexity_payload(ovo, columns),
                     "one_vs_rest": complexity_payload(ovr, columns),
                 }
     if "ablation" in stages:
         with _Stage("ablation"):
-            failed_row = zero_window_features(cfg.features, windows.data.shape[2], data.fs)
+            failed_row = zero_window_features(cfg.features, width, data.fs)
             report = run_ablation_audit(
                 matrices,
                 cfg.ablation,
@@ -245,17 +247,17 @@ def _run(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
         payloads["oracle"] = oracle_payload(results)
 
     def write(out: Path) -> None:
+        texts = {}  # shared, so the summary splices in what the stage files encoded
         if "complexity" in stages:
-            write_complexity(out, payloads["complexity"], echo)
+            write_complexity(out, payloads["complexity"], echo, texts)
         if "ablation" in stages:
-            write_ablation(out, payloads["ablation"])
+            write_ablation(out, payloads["ablation"], texts)
         if "oracle" in stages:
-            write_oracle(out, payloads["oracle"], echo)
+            write_oracle(out, payloads["oracle"], echo, texts)
             write_validation(out, ovo, results)
         if dump_features:
             write_feature_matrices(out, matrices)
         if summary:
-            window_counts = Counter(data.windows.labels)
             (name,) = ARTIFACTS["summary"]
             write_json(
                 out / name,
@@ -263,9 +265,10 @@ def _run(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
                     "schema_version": SCHEMA_VERSION,
                     "config": echo,
                     "classes": data.classes,
-                    "window_counts": {label: window_counts[label] for label in data.classes},
+                    "window_counts": {label: data.window_counts[label] for label in data.classes},
                     **payloads,
                 },
+                texts,
             )
 
     _commit(out_dir, write)

@@ -49,7 +49,7 @@ shannon_entropy       0.0
 sample_entropy        -0.0 (all templates match: -ln 1)
 zero_crossings        0
 waveform_length       0.0
-rms                   |c|
+rms                   |c| to rounding (c² rounds)
 slope_sign_changes    0
 median_frequency      0.0 Hz
 wavelet_energy        0.0
@@ -409,9 +409,11 @@ def median_frequency(signal: np.ndarray, fs: float):
     """Frequency where cumulative periodogram power first reaches half.
 
     Rectangular-window periodogram, DC bin excluded; a constant signal
-    has no non-DC power and yields 0 Hz. A row whose total power
-    overflows float64 is first scaled by a power of two, which scales
-    every power by the same exact factor and so keeps the median.
+    has no non-DC power and yields 0 Hz. Its transform's non-DC bins hold
+    rounding error, so constant rows are found by their range. A row
+    whose total power overflows float64 is first scaled by a power of
+    two, which scales every power by the same exact factor and so keeps
+    the median.
     """
     x = np.asarray(signal, dtype=float)
     rows = x.reshape(-1, x.shape[-1])
@@ -423,7 +425,7 @@ def median_frequency(signal: np.ndarray, fs: float):
         shift = -np.frexp(np.abs(rows[big]).max(axis=1))[1]
         power[big] = _periodogram(np.ldexp(rows[big], shift[:, None]))
         total[big] = power[big].sum(axis=1)
-    live = ~(total <= 0.0)
+    live = ~(total <= 0.0) & (rows.min(axis=1) != rows.max(axis=1))
     below_half = np.cumsum(power[live], axis=1) < 0.5 * total[live, None]
     freqs = np.fft.rfftfreq(x.shape[-1], d=1.0 / fs)[1:]
     out = np.zeros(total.shape)

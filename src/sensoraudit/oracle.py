@@ -41,6 +41,10 @@ from .errors import (
 from .features import FeatureMatrix
 from .ingest import JsonConfig
 
+# Indices per chunk of epoch orders that train_stack draws at once: 62.5 KiB
+# of int64, below the 64 KiB from which glibc's free() may trim the heap.
+ORDER_CHUNK_INDICES = 8000
+
 
 @dataclass(frozen=True)
 class OracleConfig(JsonConfig):
@@ -99,10 +103,19 @@ def init_params(n_in: int, n_hidden: int, rng: np.random.Generator) -> dict[str,
     }
 
 
+# numpy's ufuncs copy a broadcast operand into a buffer of up to 64 KiB per
+# call; an assignment broadcasts without one. So _forward and gradients
+# first assign a broadcast term into an array of the result's shape.
+def _workspace(out: dict[str, np.ndarray], key: str, like: np.ndarray) -> np.ndarray:
+    return out[key] if key in out else np.empty_like(like)
+
+
 def _forward(params: dict[str, np.ndarray], x: np.ndarray, out: dict[str, np.ndarray]):
     pre = np.matmul(x, params["w1"], out=out.get("pre"))
-    pre += params["b1"][..., None, :]
-    hidden = np.maximum(pre, 0.0, out=out.get("hidden"))
+    hidden = _workspace(out, "hidden", pre)
+    np.copyto(hidden, params["b1"][..., None, :])
+    np.add(pre, hidden, out=pre)
+    np.maximum(pre, 0.0, out=hidden)
     logits = (hidden @ params["w2"])[..., 0] + params["b2"]
     return pre, hidden, logits
 
@@ -130,8 +143,8 @@ def gradients(
 
     Also takes a stack: parameters and rows with a leading pair axis give
     each pair's gradients, bitwise equal to that pair's own call. ``out``
-    may hold arrays named "pre", "hidden", "dpre" and "w1" of the right
-    shapes; the activations and w1's gradient are then written there.
+    may hold arrays named "pre", "hidden", "dpre", "mask" (bool) and "w1"
+    of the right shapes; every step-sized result is then written there.
     """
     out = out or {}
     pre, hidden, logits = _forward(params, x, out)
@@ -140,8 +153,13 @@ def gradients(
     dlogits = (prob - y) / n
     grad_w2 = hidden.swapaxes(-1, -2) @ dlogits[..., None]
     grad_b2 = dlogits.sum(axis=-1, keepdims=True)
-    dpre = np.multiply(dlogits[..., None], params["w2"][..., None, :, 0], out=out.get("dpre"))
-    dpre *= pre > 0.0
+    # hidden is spent: it holds the broadcast dlogits, then the ReLU mask as 1.0/0.0
+    dpre = _workspace(out, "dpre", pre)
+    np.copyto(hidden, dlogits[..., None])
+    np.copyto(dpre, params["w2"][..., None, :, 0])
+    np.multiply(hidden, dpre, out=dpre)
+    np.copyto(hidden, np.greater(pre, 0.0, out=out.get("mask")))
+    np.multiply(dpre, hidden, out=dpre)
     grad_w1 = np.matmul(x.swapaxes(-1, -2), dpre, out=out.get("w1"))
     grad_b1 = dpre.sum(axis=-2)
     return {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
@@ -176,6 +194,12 @@ def train_stack(
     its own slice as a lone run: the result is bitwise that of ``train``
     on (x[p], y[p], rngs[p]). The parameters may have diverged; see
     ``_check_converged``.
+
+    The permutations are drawn a chunk of epochs at a time: one
+    ``permuted`` call on e copies of a row of n indices shuffles each copy
+    as ``permutation(n)`` shuffles ``arange(n)``, and leaves the generator
+    in the state e such calls leave. A chunk holds at most
+    ``ORDER_CHUNK_INDICES`` indices of all P classifiers, or else one epoch.
     """
     stack, n, d = x.shape
     hidden = cfg.hidden_units
@@ -184,30 +208,48 @@ def train_stack(
     params = {key: np.stack([p.pop(key) for p in inits]) for key in list(inits[0])}
     flat_x = x.reshape(stack * n, d)
     flat_y = y.reshape(stack * n)
-    offsets = np.arange(stack)[:, None] * n
     bs = cfg.batch_size
     lr = cfg.learning_rate
     # The step's large arrays are allocated once, and a shorter last batch
-    # uses the first rows of each. Freed and allocated anew at every step,
-    # they made glibc give the heap top back and fault it in again, which
-    # took longer than the arithmetic.
+    # uses the first elements of each, as a contiguous (P, rows, width)
+    # array: on strided arrays the ufuncs buffer. Freed and allocated anew at
+    # every step, these arrays made glibc give the heap top back and fault
+    # it in again, which took longer than the arithmetic.
     rows = min(bs, n)
-    widths = {"x": d, "pre": hidden, "hidden": hidden, "dpre": hidden}
-    work = {key: np.empty((stack, rows, width)) for key, width in widths.items()}
+    widths = {"x": d, "pre": hidden, "hidden": hidden, "dpre": hidden, "mask": hidden}
+    work = {
+        key: np.empty(stack * rows * width, dtype=bool if key == "mask" else float)
+        for key, width in widths.items()
+    }
     grad_w1 = np.empty((stack, d, hidden))
+    views = {
+        size: {
+            key: buf[: stack * size * widths[key]].reshape(stack, size, widths[key])
+            for key, buf in work.items()
+        }
+        | {"w1": grad_w1}
+        for size in {min(bs, n - start) for start in range(0, n, bs)}
+    }
+    # orders[e, p]: pair p's rows of flat_x in epoch e of the chunk
+    chunk = max(1, ORDER_CHUNK_INDICES // (stack * n))
+    orders = np.empty((min(chunk, cfg.epochs), stack, n), dtype=np.int64)
+    pair_rows = np.arange(stack * n).reshape(stack, n)
     # a step too large overflows the parameters; _check_converged refuses that run
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.epochs):
-            order = np.stack([rng.permutation(n) for rng in rngs]) + offsets
-            for start in range(0, n, bs):
-                idx = order[:, start : start + bs]
-                out = {key: buf[:, : idx.shape[1]] for key, buf in work.items()}
-                out["w1"] = grad_w1
-                # every index is in range; "clip" only skips the copy "raise" makes
-                batch = np.take(flat_x, idx, axis=0, out=out["x"], mode="clip")
-                for key, grad in gradients(params, batch, flat_y[idx], out).items():
-                    grad *= lr
-                    params[key] -= grad
+        for first in range(0, cfg.epochs, chunk):
+            drawn = orders[: cfg.epochs - first]  # the last chunk may be shorter
+            for p, rng in enumerate(rngs):
+                rows_p = np.broadcast_to(pair_rows[p], drawn[:, p].shape)
+                rng.permuted(rows_p, axis=1, out=drawn[:, p])
+            for order in drawn:
+                for start in range(0, n, bs):
+                    idx = order[:, start : start + bs]
+                    out = views[idx.shape[1]]
+                    # every index is in range; "clip" only skips the copy "raise" makes
+                    batch = np.take(flat_x, idx, axis=0, out=out["x"], mode="clip")
+                    for key, grad in gradients(params, batch, flat_y[idx], out).items():
+                        grad *= lr
+                        params[key] -= grad
     return [{key: value[p] for key, value in params.items()} for p in range(stack)]
 
 

@@ -3,7 +3,8 @@
 ``ARTIFACTS`` names every file an audit writes, by the group that owns
 it; the writers and the CLI's overwrite check both take their names from
 it. Each group's writer takes the group's payload, which the CLI builds
-once and also puts in the summary. The writers write file by file: the
+once and also puts in the summary; ``json_text`` encodes it once for both
+files. The writers write file by file: the
 CLI runs them into a staging directory and moves the finished set into
 place, so a failed run leaves the output directory as it was. Floats are
 serialized with repr (shortest round-trip), which keeps reruns
@@ -77,9 +78,37 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def write_json(path: Path, payload: dict) -> None:
+def json_text(value, texts: dict | None = None, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)``, as it reads
+    nested ``depth`` levels deep.
+
+    A nonempty dict with string keys is encoded member by member; any other
+    value is encoded once per ``texts``. Its text is kept there by ``id``,
+    next to the value so that the id stays its own, and wherever the same
+    object recurs the text is spliced in with every line after the first
+    indented to its depth. That is exact, because JSON text has no raw
+    newline inside a string. The CLI shares one ``texts`` between the stage
+    files and the summary, so each payload is encoded once.
+    """
+    if texts is None:
+        texts = {}
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        pad = "\n" + "  " * (depth + 1)
+        members = (
+            f"{json.dumps(key, ensure_ascii=False)}: {json_text(member, texts, depth + 1)}"
+            for key, member in value.items()
+        )
+        return "{" + pad + ("," + pad).join(members) + pad[:-2] + "}"
+    if id(value) not in texts:
+        texts[id(value)] = (value, json.dumps(value, indent=2, ensure_ascii=False))
+    text = texts[id(value)][1]
+    return text.replace("\n", "\n" + "  " * depth) if depth else text
+
+
+def write_json(path: Path, payload: dict, texts: dict | None = None) -> None:
+    """Write ``json_text(payload, texts)`` and a newline."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    path.write_text(json_text(payload, texts) + "\n", encoding="utf-8")
 
 
 def subset_label(subset: tuple[int, ...]) -> str:
@@ -123,12 +152,14 @@ def complexity_payload(audit: PairwiseAudit, columns: list[str]) -> dict:
     return {"mode": audit.mode, "columns": columns, "pairs": pairs}
 
 
-def write_complexity(out_dir: Path, payload: dict, config_echo: dict) -> list[Path]:
+def write_complexity(
+    out_dir: Path, payload: dict, config_echo: dict, texts: dict | None = None
+) -> list[Path]:
     """``payload`` maps "one_vs_one" and "one_vs_rest" to their ``complexity_payload``."""
     csv_path, json_path, plot_path = (out_dir / n for n in ARTIFACTS["complexity"])
     pairs = payload["one_vs_one"]["pairs"]
     write_csv(csv_path, list(COMPLEXITY_COLUMNS), [[p[c] for c in COMPLEXITY_COLUMNS] for p in pairs])
-    write_json(json_path, {"config": config_echo, **payload})
+    write_json(json_path, {"config": config_echo, **payload}, texts)
     write_csv(
         plot_path,
         ["pair", "normalized_fdr"],
@@ -229,13 +260,13 @@ def ablation_payload(report: AblationReport, config_echo: dict) -> dict:
     }
 
 
-def write_ablation(out_dir: Path, payload: dict) -> list[Path]:
+def write_ablation(out_dir: Path, payload: dict, texts: dict | None = None) -> list[Path]:
     """Write the ablation group from its ``ablation_payload``."""
     classes = payload["classes"]
     normalized = payload["normalized_criticality"]
     plot_paths = [out_dir / criticality_name(label) for label in classes]
     json_path, csv_path, ranking_path, comp_path = (out_dir / n for n in ARTIFACTS["ablation"])
-    write_json(json_path, payload)
+    write_json(json_path, payload, texts)
 
     rows = []
     for label in classes:
@@ -309,12 +340,14 @@ def oracle_payload(results: list[OracleResult]) -> list[dict]:
     ]
 
 
-def write_oracle(out_dir: Path, payload: list[dict], config_echo: dict) -> list[Path]:
+def write_oracle(
+    out_dir: Path, payload: list[dict], config_echo: dict, texts: dict | None = None
+) -> list[Path]:
     """Write oracle.csv and oracle.json from the ``oracle_payload`` records."""
     csv_path, json_path = (out_dir / n for n in ARTIFACTS["oracle"][:2])
     rows = [[{**r, **r["confusion"]}[c] for c in ORACLE_COLUMNS] for r in payload]
     write_csv(csv_path, list(ORACLE_COLUMNS), rows)
-    write_json(json_path, {"config": config_echo, "results": payload})
+    write_json(json_path, {"config": config_echo, "results": payload}, texts)
     return [csv_path, json_path]
 
 

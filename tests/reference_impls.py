@@ -1,17 +1,22 @@
 """Naive reference implementations used as independent oracles.
 
 Plain-Python loops, written without reusing any library helpers, so a
-bug in the vectorized code cannot hide in its own mirror. The one
-exception is the per-cell ablation reference at the end: it zero-fills
+bug in the vectorized code cannot hide in its own mirror. Two
+exceptions are at the end. The per-cell ablation reference zero-fills
 windows and scores one ablated matrix per (class, subset), the path the
-closed-form ablation audit replaces.
+closed-form ablation audit replaces. The per-epoch oracle trainer draws
+one permutation per pair per epoch, the draws ``train_stack`` makes a
+chunk of epochs at a time.
 """
 
 import math
 
+import numpy as np
+
 from sensoraudit.errors import InvalidSpecError, TooFewRowsError
 from sensoraudit.features import FeatureMatrix, build_class_matrices, zero_window_features
 from sensoraudit.ingest import Windows
+from sensoraudit.oracle import gradients, init_params
 from sensoraudit.separability import separability_score
 
 
@@ -174,3 +179,23 @@ def ablated_shift(class_samples, sensors, fcfg, fs, metric="f1", baseline=None):
     window_len = int(class_samples.data.shape[2])
     ablated = ablated_matrix(baseline, sensors, fcfg, window_len, fs)
     return getattr(separability_score(baseline, ablated), metric)
+
+
+def per_epoch_train_stack(x, y, cfg, rngs):
+    """``oracle.train_stack`` drawing one ``rng.permutation(n)`` per pair per
+    epoch, each mini-batch gathered and differentiated without a workspace."""
+    stack, n, d = x.shape
+    inits = [init_params(d, cfg.hidden_units, rng) for rng in rngs]
+    params = {key: np.stack([p[key] for p in inits]) for key in inits[0]}
+    flat_x = x.reshape(stack * n, d)
+    flat_y = y.reshape(stack * n)
+    offsets = np.arange(stack)[:, None] * n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = np.stack([rng.permutation(n) for rng in rngs]) + offsets
+            for start in range(0, n, cfg.batch_size):
+                idx = order[:, start : start + cfg.batch_size]
+                for key, grad in gradients(params, flat_x[idx], flat_y[idx]).items():
+                    grad *= cfg.learning_rate
+                    params[key] -= grad
+    return [{key: value[p] for key, value in params.items()} for p in range(stack)]

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -763,6 +764,49 @@ class TestRunner:
         assert {k: complexity[k] for k in ("one_vs_one", "one_vs_rest")} == summary["complexity"]
         assert json.loads((out / "ablation.json").read_text()) == summary["ablation"]
         assert json.loads((out / "oracle.json").read_text())["results"] == summary["oracle"]
+
+    def test_json_files_are_json_dumps_of_their_payloads(self, tmp_path, monkeypatch):
+        # the summary splices in the text the stage files encoded
+        payloads = {}
+        write_json = reports.write_json
+
+        def recording(path, payload, *args):
+            payloads[Path(path).name] = payload
+            return write_json(path, payload, *args)
+
+        monkeypatch.setattr(reports, "write_json", recording)
+        monkeypatch.setattr(cli, "write_json", recording)
+        spec = write_spec(tmp_path / "spec.json", classes=("alpha", "béta", "ga\"mma"))
+        cfg = fast_config(tmp_path / "audit.json")
+        out = tmp_path / "out"
+        assert main(["full", "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(payloads) == sorted(p.name for p in out.glob("*.json"))
+        for name, payload in payloads.items():
+            text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+            assert (out / name).read_text(encoding="utf-8") == text, name
+
+    def test_windows_are_freed_before_the_oracle(self, tmp_path, monkeypatch):
+        # past the feature build only C, W and the labels are needed
+        segment, audit = cli.segment, cli.run_oracle_audit
+        windows_data = []
+
+        def segmenting(*args, **kwargs):
+            windows = segment(*args, **kwargs)
+            windows_data.append(weakref.ref(windows.data))
+            return windows
+
+        def auditing(*args):
+            assert [ref() for ref in windows_data] == [None]
+            return audit(*args)
+
+        monkeypatch.setattr(cli, "segment", segmenting)
+        monkeypatch.setattr(cli, "run_oracle_audit", auditing)
+        spec = write_spec(tmp_path / "spec.json")
+        cfg = fast_config(tmp_path / "audit.json")
+        out = tmp_path / "out"
+        assert main(["full", "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "audit_summary.json").read_text())
+        assert summary["window_counts"] == {"alpha": 20, "beta": 20, "gamma": 20}
 
     @pytest.mark.parametrize("command", ["ablate", "oracle"])
     def test_dump_features_is_not_accepted(self, tmp_path, command):

@@ -490,6 +490,41 @@ def histogram_entropy(x, bins):
     return float(-(p * np.log2(p)).sum())
 
 
+# The features module docstring's table: extractor -> its value on a
+# window whose samples all equal c, and the narrowest window it takes.
+CONSTANT_SIGNAL = {
+    "shannon_entropy": (lambda c: 0.0, 1),
+    "sample_entropy": (lambda c: -0.0, 3),  # m = 1 in one_per_row
+    "zero_crossings": (lambda c: 0, 2),
+    "waveform_length": (lambda c: 0.0, 1),
+    "rms": (abs, 1),
+    "slope_sign_changes": (lambda c: 0, 3),
+    "median_frequency": (lambda c: 0.0, 2),
+    "wavelet_energy": (lambda c: 0.0, 1),
+    "fractal_dimension": (lambda c: 1.0, 1),
+}
+
+
+@pytest.mark.parametrize("name", FEATURE_NAMES)
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.sampled_from([0.0, 1.0, -1.0, 1e300, -1e300, 5e-324, -5e-324]),
+    rows=st.integers(1, 4),
+    data=st.data(),
+)
+def test_constant_windows_give_the_documented_value(name, c, rows, data):
+    value, narrowest = CONSTANT_SIGNAL[name]
+    w = data.draw(st.integers(narrowest, 1000), label="w")
+    extractor = one_per_row(name)
+    alone = extractor(np.full(w, c))
+    batched = extractor(np.full((rows, w), c))
+    if name == "rms":  # the mean of w squares rounds; sqrt halves its error
+        assert abs(alone - abs(c)) <= 16 * math.ulp(abs(c))
+    else:
+        assert type(alone) is type(value(c)) and same_bits(alone, value(c))
+    assert same_bits(batched, np.full(rows, alone))
+
+
 class TestBatchedExtractors:
     @pytest.mark.parametrize("w", [3, 4, 127, 128, 400])
     @pytest.mark.parametrize("name", FEATURE_NAMES)
@@ -569,7 +604,8 @@ class TestBatchedExtractors:
             power = (spectrum.real**2 + spectrum.imag**2)[1:]
             total = float(power.sum())
             idx = int(np.searchsorted(np.cumsum(power), 0.5 * total))
-            expected.append(0.0 if total <= 0.0 else float(freqs[idx]))
+            constant = row.min() == row.max()  # its non-DC power is rounding error
+            expected.append(0.0 if total <= 0.0 or constant else float(freqs[idx]))
         assert same_bits(median_frequency(rows, 200.0), expected)
 
     def test_sample_entropy_flags_per_row(self):

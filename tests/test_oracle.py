@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import matrix_from_rows
+from reference_impls import per_epoch_train_stack
 
 from sensoraudit.errors import (
     EmptyTrainingSetError,
@@ -358,6 +360,84 @@ class TestStackedTraining:
         assert [r.pair for r in subset] == [("c0", "c2"), ("c0", "c4"), ("c2", "c4")]
         for r in subset:
             assert r == whole[r.pair]
+
+
+class TestChunkedOrders:
+    """Epoch orders drawn a chunk at a time give the per-epoch bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        stack=st.integers(1, 4),
+        n=st.integers(1, 300),
+        dims=st.integers(1, 4),
+        hidden=st.integers(1, 4),
+        batch=st.sampled_from(["one", "below n", "at least n"]),
+        budget=st.sampled_from([1, 7, 300, 1000, oracle.ORDER_CHUNK_INDICES]),
+        epochs=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(stack=1, n=1, dims=1, hidden=1, batch="one", budget=1, epochs=3, seed=0)
+    # chunks of 8 epochs, the last one of 2
+    @example(stack=3, n=300, dims=2, hidden=2, batch="at least n", budget=8000, epochs=10, seed=1)
+    def test_each_pair_gets_the_per_epoch_bits(
+        self, stack, n, dims, hidden, batch, budget, epochs, seed
+    ):
+        batch_size = {"one": 1, "below n": max(1, n - 1 - n // 3), "at least n": n + n % 3}[batch]
+        # up to three chunks, a partial one last, within ~3,000 steps
+        chunk = max(1, budget // (stack * n))
+        most = max(1, min(3 * chunk - 1, 3000 // -(-n // batch_size)))
+        epochs = 1 + (epochs - 1) % most
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(stack, n, dims))
+        y = rng.integers(0, 2, size=(stack, n)).astype(float)
+        cfg = OracleConfig(hidden_units=hidden, epochs=epochs, batch_size=batch_size)
+        chunked = [np.random.default_rng([seed, p]) for p in range(stack)]
+        per_epoch = copy.deepcopy(chunked)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "ORDER_CHUNK_INDICES", budget)
+            got = oracle.train_stack(x, y, cfg, chunked)
+        want = per_epoch_train_stack(x, y, cfg, per_epoch)
+        for p in range(stack):
+            assert same_params(got[p], want[p])
+            assert chunked[p].bit_generator.state == per_epoch[p].bit_generator.state
+
+    # (pairs, rows, features, batch): pairs-short's stack, an armband-disk-
+    # like stack whose last batch is 6 rows, and a lone pair of 300 rows
+    @pytest.mark.parametrize("shape", [(15, 26, 108, 32), (10, 70, 72, 32), (1, 300, 108, 32)])
+    def test_no_step_allocates_64_kib_after_the_first_epoch(self, monkeypatch, shape):
+        stack, n, dims, batch = shape
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(stack, n, dims))
+        y = rng.integers(0, 2, size=(stack, n)).astype(float)
+        cfg = OracleConfig(epochs=30, batch_size=batch)
+        # growth[k]: the traced peak between steps k-1 and k over the traced
+        # size at step k-1; step k-1's gradients, update and the gather of step k
+        growth = []
+        last = [0]
+        inner = oracle.gradients
+
+        def measure():
+            current, peak = tracemalloc.get_traced_memory()
+            growth.append(peak - last[0])
+            tracemalloc.reset_peak()
+            last[0] = current
+
+        def stepping(*args):
+            measure()
+            return inner(*args)
+
+        monkeypatch.setattr(oracle, "gradients", stepping)
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            measure()
+            oracle.train_stack(x, y, cfg, [np.random.default_rng(p) for p in range(stack)])
+            measure()
+        finally:
+            tracemalloc.stop()
+        steps = -(-n // batch)
+        assert len(growth) == 2 + cfg.epochs * steps
+        assert max(growth[2 + steps :]) < 64 * 1024
 
 
 class TestOracleErrors:

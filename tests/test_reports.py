@@ -1,7 +1,11 @@
 import csv
+import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ablate, windows_from
 
@@ -12,6 +16,7 @@ from sensoraudit.reports import (
     ARTIFACTS,
     ablation_payload,
     artifact_names,
+    json_text,
     kendall_tau,
     write_ablation,
 )
@@ -89,3 +94,47 @@ class TestKendallTau:
     def test_tau_b_tie_correction(self):
         # 5 concordant, 0 discordant, one tie in a: 5 / sqrt(5 * 6)
         assert kendall_tau([1, 1, 2, 3], [1, 2, 3, 4]) == pytest.approx(5 / np.sqrt(30))
+
+
+# JSON-like payloads: escapes, non-ASCII text, NaN and infinities, empty
+# containers, nested lists, and dicts with string or integer keys
+_texts = st.text(alphabet=st.characters(codec="utf-8"), max_size=8) | st.sampled_from(
+    ["", "\n", '"', "\\", "\t\x00\x1f", "é ü 雪 🎈", "\u2028"]
+)
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | _texts
+)
+_payloads = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_texts, inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=3),
+    max_leaves=30,
+)
+
+
+def dumps(value):
+    return json.dumps(value, indent=2, ensure_ascii=False)
+
+
+class TestJsonText:
+    @settings(max_examples=100, deadline=None)
+    @given(_payloads)
+    def test_equals_json_dumps(self, payload):
+        assert json_text(payload) == dumps(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_payloads, _payloads, st.dictionaries(_texts, _payloads, max_size=3))
+    def test_spliced_text_equals_json_dumps(self, a, b, extra):
+        # a and b recur at other depths, as the stage payloads recur in the summary
+        texts = {}
+        first = {"config": a, "b": b, **extra}
+        second = {"schema": 1, "groups": {"first": first, "a": a, "list": [a, b]}, "b": b}
+        assert json_text(first, texts) == dumps(first)
+        assert json_text(second, texts) == dumps(second)
+        assert json_text(a, texts) == dumps(a)
