@@ -27,11 +27,13 @@ Two extractors take care to stay exact per row:
 * ``median_frequency`` counts the cumulative powers below half the total,
   which equals ``searchsorted`` on the nondecreasing cumulative sum.
 
-``sample_entropy`` counts a block of rows at a time: one sort of every
-row's templates, one search for each template's candidate partners, and
-one enumeration of the whole block's candidate pairs in steps of
-``SAMPEN_CHUNK_PAIRS``. A row's counts are integers and do not depend on
-its block.
+``sample_entropy`` counts template pairs 64 at a time. Per row it sorts
+the samples once and finds, for each sample, the run of sorted samples
+within r of it. A prefix-bitset table turns each run into the bitset of
+the samples in it. For each template, the bitsets of its coordinates,
+offset by coordinate, are ANDed, and ``np.bitwise_count`` counts the
+matching partners. The counts are exact integers and do not depend on
+the row's block or on how its table is tiled.
 
 Where a product or square would leave float64's range, ``zero_crossings``
 and ``slope_sign_changes`` compare signs and exponents instead, and
@@ -91,14 +93,11 @@ FEATURE_NAMES: tuple[str, ...] = (
 _SQRT2 = math.sqrt(2.0)
 _TINY = float(np.finfo(float).tiny)
 
-# Samples per block of rows that sample_entropy counts together, and
-# candidate template pairs it confirms per step. Each array of a block or a
-# step stays below 64 KiB: glibc's free() may hand the heap top back to the
-# system after freeing 64 KiB or more, and it maps 128 KiB or more afresh
-# (its default mmap threshold); both make the time depend on what the
-# process allocated before.
+# sample_entropy counts a block of rows together: at most this many
+# samples, and at most this many bytes of prefix-bitset tables. A row whose
+# table needs more builds it a tile of columns at a time.
 SAMPEN_BLOCK_SAMPLES = 8000
-SAMPEN_CHUNK_PAIRS = 8000
+SAMPEN_TABLE_BYTES = 1 << 18
 
 # Samples per block of stacked windows (128 KB of float64).
 BLOCK_SAMPLES = 1 << 14
@@ -224,27 +223,30 @@ def sample_entropy(
     ``with_flag=True`` to also receive that cappedness as a boolean (an
     array of them for several rows).
 
-    Pairs are prefiltered on the first template coordinate, as in Manis,
-    Aktaruzzaman & Sassi 2018 (Entropy 20:61): each row's templates are
-    sorted by their first value, and every template is paired with the
-    run of later sorted templates whose first value lies within r of its
-    own. The end of that run is settled with the same ``|x[i] - x[j]| <=
-    r`` comparison as the definition, and each candidate pair is confirmed
-    on the other coordinates with it too, so the integer counts are exact.
-    Unordered pairs are counted once; the ordered counts are twice these,
-    which leaves A/B unchanged.
+    The pairs are counted with bitsets over sample indices. Each row is
+    sorted once. Sorted sample p lies within r of the sorted run [lo[p],
+    hi[p]). hi is found by a search and then settled with the same ``|x[i]
+    - x[j]| <= r`` comparison as the definition. Because that comparison is
+    symmetric, lo[p] is the number of samples whose hi is at most p. Row c
+    of a prefix table holds the bitset of the c smallest samples, so
+    sample i's matches are the XOR of two table rows. Template i matches
+    template j at length m when bit j is set in the AND of the matches of
+    samples i + k, each shifted down by k, for k < m; a further AND with
+    k = m gives length m + 1. ``np.bitwise_count`` counts 64 candidate
+    partners per word, so the integer counts are exact and cost about
+    W^2 / 64 word operations per row, whatever the data. Self-matches are
+    subtracted and the ordered counts halved, which leaves A/B unchanged.
 
-    Rows are counted a block at a time, at most ``SAMPEN_BLOCK_SAMPLES``
-    samples per block (one row if it is longer), with one sort and one
-    candidate enumeration per block; a row's counts do not depend on its
-    block. Cost is about W log W per row for the sort plus the candidate
-    pairs, which stays far below W^2 on signals that spread over more
-    than r; it reaches W^2 only when almost every value lies within r of
-    every other. Candidates are confirmed in chunks of
-    ``SAMPEN_CHUNK_PAIRS``, so working memory is O(block + chunk) either
-    way. A window whose values are all equal returns -ln(1) = -0.0. A
-    row whose SD overflows float64 is first scaled by a power of two,
-    which is exact and keeps every count.
+    Rows are counted a block at a time. A block holds at most
+    ``SAMPEN_BLOCK_SAMPLES`` samples, and its prefix tables at most
+    ``SAMPEN_TABLE_BYTES`` (one row if a row needs more). A row whose table
+    alone exceeds that budget builds it in tiles of columns, so working
+    memory stays about twice the budget plus O(W) at any window length. A
+    row's counts do not depend on its block or tiles. A window whose
+    values are all equal returns -ln(1) = -0.0. Each row is first scaled
+    by the power of two that puts its largest magnitude in [0.5, 1). That
+    is exact and keeps every count, and a row scaled by 2**k becomes the
+    same row, so its SD neither overflows nor underflows with k.
     """
     x = np.asarray(signal, dtype=float)
     n = x.shape[-1]
@@ -253,7 +255,8 @@ def sample_entropy(
     rows = x.reshape(-1, n)
     values = np.empty(rows.shape[0])
     capped = np.empty(rows.shape[0], dtype=bool)
-    step = max(1, SAMPEN_BLOCK_SAMPLES // n)
+    table_row = 8 * (n + 1) * (-(-n // 64) + m)
+    step = max(1, min(SAMPEN_BLOCK_SAMPLES // n, SAMPEN_TABLE_BYTES // table_row))
     for start in range(0, rows.shape[0], step):
         block = slice(start, start + step)
         values[block], capped[block] = _sample_entropy_block(rows[block], m, r_coeff)
@@ -268,24 +271,16 @@ def _sample_entropy_block(
     rows: np.ndarray, m: int, r_coeff: float
 ) -> tuple[np.ndarray, np.ndarray]:
     n = rows.shape[1]
-    with np.errstate(over="ignore"):
-        sd = rows.std(axis=1)
-    big = sd == math.inf
-    if big.any():  # a power-of-two scale is exact and keeps every count
-        scaled = rows[big]
-        scaled = np.ldexp(scaled, -np.frexp(np.abs(scaled).max(axis=1))[1][:, None])
-        rows = rows.copy()
-        rows[big] = scaled
-        sd[big] = scaled.std(axis=1)
-    r = r_coeff * sd
+    top, bottom = rows.max(axis=1), rows.min(axis=1)
+    rows = _unit_scaled(rows, top, bottom)
+    r = r_coeff * rows.std(axis=1)
     # Equal values: every template matches, so A == B. With a NaN or
     # negative tolerance no comparison holds, not even a template with
     # itself; B and A, matches minus the q self-matches, are then both -q.
     # Either way the value is -ln(1).
     values = np.full(rows.shape[0], -math.log(1.0))
     capped = np.zeros(rows.shape[0], dtype=bool)
-    live = np.flatnonzero(r >= 0.0)
-    live = live[rows[live].min(axis=1) != rows[live].max(axis=1)]
+    live = np.flatnonzero((r >= 0.0) & (top != bottom))
     if live.size:
         a, b = _sampen_counts(rows[live], r[live], m)
         cap = sampen_cap(n, m)
@@ -302,67 +297,111 @@ def _sampen_counts(rows: np.ndarray, r: np.ndarray, m: int) -> tuple[np.ndarray,
     """Unordered template pairs within r at length m + 1 (A) and m (B), per row."""
     count, n = rows.shape
     q = n - m  # templates of both lengths start at 0 .. q-1
-    # Template t is row t // q's (t % q)-th smallest by first value; coords[k][t]
-    # is its coordinate k.
-    at = (np.argsort(rows[:, :q], axis=1) + np.arange(0, count * n, n)[:, None]).ravel()
-    samples = rows.ravel()
-    coords = [samples[at + k] for k in range(m + 1)]
-    tol = np.repeat(r, q)
+    order = np.argsort(rows, axis=1)
+    at = (order + np.arange(0, count * n, n)[:, None]).ravel()
+    # Row k * (n + 1) + c of the prefix table is the bitset of row k's c
+    # smallest samples, up to a constant per row. The samples within r of
+    # sorted sample p are the sorted run [lo, hi): table[hi] ^ table[lo].
+    hi = _upper_bounds(rows.ravel().take(at).reshape(count, n), r)
+    # |x[i] - x[j]| <= r is symmetric, so lo[p] = #{p' : hi[p'] <= p}.
+    below = np.cumsum(np.bincount(hi, minlength=count * (n + 1))).reshape(count, n + 1)
+    lo = (below[:, :n] + np.arange(count)[:, None]).ravel()
+    del below
+    hi_at = np.empty_like(hi)  # the same, in sample order
+    hi_at[at] = hi
+    lo_at = np.empty_like(lo)
+    lo_at[at] = lo
+    del hi, lo
 
-    # reach[t]: the first template after t in its row whose first value is
-    # beyond r. Differences from t's value grow along the sorted row, so the
-    # templates within r form a run after t. A search on keys that lay the
-    # rows end to end finds its end up to rounding; the exact comparison then
-    # moves it to the end of the run. Each row ends in a sentinel at +inf.
-    first = np.empty((count, q + 1))
-    first[:, :q] = coords[0].reshape(count, q)
-    first[:, q] = math.inf
+    # Bit b of column e is sample e + b * words, for e < words + m: the
+    # columns from words on repeat earlier ones with their bits moved down.
+    # Column e + k then holds, bit for bit, the samples k after those of
+    # column e, so shifting the matches of a template's coordinate k down
+    # by k is reading k columns further on. A tile covers t columns and
+    # reads m more.
+    words = -(-n // 64)
+    depth = -(-n // words)  # bits per column
+    tile = max(1, min(words, SAMPEN_TABLE_BYTES // (8 * count * (n + 1)) - m))
+    # joins[k, b, c]: the table row that first holds row k's sample c + b *
+    # words. Padding past n joins at row 0, so every row holds it and it
+    # cancels like the earlier rows' samples below.
+    joins = np.zeros(count * depth * words, dtype=np.intp)
+    joins[(order + np.arange(0, count * depth * words, depth * words)[:, None]).ravel()] = (
+        np.arange(1, count * n + 1) + np.arange(count).repeat(n)
+    )
+    joins = joins.reshape(count, depth, words)
+    del order, at
+    bits = np.left_shift(np.uint64(1), np.arange(depth, dtype=np.uint64))[:, None]
+    table_words = np.empty(count * (n + 1) * (tile + m), dtype=np.uint64)
+    near_words = np.empty(count * n * (tile + m), dtype=np.uint64)
+    a = np.zeros(count, dtype=np.int64)
+    b = np.zeros(count, dtype=np.int64)
+    for w0 in range(0, words, tile):
+        t = min(tile, words - w0)
+        width = t + m
+        table = table_words[: count * (n + 1) * width].reshape(-1, width)
+        table.fill(0)
+        for s in range((w0 + width - 1) // words + 1):  # column c + s * words, bit b - s
+            c0, c1 = max(0, w0 - s * words), min(words, w0 + width - s * words)
+            table[joins[:, s:, c0:c1], np.arange(c0, c1) + (s * words - w0)] = bits[: depth - s]
+        # Row k * (n + 1) + c now holds row k's c smallest samples XOR the
+        # padding and all earlier rows' samples, which cancel in
+        # table[hi] ^ table[lo].
+        np.bitwise_xor.accumulate(table, axis=0, out=table)
+        near = near_words[: count * n * width].reshape(count * n, width)
+        np.take(table, hi_at, axis=0, out=near, mode="clip")  # in range; "clip" writes out unbuffered
+        step = max(1, SAMPEN_TABLE_BYTES // (32 * width))  # a quarter of the budget
+        for i in range(0, count * n, step):
+            near[i : i + step] ^= np.take(table, lo_at[i : i + step], axis=0)
+        near = near.reshape(count, n, width)
+        # match[k, i] holds the templates that match template i; the table is spent
+        match = table.reshape(-1)[: count * q * t].reshape(count, q, t)
+        np.copyto(match, near[:, :q, :t])
+        for k in range(1, m):
+            match &= near[:, k : k + q, k : k + t]
+        if w0 <= q % words < w0 + t:  # the length-m template at q is not one of the q
+            match[:, :, q % words - w0] &= ~np.left_shift(np.uint64(1), np.uint64(q // words))
+        b += np.bitwise_count(match).sum(axis=(1, 2), dtype=np.int64)
+        match &= near[:, m : m + q, m : m + t]
+        a += np.bitwise_count(match).sum(axis=(1, 2), dtype=np.int64)
+    # every template matches itself, and each unordered pair counts twice
+    return (a - q) // 2, (b - q) // 2
+
+
+def _upper_bounds(values: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per sorted row, the prefix-table row that ends each sample's run within r.
+
+    Entry p of row k is k * (n + 1) plus the first position after p whose
+    value exceeds row k's ``values[p]`` by more than ``r[k]``. Differences
+    from a value grow along the sorted row, so a search on keys that lay
+    the rows end to end finds it up to rounding; the exact comparison then
+    moves it to the end of the run. Each row ends in a sentinel at +inf.
+    """
+    count, n = values.shape
+    first = np.empty((count, n + 1))
+    first[:, :n] = values
+    first[:, n] = math.inf
     lo = first[:, :1]
-    span = first[:, q - 1 : q] - lo
+    span = first[:, n - 1 : n] - lo
     span[span == 0.0] = 1.0
     base = 2.0 * np.arange(count)[:, None]
     keys = (first - lo) / span + base
-    keys[:, q] = base[:, 0] + 1.5
-    target = np.minimum(first[:, :q] + r[:, None] - lo, span) / span + base
-    first = first.ravel()
-    at_first = (np.arange(count)[:, None] * (q + 1) + np.arange(q)).ravel()
+    keys[:, n] = base[:, 0] + 1.5
+    target = np.minimum(values + r[:, None] - lo, span) / span + base
     reach = np.searchsorted(keys.ravel(), target.ravel(), side="right")
-    stuck = np.flatnonzero(first[reach] - coords[0] <= tol)
+    del keys, target
+    first = first.ravel()
+    own = values.ravel()
+    tol = np.repeat(r, n)
+    stuck = np.flatnonzero(first[reach] - own <= tol)
     while stuck.size:
         reach[stuck] += 1
-        stuck = stuck[first[reach[stuck]] - coords[0][stuck] <= tol[stuck]]
-    stuck = np.flatnonzero(first[reach - 1] - coords[0] > tol)
+        stuck = stuck[first[reach[stuck]] - own[stuck] <= tol[stuck]]
+    stuck = np.flatnonzero(first[reach - 1] - own > tol)
     while stuck.size:
         reach[stuck] -= 1
-        stuck = stuck[first[reach[stuck] - 1] - coords[0][stuck] > tol[stuck]]
-
-    counts = reach - at_first - 1  # candidates after each template
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    # Flat candidate index k of template t pairs t with template k + shift[t].
-    shift = np.arange(1, count * q + 1) - starts
-    total = int(ends[-1])
-    # survivors stay in template order, so a search finds each row's share
-    row_starts = np.arange(0, (count + 1) * q, q)
-    a = np.zeros(count, dtype=np.intp)
-    b = np.zeros(count, dtype=np.intp)
-    for k0 in range(0, total, SAMPEN_CHUNK_PAIRS):
-        k1 = min(k0 + SAMPEN_CHUNK_PAIRS, total)
-        t0 = int(np.searchsorted(ends, k0, side="right"))
-        t1 = int(np.searchsorted(ends, k1 - 1, side="right")) + 1
-        per_t = counts[t0:t1].copy()  # templates t0 and t1-1 may be cut by the chunk
-        per_t[0] -= k0 - starts[t0]
-        per_t[-1] -= ends[t1 - 1] - k1
-        i = np.arange(t0, t1).repeat(per_t)
-        j = np.arange(k0, k1) + shift[t0:t1].repeat(per_t)
-        r_ij = tol[t0:t1].repeat(per_t)
-        for c in coords[1:m]:
-            keep = np.flatnonzero(np.abs(c[i] - c[j]) <= r_ij)
-            i, j, r_ij = i[keep], j[keep], r_ij[keep]
-        b += np.diff(np.searchsorted(i, row_starts))
-        last = coords[m]
-        a += np.diff(np.searchsorted(i[np.abs(last[i] - last[j]) <= r_ij], row_starts))
-    return a, b
+        stuck = stuck[first[reach[stuck] - 1] - own[stuck] > tol[stuck]]
+    return reach
 
 
 def zero_crossings(signal: np.ndarray, threshold: float = 0.0):
@@ -410,27 +449,34 @@ def median_frequency(signal: np.ndarray, fs: float):
 
     Rectangular-window periodogram, DC bin excluded; a constant signal
     has no non-DC power and yields 0 Hz. Its transform's non-DC bins hold
-    rounding error, so constant rows are found by their range. A row
-    whose total power overflows float64 is first scaled by a power of
-    two, which scales every power by the same exact factor and so keeps
-    the median.
+    rounding error, so constant rows are found by their range. Each row
+    is first scaled by the power of two that puts its largest magnitude in
+    [0.5, 1). That scales every power by the same exact factor, so it
+    keeps the median, and a row scaled by 2**k becomes the same row: its
+    total power neither overflows nor underflows with k.
     """
     x = np.asarray(signal, dtype=float)
     rows = x.reshape(-1, x.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        power = _periodogram(rows)
+    top, bottom = rows.max(axis=1), rows.min(axis=1)
+    with np.errstate(invalid="ignore"):
+        power = _periodogram(_unit_scaled(rows, top, bottom))
         total = power.sum(axis=1)
-    big = ~np.isfinite(total)
-    if big.any():
-        shift = -np.frexp(np.abs(rows[big]).max(axis=1))[1]
-        power[big] = _periodogram(np.ldexp(rows[big], shift[:, None]))
-        total[big] = power[big].sum(axis=1)
-    live = ~(total <= 0.0) & (rows.min(axis=1) != rows.max(axis=1))
+    live = ~(total <= 0.0) & (top != bottom)
     below_half = np.cumsum(power[live], axis=1) < 0.5 * total[live, None]
     freqs = np.fft.rfftfreq(x.shape[-1], d=1.0 / fs)[1:]
     out = np.zeros(total.shape)
     out[live] = freqs[np.count_nonzero(below_half, axis=1)]
     return _scalar_or_rows(out.reshape(x.shape[:-1]))
+
+
+def _unit_scaled(rows: np.ndarray, top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """Each row times the power of two that puts its largest magnitude in [0.5, 1).
+
+    ``top`` and ``bottom`` are the rows' maxima and minima. The scaling is
+    exact, and a row scaled by 2**k scales to the same row. Rows of zeros
+    and rows with a NaN or an infinity are returned unscaled.
+    """
+    return np.ldexp(rows, -np.frexp(np.maximum(top, -bottom))[1][:, None])
 
 
 def _periodogram(rows: np.ndarray) -> np.ndarray:

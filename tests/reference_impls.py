@@ -1,8 +1,11 @@
 """Naive reference implementations used as independent oracles.
 
 Plain-Python loops, written without reusing any library helpers, so a
-bug in the vectorized code cannot hide in its own mirror. Two
-exceptions are at the end. The per-cell ablation reference zero-fills
+bug in the vectorized code cannot hide in its own mirror. Three
+exceptions. ``candidate_sampen_counts`` is the vectorised candidate-pair
+sample entropy counter that the bit-parallel one replaced; it is fast
+enough to check windows too long for the naive loops. The other two are
+at the end. The per-cell ablation reference zero-fills
 windows and scores one ablated matrix per (class, subset), the path the
 closed-form ablation audit replaces. The per-epoch oracle trainer draws
 one permutation per pair per epoch, the draws ``train_stack`` makes a
@@ -108,6 +111,80 @@ def naive_sample_entropy(xs, m, r):
     if a == 0 or b == 0:
         return math.log((n - m) * (n - m - 1)), True
     return -math.log(a / b), False
+
+
+def candidate_sampen_counts(rows, r, m):
+    """Unordered template pairs within r at length m + 1 (A) and m (B), per row.
+
+    The candidate-pair counter ``features._sampen_counts`` replaced: sort
+    each row's templates by their first value, search each template's run
+    of partners within r, and confirm every candidate pair on the other
+    coordinates, 8,000 pairs at a time. Its cost grows with the number
+    of candidates, up to W^2 / 2 on spiky rows.
+    """
+    count, n = rows.shape
+    q = n - m  # templates of both lengths start at 0 .. q-1
+    # Template t is row t // q's (t % q)-th smallest by first value; coords[k][t]
+    # is its coordinate k.
+    at = (np.argsort(rows[:, :q], axis=1) + np.arange(0, count * n, n)[:, None]).ravel()
+    samples = rows.ravel()
+    coords = [samples[at + k] for k in range(m + 1)]
+    tol = np.repeat(r, q)
+
+    # reach[t]: the first template after t in its row whose first value is
+    # beyond r. Differences from t's value grow along the sorted row, so the
+    # templates within r form a run after t. A search on keys that lay the
+    # rows end to end finds its end up to rounding; the exact comparison then
+    # moves it to the end of the run. Each row ends in a sentinel at +inf.
+    first = np.empty((count, q + 1))
+    first[:, :q] = coords[0].reshape(count, q)
+    first[:, q] = math.inf
+    lo = first[:, :1]
+    span = first[:, q - 1 : q] - lo
+    span[span == 0.0] = 1.0
+    base = 2.0 * np.arange(count)[:, None]
+    keys = (first - lo) / span + base
+    keys[:, q] = base[:, 0] + 1.5
+    target = np.minimum(first[:, :q] + r[:, None] - lo, span) / span + base
+    first = first.ravel()
+    at_first = (np.arange(count)[:, None] * (q + 1) + np.arange(q)).ravel()
+    reach = np.searchsorted(keys.ravel(), target.ravel(), side="right")
+    stuck = np.flatnonzero(first[reach] - coords[0] <= tol)
+    while stuck.size:
+        reach[stuck] += 1
+        stuck = stuck[first[reach[stuck]] - coords[0][stuck] <= tol[stuck]]
+    stuck = np.flatnonzero(first[reach - 1] - coords[0] > tol)
+    while stuck.size:
+        reach[stuck] -= 1
+        stuck = stuck[first[reach[stuck] - 1] - coords[0][stuck] > tol[stuck]]
+
+    counts = reach - at_first - 1  # candidates after each template
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    # Flat candidate index k of template t pairs t with template k + shift[t].
+    shift = np.arange(1, count * q + 1) - starts
+    total = int(ends[-1])
+    # survivors stay in template order, so a search finds each row's share
+    row_starts = np.arange(0, (count + 1) * q, q)
+    a = np.zeros(count, dtype=np.intp)
+    b = np.zeros(count, dtype=np.intp)
+    for k0 in range(0, total, 8000):
+        k1 = min(k0 + 8000, total)
+        t0 = int(np.searchsorted(ends, k0, side="right"))
+        t1 = int(np.searchsorted(ends, k1 - 1, side="right")) + 1
+        per_t = counts[t0:t1].copy()  # templates t0 and t1-1 may be cut by the chunk
+        per_t[0] -= k0 - starts[t0]
+        per_t[-1] -= ends[t1 - 1] - k1
+        i = np.arange(t0, t1).repeat(per_t)
+        j = np.arange(k0, k1) + shift[t0:t1].repeat(per_t)
+        r_ij = tol[t0:t1].repeat(per_t)
+        for c in coords[1:m]:
+            keep = np.flatnonzero(np.abs(c[i] - c[j]) <= r_ij)
+            i, j, r_ij = i[keep], j[keep], r_ij[keep]
+        b += np.diff(np.searchsorted(i, row_starts))
+        last = coords[m]
+        a += np.diff(np.searchsorted(i[np.abs(last[i] - last[j]) <= r_ij], row_starts))
+    return a, b
 
 
 def naive_katz(xs):

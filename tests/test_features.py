@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import feature_row, windows_from
-from reference_impls import naive_katz, naive_sample_entropy
+from reference_impls import candidate_sampen_counts, naive_katz, naive_sample_entropy
 
 from sensoraudit import features
 from sensoraudit.errors import (
@@ -129,13 +129,17 @@ class TestSampleEntropy:
         t = np.arange(1000) / 2000.0
         self.assert_matches_naive(np.sin(2 * np.pi * 60.0 * t) + 0.3 * rng.normal(size=1000))
 
-    def test_chunking_does_not_change_counts(self, monkeypatch):
+    def test_tiling_does_not_change_counts(self, monkeypatch):
+        # budgets of 1 byte (one-row blocks, one-word tiles), tiles of 2 and
+        # 3 of a row's 5 words, and one untiled two-row block
         rng = np.random.default_rng(13)
-        x = np.round(rng.normal(size=300) * 2)
-        whole = sample_entropy(x, 2, 0.2, with_flag=True)
-        for chunk in (1, 7, 1000):
-            monkeypatch.setattr(features, "SAMPEN_CHUNK_PAIRS", chunk)
-            assert sample_entropy(x, 2, 0.2, with_flag=True) == whole
+        rows = np.stack([np.round(rng.normal(size=300) * 2), rng.normal(size=300)])
+        rows[1, 100:130] += 20.0
+        whole = sample_entropy(rows, 2, 0.2, with_flag=True)
+        for budget in (1, 8 * 301 * 4, 8 * 301 * 5, 1 << 30):
+            monkeypatch.setattr(features, "SAMPEN_TABLE_BYTES", budget)
+            values, capped = sample_entropy(rows, 2, 0.2, with_flag=True)
+            assert same_bits(values, whole[0]) and np.array_equal(capped, whole[1])
 
     def test_block_counts_equal_one_row_counts(self, monkeypatch):
         # constant, quantised, x2**600, NaN (its r is NaN) and ordinary rows;
@@ -165,6 +169,13 @@ class TestSampleEntropy:
         rows = np.stack([x, x[::-1] * 3.0, np.full(200, 5.0)])
         assert same_bits(sample_entropy(rows * 2.0**600), sample_entropy(rows))
 
+    def test_underflowing_sd_keeps_every_count(self):
+        # from about 2**-540 the squared deviations underflow; unscaled, r
+        # read 0.0 and this row read the cap, 11.97
+        x = np.random.default_rng(0).standard_normal(400)
+        for k in (-540, -600):
+            assert same_bits(sample_entropy(x * 2.0**k), sample_entropy(x))
+
     def test_constant_is_negative_zero(self):
         assert math.copysign(1.0, sample_entropy(np.zeros(50))) == -1.0
         assert math.copysign(1.0, sample_entropy(np.full(50, 2.0))) == -1.0
@@ -181,6 +192,73 @@ class TestSampleEntropy:
         finally:
             tracemalloc.stop()
         assert peak < 32_000_000
+
+    def test_working_memory_below_the_candidate_counter(self):
+        # Cap fixed before measuring, below the peaks of the candidate
+        # counter this one replaced: 1.36 MB on the noise block and 0.93 MB
+        # on the spike row.
+        spike = np.zeros(4000)
+        spike[1333] = 5.0
+        for x in (np.random.default_rng(3).normal(size=(8, 1000)), spike):
+            tracemalloc.start()
+            try:
+                sample_entropy(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 900_000
+
+
+def sampen_tile_edge(m):
+    """The longest window whose one-row prefix table fits SAMPEN_TABLE_BYTES."""
+    w = m + 2
+    while 8 * (w + 2) * (-(-(w + 1) // 64) + m) <= features.SAMPEN_TABLE_BYTES:
+        w += 1
+    return w
+
+
+def sampen_row(kind, w, rng):
+    if kind == "quantised":
+        return np.round(rng.normal(size=w) * 2)
+    if kind == "spike":
+        row = np.zeros(w)
+        row[rng.integers(w)] = 5.0
+        return row
+    row = 0.01 * rng.normal(size=w)  # bursty: quiet, then a contraction
+    start = int(rng.integers(w))
+    end = min(w, start + max(1, w // 8))
+    row[start:end] += 3.0 * rng.normal(size=end - start)
+    return row
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 3),
+    r_coeff=st.sampled_from([0.05, 0.2, 1.5]),
+    kind=st.sampled_from(["quantised", "spike", "burst"]),
+    width=st.sampled_from(["m+2", 63, 64, 65, 66, 127, 128, 129, 130, "edge", "edge+1"]),
+    one_word_tiles=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_entropy_counts_equal_references(m, r_coeff, kind, width, one_word_tiles, seed):
+    rng = np.random.default_rng(seed)
+    w = {"m+2": m + 2, "edge": sampen_tile_edge(m), "edge+1": sampen_tile_edge(m) + 1}.get(width, width)
+    row = sampen_row(kind, w, rng)
+    nan_row = row.copy()
+    nan_row[rng.integers(w)] = np.nan
+    rows = np.stack([row, row * 2.0**600, nan_row, np.full(w, row[0])])
+    r = np.array([r_coeff * float(row.std())])
+    with pytest.MonkeyPatch.context() as patch:
+        if one_word_tiles:
+            patch.setattr(features, "SAMPEN_TABLE_BYTES", 1)
+        counts = features._sampen_counts(row[None], r, m)
+        values, capped = sample_entropy(rows, m, r_coeff, with_flag=True)
+    assert np.array_equal(counts, candidate_sampen_counts(row[None], r, m))
+    if w <= 130:  # the naive loops are quadratic in Python
+        expected, expected_cap = naive_sample_entropy(list(row), m, float(r[0]))
+        assert same_bits(values[0], expected) and capped[0] == expected_cap
+    assert same_bits(values[1], values[0]) and capped[1] == capped[0]
+    assert same_bits(values[2:], [-0.0, -0.0]) and not capped[2:].any()
 
 
 class TestZeroCrossings:
@@ -255,6 +333,12 @@ class TestMedianFrequency:
         # read 252.5, 260 and 260 Hz
         x = np.random.default_rng(0).standard_normal((3, 400))
         scaled = median_frequency(x * 2.0**power, fs=1000.0)
+        assert same_bits(scaled, median_frequency(x, fs=1000.0))
+
+    def test_underflowing_total_power_keeps_the_median(self):
+        # unscaled, every power underflowed to 0.0 and the rows read 0 Hz
+        x = np.random.default_rng(0).standard_normal((3, 400))
+        scaled = median_frequency(x * 2.0**-540, fs=1000.0)
         assert same_bits(scaled, median_frequency(x, fs=1000.0))
 
 
@@ -523,6 +607,40 @@ def test_constant_windows_give_the_documented_value(name, c, rows, data):
     else:
         assert type(alone) is type(value(c)) and same_bits(alone, value(c))
     assert same_bits(batched, np.full(rows, alone))
+
+
+# Extractors whose value does not depend on the row's amplitude, at
+# thresholds that do not either.
+SCALE_FREE = {
+    "zero_crossings": zero_crossings,
+    "slope_sign_changes": slope_sign_changes,
+    "median_frequency": lambda x: median_frequency(x, 200.0),
+    "sample_entropy": lambda x: sample_entropy(x, 1, 0.2),
+}
+
+
+@pytest.mark.parametrize("name", FEATURE_NAMES)
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["spike", "quantised"]),
+    rows=st.integers(1, 4),
+    k=st.integers(-600, 600),
+    data=st.data(),
+)
+def test_spike_and_quantised_windows_batch_exactly(name, kind, rows, k, data):
+    w = data.draw(st.integers(CONSTANT_SIGNAL[name][1], 1000), label="w")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if kind == "spike":
+        x = np.zeros((rows, w))
+        x[np.arange(rows), rng.integers(w, size=rows)] = rng.choice([-5.0, 0.5, 3.0], size=rows)
+    else:
+        x = np.round(rng.normal(size=(rows, w)) * rng.choice([1.0, 4.0]))
+    extractor = one_per_row(name)
+    batched = extractor(x)
+    assert np.isfinite(batched).all()
+    assert same_bits(batched, [extractor(row) for row in x])
+    if name in SCALE_FREE:
+        assert same_bits(SCALE_FREE[name](x * 2.0**k), SCALE_FREE[name](x))
 
 
 class TestBatchedExtractors:
