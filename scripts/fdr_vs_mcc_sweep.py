@@ -37,7 +37,7 @@ GAPS = (0.04, 0.08, 0.16, 0.32)
 def spec_for(gap: float, seed: int) -> SyntheticSpec:
     gains = {"alpha": 1.0, "beta": 1.0 + gap, "gamma": 1.0 + 5.0 * gap}
     ch0 = ChannelSpec(
-        per_class={c: ChannelProfile(kind="tonic", gain=g) for c, g in gains.items()}
+        classes={c: ChannelProfile(kind="tonic", gain=g) for c, g in gains.items()}
     )
     return SyntheticSpec(
         class_names=list(gains),

@@ -8,13 +8,17 @@ Fisher ratio (f1) between the class's intact feature matrix and that
 ablated matrix.
 
 ``run_ablation_audit`` reads the per-class matrices of the run's one
-feature pass and needs one ``separability_score`` call per class: the
-matrix against one whose every row holds the failed row on every channel.
+feature pass and needs one ``fisher_per_dim`` call per class: the matrix
+against the single failed row tiled over every channel.
 
 * A kept column is compared with itself: its mean gap is exactly zero,
   so its Fisher ratio is 0.0 and never raises the maximum.
 * A failed column's ratio depends only on that column of the two
-  matrices, so it is the same float whichever other sensors fail.
+  matrices, so it is the same float whichever other sensors fail. The
+  ablated column holds one value in every row, so its mean is that value
+  and its variance 0, and one row stands for all of them: the all-zero
+  window's features are 0.0, -0.0 and 1.0, whose mean over any number of
+  rows is exact.
 
 So a sensor's shift is the max of its feature columns' ratios, and a
 subset's shift is the max of its members' shifts, bitwise equal to
@@ -33,18 +37,19 @@ mean of those normalized scores across classes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    InvalidSpecError,
     MismatchedColumnsError,
     TooFewRowsError,
     TopologyMismatchError,
 )
 from .features import FeatureMatrix
 from .ingest import JsonConfig
-from .separability import separability_score
+from .separability import fisher_per_dim
 
 DEFAULT_CRITICALITY_THRESHOLD = 0.8
 DEFAULT_REDUNDANCY_THRESHOLD = 0.3
@@ -59,6 +64,8 @@ class AblationSpec(JsonConfig):
 
     def check_bounds(self) -> None:
         self.check_positive_ints("combinatorial_depth")
+        if self.classes is not None and len(set(self.classes)) != len(self.classes):
+            raise InvalidSpecError("classes must be unique")
         if self.ring_topology is not None:
             self.ring_topology = tuple(self.ring_topology)
 
@@ -77,8 +84,8 @@ class CompensationNote:
     class_label: str
     sensor: int
     criticality: float
-    neighbours: tuple[int, int]  # ring left, ring right
-    neighbour_criticality: tuple[float, float]
+    neighbours: tuple[int, ...]  # ring left, ring right; none on a one-sensor ring
+    neighbour_criticality: tuple[float, ...]
     verdict: str  # "compensated" | "uncompensated"
 
 
@@ -102,8 +109,10 @@ def neighbour_compensation(report: AblationReport) -> tuple[CompensationNote, ..
     """Ring-neighbour check for every critical sensor of every class, on
     the report's own ring topology and thresholds.
 
-    A critical sensor is ``uncompensated`` when both ring neighbours sit
-    below the redundancy threshold, ``compensated`` otherwise.
+    A critical sensor is ``uncompensated`` when every ring neighbour sits
+    below the redundancy threshold, ``compensated`` otherwise. A sensor is
+    never its own neighbour, so the one sensor of a one-channel ring has
+    none and is ``uncompensated``.
     """
     topo = tuple(report.ring_topology)
     if sorted(topo) != list(range(report.channel_count)):
@@ -122,17 +131,17 @@ def neighbour_compensation(report: AblationReport) -> tuple[CompensationNote, ..
             if value < crit_thr:
                 continue
             p = position[sensor]
-            left, right = topo[(p - 1) % m], topo[(p + 1) % m]
-            left_score, right_score = float(scores[left]), float(scores[right])
-            both_low = left_score < red_thr and right_score < red_thr
+            neighbours = (topo[(p - 1) % m], topo[(p + 1) % m]) if m > 1 else ()
+            neighbour_scores = tuple(float(scores[s]) for s in neighbours)
+            all_low = all(v < red_thr for v in neighbour_scores)
             notes.append(
                 CompensationNote(
                     class_label=label,
                     sensor=sensor,
                     criticality=value,
-                    neighbours=(left, right),
-                    neighbour_criticality=(left_score, right_score),
-                    verdict="uncompensated" if both_low else "compensated",
+                    neighbours=neighbours,
+                    neighbour_criticality=neighbour_scores,
+                    verdict="uncompensated" if all_low else "compensated",
                 )
             )
     return tuple(notes)
@@ -153,7 +162,7 @@ def run_ablation_audit(
     class must share one channel-major column map of C * F columns, or
     ``MismatchedColumnsError`` is raised.
 
-    One ``separability_score`` call per class gives every sensor's shift;
+    One ``fisher_per_dim`` call per class gives every sensor's shift;
     a subset's shift is the max of its members' (see the module
     docstring). Output ordering is fixed (classes as configured or
     sorted, subsets as ``enumerate_subsets``).
@@ -187,9 +196,7 @@ def run_ablation_audit(
     failed_values = np.tile(failed_row, channel_count)
     sensor_shift = np.empty((len(classes), channel_count))
     for ci, label in enumerate(classes):
-        base = matrices[label]
-        failed = replace(base, values=np.broadcast_to(failed_values, base.values.shape))
-        fisher = separability_score(base, failed).per_dim_fisher
+        fisher, _ = fisher_per_dim(matrices[label].values, failed_values[None])
         sensor_shift[ci] = fisher.reshape(channel_count, -1).max(axis=1)
     # pad each subset with its first member, which leaves its max alone
     width = max(len(subset) for subset in subsets)

@@ -41,13 +41,7 @@ from .ablation import (
     run_ablation_audit,
 )
 from .errors import AuditError, ConfigError, TooFewRowsError
-from .features import (
-    FeatureConfig,
-    build_class_matrices,
-    column_labels,
-    feature_columns,
-    zero_window_features,
-)
+from .features import FeatureConfig, build_class_matrices, column_labels, zero_window_features
 from .ingest import REST_CLASS, JsonConfig, SegmentationConfig, Windows, load_dataset, segment
 from .oracle import OracleConfig, run_oracle_audit
 from .reports import (
@@ -122,25 +116,32 @@ class _Stage:
 class _PipelineData:
     fs: float
     classes: list[str]
-    seed: int
     window_counts: Counter
 
 
-def _ingest(cfg: ConfigFile, args: argparse.Namespace) -> tuple[Windows, _PipelineData]:
+def _ingest(
+    cfg: ConfigFile, args: argparse.Namespace, wanted: list[str] | None
+) -> tuple[Windows, _PipelineData, ConfigFile]:
+    """The windows of every class but rest (unless --include-rest), or of
+    those among them that ``wanted`` names, and ``cfg`` with the
+    segmentation and seed the run used: a --synthetic run segments with
+    its spec's own geometry and, without --seed, seeds with the spec's."""
     with _Stage("ingest"):
         if args.synthetic:
             spec = SyntheticSpec.from_json_file(args.synthetic)
             seed = args.seed if args.seed is not None else spec.seed
+            cfg = replace(
+                cfg, segmentation=spec.segmentation(), oracle=replace(cfg.oracle, seed=seed)
+            )
             rset = generate_recordings(spec, seed=seed)
-            seg = spec.segmentation()
         else:
             rset = load_dataset(args.data)
-            seed = cfg.oracle.seed
-            seg = cfg.segmentation
         classes = [c for c in rset.class_names if args.include_rest or c != REST_CLASS]
         if not classes:
             raise ConfigError("no classes left after excluding the rest class")
-        windows = segment(rset, seg, classes=classes)
+        if wanted:
+            classes = [c for c in classes if c in wanted]
+        windows = segment(rset, cfg.segmentation, classes=classes)
         counts = Counter(windows.labels)
         present = sorted(counts)
         missing = [c for c in classes if c not in present]
@@ -148,7 +149,7 @@ def _ingest(cfg: ConfigFile, args: argparse.Namespace) -> tuple[Windows, _Pipeli
             raise TooFewRowsError(
                 f"class {missing[0]!r} produced no windows after segmentation"
             )
-        return windows, _PipelineData(rset.sampling_rate_hz, present, seed, counts)
+        return windows, _PipelineData(rset.sampling_rate_hz, present, counts), cfg
 
 
 # Audit command -> (help, stages it runs); "full" also writes the summary.
@@ -187,8 +188,9 @@ def _run(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
         raise ConfigError("exactly one of --data and --synthetic must be given")
     if args.jobs < 1:
         raise ConfigError("--jobs must be positive")
-    windows, data = _ingest(cfg, args)
-    cfg = replace(cfg, oracle=replace(cfg.oracle, seed=data.seed))
+    # an ablation run alone segments only the classes it audits
+    wanted = cfg.ablation.classes if stages == ("ablation",) else None
+    windows, data, cfg = _ingest(cfg, args, wanted)
     summary = stages == STAGES
     dump_features = getattr(args, "dump_features", False)
     groups = list(stages) + ["summary"] * summary + ["features"] * dump_features
@@ -202,7 +204,7 @@ def _run(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
             "kind": "synthetic" if args.synthetic else "dataset",
             "path": str(Path(args.synthetic or args.data)),
         },
-        "seed": data.seed,
+        "seed": cfg.oracle.seed,
         "include_rest": args.include_rest,
         "segmentation": cfg.segmentation.to_json_dict(),
         "features": cfg.features.to_json_dict(),
@@ -212,9 +214,7 @@ def _run(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
         "redundancy_threshold": float(cfg.thresholds.redundancy),
     }
 
-    channels, width = windows.data.shape[1:]
-    if stages == ("ablation",) and cfg.ablation.classes:
-        windows = windows.select(report_classes)
+    width = windows.data.shape[2]
     with _Stage("features"):
         matrices = build_class_matrices(windows, cfg.features, data.fs)
     del windows  # the (N, C, W) array is not needed past here; free it before the oracle
@@ -225,7 +225,7 @@ def _run(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
             ovo = pairwise_audit(matrices, mode="one-vs-one")
             if "complexity" in stages:
                 ovr = pairwise_audit(matrices, mode="one-vs-rest")
-                columns = column_labels(feature_columns(channels, cfg.features))
+                columns = column_labels(next(iter(matrices.values())).column_index)
                 payloads["complexity"] = {
                     "one_vs_one": complexity_payload(ovo, columns),
                     "one_vs_rest": complexity_payload(ovr, columns),

@@ -212,16 +212,16 @@ def sample_entropy(
     signal: np.ndarray,
     m: int = 2,
     r_coeff: float = 0.2,
-    with_flag: bool = False,
 ):
     """Sample entropy with Chebyshev distance and tolerance r_coeff * SD.
 
     Counts ordered template pairs (self-matches excluded) of length m (B)
     and m+1 (A) within tolerance r and returns -ln(A/B), as defined by
     Richman & Moorman 2000 (Am J Physiol 278:H2039). When either count
-    is zero the analytic cap ln((n-m)(n-m-1)) is returned; pass
-    ``with_flag=True`` to also receive that cappedness as a boolean (an
-    array of them for several rows).
+    is zero the analytic cap ``sampen_cap(n, m)`` = ln((n-m)(n-m-1)) is
+    returned. A value is capped iff it equals that cap: with A >= 1 and
+    B <= q(q-1)/2 for q = n - m templates, an uncapped value is at most
+    ln(q(q-1)/2) = cap - ln 2.
 
     The pairs are counted with bitsets over sample indices. Each row is
     sorted once. Sorted sample p lies within r of the sorted run [lo[p],
@@ -254,22 +254,15 @@ def sample_entropy(
         raise WindowTooShortError(f"sample_entropy needs > {m + 1} samples, got {n}")
     rows = x.reshape(-1, n)
     values = np.empty(rows.shape[0])
-    capped = np.empty(rows.shape[0], dtype=bool)
     table_row = 8 * (n + 1) * (-(-n // 64) + m)
     step = max(1, min(SAMPEN_BLOCK_SAMPLES // n, SAMPEN_TABLE_BYTES // table_row))
     for start in range(0, rows.shape[0], step):
         block = slice(start, start + step)
-        values[block], capped[block] = _sample_entropy_block(rows[block], m, r_coeff)
-    if x.ndim == 1:
-        values, capped = float(values[0]), bool(capped[0])
-    else:
-        values, capped = values.reshape(x.shape[:-1]), capped.reshape(x.shape[:-1])
-    return (values, capped) if with_flag else values
+        values[block] = _sample_entropy_block(rows[block], m, r_coeff)
+    return float(values[0]) if x.ndim == 1 else values.reshape(x.shape[:-1])
 
 
-def _sample_entropy_block(
-    rows: np.ndarray, m: int, r_coeff: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _sample_entropy_block(rows: np.ndarray, m: int, r_coeff: float) -> np.ndarray:
     n = rows.shape[1]
     top, bottom = rows.max(axis=1), rows.min(axis=1)
     rows = _unit_scaled(rows, top, bottom)
@@ -279,18 +272,14 @@ def _sample_entropy_block(
     # itself; B and A, matches minus the q self-matches, are then both -q.
     # Either way the value is -ln(1).
     values = np.full(rows.shape[0], -math.log(1.0))
-    capped = np.zeros(rows.shape[0], dtype=bool)
     live = np.flatnonzero((r >= 0.0) & (top != bottom))
     if live.size:
         a, b = _sampen_counts(rows[live], r[live], m)
         cap = sampen_cap(n, m)
         # math.log row by row: numpy's vectorised log need not round as libm's does
         for k, a_k, b_k in zip(live.tolist(), a.tolist(), b.tolist()):
-            if a_k == 0 or b_k == 0:
-                values[k], capped[k] = cap, True
-            else:
-                values[k] = -math.log(a_k / b_k)
-    return values, capped
+            values[k] = cap if a_k == 0 or b_k == 0 else -math.log(a_k / b_k)
+    return values
 
 
 def _sampen_counts(rows: np.ndarray, r: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

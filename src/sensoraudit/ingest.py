@@ -113,9 +113,9 @@ def check_type(name: str, t, value, error: type[Exception] = InvalidSpecError) -
 
 @cache
 def _json_fields(cls) -> dict:
-    """JSON key -> (field, resolved type) of each field of ``cls``, in field order."""
+    """Name -> (field, resolved type) of each field of ``cls``, in field order."""
     hints = get_type_hints(cls, globalns=cls._module_globals)
-    return {f.metadata.get("json", f.name): (f, hints[f.name]) for f in dataclasses.fields(cls)}
+    return {f.name: (f, hints[f.name]) for f in dataclasses.fields(cls)}
 
 
 def _from_json(t, value):
@@ -137,9 +137,8 @@ def _from_json(t, value):
 def _checked_fields(cls, d) -> dict:
     """Constructor arguments of the dataclass ``cls`` from its JSON object.
 
-    A field is read from the key ``metadata["json"]`` (default: its name).
-    A non-object, any other key, or a missing field that has no default
-    raises ``InvalidSpecError``.
+    A field is read from the key of its name. A non-object, any other key,
+    or a missing field that has no default raises ``InvalidSpecError``.
     """
     if not isinstance(d, dict):
         raise InvalidSpecError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
@@ -153,7 +152,7 @@ def _checked_fields(cls, d) -> dict:
     missing = [k for k in required if k not in d]
     if missing:
         raise InvalidSpecError(f"missing {cls.__name__} fields: {', '.join(missing)}")
-    return {fields[key][0].name: _from_json(fields[key][1], value) for key, value in d.items()}
+    return {key: _from_json(fields[key][1], value) for key, value in d.items()}
 
 
 def _to_json(value):
@@ -183,8 +182,8 @@ class JsonConfig:
         cls._module_globals = sys._getframe(1).f_globals
 
     def __post_init__(self) -> None:
-        for key, (f, t) in _json_fields(type(self)).items():
-            check_type(key, t, getattr(self, f.name))
+        for name, (_, t) in _json_fields(type(self)).items():
+            check_type(name, t, getattr(self, name))
         self.check_bounds()
 
     def check_bounds(self) -> None:
@@ -208,8 +207,7 @@ class JsonConfig:
         return cls.from_json_dict(payload)
 
     def to_json_dict(self) -> dict:
-        fields = _json_fields(type(self)).items()
-        return {key: _to_json(getattr(self, f.name)) for key, (f, _) in fields}
+        return {name: _to_json(getattr(self, name)) for name in _json_fields(type(self))}
 
     def check_positive_ints(self, *names: str) -> None:
         """Reject, by name, the first of these int fields that is below 1."""
@@ -275,16 +273,6 @@ class Windows:
 
     def __len__(self) -> int:
         return int(self.data.shape[0])
-
-    def select(self, classes) -> Windows:
-        """The rows whose label is in ``classes``, in their current order."""
-        wanted = set(classes)
-        keep = [i for i, label in enumerate(self.labels) if label in wanted]
-        return Windows(
-            self.data[keep],
-            tuple(self.labels[i] for i in keep),
-            tuple(self.provenance[i] for i in keep),
-        )
 
 
 @dataclass(frozen=True)

@@ -126,13 +126,6 @@ def mean_loss(params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray) -> fl
     return float(np.mean(np.logaddexp(0.0, logits) - y * logits))
 
 
-def loss_and_grads(
-    params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy and its analytic gradients w.r.t. every parameter."""
-    return mean_loss(params, x, y), gradients(params, x, y)
-
-
 def gradients(
     params: dict[str, np.ndarray],
     x: np.ndarray,
@@ -306,10 +299,11 @@ class OracleResult:
 
 
 def pair_rng(seed: int, class_a: str, class_b: str) -> np.random.Generator:
-    """Generator derived from (seed, pair), stable across processes."""
+    """Generator derived from (seed, pair), stable across processes. Every
+    nonnegative seed gives its own stream."""
     digest = hashlib.sha256(f"{class_a}\x1f{class_b}".encode()).digest()
     return np.random.default_rng(
-        np.random.SeedSequence([seed & 0xFFFFFFFF, int.from_bytes(digest[:8], "big")])
+        np.random.SeedSequence([seed, int.from_bytes(digest[:8], "big")])
     )
 
 

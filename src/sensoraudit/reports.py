@@ -284,6 +284,11 @@ def write_ablation(out_dir: Path, payload: dict, texts: dict | None = None) -> l
         ],
     )
 
+    comp_rows = []
+    for n in payload["neighbour_compensation"]:
+        # a one-sensor ring has no neighbours: their cells stay empty
+        left, right = list(zip(n["neighbours"], n["neighbour_criticality"])) or [("", "")] * 2
+        comp_rows.append([n["class"], n["sensor"], n["criticality"], *left, *right, n["verdict"]])
     write_csv(
         comp_path,
         [
@@ -296,19 +301,7 @@ def write_ablation(out_dir: Path, payload: dict, texts: dict | None = None) -> l
             "right_criticality",
             "verdict",
         ],
-        [
-            [
-                n["class"],
-                n["sensor"],
-                n["criticality"],
-                n["neighbours"][0],
-                n["neighbour_criticality"][0],
-                n["neighbours"][1],
-                n["neighbour_criticality"][1],
-                n["verdict"],
-            ]
-            for n in payload["neighbour_compensation"]
-        ],
+        comp_rows,
     )
 
     for label, plot_path in zip(classes, plot_paths):

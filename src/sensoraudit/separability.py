@@ -66,7 +66,10 @@ def _gap_and_variance(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndar
     return mean_gap, t.var(axis=0) + r.var(axis=0)  # population variance
 
 
-def _fisher_per_dim(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def fisher_per_dim(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column Fisher ratio of the rows ``t`` against the rows ``r``
+    (either may be a single row), and which columns have zero summed
+    variance."""
     with np.errstate(over="ignore", invalid="ignore"):
         mean_gap, var_sum = _gap_and_variance(t, r)
     # features near 1e150 overflow the squares; scaling a column's values
@@ -102,7 +105,7 @@ def separability_score(target: FeatureMatrix, reference: FeatureMatrix) -> Separ
     """All three metrics in one pass over the two matrices."""
     _check_pair(target, reference)
     t, r = target.values, reference.values
-    fisher, var_degenerate = _fisher_per_dim(t, r)
+    fisher, var_degenerate = fisher_per_dim(t, r)
     overlap, span = _overlap_per_dim(t, r)
     live = span > 0.0
     ratio = np.divide(overlap, span, out=np.zeros_like(overlap), where=live)

@@ -50,10 +50,10 @@ class ChannelProfile(JsonConfig):
 @dataclass
 class ChannelSpec(JsonConfig):
     default: ChannelProfile = field(default_factory=ChannelProfile)
-    per_class: dict[str, ChannelProfile] = field(default_factory=dict, metadata={"json": "classes"})
+    classes: dict[str, ChannelProfile] = field(default_factory=dict)
 
     def profile(self, class_label: str) -> ChannelProfile:
-        return self.per_class.get(class_label, self.default)
+        return self.classes.get(class_label, self.default)
 
 
 @dataclass
@@ -86,7 +86,7 @@ class SyntheticSpec(JsonConfig):
             raise InvalidSpecError("more channel specs than channel_count")
         known = set(self.class_names)
         for spec in self.channels:
-            for label in spec.per_class:
+            for label in spec.classes:
                 if label not in known:
                     raise InvalidSpecError(f"channel profile for unknown class {label!r}")
         # pad with default (noise) channels

@@ -28,7 +28,7 @@ def graded_spec(seed: int, gains=(1.0, 1.12, 1.8)) -> SyntheticSpec:
     """Three classes separated only by channel 0's tonic gain; the
     (alpha, beta) gap is engineered to be the smallest."""
     ch0 = ChannelSpec(
-        per_class={
+        classes={
             c: ChannelProfile(kind="tonic", gain=g, carrier_hz=30.0)
             for c, g in zip(CLASSES, gains)
         }
@@ -49,7 +49,7 @@ def criticality_spec(seed: int) -> SyntheticSpec:
     always noise (known redundant)."""
     chans = [
         ChannelSpec(
-            per_class={c: ChannelProfile(kind="tonic", gain=2.0, carrier_hz=25.0 + 10 * i)}
+            classes={c: ChannelProfile(kind="tonic", gain=2.0, carrier_hz=25.0 + 10 * i)}
         )
         for i, c in enumerate(CLASSES)
     ]

@@ -1,5 +1,5 @@
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 import pytest
@@ -31,7 +31,16 @@ from sensoraudit.features import (
     feature_columns,
     zero_window_features,
 )
+from sensoraudit.ingest import Windows
 from sensoraudit.separability import separability_score
+
+
+def rows_of(windows, label):
+    """The windows of one class, in their order."""
+    mask = np.array(windows.labels) == label
+    return Windows(
+        windows.data[mask], compress(windows.labels, mask), compress(windows.provenance, mask)
+    )
 
 
 def make_windows(n=6, channels=4, width=64, label="a", seed=0):
@@ -167,6 +176,14 @@ class TestNeighbourCompensation:
         assert notes[0].sensor == 4
         assert notes[0].neighbour_criticality == (0.0, 0.7)
 
+    def test_one_sensor_is_not_its_own_neighbour(self):
+        (note,) = neighbour_compensation(report_from_normalized([[1.0]]))
+        assert note.neighbours == () and note.neighbour_criticality == ()
+        assert note.verdict == "uncompensated"
+        # two sensors: each is the other's only neighbour, on both sides
+        notes = neighbour_compensation(report_from_normalized([[1.0, 0.5]]))
+        assert [(n.neighbours, n.verdict) for n in notes] == [((1, 1), "compensated")]
+
     def test_no_critical_sensor_no_notes(self):
         report = report_from_normalized([[0.5, 0.2, 0.7]])
         assert neighbour_compensation(report) == ()
@@ -245,7 +262,7 @@ class TestRunAblationAudit:
         # why they are not offered: every cell reads f2 = 0 and f3 = 1
         windows, fs = windows_of(criticality_spec(0))
         for label in CLASSES:
-            class_windows = windows.select([label])
+            class_windows = rows_of(windows, label)
             matrix = build_class_matrices(class_windows, fcfg, fs)[label]
             for sensor in range(5):
                 assert ablated_shift(class_windows, {sensor}, fcfg, fs, "f2", matrix) == 0.0
@@ -260,6 +277,8 @@ class TestRunAblationAudit:
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpecError):
             AblationSpec(combinatorial_depth=0)
+        with pytest.raises(InvalidSpecError, match="classes must be unique"):
+            AblationSpec(classes=["a", "a", "b"])
 
 
 def same_bits(a, b) -> bool:
@@ -352,12 +371,13 @@ class TestClosedFormAblation:
         windows, fs = windows_of(criticality_spec(6))
         matrices = build_class_matrices(windows, fcfg, fs)
         calls = []
+        kernel = ablation.fisher_per_dim
 
         def counting(*args):
             calls.append(args)
-            return separability_score(*args)
+            return kernel(*args)
 
-        monkeypatch.setattr(ablation, "separability_score", counting)
+        monkeypatch.setattr(ablation, "fisher_per_dim", counting)
         report = run_ablation_audit(
             matrices, AblationSpec(combinatorial_depth=depth), zero_window_features(fcfg, 128, fs)
         )
@@ -371,7 +391,7 @@ class TestClosedFormAblation:
             matrices, AblationSpec(combinatorial_depth=3), zero_window_features(fcfg, 128, fs)
         )
         for ci, label in enumerate(report.classes):
-            class_windows = windows.select([label])
+            class_windows = rows_of(windows, label)
             expected = [
                 ablated_shift(class_windows, subset, fcfg, fs, baseline=matrices[label])
                 for subset in report.subsets

@@ -34,8 +34,8 @@ from sensoraudit.features import (
 from sensoraudit.ingest import SegmentationConfig, load_dataset, segment
 from sensoraudit.oracle import (
     OracleConfig,
+    gradients,
     init_params,
-    loss_and_grads,
     mcc_from_counts,
     mean_loss,
     run_oracle_audit,
@@ -143,8 +143,7 @@ def test_criterion_3_extractor_suite():
     assert fd == pytest.approx(naive_katz(list(noise)), rel=1e-12)
 
     # sample entropy caps on a monotone ramp, stays interior on noise
-    ramp_value, ramp_capped = sample_entropy(np.arange(50.0), 2, 0.01, with_flag=True)
-    assert ramp_capped and ramp_value == pytest.approx(sampen_cap(50, 2))
+    assert sample_entropy(np.arange(50.0), 2, 0.01) == sampen_cap(50, 2)
     x400 = np.random.default_rng(1).uniform(size=400)
     assert 0.0 < sample_entropy(x400, 2, 0.2) < sampen_cap(400, 2)
 
@@ -328,7 +327,7 @@ def test_criterion_8_oracle_numerics():
         params = init_params(n_in, hidden, rng)
         x = rng.normal(size=(n, n_in))
         y = rng.integers(0, 2, size=n).astype(float)
-        _, grads = loss_and_grads(params, x, y)
+        grads = gradients(params, x, y)
         for key in params:
             flat = params[key].ravel()
             grad_flat = grads[key].ravel()

@@ -26,6 +26,7 @@ from sensoraudit.errors import (
 )
 from sensoraudit.ingest import Recording, RecordingSet
 from sensoraudit.reports import artifact_names, write_dataset
+from sensoraudit.synthetic import SyntheticSpec
 
 
 def write_spec(path: Path, channel_count=3, classes=("alpha", "beta", "gamma"), windows=20, seed=3):
@@ -148,6 +149,12 @@ BAD_INPUTS = {
     "subsets-float": ("config", {"ablation": {"sensor_subsets": [[1.5]]}}, EXIT_CONFIG, "sensor_subsets"),
     "ring-text": ("config", {"ablation": {"ring_topology": "abc"}}, EXIT_CONFIG, "ring_topology"),
     "ablation-classes-text": ("config", {"ablation": {"classes": "ab"}}, EXIT_CONFIG, "classes"),
+    "ablation-classes-repeated": (
+        "config",
+        {"ablation": {"classes": ["alpha", "alpha", "beta"]}},
+        EXIT_CONFIG,
+        "classes must be unique",
+    ),
     "enabled-features-int": ("config", {"features": {"enabled_features": 3}}, EXIT_CONFIG, "enabled_features"),
     "concat-text": (
         "config",
@@ -415,6 +422,34 @@ class TestAblate:
         for path in (tmp_path / "ablate").iterdir():
             assert path.read_bytes() == (tmp_path / "full" / path.name).read_bytes()
 
+    @pytest.mark.parametrize("named", [["alpha", "zz"], ["rest"]])
+    def test_named_class_without_windows_is_too_small(self, tmp_path, capsys, named):
+        spec = write_spec(tmp_path / "spec.json", classes=("alpha", "beta", "rest"))
+        cfg = tmp_path / "audit.json"
+        cfg.write_text(json.dumps({"ablation": {"classes": named}}))
+        out = tmp_path / "out"
+        argv = ["ablate", "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == EXIT_TOO_SMALL
+        assert f"class {named[-1]!r} has no windows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_channel_sensor_has_no_neighbours(self, tmp_path):
+        spec = write_spec(tmp_path / "spec.json", channel_count=1)
+        out = tmp_path / "out"
+        assert main(["ablate", "--synthetic", str(spec), "--out", str(out)]) == 0
+        rows = read_csv(out / "neighbour_compensation.csv")
+        assert [r["class"] for r in rows] == ["alpha", "beta", "gamma"]
+        for row in rows:
+            assert row["sensor"] == "0" and row["verdict"] == "uncompensated"
+            assert row["left_neighbour"] == row["left_criticality"] == ""
+            assert row["right_neighbour"] == row["right_criticality"] == ""
+        payload = json.loads((out / "ablation.json").read_text())
+        for note in payload["neighbour_compensation"]:
+            assert note["neighbours"] == note["neighbour_criticality"] == []
+        degradation = payload["advice"]["implement_graceful_degradation"]
+        assert degradation["sensors"] == [0]
+        assert degradation["detail"]["ch1"]["neighbours"] == []
+
     @pytest.mark.parametrize("command", ["ablate", "full"])
     def test_zero_window_constants_computed_once(self, tmp_path, monkeypatch, command):
         spec = write_spec(tmp_path / "spec.json")
@@ -590,6 +625,19 @@ class TestOracleCmd:
         assert payload["config"]["seed"] == 5
         assert payload["config"]["oracle"]["seed"] == 5
         assert {r["seed"] for r in payload["results"]} == {5}
+
+    def test_echoes_the_segmentation_it_used(self, tmp_path):
+        # a --synthetic run segments with its spec's geometry, not the config's
+        spec = write_spec(tmp_path / "spec.json")
+        cfg = tmp_path / "audit.json"
+        segmentation = {"trim_head_ms": 50.0, "window_len_samples": 32}
+        cfg.write_text(json.dumps({"segmentation": segmentation, "oracle": {"epochs": 30}}))
+        out = tmp_path / "out"
+        assert main(["oracle", "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)]) == 0
+        echoed = json.loads((out / "oracle.json").read_text())["config"]["segmentation"]
+        assert echoed == SyntheticSpec.from_json_file(spec).segmentation().to_json_dict()
+        assert echoed["window_len_samples"] == 64 and echoed["trim_head_ms"] == 0.0
+        assert echoed["concat_trials_within_session"] is False
 
 
 class TestFull:

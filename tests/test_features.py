@@ -50,17 +50,20 @@ class TestShannonEntropy:
         assert shannon_entropy(x, bins=128) == pytest.approx(7.0, abs=1e-12)
 
 
+def with_cap_flag(value, n, m):
+    """A sample entropy and whether it is the cap, as ``naive_sample_entropy``
+    returns them: a value is capped iff it equals ``sampen_cap(n, m)``."""
+    return value, value == sampen_cap(n, m)
+
+
 class TestSampleEntropy:
     def test_constant_is_zero(self):
         assert sample_entropy(np.zeros(50)) == 0.0
-        value, capped = sample_entropy(np.full(50, 2.0), with_flag=True)
-        assert value == 0.0 and not capped
+        assert sample_entropy(np.full(50, 2.0)) == 0.0
 
     def test_monotone_ramp_caps(self):
         x = np.arange(50, dtype=float)  # steps far exceed r = 0.2 * sd
-        value, capped = sample_entropy(x, m=2, r_coeff=0.01, with_flag=True)
-        assert capped
-        assert value == pytest.approx(sampen_cap(50, 2))
+        assert sample_entropy(x, m=2, r_coeff=0.01) == sampen_cap(50, 2)
 
     def test_window_too_short(self):
         with pytest.raises(WindowTooShortError):
@@ -93,7 +96,7 @@ class TestSampleEntropy:
     def assert_matches_naive(x, m=2, r_coeff=0.2):
         r = r_coeff * float(x.std())
         expected = naive_sample_entropy(list(x), m, r)
-        assert sample_entropy(x, m, r_coeff, with_flag=True) == expected
+        assert with_cap_flag(sample_entropy(x, m, r_coeff), len(x), m) == expected
 
     def test_quantised_ties_match_naive(self):
         rng = np.random.default_rng(7)
@@ -135,11 +138,10 @@ class TestSampleEntropy:
         rng = np.random.default_rng(13)
         rows = np.stack([np.round(rng.normal(size=300) * 2), rng.normal(size=300)])
         rows[1, 100:130] += 20.0
-        whole = sample_entropy(rows, 2, 0.2, with_flag=True)
+        whole = sample_entropy(rows, 2, 0.2)
         for budget in (1, 8 * 301 * 4, 8 * 301 * 5, 1 << 30):
             monkeypatch.setattr(features, "SAMPEN_TABLE_BYTES", budget)
-            values, capped = sample_entropy(rows, 2, 0.2, with_flag=True)
-            assert same_bits(values, whole[0]) and np.array_equal(capped, whole[1])
+            assert same_bits(sample_entropy(rows, 2, 0.2), whole)
 
     def test_block_counts_equal_one_row_counts(self, monkeypatch):
         # constant, quantised, x2**600, NaN (its r is NaN) and ordinary rows;
@@ -150,16 +152,14 @@ class TestSampleEntropy:
         rows[3] = rows[0] * 2.0**600
         rows[9] = rows[4] * 2.0**600
         rows[7, 40] = np.nan
-        alone = [sample_entropy(row, 2, 0.2, with_flag=True) for row in rows]
+        alone = [sample_entropy(row, 2, 0.2) for row in rows]
         for block in (1, 3, 5, len(rows)):
             monkeypatch.setattr(features, "SAMPEN_BLOCK_SAMPLES", block * rows.shape[1])
-            values, capped = sample_entropy(rows, 2, 0.2, with_flag=True)
-            assert same_bits(values, [value for value, _ in alone])
-            assert capped.tolist() == [flag for _, flag in alone]
+            assert same_bits(sample_entropy(rows, 2, 0.2), alone)
         r = 0.2 * float(rows[2].std())
-        assert alone[2] == naive_sample_entropy(list(rows[2]), 2, r)
-        assert same_bits(alone[3][0], alone[0][0]) and same_bits(alone[9][0], alone[4][0])
-        assert same_bits(alone[7][0], -0.0) and same_bits(alone[1][0], -0.0)
+        assert with_cap_flag(alone[2], 90, 2) == naive_sample_entropy(list(rows[2]), 2, r)
+        assert same_bits(alone[3], alone[0]) and same_bits(alone[9], alone[4])
+        assert same_bits(alone[7], -0.0) and same_bits(alone[1], -0.0)
 
     def test_overflowing_sd_keeps_every_count(self):
         # x.std() overflows at this scale; unscaled r would be inf and
@@ -252,13 +252,13 @@ def test_sample_entropy_counts_equal_references(m, r_coeff, kind, width, one_wor
         if one_word_tiles:
             patch.setattr(features, "SAMPEN_TABLE_BYTES", 1)
         counts = features._sampen_counts(row[None], r, m)
-        values, capped = sample_entropy(rows, m, r_coeff, with_flag=True)
+        values = sample_entropy(rows, m, r_coeff)
     assert np.array_equal(counts, candidate_sampen_counts(row[None], r, m))
     if w <= 130:  # the naive loops are quadratic in Python
-        expected, expected_cap = naive_sample_entropy(list(row), m, float(r[0]))
-        assert same_bits(values[0], expected) and capped[0] == expected_cap
-    assert same_bits(values[1], values[0]) and capped[1] == capped[0]
-    assert same_bits(values[2:], [-0.0, -0.0]) and not capped[2:].any()
+        expected = naive_sample_entropy(list(row), m, float(r[0]))
+        assert same_bits(values[0], expected[0]) and with_cap_flag(values[0], w, m) == expected
+    assert same_bits(values[1], values[0])
+    assert same_bits(values[2:], [-0.0, -0.0])
 
 
 class TestZeroCrossings:
@@ -609,6 +609,15 @@ def test_constant_windows_give_the_documented_value(name, c, rows, data):
     assert same_bits(batched, np.full(rows, alone))
 
 
+def spike_or_quantised_rows(kind, rows, w, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if kind == "spike":
+        x = np.zeros((rows, w))
+        x[np.arange(rows), rng.integers(w, size=rows)] = rng.choice([-5.0, 0.5, 3.0], size=rows)
+        return x
+    return np.round(rng.normal(size=(rows, w)) * rng.choice([1.0, 4.0]))
+
+
 # Extractors whose value does not depend on the row's amplitude, at
 # thresholds that do not either.
 SCALE_FREE = {
@@ -629,18 +638,30 @@ SCALE_FREE = {
 )
 def test_spike_and_quantised_windows_batch_exactly(name, kind, rows, k, data):
     w = data.draw(st.integers(CONSTANT_SIGNAL[name][1], 1000), label="w")
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    if kind == "spike":
-        x = np.zeros((rows, w))
-        x[np.arange(rows), rng.integers(w, size=rows)] = rng.choice([-5.0, 0.5, 3.0], size=rows)
-    else:
-        x = np.round(rng.normal(size=(rows, w)) * rng.choice([1.0, 4.0]))
+    x = spike_or_quantised_rows(kind, rows, w, data)
     extractor = one_per_row(name)
     batched = extractor(x)
     assert np.isfinite(batched).all()
     assert same_bits(batched, [extractor(row) for row in x])
     if name in SCALE_FREE:
         assert same_bits(SCALE_FREE[name](x * 2.0**k), SCALE_FREE[name](x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["spike", "quantised"]),
+    rows=st.integers(1, 4),
+    m=st.integers(1, 3),
+    r_coeff=st.sampled_from([0.05, 0.2, 1.5]),
+    data=st.data(),
+)
+def test_sample_entropy_is_capped_iff_it_equals_the_cap(kind, rows, m, r_coeff, data):
+    w = data.draw(st.integers(m + 2, 1000), label="w")
+    x = spike_or_quantised_rows(kind, rows, w, data)
+    r = r_coeff * x.std(axis=1)
+    a, b = features._sampen_counts(x, r, m)
+    no_pair = ((a == 0) | (b == 0)) & (x.min(axis=1) != x.max(axis=1))
+    assert np.array_equal(sample_entropy(x, m, r_coeff) == sampen_cap(w, m), no_pair)
 
 
 class TestBatchedExtractors:
@@ -726,10 +747,9 @@ class TestBatchedExtractors:
             expected.append(0.0 if total <= 0.0 or constant else float(freqs[idx]))
         assert same_bits(median_frequency(rows, 200.0), expected)
 
-    def test_sample_entropy_flags_per_row(self):
+    def test_sample_entropy_caps_per_row(self):
         rows = np.stack([np.arange(50.0), np.zeros(50)])
-        values, capped = sample_entropy(rows, 2, 0.01, with_flag=True)
-        assert capped.tolist() == [True, False]
+        values = sample_entropy(rows, 2, 0.01)
         assert same_bits(values, [sampen_cap(50, 2), -0.0])
 
 

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,6 @@ from sensoraudit.oracle import (
     confusion,
     gradients,
     init_params,
-    loss_and_grads,
     mcc_from_counts,
     mean_loss,
     pair_rng,
@@ -145,7 +145,7 @@ class TestGradients:
             params = init_params(n_in, hidden, rng)
             x = rng.normal(size=(n, n_in))
             y = rng.integers(0, 2, size=n).astype(float)
-            _, grads = loss_and_grads(params, x, y)
+            grads = gradients(params, x, y)
             for key in params:
                 flat = params[key].ravel()
                 grad_flat = grads[key].ravel()
@@ -161,18 +161,20 @@ class TestGradients:
                     assert abs(numeric - grad_flat[idx]) / scale < 1e-4, (case, key)
 
 
-    def test_gradients_equal_loss_and_grads_bits(self):
+    def test_gradients_into_a_workspace_keep_their_bits(self):
         rng = np.random.default_rng(7)
         params = init_params(5, 8, rng)
         x = rng.normal(size=(12, 5))
         y = rng.integers(0, 2, size=12).astype(float)
-        loss, expected = loss_and_grads(params, x, y)
-        assert loss == mean_loss(params, x, y)
-        got = gradients(params, x, y)
+        expected = gradients(params, x, y)
+        out = {key: np.full((12, 8), np.nan) for key in ("pre", "hidden", "dpre")}
+        out |= {"mask": np.ones((12, 8), dtype=bool), "w1": np.full((5, 8), np.nan)}
+        got = gradients(params, x, y, out)
+        assert got["w1"] is out["w1"]
         for key in params:
             assert np.array_equal(got[key].view(np.uint64), expected[key].view(np.uint64))
 
-    def test_train_equals_loss_and_grads_descent(self):
+    def test_train_equals_gradient_descent(self):
         x, y = blobs(n=40, dims=3, seed=5)
         cfg = OracleConfig(hidden_units=6, epochs=4, batch_size=8, seed=2)
         trained = fit(x, y, cfg)
@@ -182,7 +184,7 @@ class TestGradients:
             order = rng.permutation(len(y))
             for start in range(0, len(y), cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                _, grads = loss_and_grads(params, x[idx], y[idx])
+                grads = gradients(params, x[idx], y[idx])
                 for key in params:
                     params[key] -= cfg.learning_rate * grads[key]
         for key in params:
@@ -289,6 +291,21 @@ class TestRunOracleAudit:
         c = pair_rng(5, "x", "z").integers(0, 1 << 30, size=4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_pair_rng_gives_every_seed_its_own_stream(self):
+        # seeds 2**32 apart gave one stream when the seed was masked to 32 bits
+        draws = {
+            seed: pair_rng(seed, "x", "y").integers(0, 1 << 62, size=4).tolist()
+            for seed in (5, 5 + 2**32, 2**32 - 1, 2**32, 2**64 + 5)
+        }
+        assert len({tuple(d) for d in draws.values()}) == len(draws)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**31, 2**32 - 1])
+    def test_pair_rng_keeps_the_bits_of_seeds_below_2_32(self, seed):
+        digest = hashlib.sha256(b"x\x1fy").digest()
+        masked = np.random.SeedSequence([seed & 0xFFFFFFFF, int.from_bytes(digest[:8], "big")])
+        expected = np.random.default_rng(masked).integers(0, 1 << 62, size=8)
+        assert np.array_equal(pair_rng(seed, "x", "y").integers(0, 1 << 62, size=8), expected)
 
     def test_too_few_classes(self):
         with pytest.raises(TooFewClassesError):

@@ -43,7 +43,7 @@ class TestSpecValidation:
             SyntheticSpec(
                 class_names=["a"],
                 channel_count=1,
-                channels=[ChannelSpec(per_class={"zz": ChannelProfile()})],
+                channels=[ChannelSpec(classes={"zz": ChannelProfile()})],
             )
 
     @pytest.mark.parametrize("label", ["", ".", "..", "../escaped", "a/b", "a\\b", "a\0b"])
@@ -125,7 +125,7 @@ class TestDownstreamDistributions:
             window_len_samples=128,
             trials_per_class=4,
             seed=5,
-            channels=[ChannelSpec(per_class={"a": shared, "b": shared, "c": distinct})],
+            channels=[ChannelSpec(classes={"a": shared, "b": shared, "c": distinct})],
         )
         mats = matrices_of(spec)
         ovr = pairwise_audit(mats, mode="one-vs-rest")
