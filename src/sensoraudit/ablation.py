@@ -34,8 +34,6 @@ class with any positive shift; the global ranking orders sensors by the
 mean of those normalized scores across classes.
 """
 
-from __future__ import annotations
-
 import itertools
 from dataclasses import dataclass, field
 
@@ -56,18 +54,18 @@ DEFAULT_REDUNDANCY_THRESHOLD = 0.3
 SHIFT_METRIC = "f1"  # the one shift the artifacts report
 
 
-@dataclass
+@dataclass(frozen=True)
 class AblationSpec(JsonConfig):
     combinatorial_depth: int = 1
-    classes: list[str] | None = None
+    classes: tuple[str, ...] | None = None
     ring_topology: tuple[int, ...] | None = None
 
     def check_bounds(self) -> None:
         self.check_positive_ints("combinatorial_depth")
+        if self.classes is not None and not self.classes:
+            raise InvalidSpecError("classes must be nonempty or null")
         if self.classes is not None and len(set(self.classes)) != len(self.classes):
             raise InvalidSpecError("classes must be unique")
-        if self.ring_topology is not None:
-            self.ring_topology = tuple(self.ring_topology)
 
 
 def enumerate_subsets(channel_count: int, depth: int) -> list[tuple[int, ...]]:
@@ -117,7 +115,7 @@ def neighbour_compensation(report: AblationReport) -> tuple[CompensationNote, ..
     topo = tuple(report.ring_topology)
     if sorted(topo) != list(range(report.channel_count)):
         raise TopologyMismatchError(
-            f"topology {topo} is not a permutation of 0..{report.channel_count - 1}"
+            f"ring_topology {topo} is not a permutation of 0..{report.channel_count - 1}"
         )
     crit_thr, red_thr = report.criticality_threshold, report.redundancy_threshold
 
@@ -167,7 +165,7 @@ def run_ablation_audit(
     docstring). Output ordering is fixed (classes as configured or
     sorted, subsets as ``enumerate_subsets``).
     """
-    classes = tuple(spec.classes) if spec.classes else tuple(sorted(matrices))
+    classes = spec.classes or tuple(sorted(matrices))
     if not classes:
         raise TooFewRowsError("no windows to audit")
     for label in classes:
@@ -191,7 +189,7 @@ def run_ablation_audit(
             f"of C * {width} columns for a {width}-value failed row"
         )
     subsets = tuple(enumerate_subsets(channel_count, spec.combinatorial_depth))
-    topology = spec.ring_topology if spec.ring_topology else tuple(range(channel_count))
+    topology = spec.ring_topology if spec.ring_topology is not None else tuple(range(channel_count))
 
     failed_values = np.tile(failed_row, channel_count)
     sensor_shift = np.empty((len(classes), channel_count))

@@ -22,8 +22,6 @@ so it cannot change the outputs. --metric accepts only f1, the one shift
 the ablation reports, and is likewise accepted for compatibility.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import shutil
@@ -120,7 +118,7 @@ class _PipelineData:
 
 
 def _ingest(
-    cfg: ConfigFile, args: argparse.Namespace, wanted: list[str] | None
+    cfg: ConfigFile, args: argparse.Namespace, wanted: tuple[str, ...] | None
 ) -> tuple[Windows, _PipelineData, ConfigFile]:
     """The windows of every class but rest (unless --include-rest), or of
     those among them that ``wanted`` names, and ``cfg`` with the
@@ -194,9 +192,9 @@ def _run(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
     summary = stages == STAGES
     dump_features = getattr(args, "dump_features", False)
     groups = list(stages) + ["summary"] * summary + ["features"] * dump_features
-    report_classes = list(cfg.ablation.classes) if cfg.ablation.classes else data.classes
+    report_classes = cfg.ablation.classes or data.classes
     out_dir = Path(args.out)
-    ensure_writable([out_dir / n for n in artifact_names(groups, report_classes)], args.overwrite)
+    ensure_writable(out_dir, artifact_names(groups, report_classes), args.overwrite)
 
     echo = {
         "schema_version": SCHEMA_VERSION,
@@ -280,9 +278,9 @@ def cmd_synth(cfg_args: argparse.Namespace) -> int:
         spec = SyntheticSpec.from_json_file(Path(cfg_args.synthetic))
         if cfg_args.seed is not None:
             spec = replace(spec, seed=cfg_args.seed)
-        rset = generate_recordings(spec)
         root = Path(cfg_args.out)
-        ensure_writable([root / "dataset.json"], cfg_args.overwrite)
+        ensure_writable(root, ["dataset.json"], cfg_args.overwrite)
+        rset = generate_recordings(spec)
         write_dataset(root, rset)
         print(f"wrote {len(rset.recordings)} recordings under {root}")
     return 0

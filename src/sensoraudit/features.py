@@ -63,8 +63,6 @@ features of channel 1, ... so one channel's columns form a contiguous
 block.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 
@@ -123,13 +121,12 @@ class FeatureConfig(JsonConfig):
             raise InvalidSpecError("sampen_r_coeff must be positive")
         if self.zc_threshold < 0 or self.ssc_threshold < 0:
             raise InvalidSpecError("thresholds must be nonnegative")
-        enabled = tuple(self.enabled_features)
+        enabled = self.enabled_features
         unknown = [f for f in enabled if f not in FEATURE_NAMES]
         if unknown:
             raise InvalidSpecError(f"unknown features: {', '.join(unknown)}")
         if len(set(enabled)) != len(enabled) or not enabled:
             raise InvalidSpecError("enabled_features must be a nonempty set of names")
-        object.__setattr__(self, "enabled_features", enabled)
 
 
 def _scalar_or_rows(values: np.ndarray, kind=float):

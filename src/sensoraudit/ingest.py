@@ -19,8 +19,6 @@ its line number. Each file is parsed whole by ``np.loadtxt``; the line
 parser reruns on any file that parse cannot decide (``_parse_trial_csv``).
 """
 
-from __future__ import annotations
-
 import csv
 import dataclasses
 import json
@@ -29,10 +27,9 @@ import numbers
 import sys
 import warnings
 from dataclasses import MISSING, dataclass, replace
-from functools import cache
 from pathlib import Path
 from types import NoneType, UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Union, get_args, get_origin
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -111,13 +108,6 @@ def check_type(name: str, t, value, error: type[Exception] = InvalidSpecError) -
         raise error(f"{name} must be {article} {wanted}, got {value!r}")
 
 
-@cache
-def _json_fields(cls) -> dict:
-    """Name -> (field, resolved type) of each field of ``cls``, in field order."""
-    hints = get_type_hints(cls, globalns=cls._module_globals)
-    return {f.name: (f, hints[f.name]) for f in dataclasses.fields(cls)}
-
-
 def _from_json(t, value):
     """``value`` read from JSON as the declared type ``t``: each config that
     ``t`` declares is built from its JSON object, directly or inside a
@@ -142,17 +132,17 @@ def _checked_fields(cls, d) -> dict:
     """
     if not isinstance(d, dict):
         raise InvalidSpecError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
-    fields = _json_fields(cls)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = sorted(set(d) - set(fields))
     if unknown:
         raise InvalidSpecError(f"unknown {cls.__name__} fields: {', '.join(unknown)}")
     required = [
-        k for k, (f, _) in fields.items() if f.default is MISSING and f.default_factory is MISSING
+        k for k, f in fields.items() if f.default is MISSING and f.default_factory is MISSING
     ]
     missing = [k for k in required if k not in d]
     if missing:
         raise InvalidSpecError(f"missing {cls.__name__} fields: {', '.join(missing)}")
-    return {key: _from_json(fields[key][1], value) for key, value in d.items()}
+    return {key: _from_json(fields[key].type, value) for key, value in d.items()}
 
 
 def _to_json(value):
@@ -166,24 +156,27 @@ def _to_json(value):
 
 
 class JsonConfig:
-    """A config dataclass read from and written to JSON: one key per field,
-    in field order, sequences as lists (see ``_checked_fields``).
+    """A frozen config dataclass, read from and written to JSON: one key per
+    field, in field order, sequences as lists (see ``_checked_fields``).
 
     Every field must be of its declared type (``check_type``), whether the
-    config comes from JSON or from Python; ``check_bounds`` then applies
-    the class's own limits on the values."""
+    config comes from JSON or from Python. Sequence fields are declared
+    ``tuple[...]`` (or ``tuple[...] | None``), and a list given to one is
+    stored as a tuple. ``check_bounds`` then applies the class's own
+    limits on the values; it changes nothing.
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        # The globals its field annotations name. ``cls.__module__`` may not
-        # lead to them: run by runpy (``python -m cProfile -m
-        # sensoraudit.cli``), a module is named "__main__" while
-        # ``sys.modules["__main__"]`` is the profiler.
-        cls._module_globals = sys._getframe(1).f_globals
+    The declared type is ``Field.type``, so a module that defines a config
+    must not postpone the evaluation of its annotations (PEP 563): that
+    makes each type a string, which resolves only in its module's globals,
+    and run by runpy (``python -m cProfile -m sensoraudit.cli``) the module
+    a class names is not the one that defined it."""
 
     def __post_init__(self) -> None:
-        for name, (_, t) in _json_fields(type(self)).items():
-            check_type(name, t, getattr(self, name))
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            check_type(f.name, f.type, value)
+            if isinstance(value, list):
+                object.__setattr__(self, f.name, tuple(value))
         self.check_bounds()
 
     def check_bounds(self) -> None:
@@ -207,7 +200,7 @@ class JsonConfig:
         return cls.from_json_dict(payload)
 
     def to_json_dict(self) -> dict:
-        return {name: _to_json(getattr(self, name)) for name in _json_fields(type(self))}
+        return {f.name: _to_json(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
     def check_positive_ints(self, *names: str) -> None:
         """Reject, by name, the first of these int fields that is below 1."""

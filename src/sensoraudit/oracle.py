@@ -21,8 +21,6 @@ learning rate. Weights start uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)];
 biases start at zero.
 """
 
-from __future__ import annotations
-
 import hashlib
 import itertools
 import math
@@ -92,7 +90,8 @@ def standardize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.nda
     return train_z, test_z
 
 
-def init_params(n_in: int, n_hidden: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+# quoted: evaluating np.random would import numpy.random along with this module
+def init_params(n_in: int, n_hidden: int, rng: "np.random.Generator") -> dict[str, np.ndarray]:
     lim1 = 1.0 / math.sqrt(n_in)
     lim2 = 1.0 / math.sqrt(n_hidden)
     return {
@@ -159,7 +158,7 @@ def gradients(
 
 
 def train(
-    x: np.ndarray, y: np.ndarray, cfg: OracleConfig, rng: np.random.Generator
+    x: np.ndarray, y: np.ndarray, cfg: OracleConfig, rng: "np.random.Generator"
 ) -> dict[str, np.ndarray]:
     """Parameters after ``cfg.epochs`` epochs of mini-batch descent on (x, y).
 
@@ -178,7 +177,7 @@ def train(
 
 
 def train_stack(
-    x: np.ndarray, y: np.ndarray, cfg: OracleConfig, rngs: list[np.random.Generator]
+    x: np.ndarray, y: np.ndarray, cfg: OracleConfig, rngs: "list[np.random.Generator]"
 ) -> list[dict[str, np.ndarray]]:
     """Train P classifiers at once on ``x`` (P, n, d) and ``y`` (P, n).
 
@@ -298,7 +297,7 @@ class OracleResult:
     seed: int
 
 
-def pair_rng(seed: int, class_a: str, class_b: str) -> np.random.Generator:
+def pair_rng(seed: int, class_a: str, class_b: str) -> "np.random.Generator":
     """Generator derived from (seed, pair), stable across processes. Every
     nonnegative seed gives its own stream."""
     digest = hashlib.sha256(f"{class_a}\x1f{class_b}".encode()).digest()
@@ -308,7 +307,7 @@ def pair_rng(seed: int, class_a: str, class_b: str) -> np.random.Generator:
 
 
 def _stratified_split(
-    n_a: int, n_b: int, fraction: float, rng: np.random.Generator
+    n_a: int, n_b: int, fraction: float, rng: "np.random.Generator"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     def split(n: int) -> tuple[np.ndarray, np.ndarray]:
         if n < 2:
@@ -325,7 +324,7 @@ def _stratified_split(
 @dataclass
 class _PairSplit:
     pair: tuple[str, str]
-    rng: np.random.Generator
+    rng: "np.random.Generator"
     x_train: np.ndarray
     y_train: np.ndarray
     x_test: np.ndarray

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .ablation import SHIFT_METRIC, AblationReport
-from .errors import InvalidSpecError, OutputExistsError
+from .errors import ConfigError, InvalidSpecError, OutputExistsError
 from .features import FeatureMatrix, column_labels
 from .ingest import MANIFEST_NAME, RecordingSet, is_safe_label
 from .oracle import OracleResult
@@ -53,11 +53,15 @@ def artifact_names(groups, classes=()) -> list[str]:
     return names
 
 
-def ensure_writable(paths: list[Path], overwrite: bool) -> None:
-    if overwrite:
-        return
-    existing = [p for p in paths if p.exists()]
-    if existing:
+def ensure_writable(out: Path, names: list[str], overwrite: bool) -> None:
+    """Refuse an ``out`` whose nearest existing path (itself or a parent) is
+    not a directory, and, without ``overwrite``, one that holds any of the
+    files ``names``."""
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"--out {out}: {nearest} is not a directory")
+    existing = [out / n for n in names if (out / n).exists()]
+    if existing and not overwrite:
         raise OutputExistsError(
             f"refusing to overwrite {existing[0]} (pass --overwrite to allow)"
         )

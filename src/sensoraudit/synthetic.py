@@ -19,8 +19,6 @@ Generation is bit-reproducible for a fixed seed: draws happen in a fixed
 class -> trial -> channel order from one ``numpy`` generator.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, field
 
@@ -47,7 +45,7 @@ class ChannelProfile(JsonConfig):
             raise InvalidSpecError("profile gain must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelSpec(JsonConfig):
     default: ChannelProfile = field(default_factory=ChannelProfile)
     classes: dict[str, ChannelProfile] = field(default_factory=dict)
@@ -56,9 +54,9 @@ class ChannelSpec(JsonConfig):
         return self.classes.get(class_label, self.default)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec(JsonConfig):
-    class_names: list[str]
+    class_names: tuple[str, ...]
     channel_count: int
     sampling_rate_hz: float = 200.0
     windows_per_class: int = 80
@@ -66,7 +64,7 @@ class SyntheticSpec(JsonConfig):
     overlap_fraction: float = 0.5
     trials_per_class: int = 4
     seed: int = 0
-    channels: list[ChannelSpec] = field(default_factory=list)
+    channels: tuple[ChannelSpec, ...] = ()
 
     def check_bounds(self) -> None:
         if not self.class_names:
@@ -89,9 +87,12 @@ class SyntheticSpec(JsonConfig):
             for label in spec.classes:
                 if label not in known:
                     raise InvalidSpecError(f"channel profile for unknown class {label!r}")
-        # pad with default (noise) channels
-        while len(self.channels) < self.channel_count:
-            self.channels.append(ChannelSpec())
+
+    def profile(self, channel: int, class_label: str) -> ChannelProfile:
+        """The profile of ``channel`` in class ``class_label``; a channel past
+        the end of ``channels`` is default noise."""
+        spec = self.channels[channel] if channel < len(self.channels) else ChannelSpec()
+        return spec.profile(class_label)
 
     def segmentation(self) -> SegmentationConfig:
         """The natural segmentation for this spec: no trimming, own geometry."""
@@ -116,8 +117,9 @@ def _unit_rms(x: np.ndarray) -> np.ndarray:
     return x / power if power > 0 else x
 
 
+# quoted: evaluating np.random would import numpy.random along with this module
 def _render_tonic(
-    rng: np.random.Generator, n: int, fs: float, p: ChannelProfile, modulation_len: int
+    rng: "np.random.Generator", n: int, fs: float, p: ChannelProfile, modulation_len: int
 ) -> np.ndarray:
     phase = rng.uniform(0.0, 2.0 * math.pi)
     drift = _unit_rms(_smooth(rng.standard_normal(n), modulation_len))
@@ -133,7 +135,7 @@ _LOWPASS_KERNEL = 8  # slow component of the bandwidth mix
 
 
 def _render_noise(
-    rng: np.random.Generator, n: int, p: ChannelProfile, modulation_len: int
+    rng: "np.random.Generator", n: int, p: ChannelProfile, modulation_len: int
 ) -> np.ndarray:
     envelope = np.exp(_ENV_LOG_SD * _unit_rms(_smooth(rng.standard_normal(n), modulation_len)))
     mix = 1.0 / (1.0 + np.exp(-2.0 * _unit_rms(_smooth(rng.standard_normal(n), modulation_len))))
@@ -158,7 +160,7 @@ def generate_recordings(spec: SyntheticSpec, seed: int | None = None) -> Recordi
         for trial in range(spec.trials_per_class):
             channels = []
             for ch in range(spec.channel_count):
-                profile = spec.channels[ch].profile(label)
+                profile = spec.profile(ch, label)
                 if profile.kind == "tonic":
                     channels.append(
                         _render_tonic(

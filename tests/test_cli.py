@@ -86,6 +86,20 @@ class TestSynthAndIngestCheck:
             == 0
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["complexity", "--out", "afile"], ["complexity", "--out", "afile/sub"], ["synth", "--out", "afile"]],
+        ids=["audit", "audit-below-file", "synth"],
+    )
+    def test_out_below_a_file_is_config_error(self, tmp_path, capsys, argv):
+        spec = write_spec(tmp_path / "spec.json")
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        argv[-1] = str(tmp_path / argv[-1])
+        assert main([argv[0], "--synthetic", str(spec), *argv[1:]]) == EXIT_CONFIG
+        assert "--out" in capsys.readouterr().err
+        assert afile.read_text() == "kept\n"
+
     def test_ingest_check_missing_dataset(self, tmp_path, capsys):
         code = main(["ingest-check", "--data", str(tmp_path / "missing")])
         assert code == EXIT_MISSING_FILE
@@ -155,6 +169,8 @@ BAD_INPUTS = {
         EXIT_CONFIG,
         "classes must be unique",
     ),
+    "ablation-classes-empty": ("config", {"ablation": {"classes": []}}, EXIT_CONFIG, "classes must be nonempty"),
+    "ring-empty": ("config", {"ablation": {"ring_topology": []}}, EXIT_CONFIG, "ring_topology"),
     "enabled-features-int": ("config", {"features": {"enabled_features": 3}}, EXIT_CONFIG, "enabled_features"),
     "concat-text": (
         "config",
@@ -947,3 +963,12 @@ def test_python_m_sensoraudit_runs_the_cli(tmp_path, runner, module):
         cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert bad.returncode == EXIT_MISSING_FILE and "SyntheticSpec not found" in bad.stderr
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # importing numpy.random is about a fifth of the package's import time;
+    # a run that draws numbers loads it when it first does
+    code = "import sys, sensoraudit.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(sensoraudit.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.stdout == "False\n", proc.stderr

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,20 @@ class TestSpecValidation:
     def test_unsafe_class_label(self, label):
         with pytest.raises(InvalidSpecError, match="file name"):
             SyntheticSpec(class_names=["ok", label], channel_count=1)
+
+    def test_replace_to_fewer_channels(self):
+        spec = SyntheticSpec(class_names=["a", "b"], channel_count=3)
+        fewer = dataclasses.replace(spec, channel_count=2)
+        assert fewer.channel_count == 2 and fewer.channels == ()
+        assert fewer.profile(1, "a") == ChannelProfile()
+
+    def test_unlisted_channels_are_default_noise(self):
+        tonic = ChannelProfile(kind="tonic", gain=2.0)
+        spec = SyntheticSpec(
+            class_names=["a", "b"], channel_count=3, channels=[ChannelSpec(classes={"a": tonic})]
+        )
+        assert spec.profile(0, "a") == tonic
+        assert spec.profile(0, "b") == spec.profile(2, "a") == ChannelProfile()
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidSpecError):
