@@ -35,6 +35,7 @@ mean of those normalized scores across classes.
 """
 
 import itertools
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,22 @@ class AblationSpec(JsonConfig):
             raise InvalidSpecError("classes must be nonempty or null")
         if self.classes is not None and len(set(self.classes)) != len(self.classes):
             raise InvalidSpecError("classes must be unique")
+
+
+def check_scope(spec: AblationSpec, channel_count: int, classes: Collection[str]) -> None:
+    """Refuse an ablation config that does not fit the data: a class it
+    names that is not among ``classes`` (the classes with windows), or a
+    ring topology that is not a permutation of the ``channel_count``
+    channels. It needs no feature, so a run can check it right after
+    ingest."""
+    for label in spec.classes or ():
+        if label not in classes:
+            raise TooFewRowsError(f"class {label!r} has no windows")
+    topo = spec.ring_topology
+    if topo is not None and sorted(topo) != list(range(channel_count)):
+        raise TopologyMismatchError(
+            f"ring_topology {topo} is not a permutation of 0..{channel_count - 1}"
+        )
 
 
 def enumerate_subsets(channel_count: int, depth: int) -> list[tuple[int, ...]]:
@@ -113,10 +130,7 @@ def neighbour_compensation(report: AblationReport) -> tuple[CompensationNote, ..
     none and is ``uncompensated``.
     """
     topo = tuple(report.ring_topology)
-    if sorted(topo) != list(range(report.channel_count)):
-        raise TopologyMismatchError(
-            f"ring_topology {topo} is not a permutation of 0..{report.channel_count - 1}"
-        )
+    check_scope(AblationSpec(ring_topology=topo), report.channel_count, report.classes)
     crit_thr, red_thr = report.criticality_threshold, report.redundancy_threshold
 
     position = {sensor: i for i, sensor in enumerate(topo)}
@@ -168,16 +182,16 @@ def run_ablation_audit(
     classes = spec.classes or tuple(sorted(matrices))
     if not classes:
         raise TooFewRowsError("no windows to audit")
+    first = matrices.get(classes[0])
+    columns = first.column_index if first is not None else ()
+    width = len(failed_row)
+    channel_count = len(columns) // width if width else 0
+    check_scope(spec, channel_count, matrices)
     for label in classes:
-        if label not in matrices:
-            raise TooFewRowsError(f"class {label!r} has no windows")
         n_rows = matrices[label].n_rows
         if n_rows < 2:
             raise TooFewRowsError(f"class {label!r} has {n_rows} windows, needs >= 2")
 
-    columns = matrices[classes[0]].column_index
-    width = len(failed_row)
-    channel_count = len(columns) // width if width else 0
     names = [name for _, name in columns[:width]]
     if (
         not channel_count

@@ -13,7 +13,9 @@ The four audit commands share one runner (``_run``): it ingests and builds
 features once, runs the command's stages, and writes their artifacts into
 a staging directory under --out that is moved into place only when every
 writer has finished. The overwrite check runs before any feature is
-computed, on the names in ``reports.ARTIFACTS``.
+computed, on the names in ``reports.ARTIFACTS``, and so does the check
+of the ablation config against the ingested channels and classes
+(``ablation.check_scope``).
 
 Every run embeds its resolved configuration and seed in the JSON
 artifacts, and a fixed seed reproduces outputs byte for byte. --jobs is
@@ -36,6 +38,7 @@ from .ablation import (
     DEFAULT_REDUNDANCY_THRESHOLD,
     SHIFT_METRIC,
     AblationSpec,
+    check_scope,
     run_ablation_audit,
 )
 from .errors import AuditError, ConfigError, TooFewRowsError
@@ -189,6 +192,9 @@ def _run(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
     # an ablation run alone segments only the classes it audits
     wanted = cfg.ablation.classes if stages == ("ablation",) else None
     windows, data, cfg = _ingest(cfg, args, wanted)
+    if "ablation" in stages:
+        with _Stage("ablation"):
+            check_scope(cfg.ablation, windows.data.shape[1], data.classes)
     summary = stages == STAGES
     dump_features = getattr(args, "dump_features", False)
     groups = list(stages) + ["summary"] * summary + ["features"] * dump_features

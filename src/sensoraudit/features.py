@@ -194,7 +194,7 @@ def _histogram_entropy(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: i
     width = nonzero.sum(axis=1)
     first = np.cumsum(width) - width
     sums = np.empty(n)
-    for k in np.unique(width):
+    for k in np.flatnonzero(np.bincount(width)):  # not np.unique, which imports numpy.ma
         sel = np.flatnonzero(width == k)
         sums[sel] = terms[first[sel, None] + np.arange(k)].sum(axis=1)
     return -sums

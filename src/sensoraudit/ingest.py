@@ -26,6 +26,7 @@ import math
 import numbers
 import sys
 import warnings
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, replace
 from pathlib import Path
 from types import NoneType, UnionType
@@ -68,16 +69,16 @@ _NOUNS = {int: "integer", float: "finite number", bool: "boolean", str: "string"
 def _conforms(t, value) -> bool:
     """True when ``value`` is of the declared type ``t``: an ``int`` that is
     not a bool, a finite real (not a bool) for ``float``, a list or tuple
-    (never a string) of ``X`` for ``list[X]`` and ``tuple[X, ...]``, an
-    object of ``X`` for ``dict[str, X]``, None or ``X`` for ``X | None``,
-    and an instance of any other class."""
+    (never a string) of ``X`` for ``list[X]`` and ``tuple[X, ...]``, a
+    dict (any mapping for ``Mapping``) of ``X`` for ``dict[str, X]``, None
+    or ``X`` for ``X | None``, and an instance of any other class."""
     origin, args = get_origin(t), get_args(t)
     if origin in (Union, UnionType):
         return any(_conforms(a, value) for a in args)
     if origin in (list, tuple):
         return isinstance(value, (list, tuple)) and all(_conforms(args[0], v) for v in value)
-    if origin is dict:
-        return isinstance(value, dict) and all(
+    if origin in (dict, Mapping):
+        return isinstance(value, origin) and all(
             _conforms(args[0], k) and _conforms(args[1], v) for k, v in value.items()
         )
     if isinstance(value, bool):
@@ -94,7 +95,7 @@ def _wanted(t, many: bool = False) -> str:
         return " or ".join(_wanted(a, many) for a in args)
     if origin in (list, tuple):
         return f"list{'s' * many} of {_wanted(args[0], True)}"
-    if origin is dict:
+    if origin in (dict, Mapping):
         return f"object{'s' * many} of {_wanted(args[1], True)}"
     return _NOUNS.get(t, f"{t.__name__} object") + "s" * many
 
@@ -117,7 +118,7 @@ def _from_json(t, value):
         return None if value is None else _from_json(args[0], value)
     if origin in (list, tuple) and isinstance(value, (list, tuple)):
         return [_from_json(args[0], v) for v in value]
-    if origin is dict and isinstance(value, dict):
+    if origin in (dict, Mapping) and isinstance(value, dict):
         return {k: _from_json(args[1], v) for k, v in value.items()}
     if origin is None and issubclass(t, JsonConfig) and isinstance(value, dict):
         return t.from_json_dict(value)
@@ -150,9 +151,32 @@ def _to_json(value):
         return value.to_json_dict()
     if isinstance(value, (list, tuple)):
         return [_to_json(v) for v in value]
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {k: _to_json(v) for k, v in value.items()}
     return value
+
+
+class FrozenMap(Mapping):
+    """A read-only, hashable copy of a mapping: how a config stores a JSON
+    object, as it stores a list as a tuple. Its values must be hashable."""
+
+    def __init__(self, items=()):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._items.items()))
+
+    def __repr__(self) -> str:
+        return f"FrozenMap({self._items!r})"
 
 
 class JsonConfig:
@@ -162,8 +186,10 @@ class JsonConfig:
     Every field must be of its declared type (``check_type``), whether the
     config comes from JSON or from Python. Sequence fields are declared
     ``tuple[...]`` (or ``tuple[...] | None``), and a list given to one is
-    stored as a tuple. ``check_bounds`` then applies the class's own
-    limits on the values; it changes nothing.
+    stored as a tuple. Mapping fields are declared ``Mapping[str, ...]``
+    and stored as a ``FrozenMap``, so every config is hashable.
+    ``check_bounds`` then applies the class's own limits on the values; it
+    changes nothing.
 
     The declared type is ``Field.type``, so a module that defines a config
     must not postpone the evaluation of its annotations (PEP 563): that
@@ -177,6 +203,8 @@ class JsonConfig:
             check_type(f.name, f.type, value)
             if isinstance(value, list):
                 object.__setattr__(self, f.name, tuple(value))
+            elif isinstance(value, Mapping) and not isinstance(value, FrozenMap):
+                object.__setattr__(self, f.name, FrozenMap(value))
         self.check_bounds()
 
     def check_bounds(self) -> None:
@@ -294,11 +322,15 @@ class SegmentationConfig(JsonConfig):
 
 
 
-def validate_recording_set(rset: RecordingSet) -> None:
-    if rset.sampling_rate_hz <= 0:
+def _check_geometry(sampling_rate_hz: float, channel_count: int) -> None:
+    if sampling_rate_hz <= 0:
         raise DataFormatError("sampling_rate_hz must be positive")
-    if rset.channel_count < 1:
+    if channel_count < 1:
         raise DataFormatError("channel_count must be positive")
+
+
+def validate_recording_set(rset: RecordingSet) -> None:
+    _check_geometry(rset.sampling_rate_hz, rset.channel_count)
     for rec in rset.recordings:
         if rec.channel_count != rset.channel_count:
             raise InconsistentChannelCountError(
@@ -316,7 +348,10 @@ def validate_recording_set(rset: RecordingSet) -> None:
 
 
 def load_dataset(root_path: str | Path) -> RecordingSet:
-    """Load every trial under ``root_path`` in lexicographic file order."""
+    """Load every trial under ``root_path`` in lexicographic file order.
+
+    The manifest and each file's parse check every fact of the set that
+    ``validate_recording_set`` checks, so ``segment`` finds it valid."""
     root = Path(root_path)
     if not root.is_dir():
         raise MissingFileError(f"dataset root not found: {root}")
@@ -357,9 +392,9 @@ def load_dataset(root_path: str | Path) -> RecordingSet:
                     )
                 )
 
-    rset = RecordingSet(recordings, fs, class_names, channel_count)
-    validate_recording_set(rset)
-    return rset
+    # after the parse, so a file's own error still comes first
+    _check_geometry(fs, channel_count)
+    return RecordingSet(recordings, fs, class_names, channel_count)
 
 
 def _load_trial_csv(

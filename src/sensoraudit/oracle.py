@@ -169,7 +169,10 @@ def train(
     y = np.asarray(y, dtype=float)
     if x.shape[0] != y.shape[0]:
         raise LengthMismatchError("x and y row counts differ")
-    if np.unique(y).size < 2:
+    # np.unique(y).size < 2, NaNs counted as one value, without np.unique,
+    # which imports numpy.ma
+    nan = np.isnan(y)
+    if nan.all() or (not nan.any() and y.min() == y.max()):
         raise SingleClassTrainingError("training labels contain a single class")
     (params,) = train_stack(x[None], y[None], cfg, [rng])
     _check_converged(params, x, y, cfg.learning_rate)

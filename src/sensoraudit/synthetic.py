@@ -20,12 +20,13 @@ class -> trial -> channel order from one ``numpy`` generator.
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidSpecError
-from .ingest import JsonConfig, Recording, RecordingSet, SegmentationConfig, is_safe_label
+from .ingest import FrozenMap, JsonConfig, Recording, RecordingSet, SegmentationConfig, is_safe_label
 
 PROFILE_KINDS = ("tonic", "noise")
 
@@ -48,7 +49,7 @@ class ChannelProfile(JsonConfig):
 @dataclass(frozen=True)
 class ChannelSpec(JsonConfig):
     default: ChannelProfile = field(default_factory=ChannelProfile)
-    classes: dict[str, ChannelProfile] = field(default_factory=dict)
+    classes: Mapping[str, ChannelProfile] = field(default_factory=FrozenMap)
 
     def profile(self, class_label: str) -> ChannelProfile:
         return self.classes.get(class_label, self.default)

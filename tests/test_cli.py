@@ -449,6 +449,30 @@ class TestAblate:
         assert f"class {named[-1]!r} has no windows" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ablate", "full"])
+    @pytest.mark.parametrize(
+        "channels, ablation, code, message",
+        [
+            (3, {"ring_topology": []}, EXIT_CONFIG, "ring_topology () is not a permutation of 0..2"),
+            (2, {"ring_topology": [0]}, EXIT_CONFIG, "ring_topology (0,) is not a permutation of 0..1"),
+            (3, {"ring_topology": [0, 5]}, EXIT_CONFIG, "ring_topology (0, 5) is not a permutation"),
+            (3, {"classes": ["alpha", "nosuch"]}, EXIT_TOO_SMALL, "class 'nosuch' has no windows"),
+        ],
+        ids=["ring-empty", "ring-short", "ring-out-of-range", "unknown-class"],
+    )
+    def test_scope_is_refused_before_any_feature(
+        self, tmp_path, capsys, monkeypatch, command, channels, ablation, code, message
+    ):
+        spec = write_spec(tmp_path / "spec.json", channel_count=channels)
+        cfg = tmp_path / "audit.json"
+        cfg.write_text(json.dumps({"ablation": ablation}))
+        builds = []
+        monkeypatch.setattr(cli, "build_class_matrices", lambda *args: builds.append(args))
+        argv = [command, "--synthetic", str(spec), "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv) == code
+        assert f"error [ablation]: {message}" in capsys.readouterr().err
+        assert builds == [] and not (tmp_path / "out").exists()
+
     def test_one_channel_sensor_has_no_neighbours(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json", channel_count=1)
         out = tmp_path / "out"
@@ -971,4 +995,30 @@ def test_import_leaves_numpy_random_unloaded():
     code = "import sys, sensoraudit.cli; print('numpy.random' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(sensoraudit.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.stdout == "False\n", proc.stderr
+
+
+@pytest.mark.parametrize("source", ["synthetic", "data"])
+def test_audits_leave_numpy_ma_unloaded(tmp_path, source):
+    # np.unique imports numpy.ma, about 12 ms and 1.2 MB of a short run;
+    # no audit uses masked arrays
+    spec = write_spec(tmp_path / "spec.json")
+    if source == "data":
+        assert main(["synth", "--synthetic", str(spec), "--out", str(tmp_path / "ds")]) == 0
+    cfg = tmp_path / "audit.json"
+    segmentation = {"trim_head_ms": 0.0, "trim_tail_ms": 0.0, "window_len_samples": 64}
+    cfg.write_text(json.dumps({"segmentation": segmentation, "oracle": {"epochs": 30}}))
+    path = spec if source == "synthetic" else tmp_path / "ds"
+    argv = [f"--{source}", str(path), "--config", str(cfg)]
+    code = (
+        "import sys\n"
+        "from sensoraudit.cli import COMMANDS, main\n"
+        "for command in COMMANDS:\n"
+        f"    assert main([command, *{argv!r}, '--out', command]) == 0, command\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(sensoraudit.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
     assert proc.stdout == "False\n", proc.stderr

@@ -267,6 +267,29 @@ class TestLoadDataset:
         assert rset.channel_count == 8
         assert all(r.samples.shape == (8, 600) for r in rset.recordings)
 
+    @pytest.mark.parametrize(
+        "channels, rate, message",
+        [
+            (2, 0.0, "sampling_rate_hz must be positive"),
+            (2, -1.0, "sampling_rate_hz must be positive"),
+            (0, 100.0, "channel_count must be positive"),
+        ],
+    )
+    def test_manifest_geometry_is_checked_without_the_set_check(
+        self, tmp_path, channels, rate, message
+    ):
+        # the set check runs once, in segment
+        one_trial_dataset(tmp_path, b"0" + b",1" * channels + b"\n", channels)
+        manifest = tmp_path / "dataset.json"
+        manifest.write_text(json.dumps(json.loads(manifest.read_text()) | {"sampling_rate_hz": rate}))
+        with mock.patch.object(ingest, "validate_recording_set", side_effect=AssertionError):
+            with pytest.raises(DataFormatError, match=f"^{message}$") as err:
+                load_dataset(tmp_path)
+            assert err.value.exit_code == 4
+            (tmp_path / "ok").mkdir()
+            build_dataset(tmp_path / "ok", trials=1, channels=2, rows=3)
+            assert len(load_dataset(tmp_path / "ok").recordings) == 1
+
     def test_three_session_layout_counts(self, tmp_path):
         # 10 participants x 3 sessions x 5 trials x 3 classes = 450 trials
         build_dataset(
@@ -523,8 +546,9 @@ CONFIGS = [
 class TestConfigJson:
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: type(c).__name__)
     def test_round_trip_through_json_text(self, config):
-        payload = json.loads(json.dumps(config.to_json_dict()))
-        assert type(config).from_json_dict(payload) == config
+        text = json.dumps(config.to_json_dict(), indent=2)
+        clone = type(config).from_json_dict(json.loads(text))
+        assert clone == config and json.dumps(clone.to_json_dict(), indent=2) == text
 
     @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: type(c).__name__)
     def test_unknown_key_is_rejected(self, config):
@@ -656,3 +680,11 @@ class TestFrozenConfigs:
         assert spec.ring_topology == (2, 0, 1)
         assert FeatureConfig(enabled_features=["rms"]).enabled_features == ("rms",)
         assert type(SyntheticSpec(**MUTABLE_ARGS[SyntheticSpec]).channels) is tuple
+
+    def test_objects_are_stored_read_only_and_hashable(self):
+        spec = CONFIGS[6]
+        assert hash(spec) == hash(copy.deepcopy(spec))
+        assert len({spec, SyntheticSpec.from_json_dict(spec.to_json_dict())}) == 1
+        with pytest.raises(TypeError):
+            spec.channels[0].classes["x"] = ChannelProfile()
+        assert list(spec.channels[0].classes) == ["b"]
