@@ -194,7 +194,7 @@ def _run(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
     windows, data, cfg = _ingest(cfg, args, wanted)
     if "ablation" in stages:
         with _Stage("ablation"):
-            check_scope(cfg.ablation, windows.data.shape[1], data.classes)
+            check_scope(cfg.ablation, windows.channels, data.classes)
     summary = stages == STAGES
     dump_features = getattr(args, "dump_features", False)
     groups = list(stages) + ["summary"] * summary + ["features"] * dump_features
@@ -218,10 +218,10 @@ def _run(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
         "redundancy_threshold": float(cfg.thresholds.redundancy),
     }
 
-    width = windows.data.shape[2]
+    width = windows.width
     with _Stage("features"):
         matrices = build_class_matrices(windows, cfg.features, data.fs)
-    del windows  # the (N, C, W) array is not needed past here; free it before the oracle
+    del windows  # the units' samples are not needed past here; free them before the oracle
     # each group's payload, built once for its own files and the summary
     payloads = {}
     if "complexity" in stages or "oracle" in stages:

@@ -8,13 +8,14 @@ many there are: every sum runs along the contiguous last axis, where
 numpy applies the same pairwise summation as to a lone 1-D row, so a
 batched value is bitwise equal to the value of that row alone.
 
-``build_class_matrices`` takes the ``(N, C, W)`` array of a ``Windows``
-record and returns an ``(n, C * F)`` matrix per class. It walks the array
-in consecutive ``(n, C, W)`` slices of at most ``BLOCK_SAMPLES`` samples
-(128 KB of float64, so a slice's temporaries stay in cache) and calls
-each enabled extractor once per slice. The array is C-contiguous, so a
-slice is a view and no window is copied again. ``zero_window_features``
-is the same path with one all-zero window.
+``build_class_matrices`` takes a ``Windows`` record of shape ``(N, C, W)``
+and returns an ``(n, C * F)`` matrix per class. It gathers the windows in
+consecutive ``(n, C, W)`` slices of at most ``BLOCK_SAMPLES`` samples
+(128 KB of float64, so a slice's temporaries stay in cache) into one
+C-contiguous buffer, allocated once per call, and calls each enabled
+extractor once per slice. Each window is copied once, into that buffer,
+and no array of all N windows is made. ``zero_window_features`` is the
+same path with one all-zero window.
 
 Two extractors take care to stay exact per row:
 
@@ -318,8 +319,11 @@ def _sampen_counts(rows: np.ndarray, r: np.ndarray, m: int) -> tuple[np.ndarray,
     joins = joins.reshape(count, depth, words)
     del order, at
     bits = np.left_shift(np.uint64(1), np.arange(depth, dtype=np.uint64))[:, None]
-    table_words = np.empty(count * (n + 1) * (tile + m), dtype=np.uint64)
-    near_words = np.empty(count * n * (tile + m), dtype=np.uint64)
+    # One allocation for both: freed as one chunk, the allocator keeps it for
+    # the next block; two chunks let it trim the heap and fault it back in.
+    table_size = count * (n + 1) * (tile + m)
+    workspace = np.empty(table_size + count * n * (tile + m), dtype=np.uint64)
+    table_words, near_words = workspace[:table_size], workspace[table_size:]
     a = np.zeros(count, dtype=np.int64)
     b = np.zeros(count, dtype=np.int64)
     for w0 in range(0, words, tile):
@@ -619,13 +623,14 @@ def build_class_matrices(
     Classes appear in first-appearance order, and row order within a
     class follows input order.
     """
-    n, channels, w = windows.data.shape
+    n, channels, w = windows.shape
     if n == 0:
         return {}
     rows = np.empty((n, channels * len(cfg.enabled_features)))
     step = max(1, BLOCK_SAMPLES // max(1, channels * w))
+    block = np.empty((min(step, n), channels, w))  # one buffer for every slice
     for start in range(0, n, step):
-        rows[start : start + step] = _feature_rows(windows.data[start : start + step], cfg, fs)
+        rows[start : start + step] = _feature_rows(windows.gather(start, block), cfg, fs)
 
     columns = feature_columns(channels, cfg)
     by_class: dict[str, list[int]] = {}

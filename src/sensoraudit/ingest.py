@@ -1,10 +1,13 @@
 """Loading, validation, trimming and windowing of multi-channel recordings.
 
-``segment`` turns a recording set into one ``Windows`` record: a single
-C-contiguous float64 ``(N, C, W)`` array with one class label and one
-``(trial, start)`` pair per row. It sizes the array from the units'
-lengths, then copies each unit's windows into it straight from a strided
-view of the unit's samples, so every window is copied exactly once.
+``segment`` turns a recording set into one ``Windows`` record of shape
+``(N, C, W)``: the samples of each trimmed unit (a trial, or a session's
+trials of one class joined), each a C-contiguous float64 ``(C, T_u)``
+array, and per row a ``(unit, start)`` index, a class label and a
+``(trial, start)`` pair. It holds each trimmed sample once, however far
+the windows overlap, and no array of all N windows: ``Windows.gather``
+copies rows into a caller's buffer, so every window is copied exactly
+once, when its features are extracted.
 
 Dataset layout on disk::
 
@@ -17,6 +20,8 @@ each must be a safe file-name token (``is_safe_label``). Amplitudes are
 decimal text; any non-numeric or non-finite cell rejects the file with
 its line number. Each file is parsed whole by ``np.loadtxt``; the line
 parser reruns on any file that parse cannot decide (``_parse_trial_csv``).
+Either way a recording's samples are a C-contiguous ``(C, T)`` array that
+owns its memory.
 """
 
 import csv
@@ -33,7 +38,6 @@ from types import NoneType, UnionType
 from typing import Union, get_args, get_origin
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DataFormatError,
@@ -273,27 +277,68 @@ class RecordingSet:
 
 @dataclass(frozen=True)
 class Windows:
-    """Equal-width windows: row i is ``data[i]``, a ``(C, W)`` window of
-    class ``labels[i]`` that starts at sample ``provenance[i][1]`` of the
-    unit ``provenance[i][0]``."""
+    """Equal-width windows cut from units of samples, without copying them.
 
-    data: np.ndarray  # N x channels x W, C-contiguous float64
+    Row i is the ``(C, W)`` window ``units[u][:, s : s + W]`` for
+    ``(u, s) = index[i]``, of class ``labels[i]``; it starts at sample
+    ``provenance[i][1]`` of the unit named ``provenance[i][0]``. Each unit
+    is a C-contiguous float64 ``(C, T_u)`` array, so the record holds each
+    sample once however far its windows overlap. ``gather`` copies rows
+    out. Counts of rows, labels and provenance pairs that differ, a unit
+    that is not a ``(C, T)`` array, or a row outside its unit raise
+    ``LengthMismatchError``."""
+
+    units: tuple[np.ndarray, ...]  # each channels x T_u, C-contiguous float64
+    index: np.ndarray  # N x 2 intp: (unit, start) per row
     labels: tuple[str, ...]
     provenance: tuple[tuple[str, int], ...]
+    channels: int
+    width: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "data", np.ascontiguousarray(self.data, dtype=float))
+        units = tuple(np.ascontiguousarray(u, dtype=float) for u in self.units)
+        index = np.array(self.index, dtype=np.intp).reshape(-1, 2)
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "index", index)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "provenance", tuple(self.provenance))
-        if self.data.ndim != 3 or not len(self) == len(self.labels) == len(self.provenance):
+        if not len(self) == len(self.labels) == len(self.provenance):
             raise LengthMismatchError(
-                f"windows of shape {self.data.shape} need an (N, C, W) array with "
-                f"N labels and N provenance pairs, got {len(self.labels)} and "
-                f"{len(self.provenance)}"
+                f"{len(self)} windows need as many labels and provenance pairs, "
+                f"got {len(self.labels)} and {len(self.provenance)}"
+            )
+        for k, u in enumerate(units):
+            if u.ndim != 2 or u.shape[0] != self.channels:
+                raise LengthMismatchError(
+                    f"unit {k} of shape {u.shape} is not a ({self.channels}, T) array"
+                )
+        ends = np.array([u.shape[1] for u in units] + [-1], dtype=np.intp)  # -1: no such unit
+        unit, start = index.T
+        unit = np.where((unit >= 0) & (unit < len(units)), unit, -1)
+        outside = (start < 0) | (start + self.width > ends[unit])
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise LengthMismatchError(
+                f"window {i} of {self.width} samples at (unit, start) "
+                f"{tuple(index[i].tolist())} runs outside its unit"
             )
 
     def __len__(self) -> int:
-        return int(self.data.shape[0])
+        return int(self.index.shape[0])
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """``(N, C, W)``: the shape of the array of every window."""
+        return len(self), self.channels, self.width
+
+    def gather(self, start: int, out: np.ndarray) -> np.ndarray:
+        """Copy rows ``start, start + 1, ...`` into the ``(n, C, W)`` array
+        ``out``, as many as fit and exist, and return the filled part."""
+        rows = self.index[start : start + out.shape[0]]
+        w = self.width
+        for k, (u, s) in enumerate(rows.tolist()):
+            out[k] = self.units[u][:, s : s + w]
+        return out[: len(rows)]
 
 
 @dataclass(frozen=True)
@@ -416,10 +461,11 @@ def _load_trial_csv(
 
 
 def _parse_trial_csv(path: Path, channel_count: int) -> np.ndarray:
-    """The ``(C, T)`` samples of one trial file, parsed as a whole by
-    ``np.loadtxt``. Whenever that parse fails, or could accept what the
-    line parser refuses, the line parser reruns and gives the samples or
-    the error, so the fast path never decides either."""
+    """The ``(C, T)`` samples of one trial file, a C-contiguous array that
+    owns its memory, parsed as a whole by ``np.loadtxt``. Whenever that
+    parse fails, or could accept what the line parser refuses, the line
+    parser reruns and gives the samples or the error, so the fast path
+    never decides either."""
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh), [])
@@ -430,7 +476,7 @@ def _parse_trial_csv(path: Path, channel_count: int) -> np.ndarray:
                     path, delimiter=",", skiprows=1, ndmin=2, comments=None, encoding="utf-8"
                 )
             if values.shape[0] and values.shape[1] == channel_count + 1:
-                samples = values[:, 1:].T  # rows are timestamps
+                samples = np.ascontiguousarray(values[:, 1:].T)  # rows are timestamps
                 if np.isfinite(samples).all():
                     return samples
     except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
@@ -484,7 +530,7 @@ def _parse_csv_lines(path: Path, channel_count: int) -> np.ndarray:
         raise MalformedRowError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise MalformedRowError(f"{path}:1: no data rows")
-    return np.asarray(rows, dtype=float).T  # rows are timestamps
+    return np.ascontiguousarray(np.asarray(rows, dtype=float).T)  # rows are timestamps
 
 
 def trim(recording: Recording, cfg: SegmentationConfig, fs: float) -> Recording:
@@ -516,8 +562,9 @@ def segment(
     into one unit; otherwise each trial is its own unit. Unit order
     follows first appearance. Within a unit, windows start at 0, stride,
     2*stride, ... and only full windows are kept, so a unit shorter than
-    the window adds no rows. A set that fails ``validate_recording_set``
-    raises its typed error.
+    the window adds no rows and is not kept. The record holds each kept
+    unit's samples, not its windows. A set that fails
+    ``validate_recording_set`` raises its typed error.
     """
     validate_recording_set(rset)
     wanted = set(rset.class_names if classes is None else classes)
@@ -534,22 +581,22 @@ def segment(
         units = [[rec] for rec in trimmed]
 
     w, stride = cfg.window_len_samples, cfg.stride
-    counts = [max(0, (sum(m.length for m in members) - w) // stride + 1) for members in units]
-    data = np.empty((sum(counts), rset.channel_count, w))
+    samples: list[np.ndarray] = []
+    index: list[tuple[int, int]] = []
     labels: list[str] = []
     provenance: list[tuple[str, int]] = []
-    row = 0
-    for members, n in zip(units, counts):
-        if n == 0:
+    for members in units:
+        length = sum(m.length for m in members)
+        if length < w:
             continue
         rec = _concat_trials(members)
-        view = sliding_window_view(rec.samples, w, axis=1)[:, ::stride]  # (C, n, W)
-        data[row : row + n] = view.swapaxes(0, 1)
-        labels += [rec.class_label] * n
+        starts = range(0, length - w + 1, stride)
+        index += [(len(samples), s) for s in starts]
+        samples.append(rec.samples)
+        labels += [rec.class_label] * len(starts)
         source = rec.provenance()
-        provenance += [(source, k * stride) for k in range(n)]
-        row += n
-    return Windows(data, labels, provenance)
+        provenance += [(source, s) for s in starts]
+    return Windows(samples, index, labels, provenance, rset.channel_count, w)
 
 
 def _concat_trials(members: list[Recording]) -> Recording:

@@ -76,15 +76,18 @@ def matrices_of(spec: SyntheticSpec, fcfg: FeatureConfig | None = None):
 
 def windows_from(rows) -> Windows:
     """A ``Windows`` record from ``(data, label, trial, start)`` tuples,
-    each ``data`` one ``(C, W)`` window."""
+    each ``data`` one ``(C, W)`` window and its own unit."""
     data, labels, trials, starts = zip(*rows)
-    return Windows(np.array(data, dtype=float), labels, tuple(zip(trials, starts)))
+    channels, width = np.shape(data[0])
+    units = [np.asarray(d, dtype=float) for d in data]
+    index = [(i, 0) for i in range(len(units))]
+    return Windows(units, index, labels, tuple(zip(trials, starts)), channels, width)
 
 
 def ablate(windows: Windows, spec, fcfg: FeatureConfig, fs: float):
     """``run_ablation_audit`` on the matrices and failed row the CLI passes it
     for these windows."""
-    failed_row = zero_window_features(fcfg, windows.data.shape[2], fs)
+    failed_row = zero_window_features(fcfg, windows.width, fs)
     return run_ablation_audit(build_class_matrices(windows, fcfg, fs), spec, failed_row)
 
 

@@ -13,12 +13,12 @@ chunk of epochs at a time.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from sensoraudit.errors import InvalidSpecError, TooFewRowsError
 from sensoraudit.features import FeatureMatrix, build_class_matrices, zero_window_features
-from sensoraudit.ingest import Windows
 from sensoraudit.oracle import gradients, init_params
 from sensoraudit.separability import separability_score
 
@@ -225,11 +225,22 @@ def _sensor_indices(sensors, channel_count):
     return idx
 
 
+def materialize(windows):
+    """The C-contiguous float64 ``(N, C, W)`` array of every window of the
+    record, row i cut from its unit by a plain slice."""
+    out = np.empty(windows.shape)
+    for i, (unit, start) in enumerate(windows.index.tolist()):
+        out[i] = windows.units[unit][:, start : start + windows.width]
+    return out
+
+
 def nullify(windows, sensors):
-    """Copy of the windows with the listed channels zero-filled."""
-    data = windows.data.copy()
-    data[:, _sensor_indices(sensors, data.shape[1]), :] = 0.0
-    return Windows(data, windows.labels, windows.provenance)
+    """Copy of the windows with the listed channels zero-filled in every unit."""
+    idx = _sensor_indices(sensors, windows.channels)
+    units = [u.copy() for u in windows.units]
+    for u in units:
+        u[idx, :] = 0.0
+    return replace(windows, units=units)
 
 
 def ablated_matrix(baseline, sensors, cfg, window_len, fs):
@@ -253,7 +264,7 @@ def ablated_shift(class_samples, sensors, fcfg, fs, metric="f1", baseline=None):
         if len(matrices) != 1:
             raise InvalidSpecError("ablated_shift expects samples from a single class")
         (baseline,) = matrices.values()
-    window_len = int(class_samples.data.shape[2])
+    window_len = class_samples.width
     ablated = ablated_matrix(baseline, sensors, fcfg, window_len, fs)
     return getattr(separability_score(baseline, ablated), metric)
 

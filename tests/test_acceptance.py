@@ -211,7 +211,7 @@ def test_criterion_5_stage2_criticality_recovery():
         report = run_ablation_audit(
             build_class_matrices(windows, fcfg, fs),
             AblationSpec(),
-            zero_window_features(fcfg, windows.data.shape[2], fs),
+            zero_window_features(fcfg, windows.width, fs),
         )
         seed_clean = True
         for ci, label in enumerate(report.classes):
@@ -259,7 +259,7 @@ def test_criterion_6_dataset_reproduction():
     report = run_ablation_audit(
         matrices,
         AblationSpec(),
-        zero_window_features(fcfg, windows.data.shape[2], rset.sampling_rate_hz),
+        zero_window_features(fcfg, windows.width, rset.sampling_rate_hz),
     )
     bottom_three = set(report.ranking[-3:])
     assert {5, 6}.issubset(bottom_three), report.ranking  # channels ch6 and ch7

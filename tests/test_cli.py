@@ -880,11 +880,11 @@ class TestRunner:
 
         def segmenting(*args, **kwargs):
             windows = segment(*args, **kwargs)
-            windows_data.append(weakref.ref(windows.data))
+            windows_data.extend(weakref.ref(unit) for unit in windows.units)
             return windows
 
         def auditing(*args):
-            assert [ref() for ref in windows_data] == [None]
+            assert windows_data and [ref() for ref in windows_data] == [None] * len(windows_data)
             return audit(*args)
 
         monkeypatch.setattr(cli, "segment", segmenting)

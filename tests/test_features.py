@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import feature_row, windows_from
-from reference_impls import candidate_sampen_counts, naive_katz, naive_sample_entropy
+from reference_impls import candidate_sampen_counts, materialize, naive_katz, naive_sample_entropy
 
 from sensoraudit import features
 from sensoraudit.errors import (
@@ -33,7 +33,7 @@ from sensoraudit.features import (
     zero_crossings,
     zero_window_features,
 )
-from sensoraudit.ingest import Windows
+from sensoraudit.ingest import Recording, RecordingSet, SegmentationConfig, Windows, segment
 
 
 class TestShannonEntropy:
@@ -509,7 +509,7 @@ class TestBuildClassMatrices:
         assert len(mats["a"].column_index) == 27
 
     def test_empty_input(self, fcfg):
-        empty = Windows(np.empty((0, 3, 64)), (), ())
+        empty = Windows((), (), (), (), 3, 64)
         assert build_class_matrices(empty, fcfg, fs=200.0) == {}
 
     def test_one_sample_per_class(self, fcfg):
@@ -778,8 +778,38 @@ class TestBlockEngine:
         for mats in results[1:]:
             for label in ("a", "b"):
                 assert same_bits(mats[label].values, results[0][label].values)
-        one_window = [feature_row(data, fcfg, fs=200.0) for data in windows.data[:11]]
+        one_window = [feature_row(data, fcfg, fs=200.0) for data in materialize(windows)[:11]]
         assert same_bits(results[0]["a"].values, one_window)
+
+    @pytest.mark.parametrize("concat", [True, False])
+    @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.9])
+    def test_record_gives_the_bits_of_its_window_array(self, monkeypatch, fcfg, concat, overlap):
+        rng = np.random.default_rng(9)
+        layout = [(150, "a"), (40, "a"), (200, "b"), (63, "b"), (120, "a"), (64, "b")]
+        recs = [
+            Recording(rng.normal(size=(3, t)), label, f"t{i}", f"s{i % 2}", "p0")
+            for i, (t, label) in enumerate(layout)
+        ]
+        cfg = SegmentationConfig(
+            trim_head_ms=0.0,
+            trim_tail_ms=0.0,
+            window_len_samples=64,
+            overlap_fraction=overlap,
+            concat_trials_within_session=concat,
+        )
+        windows = segment(RecordingSet(recs, 200.0, ["a", "b"], 3), cfg)
+        # t1 (40 samples) is a unit shorter than W in both modes, t3 (63) without concat
+        assert not {"p0/s1/t1", "p0/s1/t3"} & {trial for trial, _ in windows.provenance}
+        monkeypatch.setattr(features, "BLOCK_SAMPLES", 5 * 3 * 64)
+        units = windows.index[:, 0]
+        assert any(len(set(units[i : i + 5])) > 1 for i in range(0, len(windows), 5))
+        rows = features._feature_rows(materialize(windows), fcfg, 200.0)
+        first = build_class_matrices(windows, fcfg, fs=200.0)
+        again = build_class_matrices(windows, fcfg, fs=200.0)
+        assert list(first) == ["a", "b"]
+        for label, matrix in first.items():
+            assert same_bits(matrix.values, rows[np.array(windows.labels) == label])
+            assert same_bits(again[label].values, matrix.values)
 
     def test_zero_window_keeps_negative_zero_sample_entropy(self, fcfg):
         k = FEATURE_NAMES.index("sample_entropy")

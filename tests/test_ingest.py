@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import typing
 from itertools import compress
 from unittest import mock
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from reference_impls import enumerate_window_starts
+from reference_impls import enumerate_window_starts, materialize
 
 from sensoraudit import ingest
 from sensoraudit.ablation import AblationSpec
@@ -38,7 +39,7 @@ from sensoraudit.ingest import (
     segment,
     trim,
 )
-from sensoraudit.features import FeatureConfig
+from sensoraudit.features import FeatureConfig, build_class_matrices
 from sensoraudit.oracle import OracleConfig
 from sensoraudit.reports import write_dataset
 from sensoraudit.synthetic import ChannelProfile, ChannelSpec, SyntheticSpec
@@ -122,7 +123,7 @@ class TestWindow:
     def test_zero_overlap_concatenation_reconstructs_prefix(self):
         r = rec(130, channels=3)
         out = segment_one(r, seg_cfg(window_len_samples=25, overlap_fraction=0.0))
-        joined = np.concatenate(list(out.data), axis=1)
+        joined = np.concatenate(list(materialize(out)), axis=1)
         assert np.array_equal(joined, r.samples[:, : joined.shape[1]])
 
     def test_labels_and_provenance_carried(self):
@@ -161,7 +162,7 @@ class TestSegment:
 
 
 class TestSegmentArray:
-    """``segment``'s one ``(N, C, W)`` array against the recordings it cuts."""
+    """``segment``'s record against the recordings it cuts."""
 
     W = 100
     # 200 Hz: trims of 10 head and 5 tail samples
@@ -187,15 +188,15 @@ class TestSegmentArray:
 
     def test_one_contiguous_float64_array(self):
         windows = segment(self.rset(), SegmentationConfig(**self.CFG))
-        assert windows.data.dtype == np.float64 and windows.data.flags.c_contiguous
-        assert windows.data.shape == (len(windows), 3, self.W)
+        assert all(u.dtype == np.float64 and u.flags.c_contiguous for u in windows.units)
+        assert windows.shape == materialize(windows).shape == (len(windows), 3, self.W)
         assert len(windows) == len(windows.labels) == len(windows.provenance) == 13 + 12
 
     def test_rows_are_the_trimmed_samples(self):
         cfg = SegmentationConfig(**self.CFG, concat_trials_within_session=False)
         windows = segment(self.rset(), cfg)
         samples = self.trimmed(cfg)
-        for row, (trial, start) in zip(windows.data, windows.provenance):
+        for row, (trial, start) in zip(materialize(windows), windows.provenance):
             assert np.array_equal(row, samples[trial][:, start : start + self.W])
         # t2 keeps 75 samples, fewer than one window
         assert "p0/s0/t2" not in {trial for trial, _ in windows.provenance}
@@ -211,7 +212,7 @@ class TestSegmentArray:
         crossing = 0
         for i in rows:
             start = windows.provenance[i][1]
-            assert np.array_equal(windows.data[i], joined[:, start : start + self.W])
+            assert np.array_equal(materialize(windows)[i], joined[:, start : start + self.W])
             crossing += start < 485 < start + self.W
         assert crossing == 2  # starts 400 and 450
         assert "p0/s0/t2" not in {trial for trial, _ in windows.provenance}
@@ -224,9 +225,36 @@ class TestSegmentArray:
 
     def test_record_needs_one_label_and_start_per_row(self):
         with pytest.raises(LengthMismatchError):
-            Windows(np.zeros((2, 1, 4)), ("a",), (("t", 0), ("t", 4)))
+            Windows([np.zeros((1, 8))], [(0, 0), (0, 4)], ("a",), (("t", 0), ("t", 4)), 1, 4)
         with pytest.raises(LengthMismatchError):
-            Windows(np.zeros((2, 4)), ("a", "a"), (("t", 0), ("t", 4)))
+            Windows([np.zeros(8)], [(0, 0), (0, 4)], ("a", "a"), (("t", 0), ("t", 4)), 1, 4)
+
+    def test_row_past_its_unit_is_typed(self):
+        unit = np.zeros((2, 10))
+        Windows([unit], [(0, 0), (0, 6)], ("a", "a"), (("t", 0), ("t", 6)), 2, 4)
+        for row in [(0, 7), (0, -1), (1, 0), (-1, 0)]:
+            with pytest.raises(LengthMismatchError, match="runs outside its unit"):
+                Windows([unit], [(0, 0), row], ("a", "a"), (("t", 0), ("t", 7)), 2, 4)
+        with pytest.raises(LengthMismatchError):
+            Windows([np.zeros((3, 10))], [(0, 0)], ("a",), (("t", 0),), 2, 4)
+
+    def test_empty_record_keeps_its_shape(self):
+        cfg = SegmentationConfig(**(self.CFG | {"window_len_samples": 1000}))
+        windows = segment(self.rset(), cfg)
+        assert len(windows) == 0 and windows.shape == (0, 3, 1000)
+        assert materialize(windows).shape == (0, 3, 1000)
+        assert build_class_matrices(windows, FeatureConfig(), 200.0) == {}
+
+    @pytest.mark.parametrize("concat", [True, False])
+    def test_record_holds_the_trimmed_samples_once(self, concat):
+        cfg = SegmentationConfig(
+            **(self.CFG | {"overlap_fraction": 0.9}), concat_trials_within_session=concat
+        )
+        windows = segment(self.rset(), cfg)
+        trimmed = sum(a.nbytes for a in self.trimmed(cfg).values())
+        held = {id(a): a.nbytes for u in windows.units for a in (u, u.base) if a is not None}
+        assert sum(held.values()) <= trimmed
+        assert 8 * math.prod(windows.shape) > 5 * trimmed
 
     def test_class_filter_keeps_the_class_rows(self):
         cfg = SegmentationConfig(**self.CFG)
@@ -234,7 +262,7 @@ class TestSegmentArray:
         only_b = segment(self.rset(), cfg, classes=["b"])
         assert set(only_b.labels) == {"b"} and len(only_b) == 12
         is_b = np.array(everything.labels) == "b"
-        assert np.array_equal(only_b.data, everything.data[is_b])
+        assert np.array_equal(materialize(only_b), materialize(everything)[is_b])
         assert only_b.provenance == tuple(compress(everything.provenance, is_b))
 
 
@@ -510,6 +538,22 @@ class TestParseRule:
         # a t-only header matches channel_count 0, and so does loadtxt's empty result
         path = one_trial_dataset(tmp_path, b"", channels=0)
         assert same(loaded(tmp_path), line_parse(path, 0))
+
+    @pytest.mark.parametrize("body", [b"0,1.5,-2\n1,3,4e-3\n2,5,6\n", b"x,1.5,-2\ny,3,4e-3\n"])
+    def test_samples_own_c_contiguous_memory(self, tmp_path, body):
+        # the second file's t column sends it to the line parser
+        one_trial_dataset(tmp_path, body)
+        samples = loaded(tmp_path)
+        assert samples.flags.c_contiguous and samples.base is None
+        want = [[float(row.split(b",")[1]), float(row.split(b",")[2])] for row in body.splitlines()]
+        assert same(samples, np.array(want).T)
+
+    def test_every_loaded_recording_owns_c_contiguous_memory(self, tmp_path):
+        build_dataset(tmp_path, sessions=2, trials=2, classes=("a", "b"), channels=3, rows=50)
+        for r in load_dataset(tmp_path).recordings:
+            assert r.samples.flags.c_contiguous and r.samples.base is None
+            path = tmp_path / r.participant_id / r.session_id / f"{r.class_label}_{r.trial_id}.csv"
+            assert same(r.samples, np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:].T)
 
     def test_non_utf8_byte_names_the_file(self, tmp_path):
         path = one_trial_dataset(tmp_path, b"0,1,2\n1,\xff,2\n")
