@@ -104,7 +104,7 @@ class CompensationNote:
     verdict: str  # "compensated" | "uncompensated"
 
 
-@dataclass
+@dataclass(eq=False)
 class AblationReport:
     classes: tuple[str, ...]
     channel_count: int

@@ -92,10 +92,9 @@ FEATURE_NAMES: tuple[str, ...] = (
 _SQRT2 = math.sqrt(2.0)
 _TINY = float(np.finfo(float).tiny)
 
-# sample_entropy counts a block of rows together: at most this many
-# samples, and at most this many bytes of prefix-bitset tables. A row whose
-# table needs more builds it a tile of columns at a time.
-SAMPEN_BLOCK_SAMPLES = 8000
+# sample_entropy counts a block of rows together: at most this many bytes
+# of prefix-bitset tables. A row whose table needs more builds it a tile of
+# columns at a time.
 SAMPEN_TABLE_BYTES = 1 << 18
 
 # Samples per block of stacked windows (128 KB of float64).
@@ -235,16 +234,16 @@ def sample_entropy(
     W^2 / 64 word operations per row, whatever the data. Self-matches are
     subtracted and the ordered counts halved, which leaves A/B unchanged.
 
-    Rows are counted a block at a time. A block holds at most
-    ``SAMPEN_BLOCK_SAMPLES`` samples, and its prefix tables at most
-    ``SAMPEN_TABLE_BYTES`` (one row if a row needs more). A row whose table
-    alone exceeds that budget builds it in tiles of columns, so working
-    memory stays about twice the budget plus O(W) at any window length. A
-    row's counts do not depend on its block or tiles. A window whose
-    values are all equal returns -ln(1) = -0.0. Each row is first scaled
-    by the power of two that puts its largest magnitude in [0.5, 1). That
-    is exact and keeps every count, and a row scaled by 2**k becomes the
-    same row, so its SD neither overflows nor underflows with k.
+    Rows are counted a block at a time. A block holds as many rows as
+    prefix tables of ``SAMPEN_TABLE_BYTES`` hold, or one row if a row needs
+    more. A row whose table alone exceeds that budget builds it in tiles of
+    columns, so working memory stays about twice the budget plus O(W) at
+    any window length. A row's counts do not depend on its block or tiles.
+    A window whose values are all equal returns -ln(1) = -0.0. Each row is
+    first scaled by the power of two that puts its largest magnitude in
+    [0.5, 1). That is exact and keeps every count, and a row scaled by
+    2**k becomes the same row, so its SD neither overflows nor underflows
+    with k.
     """
     x = np.asarray(signal, dtype=float)
     n = x.shape[-1]
@@ -253,7 +252,7 @@ def sample_entropy(
     rows = x.reshape(-1, n)
     values = np.empty(rows.shape[0])
     table_row = 8 * (n + 1) * (-(-n // 64) + m)
-    step = max(1, min(SAMPEN_BLOCK_SAMPLES // n, SAMPEN_TABLE_BYTES // table_row))
+    step = max(1, SAMPEN_TABLE_BYTES // table_row)
     for start in range(0, rows.shape[0], step):
         block = slice(start, start + step)
         values[block] = _sample_entropy_block(rows[block], m, r_coeff)
@@ -595,7 +594,7 @@ def zero_window_features(cfg: FeatureConfig, window_len: int, fs: float) -> np.n
     return _feature_rows(np.zeros((1, 1, window_len)), cfg, fs)[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureMatrix:
     values: np.ndarray  # n_samples x d
     class_label: str

@@ -246,7 +246,7 @@ def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-@dataclass
+@dataclass(eq=False)
 class Recording:
     samples: np.ndarray  # channels x T
     class_label: str
@@ -267,7 +267,7 @@ class Recording:
         return "/".join(parts) if parts else self.trial_id
 
 
-@dataclass
+@dataclass(eq=False)
 class RecordingSet:
     recordings: list[Recording]
     sampling_rate_hz: float
@@ -275,7 +275,7 @@ class RecordingSet:
     channel_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Windows:
     """Equal-width windows cut from units of samples, without copying them.
 

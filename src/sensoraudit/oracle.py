@@ -7,11 +7,13 @@ deterministic for a fixed seed: each pair derives its own generator from
 
 A classifier is its parameter dict: ``train`` returns it and ``predict``
 labels rows with it. ``run_oracle_audit`` splits every pair first, then
-trains the pairs whose training sets have the same shape as one stack
+trains the pairs whose training sets have the same shape in stacks
 (``train_stack``): each mini-batch step is one gather and a few stacked
-``(P, n, d) @ (P, d, h)`` matmuls for all P pairs. numpy multiplies a
-stack slice by slice with the same kernel as a lone matrix, so each pair
-gets the bits it would get alone, and ``train`` is the stack of one.
+``(P, n, d) @ (P, d, h)`` matmuls for all P pairs. A group of such pairs
+becomes the fewest near-equal stacks whose training state fits
+``STACK_BYTES``. numpy multiplies a stack slice by slice with the same
+kernel as a lone matrix, so each pair gets the bits it would get alone,
+whatever its stack, and ``train`` is the stack of one.
 Each pair's test predictions are counted with ``confusion`` into its one
 ``OracleResult``.
 
@@ -42,6 +44,12 @@ from .ingest import JsonConfig
 # Indices per chunk of epoch orders that train_stack draws at once: 62.5 KiB
 # of int64, below the 64 KiB from which glibc's free() may trim the heap.
 ORDER_CHUNK_INDICES = 8000
+
+# Bytes of training state per stack, counted by _pair_state_bytes: the 2 MiB
+# L2 cache of one core of the x86 machine this was tuned on. 15 pairs of 26
+# rows at 108 columns (~3 MB) train as stacks of 8 and 7 and lower the peak
+# RSS; at 1 MiB, 10 pairs of 54 rows at 72 columns split too, and were no faster.
+STACK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -248,6 +256,15 @@ def train_stack(
     return [{key: value[p] for key, value in params.items()} for p in range(stack)]
 
 
+def _pair_state_bytes(n: int, d: int, cfg: OracleConfig) -> int:
+    """Bytes ``train_stack`` allocates per pair on n training rows of d
+    columns: w1 and its gradient, the rows, a batch of them and the three
+    float64 step buffers, and the bool mask."""
+    h = cfg.hidden_units
+    r = min(cfg.batch_size, n)
+    return 8 * (2 * d * h + n * d + r * d + 3 * r * h) + r * h
+
+
 def _check_converged(
     params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray, lr: float
 ) -> None:
@@ -324,7 +341,7 @@ def _stratified_split(
     return a_train, a_test, b_train, b_test
 
 
-@dataclass
+@dataclass(eq=False)
 class _PairSplit:
     pair: tuple[str, str]
     rng: "np.random.Generator"
@@ -354,9 +371,11 @@ def run_oracle_audit(matrices: dict[str, FeatureMatrix], cfg: OracleConfig) -> l
     """One classifier per unordered pair, results in lexicographic pair order.
 
     Every pair is split first, in pair order. The pairs whose training sets
-    have the same shape then train as one stack (``train_stack``), so the
-    results do not depend on which other pairs are audited. A class too
-    small to split stops the splits there; when several pairs fail, the
+    have the same shape then train in the fewest near-equal stacks
+    (``train_stack``) of at most ``STACK_BYTES`` of training state each, or
+    of one pair. Each pair gets the bits it gets alone, so the results do
+    not depend on the stacks or on which other pairs are audited. A class
+    too small to split stops the splits there; when several pairs fail, the
     first pair in lexicographic order decides the error.
     """
     if len(matrices) < 2:
@@ -370,11 +389,17 @@ def run_oracle_audit(matrices: dict[str, FeatureMatrix], cfg: OracleConfig) -> l
             unsplit = exc
             break
 
-    stacks: dict[tuple[int, ...], list[_PairSplit]] = {}
+    groups: dict[tuple[int, int], list[_PairSplit]] = {}
     for split in splits:
-        stacks.setdefault(split.x_train.shape, []).append(split)
+        groups.setdefault(split.x_train.shape, []).append(split)
+    stacks = []
+    for (n, d), group in groups.items():
+        fit = max(1, STACK_BYTES // _pair_state_bytes(n, d, cfg))
+        count = -(-len(group) // fit)
+        bounds = [-(-len(group) * i // count) for i in range(count + 1)]
+        stacks += [group[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     params: dict[tuple[str, str], dict[str, np.ndarray]] = {}
-    for stack in stacks.values():
+    for stack in stacks:
         x = np.stack([split.x_train for split in stack])
         y = np.stack([split.y_train for split in stack])
         for split, x_train in zip(stack, x):

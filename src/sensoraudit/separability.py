@@ -37,7 +37,7 @@ from .features import FeatureMatrix
 F1_CAP = 1e12
 
 
-@dataclass
+@dataclass(eq=False)
 class SeparabilityScore:
     f1: float
     f1_argmax: int
@@ -131,7 +131,7 @@ def separability_score(target: FeatureMatrix, reference: FeatureMatrix) -> Separ
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class PairResult:
     target: str
     reference: str
@@ -143,7 +143,7 @@ class PairResult:
         return self.score.f1
 
 
-@dataclass
+@dataclass(eq=False)
 class PairwiseAudit:
     mode: str  # "one-vs-one" or "one-vs-rest"
     results: list[PairResult] = field(default_factory=list)

@@ -145,7 +145,8 @@ class TestSampleEntropy:
 
     def test_block_counts_equal_one_row_counts(self, monkeypatch):
         # constant, quantised, x2**600, NaN (its r is NaN) and ordinary rows;
-        # blocks of 1, 3 and 5 rows put block boundaries inside the input
+        # blocks of 1, 3 and 5 rows put block boundaries inside the input.
+        # A budget of whole rows' tables leaves each row untiled.
         rows = np.random.default_rng(21).normal(size=(11, 90))
         rows[[1, 6]] = 1.5
         rows[[2, 8]] = np.round(rows[[2, 8]] * 2)
@@ -153,8 +154,10 @@ class TestSampleEntropy:
         rows[9] = rows[4] * 2.0**600
         rows[7, 40] = np.nan
         alone = [sample_entropy(row, 2, 0.2) for row in rows]
+        n = rows.shape[1]
+        table_row = 8 * (n + 1) * (-(-n // 64) + 2)  # one row's prefix tables at m = 2
         for block in (1, 3, 5, len(rows)):
-            monkeypatch.setattr(features, "SAMPEN_BLOCK_SAMPLES", block * rows.shape[1])
+            monkeypatch.setattr(features, "SAMPEN_TABLE_BYTES", block * table_row)
             assert same_bits(sample_entropy(rows, 2, 0.2), alone)
         r = 0.2 * float(rows[2].std())
         assert with_cap_flag(alone[2], 90, 2) == naive_sample_entropy(list(rows[2]), 2, r)

@@ -14,8 +14,10 @@ from hypothesis.extra import numpy as hnp
 
 from reference_impls import enumerate_window_starts, materialize
 
-from sensoraudit import ingest
-from sensoraudit.ablation import AblationSpec
+from conftest import ablate, graded_spec
+
+from sensoraudit import ingest, oracle
+from sensoraudit.ablation import AblationSpec, CompensationNote
 from sensoraudit.errors import (
     DataFormatError,
     InconsistentChannelCountError,
@@ -40,9 +42,10 @@ from sensoraudit.ingest import (
     trim,
 )
 from sensoraudit.features import FeatureConfig, build_class_matrices
-from sensoraudit.oracle import OracleConfig
+from sensoraudit.oracle import OracleConfig, OracleResult
 from sensoraudit.reports import write_dataset
-from sensoraudit.synthetic import ChannelProfile, ChannelSpec, SyntheticSpec
+from sensoraudit.separability import pairwise_audit
+from sensoraudit.synthetic import ChannelProfile, ChannelSpec, SyntheticSpec, generate_recordings
 
 
 def rec(t, label="a", trial="t0", channels=2, session="s0", participant="p0"):
@@ -627,6 +630,45 @@ class TestConfigJson:
             "ring_topology": [2, 0, 1],
         }
         assert CONFIGS[1].to_json_dict()["enabled_features"] == ["rms", "zero_crossings"]
+
+
+class TestRecordEquality:
+    def test_records_holding_arrays_compare_by_identity(self):
+        # compared field by field, == would raise numpy's ambiguous-truth
+        # ValueError, and a frozen record's hash would hash its arrays
+        spec = dataclasses.replace(graded_spec(0), windows_per_class=12)
+        rset = generate_recordings(spec)
+        windows = segment(rset, spec.segmentation())
+        fcfg, fs = FeatureConfig(), rset.sampling_rate_hz
+        matrices = build_class_matrices(windows, fcfg, fs)
+        audit = pairwise_audit(matrices)
+        a, b = sorted(matrices)[:2]
+        split = oracle._split_pair(a, b, matrices[a], matrices[b], OracleConfig())
+        records = (
+            rset.recordings[0],
+            rset,
+            windows,
+            matrices[a],
+            audit.results[0].score,
+            audit.results[0],
+            audit,
+            ablate(windows, AblationSpec(), fcfg, fs),
+            split,
+        )
+        for record in records:
+            twin = copy.copy(record)
+            assert (record == record) is True and (record != record) is False
+            assert (record == twin) is False and (record != twin) is True
+            assert hash(record) == hash(record)
+
+    def test_configs_and_results_keep_value_equality(self):
+        assert SegmentationConfig() == SegmentationConfig()
+        assert hash(OracleConfig(seed=3)) == hash(OracleConfig(seed=3))
+        result = OracleResult(("a", "b"), 0.5, 0.75, (1, 2, 0, 1), 3)
+        assert result == dataclasses.replace(result)
+        assert result != dataclasses.replace(result, seed=4)
+        note = CompensationNote("a", 0, 1.0, (1, 2), (0.1, 0.2), "compensated")
+        assert note == dataclasses.replace(note)
 
 
 def json_configs(cls=JsonConfig):

@@ -319,6 +319,10 @@ class TestRunOracleAudit:
         assert tp + tn + fp + fn == 10
 
 
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
 def same_params(a, b):
     return a.keys() == b.keys() and all(
         a[k].shape == b[k].shape and np.array_equal(a[k].view(np.uint64), b[k].view(np.uint64))
@@ -377,6 +381,62 @@ class TestStackedTraining:
         assert [r.pair for r in subset] == [("c0", "c2"), ("c0", "c4"), ("c2", "c4")]
         for r in subset:
             assert r == whole[r.pair]
+
+
+def pair_state_bytes(n, d, cfg):
+    """Bytes train_stack allocates per pair on n rows of d columns: float64
+    w1 and its gradient, the rows, a batch of them and three step buffers,
+    and the bool mask."""
+    h, r = cfg.hidden_units, min(cfg.batch_size, n)
+    return 8 * (2 * d * h + n * d + r * d + 3 * r * h) + r * h
+
+
+class TestStackBudget:
+    """Same-shape pairs train in the fewest near-equal stacks of at most
+    STACK_BYTES of state, and get the same bits in any of them."""
+
+    # Six classes of 16 rows give 15 pairs of 26 training rows at 108
+    # columns, as in pairs-short (~3 MB of state); a seventh class of 30
+    # rows adds 6 pairs of 37 rows.
+    SIZES = [16] * 6 + [30]
+    CFG = OracleConfig(epochs=2, seed=5)
+
+    def audit(self, budget):
+        shapes = []
+        stacked = oracle.train_stack
+
+        def recording(x, y, cfg, rngs):
+            shapes.append(x.shape)
+            return stacked(x, y, cfg, rngs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "train_stack", recording)
+            mp.setattr(oracle, "STACK_BYTES", budget)
+            results = run_oracle_audit(class_matrices(self.SIZES, 108, 3), self.CFG)
+        return results, shapes
+
+    def test_results_do_not_depend_on_the_budget(self):
+        runs = [self.audit(budget) for budget in (1, oracle.STACK_BYTES, 1 << 40)]
+        (want, _), counts = runs[0], [len(shapes) for _, shapes in runs]
+        assert counts == [21, 3, 2]
+        for got, _ in runs[1:]:
+            assert got == want
+            assert all(same_bits(g.mcc, w.mcc) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("pairs", [None, 1, 4, 10, 11, 15])
+    def test_each_stack_fits_the_budget(self, pairs):
+        # None: the default budget; else room for that many 26-row pairs
+        per_pair = pair_state_bytes(26, 108, self.CFG)
+        budget = oracle.STACK_BYTES if pairs is None else pairs * per_pair
+        _, shapes = self.audit(budget)
+        assert sum(p for p, _, _ in shapes) == 21
+        for n, d in {(n, d) for _, n, d in shapes}:
+            sizes = [p for p, rows, _ in shapes if rows == n]
+            total, state = sum(sizes), pair_state_bytes(n, d, self.CFG)
+            assert all(p == 1 or p * state <= budget for p in sizes)
+            # near-equal, and one stack fewer would not fit
+            assert max(sizes) - min(sizes) <= 1
+            assert len(sizes) == 1 or -(-total // (len(sizes) - 1)) * state > budget
 
 
 class TestChunkedOrders:
