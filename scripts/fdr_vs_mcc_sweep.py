@@ -16,13 +16,14 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import numpy as np
+from kendall import kendall_tau  # scripts/kendall.py
 
 from sensoraudit.features import FeatureConfig, build_class_matrices
 from sensoraudit.ingest import segment
 from sensoraudit.oracle import OracleConfig, run_oracle_audit
-from sensoraudit.reports import kendall_tau
 from sensoraudit.separability import pairwise_audit
 from sensoraudit.synthetic import (
     ChannelProfile,

@@ -14,8 +14,9 @@ consecutive ``(n, C, W)`` slices of at most ``BLOCK_SAMPLES`` samples
 (128 KB of float64, so a slice's temporaries stay in cache) into one
 C-contiguous buffer, allocated once per call, and calls each enabled
 extractor once per slice. Each window is copied once, into that buffer,
-and no array of all N windows is made. ``zero_window_features`` is the
-same path with one all-zero window.
+and no array of all N windows is made. Sample entropy's work arrays are
+also allocated once per call and reused for every slice.
+``zero_window_features`` is the same path with one all-zero window.
 
 Two extractors take care to stay exact per row:
 
@@ -28,13 +29,10 @@ Two extractors take care to stay exact per row:
 * ``median_frequency`` counts the cumulative powers below half the total,
   which equals ``searchsorted`` on the nondecreasing cumulative sum.
 
-``sample_entropy`` counts template pairs 64 at a time. Per row it sorts
-the samples once and finds, for each sample, the run of sorted samples
-within r of it. A prefix-bitset table turns each run into the bitset of
-the samples in it. For each template, the bitsets of its coordinates,
-offset by coordinate, are ANDed, and ``np.bitwise_count`` counts the
-matching partners. The counts are exact integers and do not depend on
-the row's block or on how its table is tiled.
+``sample_entropy`` counts template pairs exactly, 64 at a time, with
+bitsets (``sensoraudit.sampen``): one preparation pass over all the rows
+of a call, then cache-sized blocks of rows. The counts do not depend on
+a row's call or block.
 
 Where a product or square would leave float64's range, ``zero_crossings``
 and ``slope_sign_changes`` compare signs and exponents instead, and
@@ -69,6 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sampen
 from .errors import (
     DataFormatError,
     InvalidSpecError,
@@ -220,177 +219,62 @@ def sample_entropy(
     B <= q(q-1)/2 for q = n - m templates, an uncapped value is at most
     ln(q(q-1)/2) = cap - ln 2.
 
-    The pairs are counted with bitsets over sample indices. Each row is
-    sorted once. Sorted sample p lies within r of the sorted run [lo[p],
-    hi[p]). hi is found by a search and then settled with the same ``|x[i]
-    - x[j]| <= r`` comparison as the definition. Because that comparison is
-    symmetric, lo[p] is the number of samples whose hi is at most p. Row c
-    of a prefix table holds the bitset of the c smallest samples, so
-    sample i's matches are the XOR of two table rows. Template i matches
-    template j at length m when bit j is set in the AND of the matches of
-    samples i + k, each shifted down by k, for k < m; a further AND with
-    k = m gives length m + 1. ``np.bitwise_count`` counts 64 candidate
-    partners per word, so the integer counts are exact and cost about
-    W^2 / 64 word operations per row, whatever the data. Self-matches are
-    subtracted and the ordered counts halved, which leaves A/B unchanged.
-
-    Rows are counted a block at a time. A block holds as many rows as
-    prefix tables of ``SAMPEN_TABLE_BYTES`` hold, or one row if a row needs
-    more. A row whose table alone exceeds that budget builds it in tiles of
-    columns, so working memory stays about twice the budget plus O(W) at
-    any window length. A row's counts do not depend on its block or tiles.
-    A window whose values are all equal returns -ln(1) = -0.0. Each row is
-    first scaled by the power of two that puts its largest magnitude in
-    [0.5, 1). That is exact and keeps every count, and a row scaled by
-    2**k becomes the same row, so its SD neither overflows nor underflows
-    with k.
+    The pairs are counted exactly, 64 per word operation, by
+    ``sensoraudit.sampen``: a preparation pass over all the rows, then a
+    bitset pass over blocks of rows whose prefix tables fit
+    ``SAMPEN_TABLE_BYTES``. That costs about W^2 / 64 word operations per
+    row, whatever the data, and working memory of about twice the budget
+    plus about 30 bytes per sample of the call. A row's value does not depend on
+    the other rows. A window whose values are all equal returns -ln(1) =
+    -0.0. Each row is first scaled by the power of two that puts its
+    largest magnitude in [0.5, 1). That is exact and keeps every count,
+    and a row scaled by 2**k becomes the same row, so its SD neither
+    overflows nor underflows with k.
     """
+    return _sample_entropy(signal, m, r_coeff, None)
+
+
+def _sample_entropy(signal, m: int, r_coeff: float, work: sampen.Work | None):
+    """``sample_entropy`` in the work arrays ``work``, or in its own if None."""
     x = np.asarray(signal, dtype=float)
     n = x.shape[-1]
     if n <= m + 1:
         raise WindowTooShortError(f"sample_entropy needs > {m + 1} samples, got {n}")
     rows = x.reshape(-1, n)
-    values = np.empty(rows.shape[0])
-    table_row = 8 * (n + 1) * (-(-n // 64) + m)
-    step = max(1, SAMPEN_TABLE_BYTES // table_row)
-    for start in range(0, rows.shape[0], step):
-        block = slice(start, start + step)
-        values[block] = _sample_entropy_block(rows[block], m, r_coeff)
-    return float(values[0]) if x.ndim == 1 else values.reshape(x.shape[:-1])
-
-
-def _sample_entropy_block(rows: np.ndarray, m: int, r_coeff: float) -> np.ndarray:
-    n = rows.shape[1]
+    count = rows.shape[0]
+    if work is None:
+        work = _sampen_work(count, n, m)
     top, bottom = rows.max(axis=1), rows.min(axis=1)
-    rows = _unit_scaled(rows, top, bottom)
-    r = r_coeff * rows.std(axis=1)
+    scaled = _unit_scaled(rows, top, bottom, out=work.floats(count)[0][:, :n])
+    r = r_coeff * scaled.std(axis=1)
     # Equal values: every template matches, so A == B. With a NaN or
     # negative tolerance no comparison holds, not even a template with
     # itself; B and A, matches minus the q self-matches, are then both -q.
     # Either way the value is -ln(1).
-    values = np.full(rows.shape[0], -math.log(1.0))
+    values = np.full(count, -math.log(1.0))
     live = np.flatnonzero((r >= 0.0) & (top != bottom))
     if live.size:
-        a, b = _sampen_counts(rows[live], r[live], m)
+        if live.size < count:
+            scaled[: live.size] = scaled[live]
+            r = r[live]
+        a, b = _sampen_counts(scaled[: live.size], r, m, work)
         cap = sampen_cap(n, m)
         # math.log row by row: numpy's vectorised log need not round as libm's does
         for k, a_k, b_k in zip(live.tolist(), a.tolist(), b.tolist()):
             values[k] = cap if a_k == 0 or b_k == 0 else -math.log(a_k / b_k)
-    return values
+    return float(values[0]) if x.ndim == 1 else values.reshape(x.shape[:-1])
 
 
-def _sampen_counts(rows: np.ndarray, r: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _sampen_counts(
+    rows: np.ndarray, r: np.ndarray, m: int, work: sampen.Work | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Unordered template pairs within r at length m + 1 (A) and m (B), per row."""
-    count, n = rows.shape
-    q = n - m  # templates of both lengths start at 0 .. q-1
-    order = np.argsort(rows, axis=1)
-    at = (order + np.arange(0, count * n, n)[:, None]).ravel()
-    # Row k * (n + 1) + c of the prefix table is the bitset of row k's c
-    # smallest samples, up to a constant per row. The samples within r of
-    # sorted sample p are the sorted run [lo, hi): table[hi] ^ table[lo].
-    hi = _upper_bounds(rows.ravel().take(at).reshape(count, n), r)
-    # |x[i] - x[j]| <= r is symmetric, so lo[p] = #{p' : hi[p'] <= p}.
-    below = np.cumsum(np.bincount(hi, minlength=count * (n + 1))).reshape(count, n + 1)
-    lo = (below[:, :n] + np.arange(count)[:, None]).ravel()
-    del below
-    hi_at = np.empty_like(hi)  # the same, in sample order
-    hi_at[at] = hi
-    lo_at = np.empty_like(lo)
-    lo_at[at] = lo
-    del hi, lo
-
-    # Bit b of column e is sample e + b * words, for e < words + m: the
-    # columns from words on repeat earlier ones with their bits moved down.
-    # Column e + k then holds, bit for bit, the samples k after those of
-    # column e, so shifting the matches of a template's coordinate k down
-    # by k is reading k columns further on. A tile covers t columns and
-    # reads m more.
-    words = -(-n // 64)
-    depth = -(-n // words)  # bits per column
-    tile = max(1, min(words, SAMPEN_TABLE_BYTES // (8 * count * (n + 1)) - m))
-    # joins[k, b, c]: the table row that first holds row k's sample c + b *
-    # words. Padding past n joins at row 0, so every row holds it and it
-    # cancels like the earlier rows' samples below.
-    joins = np.zeros(count * depth * words, dtype=np.intp)
-    joins[(order + np.arange(0, count * depth * words, depth * words)[:, None]).ravel()] = (
-        np.arange(1, count * n + 1) + np.arange(count).repeat(n)
-    )
-    joins = joins.reshape(count, depth, words)
-    del order, at
-    bits = np.left_shift(np.uint64(1), np.arange(depth, dtype=np.uint64))[:, None]
-    # One allocation for both: freed as one chunk, the allocator keeps it for
-    # the next block; two chunks let it trim the heap and fault it back in.
-    table_size = count * (n + 1) * (tile + m)
-    workspace = np.empty(table_size + count * n * (tile + m), dtype=np.uint64)
-    table_words, near_words = workspace[:table_size], workspace[table_size:]
-    a = np.zeros(count, dtype=np.int64)
-    b = np.zeros(count, dtype=np.int64)
-    for w0 in range(0, words, tile):
-        t = min(tile, words - w0)
-        width = t + m
-        table = table_words[: count * (n + 1) * width].reshape(-1, width)
-        table.fill(0)
-        for s in range((w0 + width - 1) // words + 1):  # column c + s * words, bit b - s
-            c0, c1 = max(0, w0 - s * words), min(words, w0 + width - s * words)
-            table[joins[:, s:, c0:c1], np.arange(c0, c1) + (s * words - w0)] = bits[: depth - s]
-        # Row k * (n + 1) + c now holds row k's c smallest samples XOR the
-        # padding and all earlier rows' samples, which cancel in
-        # table[hi] ^ table[lo].
-        np.bitwise_xor.accumulate(table, axis=0, out=table)
-        near = near_words[: count * n * width].reshape(count * n, width)
-        np.take(table, hi_at, axis=0, out=near, mode="clip")  # in range; "clip" writes out unbuffered
-        step = max(1, SAMPEN_TABLE_BYTES // (32 * width))  # a quarter of the budget
-        for i in range(0, count * n, step):
-            near[i : i + step] ^= np.take(table, lo_at[i : i + step], axis=0)
-        near = near.reshape(count, n, width)
-        # match[k, i] holds the templates that match template i; the table is spent
-        match = table.reshape(-1)[: count * q * t].reshape(count, q, t)
-        np.copyto(match, near[:, :q, :t])
-        for k in range(1, m):
-            match &= near[:, k : k + q, k : k + t]
-        if w0 <= q % words < w0 + t:  # the length-m template at q is not one of the q
-            match[:, :, q % words - w0] &= ~np.left_shift(np.uint64(1), np.uint64(q // words))
-        b += np.bitwise_count(match).sum(axis=(1, 2), dtype=np.int64)
-        match &= near[:, m : m + q, m : m + t]
-        a += np.bitwise_count(match).sum(axis=(1, 2), dtype=np.int64)
-    # every template matches itself, and each unordered pair counts twice
-    return (a - q) // 2, (b - q) // 2
+    return sampen.counts(rows, r, work or _sampen_work(*rows.shape, m))
 
 
-def _upper_bounds(values: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Per sorted row, the prefix-table row that ends each sample's run within r.
-
-    Entry p of row k is k * (n + 1) plus the first position after p whose
-    value exceeds row k's ``values[p]`` by more than ``r[k]``. Differences
-    from a value grow along the sorted row, so a search on keys that lay
-    the rows end to end finds it up to rounding; the exact comparison then
-    moves it to the end of the run. Each row ends in a sentinel at +inf.
-    """
-    count, n = values.shape
-    first = np.empty((count, n + 1))
-    first[:, :n] = values
-    first[:, n] = math.inf
-    lo = first[:, :1]
-    span = first[:, n - 1 : n] - lo
-    span[span == 0.0] = 1.0
-    base = 2.0 * np.arange(count)[:, None]
-    keys = (first - lo) / span + base
-    keys[:, n] = base[:, 0] + 1.5
-    target = np.minimum(values + r[:, None] - lo, span) / span + base
-    reach = np.searchsorted(keys.ravel(), target.ravel(), side="right")
-    del keys, target
-    first = first.ravel()
-    own = values.ravel()
-    tol = np.repeat(r, n)
-    stuck = np.flatnonzero(first[reach] - own <= tol)
-    while stuck.size:
-        reach[stuck] += 1
-        stuck = stuck[first[reach[stuck]] - own[stuck] <= tol[stuck]]
-    stuck = np.flatnonzero(first[reach - 1] - own > tol)
-    while stuck.size:
-        reach[stuck] -= 1
-        stuck = stuck[first[reach[stuck] - 1] - own[stuck] > tol[stuck]]
-    return reach
+def _sampen_work(rows: int, n: int, m: int) -> sampen.Work:
+    """Sample entropy's work arrays for up to ``rows`` rows of n samples."""
+    return sampen.Work(rows, n, m, SAMPEN_TABLE_BYTES)
 
 
 def zero_crossings(signal: np.ndarray, threshold: float = 0.0):
@@ -458,14 +342,14 @@ def median_frequency(signal: np.ndarray, fs: float):
     return _scalar_or_rows(out.reshape(x.shape[:-1]))
 
 
-def _unit_scaled(rows: np.ndarray, top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+def _unit_scaled(rows: np.ndarray, top: np.ndarray, bottom: np.ndarray, out=None) -> np.ndarray:
     """Each row times the power of two that puts its largest magnitude in [0.5, 1).
 
     ``top`` and ``bottom`` are the rows' maxima and minima. The scaling is
     exact, and a row scaled by 2**k scales to the same row. Rows of zeros
     and rows with a NaN or an infinity are returned unscaled.
     """
-    return np.ldexp(rows, -np.frexp(np.maximum(top, -bottom))[1][:, None])
+    return np.ldexp(rows, -np.frexp(np.maximum(top, -bottom))[1][:, None], out=out)
 
 
 def _periodogram(rows: np.ndarray) -> np.ndarray:
@@ -538,10 +422,10 @@ def _katz(n: int, extent: float, length: float) -> float:
     return math.log10(n) / denominator
 
 
-# feature name -> extractor over an array of windows, one value per row
+# feature name -> extractor over an array of windows, one value per row;
+# sample_entropy, which takes work arrays, is called by _feature_rows
 _EXTRACTORS = {
     "shannon_entropy": lambda x, cfg, fs: shannon_entropy(x, cfg.entropy_bins),
-    "sample_entropy": lambda x, cfg, fs: sample_entropy(x, cfg.sampen_m, cfg.sampen_r_coeff),
     "zero_crossings": lambda x, cfg, fs: zero_crossings(x, cfg.zc_threshold),
     "waveform_length": lambda x, cfg, fs: waveform_length(x),
     "rms": lambda x, cfg, fs: rms(x),
@@ -575,17 +459,26 @@ def column_labels(column_index: tuple[tuple[int, str], ...]) -> list[str]:
     return [f"ch{ch + 1}_{name}" for ch, name in column_index]
 
 
-def _feature_rows(windows: np.ndarray, cfg: FeatureConfig, fs: float) -> np.ndarray:
-    """``(n, C, W)`` windows -> ``(n, C * F)`` channel-major feature rows."""
-    n, channels, w = windows.shape
+def _check_window_len(w: int, cfg: FeatureConfig) -> None:
     if w < _min_window_len(cfg):
         raise WindowTooShortError(
             f"window of {w} samples is below the "
             f"{_min_window_len(cfg)}-sample minimum for the enabled features"
         )
+
+
+def _feature_rows(
+    windows: np.ndarray, cfg: FeatureConfig, fs: float, work: sampen.Work | None = None
+) -> np.ndarray:
+    """``(n, C, W)`` windows -> ``(n, C * F)`` channel-major feature rows."""
+    n, channels, w = windows.shape
+    _check_window_len(w, cfg)
     out = np.empty((n, channels, len(cfg.enabled_features)))
     for k, name in enumerate(cfg.enabled_features):
-        out[:, :, k] = _EXTRACTORS[name](windows, cfg, fs)
+        if name == "sample_entropy":
+            out[:, :, k] = _sample_entropy(windows, cfg.sampen_m, cfg.sampen_r_coeff, work)
+        else:
+            out[:, :, k] = _EXTRACTORS[name](windows, cfg, fs)
     return out.reshape(n, -1)
 
 
@@ -618,18 +511,23 @@ def build_class_matrices(
     """Extract one feature row per window and group the rows by label.
 
     Each enabled extractor runs once per slice of at most
-    ``BLOCK_SAMPLES`` samples; the rows do not depend on the slicing.
-    Classes appear in first-appearance order, and row order within a
-    class follows input order.
+    ``BLOCK_SAMPLES`` samples; the rows do not depend on the slicing. The
+    slice buffer and sample entropy's work arrays are allocated once and
+    reused for every slice. Classes appear in first-appearance order, and
+    row order within a class follows input order.
     """
     n, channels, w = windows.shape
     if n == 0:
         return {}
+    _check_window_len(w, cfg)
     rows = np.empty((n, channels * len(cfg.enabled_features)))
     step = max(1, BLOCK_SAMPLES // max(1, channels * w))
     block = np.empty((min(step, n), channels, w))  # one buffer for every slice
+    work = None
+    if "sample_entropy" in cfg.enabled_features:
+        work = _sampen_work(block.shape[0] * channels, w, cfg.sampen_m)
     for start in range(0, n, step):
-        rows[start : start + step] = _feature_rows(windows.gather(start, block), cfg, fs)
+        rows[start : start + step] = _feature_rows(windows.gather(start, block), cfg, fs, work)
 
     columns = feature_columns(channels, cfg)
     by_class: dict[str, list[int]] = {}

@@ -17,8 +17,8 @@ Dataset layout on disk::
 The manifest carries ``sampling_rate_hz``, ``class_names`` and
 ``channel_count``. Class names become parts of artifact file names, so
 each must be a safe file-name token (``is_safe_label``). Amplitudes are
-decimal text; any non-numeric or non-finite cell rejects the file with
-its line number. Each file is parsed whole by ``np.loadtxt``; the line
+decimal text; any non-numeric or non-finite cell, or one with Python's
+digit separator ``_``, rejects the file with its line number. Each file is parsed whole by ``np.loadtxt``; the line
 parser reruns on any file that parse cannot decide (``_parse_trial_csv``).
 Either way a recording's samples are a C-contiguous ``(C, T)`` array that
 owns its memory.
@@ -518,6 +518,8 @@ def _parse_csv_lines(path: Path, channel_count: int) -> np.ndarray:
                         f"{path}:{lineno}: {len(row)} fields, expected {channel_count + 1}"
                     )
                 try:
+                    if any("_" in cell for cell in row[1:]):  # float() reads 1_5 as 15.0 (PEP 515)
+                        raise ValueError
                     values = [float(cell) for cell in row[1:]]
                 except ValueError:
                     raise MalformedRowError(f"{path}:{lineno}: non-numeric amplitude") from None

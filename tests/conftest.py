@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))  # the scripts' shared modules
 
 from sensoraudit.ablation import run_ablation_audit
 from sensoraudit.features import (

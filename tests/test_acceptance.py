@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import criticality_spec, feature_row, graded_spec, matrix_from_rows, windows_of
+from kendall import kendall_tau
 from reference_impls import (
     naive_f2,
     naive_f3,
@@ -40,7 +41,6 @@ from sensoraudit.oracle import (
     mean_loss,
     run_oracle_audit,
 )
-from sensoraudit.reports import kendall_tau
 from sensoraudit.separability import pairwise_audit, separability_score
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import feature_row, windows_from
 from reference_impls import candidate_sampen_counts, materialize, naive_katz, naive_sample_entropy
 
-from sensoraudit import features
+from sensoraudit import features, sampen
 from sensoraudit.errors import (
     DataFormatError,
     InvalidSpecError,
@@ -164,6 +165,48 @@ class TestSampleEntropy:
         assert same_bits(alone[3], alone[0]) and same_bits(alone[9], alone[4])
         assert same_bits(alone[7], -0.0) and same_bits(alone[1], -0.0)
 
+    @pytest.mark.parametrize("w", [90, 400, 1000])
+    def test_one_call_equals_one_row_calls_at_any_budget(self, monkeypatch, w):
+        # constant, quantised, x2**600, NaN, all-zero and ordinary rows in
+        # one preparation pass; budgets of 1 byte (one-row blocks, one-word
+        # tiles), one row's tables, three rows' tables and every row at once
+        rows = np.random.default_rng(w).normal(size=(9, w))
+        rows[1] = 1.5
+        rows[2] = np.round(rows[2] * 2)
+        rows[3] = rows[0] * 2.0**600
+        rows[5, w // 3] = np.nan
+        rows[6] = rows[2] * 2.0**600
+        rows[7] = 0.0
+        alone = [sample_entropy(row, 2, 0.2) for row in rows]
+        table_row = 8 * (w + 1) * (-(-w // 64) + 2)  # one row's prefix tables at m = 2
+        for budget in (1, table_row, 3 * table_row, 1 << 30):
+            monkeypatch.setattr(features, "SAMPEN_TABLE_BYTES", budget)
+            assert same_bits(sample_entropy(rows, 2, 0.2), alone)
+            assert same_bits(sample_entropy(rows[::-1], 2, 0.2), alone[::-1])
+            assert same_bits(sample_entropy(rows.reshape(3, 3, w), 2, 0.2), alone)
+            # 36 rows of 1001 table rows outnumber int16, one block's do not
+            assert same_bits(sample_entropy(np.tile(rows, (4, 1)), 2, 0.2), alone * 4)
+        assert same_bits(alone[3], alone[0]) and same_bits(alone[6], alone[2])
+        assert same_bits([alone[1], alone[5], alone[7]], [-0.0, -0.0, -0.0])
+        if w == 90:
+            r = 0.2 * float(rows[2].std())
+            assert with_cap_flag(alone[2], w, 2) == naive_sample_entropy(list(rows[2]), 2, r)
+
+    def test_bare_calls_allocate_their_own_work_arrays(self):
+        # bits of the single-pass counter this one replaced
+        rng = np.random.default_rng(44)
+        rows = rng.normal(size=(3, 300))
+        rows[1] = np.round(rows[1] * 2)
+        x = np.sin(np.arange(500) / 7.0) + 0.2 * rng.normal(size=500)
+        with mock.patch.object(features, "_sampen_work", wraps=features._sampen_work) as work:
+            one = sample_entropy(x)
+            several = sample_entropy(rows)
+        assert work.call_count == 2
+        assert one == float.fromhex("0x1.24aa7501f2d36p+0")
+        assert several.tolist() == [
+            float.fromhex(v) for v in ("0x1.292b47928e877p+1", "0x1.032f5a0533373p+1", "0x1.ebd4e9979e5d6p+0")
+        ]
+
     def test_overflowing_sd_keeps_every_count(self):
         # x.std() overflows at this scale; unscaled r would be inf and
         # every template would match, reading -0.0
@@ -188,13 +231,7 @@ class TestSampleEntropy:
         # matrix at W=2000 is 32 MB.
         x = np.zeros(2000)
         x[700] = 5.0
-        tracemalloc.start()
-        try:
-            sample_entropy(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32_000_000
+        assert working_memory(lambda: sample_entropy(x)) < 32_000_000
 
     def test_working_memory_below_the_candidate_counter(self):
         # Cap fixed before measuring, below the peaks of the candidate
@@ -203,13 +240,29 @@ class TestSampleEntropy:
         spike = np.zeros(4000)
         spike[1333] = 5.0
         for x in (np.random.default_rng(3).normal(size=(8, 1000)), spike):
-            tracemalloc.start()
-            try:
-                sample_entropy(x)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 900_000
+            assert working_memory(lambda: sample_entropy(x)) < 900_000
+
+
+def working_memory(call):
+    """Peak bytes of ``call()``: tracemalloc's peak plus the sample-entropy
+    work arrays it mapped, which live outside the traced heap."""
+    mapped = []
+
+    def work(*args):
+        made = real(*args)
+        mapped.append(made.tables.nbytes + made.runs.nbytes + made.joins.nbytes)
+        return made
+
+    real = sampen.Work
+    with mock.patch.object(sampen, "Work", side_effect=work):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert mapped  # the call made its own work arrays
+    return peak + sum(mapped)
 
 
 def sampen_tile_edge(m):
@@ -783,6 +836,25 @@ class TestBlockEngine:
                 assert same_bits(mats[label].values, results[0][label].values)
         one_window = [feature_row(data, fcfg, fs=200.0) for data in materialize(windows)[:11]]
         assert same_bits(results[0]["a"].values, one_window)
+
+    def test_w1000_rows_independent_of_block_size(self, monkeypatch, fcfg):
+        windows = self.windows(n=12, width=1000)
+        one_window = [feature_row(data, fcfg, fs=2000.0) for data in materialize(windows)]
+        # slices of one window, the default (5, 5 and 2 windows) and all 12
+        for samples in (3 * 1000, features.BLOCK_SAMPLES, 12 * 3 * 1000):
+            monkeypatch.setattr(features, "BLOCK_SAMPLES", samples)
+            mats = build_class_matrices(windows, fcfg, fs=2000.0)
+            assert same_bits(np.concatenate([mats["a"].values, mats["b"].values]), one_window)
+
+    def test_one_build_allocates_sample_entropy_work_arrays_once(self, monkeypatch, fcfg):
+        windows = self.windows()
+        monkeypatch.setattr(features, "BLOCK_SAMPLES", 5 * 3 * 64)  # four slices
+        expected = build_class_matrices(windows, fcfg, fs=200.0)
+        with mock.patch.object(features, "_sampen_work", wraps=features._sampen_work) as work:
+            got = build_class_matrices(windows, fcfg, fs=200.0)
+        assert work.call_count == 1
+        for label in ("a", "b"):
+            assert same_bits(got[label].values, expected[label].values)
 
     @pytest.mark.parametrize("concat", [True, False])
     @pytest.mark.parametrize("overlap", [0.0, 0.5, 0.9])

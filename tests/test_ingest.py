@@ -558,6 +558,14 @@ class TestParseRule:
             path = tmp_path / r.participant_id / r.session_id / f"{r.class_label}_{r.trial_id}.csv"
             assert same(r.samples, np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:].T)
 
+    def test_digit_separator_is_not_an_amplitude(self, tmp_path):
+        # float() alone reads 1_5 as 15.0 (PEP 515); np.loadtxt refuses the cell
+        path = one_trial_dataset(tmp_path, b"0,1.0,2.0\n1,1_5,3.0\n")
+        with pytest.raises(MalformedRowError, match="a_t0.csv:3: non-numeric amplitude") as caught:
+            load_dataset(tmp_path)
+        assert caught.value.exit_code == 4
+        assert same(loaded(tmp_path), line_parse(path, 2))
+
     def test_non_utf8_byte_names_the_file(self, tmp_path):
         path = one_trial_dataset(tmp_path, b"0,1,2\n1,\xff,2\n")
         with pytest.raises(MalformedRowError, match="a_t0.csv: not UTF-8 text"):

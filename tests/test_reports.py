@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ablate, windows_from
+from kendall import kendall_tau
 
 from sensoraudit.ablation import AblationSpec
 from sensoraudit.errors import InvalidSpecError
@@ -17,7 +18,6 @@ from sensoraudit.reports import (
     ablation_payload,
     artifact_names,
     json_text,
-    kendall_tau,
     write_ablation,
 )
 

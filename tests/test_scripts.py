@@ -29,3 +29,14 @@ def test_fdr_vs_mcc_sweep_runs(tmp_path, capsys):
     assert rows[0] == "gain_gap,seed,pair,raw_fdr,mcc,kendall_tau"
     assert len(rows) == 1 + len(sweep.GAPS) * 3  # one row per (gap, pair) at one seed
     assert "mean tau" in capsys.readouterr().out
+
+
+def test_sampen_cost_runs(capsys):
+    cost = load_script("sampen_cost")
+    bitsets = cost.sampen.bitsets
+    assert cost.main(["--widths", "64,90", "--repeats", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:2] == ["W", "rows"]
+    assert [line.split()[:2] for line in lines[1:3]] == [["64", "256"], ["90", "182"]]
+    assert all(float(v) > 0 for line in lines[1:3] for v in line.split()[2:5])
+    assert cost.sampen.bitsets is bitsets  # the timing wrapper is removed
