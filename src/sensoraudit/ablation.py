@@ -87,9 +87,9 @@ def check_scope(spec: AblationSpec, channel_count: int, classes: Collection[str]
 
 def enumerate_subsets(channel_count: int, depth: int) -> list[tuple[int, ...]]:
     """All sensor subsets of size 1..depth, smaller sizes first, each in
-    lexicographic index order."""
+    lexicographic index order. A depth past ``channel_count`` adds none."""
     out: list[tuple[int, ...]] = []
-    for size in range(1, depth + 1):
+    for size in range(1, min(depth, channel_count) + 1):
         out.extend(itertools.combinations(range(channel_count), size))
     return out
 

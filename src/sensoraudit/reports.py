@@ -14,6 +14,7 @@ byte-identical.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from pathlib import Path
 
@@ -77,8 +78,10 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        # csv.writer formats str, int and float cells as _fmt does
+        if not {str, int, float}.issuperset(map(type, itertools.chain.from_iterable(rows))):
+            rows = ([_fmt(v) for v in row] for row in rows)
+        writer.writerows(rows)
 
 
 def json_text(value, texts: dict | None = None, depth: int = 0) -> str:

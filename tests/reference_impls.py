@@ -9,7 +9,9 @@ at the end. The per-cell ablation reference zero-fills
 windows and scores one ablated matrix per (class, subset), the path the
 closed-form ablation audit replaces. The per-epoch oracle trainer draws
 one permutation per pair per epoch, the draws ``train_stack`` makes a
-chunk of epochs at a time.
+chunk of epochs at a time. The per-channel synthetic renderer draws and
+renders one channel at a time, the path the run-batched
+``generate_recordings`` replaces.
 """
 
 import math
@@ -21,6 +23,7 @@ from sensoraudit.errors import InvalidSpecError, TooFewRowsError
 from sensoraudit.features import FeatureMatrix, build_class_matrices, zero_window_features
 from sensoraudit.oracle import gradients, init_params
 from sensoraudit.separability import separability_score
+from sensoraudit.synthetic import trial_length
 
 
 class IndexOutOfRangeError(ValueError):
@@ -287,3 +290,56 @@ def per_epoch_train_stack(x, y, cfg, rngs):
                     grad *= cfg.learning_rate
                     params[key] -= grad
     return [{key: value[p] for key, value in params.items()} for p in range(stack)]
+
+
+def _per_channel_smooth(x, kernel):
+    if kernel <= 1:
+        return x
+    taps = np.ones(kernel) / kernel
+    return np.convolve(x, taps, mode="same")
+
+
+def per_channel_unit_rms(x):
+    power = float(np.sqrt(np.mean(np.square(x))))
+    return x / power if power > 0 else x
+
+
+def _per_channel_tonic(rng, n, fs, p, modulation_len):
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    drift = per_channel_unit_rms(_per_channel_smooth(rng.standard_normal(n), modulation_len))
+    envelope = p.gain * np.maximum(1.0 + p.amp_jitter * drift, 0.05)
+    t = np.arange(n) / fs
+    carrier = np.sin(2.0 * math.pi * p.carrier_hz * t + phase)
+    texture = per_channel_unit_rms(_per_channel_smooth(rng.standard_normal(n), 5))
+    return envelope * (carrier + p.am_depth * texture)
+
+
+def _per_channel_noise(rng, n, p, modulation_len):
+    envelope_noise = _per_channel_smooth(rng.standard_normal(n), modulation_len)
+    envelope = np.exp(0.5 * per_channel_unit_rms(envelope_noise))
+    mix_noise = _per_channel_smooth(rng.standard_normal(n), modulation_len)
+    mix = 1.0 / (1.0 + np.exp(-2.0 * per_channel_unit_rms(mix_noise)))
+    broadband = per_channel_unit_rms(rng.standard_normal(n))
+    lowpass = per_channel_unit_rms(_per_channel_smooth(rng.standard_normal(n), 8))
+    return p.gain * envelope * ((1.0 - mix) * broadband + mix * lowpass)
+
+
+def per_channel_recordings(spec, seed=None):
+    """The samples of ``generate_recordings(spec, seed)``, one ``(C, n)``
+    array per class and trial, rendered channel by channel. The smoothing
+    lengthens a trial shorter than 8 samples, so such specs fail here."""
+    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    n = trial_length(spec)
+    out = []
+    for label in spec.class_names:
+        for _ in range(spec.trials_per_class):
+            channels = []
+            for ch in range(spec.channel_count):
+                p = spec.profile(ch, label)
+                if p.kind == "tonic":
+                    fs = spec.sampling_rate_hz
+                    channels.append(_per_channel_tonic(rng, n, fs, p, spec.window_len_samples))
+                else:
+                    channels.append(_per_channel_noise(rng, n, p, spec.window_len_samples))
+            out.append(np.stack(channels))
+    return out

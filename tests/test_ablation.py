@@ -142,6 +142,18 @@ class TestEnumerateSubsets:
     def test_order_is_deterministic(self):
         assert enumerate_subsets(3, 2) == [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
 
+    def test_depth_past_channel_count_adds_nothing(self, monkeypatch):
+        # a loop to the depth itself would ask for sizes up to 10**9
+        combine = ablation.itertools.combinations
+
+        def sizes_up_to_channels(pool, size):
+            assert size <= 2
+            return combine(pool, size)
+
+        monkeypatch.setattr(ablation.itertools, "combinations", sizes_up_to_channels)
+        assert enumerate_subsets(2, 10**9) == [(0,), (1,), (0, 1)]
+        assert enumerate_subsets(2, 3) == enumerate_subsets(2, 2)
+
 
 def report_from_normalized(normalized, classes=("a",), topology=None):
     normalized = np.asarray(normalized, dtype=float)

@@ -395,6 +395,16 @@ class TestAblate:
         assert len(ranking) == 8
         assert [r["rank"] for r in ranking] == [str(i) for i in range(1, 9)]
 
+    def test_depth_past_channel_count_runs_as_channel_count(self, tmp_path):
+        spec = write_spec(tmp_path / "spec.json", channel_count=2)
+        for depth in ("2", "64"):
+            argv = ["ablate", "--synthetic", str(spec), "--depth", depth]
+            assert main([*argv, "--out", str(tmp_path / depth)]) == 0
+        deep, shallow = tmp_path / "64", tmp_path / "2"
+        assert (deep / "ablation.csv").read_bytes() == (shallow / "ablation.csv").read_bytes()
+        echo = json.loads((deep / "ablation.json").read_text())["config"]["ablation"]
+        assert echo["combinatorial_depth"] == 64
+
     def test_metric_flag_accepts_f1_only(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json")
         out = tmp_path / "out"
@@ -747,6 +757,39 @@ class TestFull:
         assert self.artifact_blobs(a) == self.artifact_blobs(b)
 
 
+class TestShortTrials:
+    """Synthetic trials shorter than the generator's 8-tap smoothing kernel."""
+
+    def write_short_spec(self, path: Path, window_len, windows, trials):
+        spec = json.loads(write_spec(path, channel_count=2).read_text())
+        spec.update(
+            window_len_samples=window_len, windows_per_class=windows, trials_per_class=trials
+        )
+        path.write_text(json.dumps(spec))
+        return path
+
+    def test_six_sample_trials_render_and_audit(self, tmp_path):
+        spec = self.write_short_spec(tmp_path / "spec.json", 6, 2, 2)
+        cfg = fast_config(tmp_path / "audit.json")
+        assert main(["synth", "--synthetic", str(spec), "--out", str(tmp_path / "ds")]) == 0
+        rows = read_csv(tmp_path / "ds" / "synthetic" / "s00" / "alpha_t00.csv")
+        assert len(rows) == 6
+        out = tmp_path / "out"
+        argv = ["full", "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        summary = json.loads((out / "audit_summary.json").read_text())
+        assert summary["window_counts"] == {"alpha": 2, "beta": 2, "gamma": 2}
+
+    @pytest.mark.parametrize("window_len", [1, 2, 3])
+    def test_tiny_windows_render_then_stop_at_features(self, tmp_path, capsys, window_len):
+        spec = self.write_short_spec(tmp_path / "spec.json", window_len, 6, 4)
+        assert main(["synth", "--synthetic", str(spec), "--out", str(tmp_path / "ds")]) == 0
+        out = tmp_path / "out"
+        assert main(["full", "--synthetic", str(spec), "--out", str(out)]) == EXIT_TOO_SMALL
+        assert "error [features]" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRestHandling:
     def test_rest_excluded_by_default(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json", classes=("alpha", "beta", "rest"))
@@ -844,7 +887,8 @@ class TestRunner:
         spec = write_spec(tmp_path / "spec.json")
         cfg = fast_config(tmp_path / "audit.json")
         out = tmp_path / "out"
-        assert main(["full", "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)]) == 0
+        argv = ["full", "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
         # one build per audit mode for complexity, one for each other group
         assert calls == {"complexity_payload": 2, "ablation_payload": 1, "oracle_payload": 1, "_advice": 1}
         summary = json.loads((out / "audit_summary.json").read_text())
@@ -867,7 +911,8 @@ class TestRunner:
         spec = write_spec(tmp_path / "spec.json", classes=("alpha", "béta", "ga\"mma"))
         cfg = fast_config(tmp_path / "audit.json")
         out = tmp_path / "out"
-        assert main(["full", "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)]) == 0
+        argv = ["full", "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
         assert sorted(payloads) == sorted(p.name for p in out.glob("*.json"))
         for name, payload in payloads.items():
             text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
@@ -892,7 +937,8 @@ class TestRunner:
         spec = write_spec(tmp_path / "spec.json")
         cfg = fast_config(tmp_path / "audit.json")
         out = tmp_path / "out"
-        assert main(["full", "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)]) == 0
+        argv = ["full", "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
         summary = json.loads((out / "audit_summary.json").read_text())
         assert summary["window_counts"] == {"alpha": 20, "beta": 20, "gamma": 20}
 

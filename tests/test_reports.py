@@ -19,6 +19,7 @@ from sensoraudit.reports import (
     artifact_names,
     json_text,
     write_ablation,
+    write_csv,
 )
 
 
@@ -42,6 +43,22 @@ class TestArtifactTable:
     def test_unsafe_label_is_rejected(self, label):
         with pytest.raises(InvalidSpecError, match="file name"):
             artifact_names(["ablation"], ["ok", label])
+
+
+class TestWriteCsv:
+    def test_plain_rows_read_as_formatted_rows(self, tmp_path):
+        # plain rows go to csv.writer as they are, the others cell by cell
+        rows = [
+            ["a", 1, 0.1, -2.5e-300, 1e22, float("inf"), float("nan"), -0.0],
+            ["b", np.int64(3), np.float64(0.1), np.float32(0.5), True, None, 7, 1 / 3],
+            ["c,d", 'say "x"', 2**70, 123456789.125, "", 0, 5e-324, 1.0],
+        ]
+        write_csv(tmp_path / "t.csv", ["k", *"abcdefg"], rows)
+        assert (tmp_path / "t.csv").read_text().splitlines()[1:] == [
+            "a,1,0.1,-2.5e-300,1e+22,inf,nan,-0.0",
+            "b,3,0.1,0.5,True,None,7,0.3333333333333333",
+            '"c,d","say ""x""",1180591620717411303424,123456789.125,,0,5e-324,1.0',
+        ]
 
 
 class TestUnsafeLabelInWriter:

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import CLASSES, graded_spec, matrices_of, windows_of
+from reference_impls import per_channel_unit_rms, per_channel_recordings
+
+from sensoraudit import synthetic
 
 from sensoraudit.errors import InvalidSpecError
 from sensoraudit.features import FeatureConfig, build_class_matrices
@@ -15,6 +18,33 @@ from sensoraudit.synthetic import (
     generate_recordings,
     trial_length,
 )
+
+
+def tonic(gain, **kw):
+    return ChannelProfile(kind="tonic", gain=gain, **kw)
+
+
+def interleaved_spec(seed, window_len=32, windows=12, trials=2, overlap=0.5):
+    """Runs of noise channels split by tonic channels, a different split in
+    each class, with two channels past ``channels`` (default noise)."""
+    return SyntheticSpec(
+        class_names=["a", "b", "c"],
+        channel_count=8,
+        sampling_rate_hz=333.0,
+        windows_per_class=windows,
+        window_len_samples=window_len,
+        overlap_fraction=overlap,
+        trials_per_class=trials,
+        seed=seed,
+        channels=[
+            ChannelSpec(classes={"a": tonic(2.0, carrier_hz=17.0)}),
+            ChannelSpec(default=ChannelProfile(gain=1.5)),
+            ChannelSpec(classes={"b": tonic(1.2, amp_jitter=0.0), "c": tonic(3.0, am_depth=0.9)}),
+            ChannelSpec(),
+            ChannelSpec(classes={"a": tonic(1.1), "b": tonic(0.7, carrier_hz=55.0)}),
+            ChannelSpec(classes={"c": ChannelProfile(gain=0.3)}),
+        ],
+    )
 
 
 def all_noise_spec(seed, windows=300):
@@ -120,6 +150,83 @@ class TestGeneration:
         rset = generate_recordings(spec)
         assert len(rset.recordings) == len(CLASSES) * spec.trials_per_class
         assert all(r.samples.shape[0] == spec.channel_count for r in rset.recordings)
+
+
+class TestRunBatchedRenderer:
+    """``generate_recordings`` renders runs of same-kind channels at once;
+    its samples must keep the per-channel renderer's bits and draw order."""
+
+    def assert_same_bits(self, spec, seed=None):
+        batched = [r.samples for r in generate_recordings(spec, seed).recordings]
+        reference = per_channel_recordings(spec, seed)
+        assert len(batched) == len(reference)
+        for got, want in zip(batched, reference):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 29, 4242])
+    def test_interleaved_runs(self, seed):
+        self.assert_same_bits(interleaved_spec(seed))
+
+    @pytest.mark.parametrize("window_len", [1, 2, 5, 8, 9, 127])
+    def test_window_lengths(self, window_len):
+        # trials of at least 8 samples, where the per-channel renderer runs
+        spec = interleaved_spec(3, window_len=window_len, windows=16, overlap=0.0)
+        assert trial_length(spec) >= 8
+        self.assert_same_bits(spec)
+
+    def test_seed_override_and_graded_specs(self):
+        self.assert_same_bits(graded_spec(5), seed=77)
+        self.assert_same_bits(all_noise_spec(2, windows=20))
+
+    def test_unit_rms_keeps_an_all_zero_row(self):
+        noise = np.random.default_rng(4).standard_normal((3, 9))
+        rows = np.vstack([np.zeros(9), noise, np.zeros(9)])
+        want = [per_channel_unit_rms(row) for row in rows]
+        synthetic._unit_rms(rows, np.empty_like(rows))
+        assert rows.tobytes() == np.vstack(want).tobytes()
+        assert not rows[0].any() and not rows[-1].any()
+
+    def test_all_tonic_without_jitter(self):
+        spec = SyntheticSpec(
+            class_names=["a", "b"],
+            channel_count=3,
+            windows_per_class=6,
+            window_len_samples=40,
+            trials_per_class=3,
+            seed=8,
+            channels=[ChannelSpec(default=tonic(1.0 + ch, amp_jitter=0.0)) for ch in range(3)],
+        )
+        self.assert_same_bits(spec)
+
+
+class TestShortTrials:
+    """Trials shorter than the smoothing kernels (5 and 8 taps)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5, 7, 8, 9, 20])
+    @pytest.mark.parametrize("kernel", [2, 5, 8])
+    def test_smoothing_keeps_the_centred_samples(self, n, kernel):
+        x = np.random.default_rng(n).standard_normal(n)
+        taps = np.ones(kernel) / kernel
+        got = synthetic._smooth(x, taps)
+        assert got.shape == (n,)
+        if n >= kernel:
+            assert got.tobytes() == np.convolve(x, taps, mode="same").tobytes()
+        start = (kernel - 1) // 2
+        centred = np.convolve(x, taps)[start : start + n]
+        np.testing.assert_allclose(got, centred, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize(
+        "window_len, windows, trials", [(6, 2, 2), (1, 6, 4), (2, 6, 4), (3, 6, 4)]
+    )
+    def test_short_trials_render(self, window_len, windows, trials):
+        spec = interleaved_spec(1, window_len=window_len, windows=windows, trials=trials)
+        n = trial_length(spec)
+        assert n < 8
+        rset = generate_recordings(spec)
+        assert len(rset.recordings) == 3 * trials
+        for rec in rset.recordings:
+            assert rec.samples.shape == (8, n) and np.isfinite(rec.samples).all()
 
 
 class TestDownstreamDistributions:
