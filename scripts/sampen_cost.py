@@ -36,7 +36,7 @@ def measure(w: int, repeats: int, m: int = 2, r_coeff: float = 0.2) -> dict:
     rng = np.random.default_rng(w)
     t = np.arange(w)
     x = np.sin(2 * np.pi * t / 37.0) + 0.5 * rng.normal(size=(rows, w))
-    work = features._sampen_work(rows, w, m)
+    work = sampen.Work(rows, w, m, features.SAMPEN_TABLE_BYTES)
     bitsets = sampen.bitsets
     spent = {"bitset_s": 0.0, "bitset_faults": 0}
 

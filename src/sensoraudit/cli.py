@@ -41,7 +41,7 @@ from .ablation import (
     check_scope,
     run_ablation_audit,
 )
-from .errors import AuditError, ConfigError, TooFewRowsError
+from .errors import AuditError, ConfigError, InvalidSpecError, TooFewRowsError
 from .features import FeatureConfig, build_class_matrices, column_labels, zero_window_features
 from .ingest import REST_CLASS, JsonConfig, SegmentationConfig, Windows, load_dataset, segment
 from .oracle import OracleConfig, run_oracle_audit
@@ -70,6 +70,15 @@ SCHEMA_VERSION = 1
 class Thresholds(JsonConfig):
     criticality: float = DEFAULT_CRITICALITY_THRESHOLD
     redundancy: float = DEFAULT_REDUNDANCY_THRESHOLD
+
+    def check_bounds(self) -> None:
+        # a sensor is critical at or above criticality and redundant below
+        # redundancy, so no score can be both
+        if not 0.0 <= self.redundancy <= self.criticality <= 1.0:
+            raise InvalidSpecError(
+                "thresholds must satisfy 0 <= redundancy <= criticality <= 1, got "
+                f"redundancy {self.redundancy!r} and criticality {self.criticality!r}"
+            )
 
 
 @dataclass(frozen=True)

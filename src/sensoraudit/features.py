@@ -34,11 +34,18 @@ bitsets (``sensoraudit.sampen``): one preparation pass over all the rows
 of a call, then cache-sized blocks of rows. The counts do not depend on
 a row's call or block.
 
-Where a product or square would leave float64's range, ``zero_crossings``
-and ``slope_sign_changes`` compare signs and exponents instead, and
-``rms``, ``median_frequency`` and ``sample_entropy`` scale the row by an
-exact power of two. Where nothing over- or underflows, each keeps the
-bits of its plain formula.
+One rule holds at both ends of float64's range: scale before squaring.
+``rms``, ``median_frequency`` and ``sample_entropy`` first scale each row
+by the power of two that puts its largest magnitude in [0.5, 1), and
+``zero_crossings`` and ``slope_sign_changes`` compare signs and exponents
+instead of products. The scaling is exact: a row scaled by 2**k gives the
+same value (``rms`` the same times 2**k) whether its squares would
+overflow or underflow, and a row whose squares stay normal keeps the bits
+of the plain formula. ``wavelet_energy`` and ``fractal_dimension`` square
+at the samples' own scale, and that is inherent: a detail energy or Katz
+curve length beyond float64 (samples from about 1e154) raises
+``DataFormatError``, and a detail energy below 2**-1022 is subnormal and
+keeps fewer bits.
 
 Degenerate inputs map to fixed finite values so that a matrix built from
 nullified (all-zero) channels stays finite:
@@ -89,7 +96,6 @@ FEATURE_NAMES: tuple[str, ...] = (
 )
 
 _SQRT2 = math.sqrt(2.0)
-_TINY = float(np.finfo(float).tiny)
 
 # sample_entropy counts a block of rows together: at most this many bytes
 # of prefix-bitset tables. A row whose table needs more builds it a tile of
@@ -243,7 +249,7 @@ def _sample_entropy(signal, m: int, r_coeff: float, work: sampen.Work | None):
     rows = x.reshape(-1, n)
     count = rows.shape[0]
     if work is None:
-        work = _sampen_work(count, n, m)
+        work = sampen.Work(count, n, m, SAMPEN_TABLE_BYTES)
     top, bottom = rows.max(axis=1), rows.min(axis=1)
     scaled = _unit_scaled(rows, top, bottom, out=work.floats(count)[0][:, :n])
     r = r_coeff * scaled.std(axis=1)
@@ -257,24 +263,12 @@ def _sample_entropy(signal, m: int, r_coeff: float, work: sampen.Work | None):
         if live.size < count:
             scaled[: live.size] = scaled[live]
             r = r[live]
-        a, b = _sampen_counts(scaled[: live.size], r, m, work)
+        a, b = sampen.counts(scaled[: live.size], r, work)
         cap = sampen_cap(n, m)
         # math.log row by row: numpy's vectorised log need not round as libm's does
         for k, a_k, b_k in zip(live.tolist(), a.tolist(), b.tolist()):
             values[k] = cap if a_k == 0 or b_k == 0 else -math.log(a_k / b_k)
     return float(values[0]) if x.ndim == 1 else values.reshape(x.shape[:-1])
-
-
-def _sampen_counts(
-    rows: np.ndarray, r: np.ndarray, m: int, work: sampen.Work | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unordered template pairs within r at length m + 1 (A) and m (B), per row."""
-    return sampen.counts(rows, r, work or _sampen_work(*rows.shape, m))
-
-
-def _sampen_work(rows: int, n: int, m: int) -> sampen.Work:
-    """Sample entropy's work arrays for up to ``rows`` rows of n samples."""
-    return sampen.Work(rows, n, m, SAMPEN_TABLE_BYTES)
 
 
 def zero_crossings(signal: np.ndarray, threshold: float = 0.0):
@@ -292,17 +286,14 @@ def waveform_length(signal: np.ndarray):
 
 
 def rms(signal: np.ndarray):
-    """Root mean square; a row whose mean square leaves the normal range is scaled by 2**k."""
+    """Root mean square. Each row is first scaled by the power of two that
+    puts its largest magnitude in [0.5, 1), so its mean square neither
+    overflows nor underflows, and the root is scaled back exactly."""
     x = np.asarray(signal, dtype=float)
     rows = x.reshape(-1, x.shape[-1])
-    with np.errstate(over="ignore"):
-        mean_square = np.mean(np.square(rows), axis=1)
-    odd = (mean_square == math.inf) | (mean_square < _TINY)
-    out = np.sqrt(mean_square)
-    if odd.any():
-        shift = -np.frexp(np.abs(rows[odd]).max(axis=1))[1]
-        scaled = np.ldexp(rows[odd], shift[:, None])
-        out[odd] = np.ldexp(np.sqrt(np.mean(np.square(scaled), axis=1)), -shift)
+    exponent = np.frexp(np.abs(rows).max(axis=1))[1]
+    unit = np.ldexp(rows, -exponent[:, None])
+    out = np.ldexp(np.sqrt(np.mean(np.square(unit), axis=1)), exponent)
     return _scalar_or_rows(out.reshape(x.shape[:-1]))
 
 
@@ -423,16 +414,17 @@ def _katz(n: int, extent: float, length: float) -> float:
 
 
 # feature name -> extractor over an array of windows, one value per row;
-# sample_entropy, which takes work arrays, is called by _feature_rows
+# ``work`` is sample entropy's work arrays (None: it allocates its own)
 _EXTRACTORS = {
-    "shannon_entropy": lambda x, cfg, fs: shannon_entropy(x, cfg.entropy_bins),
-    "zero_crossings": lambda x, cfg, fs: zero_crossings(x, cfg.zc_threshold),
-    "waveform_length": lambda x, cfg, fs: waveform_length(x),
-    "rms": lambda x, cfg, fs: rms(x),
-    "slope_sign_changes": lambda x, cfg, fs: slope_sign_changes(x, cfg.ssc_threshold),
-    "median_frequency": lambda x, cfg, fs: median_frequency(x, fs),
-    "wavelet_energy": lambda x, cfg, fs: wavelet_energy(x, cfg.wavelet_levels),
-    "fractal_dimension": lambda x, cfg, fs: fractal_dimension(x),
+    "shannon_entropy": lambda x, cfg, fs, work: shannon_entropy(x, cfg.entropy_bins),
+    "sample_entropy": lambda x, cfg, fs, work: _sample_entropy(x, cfg.sampen_m, cfg.sampen_r_coeff, work),
+    "zero_crossings": lambda x, cfg, fs, work: zero_crossings(x, cfg.zc_threshold),
+    "waveform_length": lambda x, cfg, fs, work: waveform_length(x),
+    "rms": lambda x, cfg, fs, work: rms(x),
+    "slope_sign_changes": lambda x, cfg, fs, work: slope_sign_changes(x, cfg.ssc_threshold),
+    "median_frequency": lambda x, cfg, fs, work: median_frequency(x, fs),
+    "wavelet_energy": lambda x, cfg, fs, work: wavelet_energy(x, cfg.wavelet_levels),
+    "fractal_dimension": lambda x, cfg, fs, work: fractal_dimension(x),
 }
 
 
@@ -475,10 +467,7 @@ def _feature_rows(
     _check_window_len(w, cfg)
     out = np.empty((n, channels, len(cfg.enabled_features)))
     for k, name in enumerate(cfg.enabled_features):
-        if name == "sample_entropy":
-            out[:, :, k] = _sample_entropy(windows, cfg.sampen_m, cfg.sampen_r_coeff, work)
-        else:
-            out[:, :, k] = _EXTRACTORS[name](windows, cfg, fs)
+        out[:, :, k] = _EXTRACTORS[name](windows, cfg, fs, work)
     return out.reshape(n, -1)
 
 
@@ -525,7 +514,7 @@ def build_class_matrices(
     block = np.empty((min(step, n), channels, w))  # one buffer for every slice
     work = None
     if "sample_entropy" in cfg.enabled_features:
-        work = _sampen_work(block.shape[0] * channels, w, cfg.sampen_m)
+        work = sampen.Work(block.shape[0] * channels, w, cfg.sampen_m, SAMPEN_TABLE_BYTES)
     for start in range(0, n, step):
         rows[start : start + step] = _feature_rows(windows.gather(start, block), cfg, fs, work)
 

@@ -74,22 +74,20 @@ class OracleConfig(JsonConfig):
 def standardize(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Z-score both splits with train statistics only: (train_z, test_z).
 
-    Columns constant in train map to exactly 0 in both splits.
+    Each column of both splits is first scaled by the power of two that
+    puts its largest train magnitude in [0.5, 1). That is exact and keeps
+    the z-scores, and a column scaled by 2**k scales to the same column,
+    so its variance neither overflows nor underflows with k. Columns
+    constant in train map to exactly 0 in both splits.
     """
     train = np.asarray(train, dtype=float)
     test = np.asarray(test, dtype=float)
     if train.shape[0] == 0:
         raise EmptyTrainingSetError("standardize needs a nonempty training split")
-    with np.errstate(over="ignore"):
-        center, spread = train.mean(axis=0), train.std(axis=0)
+    shift = -np.frexp(np.abs(train).max(axis=0))[1]
+    train, test = np.ldexp(train, shift), np.ldexp(test, shift)
+    center, spread = train.mean(axis=0), train.std(axis=0)
     dead = spread == 0.0
-    # values beyond ~1e154 overflow the variance; scaling a column's values
-    # by a power of two is exact and leaves its z-scores as they are
-    big = ~(np.isfinite(center) & np.isfinite(spread))
-    if big.any():
-        shift = np.where(big, -np.frexp(np.abs(train).max(axis=0))[1], 0)
-        train, test = np.ldexp(train, shift), np.ldexp(test, shift)
-        center, spread = train.mean(axis=0), train.std(axis=0)
     scale = np.where(spread > 0.0, spread, 1.0)
     train_z = (train - center) / scale
     test_z = (test - center) / scale

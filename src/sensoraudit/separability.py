@@ -14,9 +14,11 @@ in a shared feature space:
 Dimensions where both distributions collapse (zero summed variance, or
 zero combined range) are flagged as degenerate. A zero-variance
 dimension with distinct means is a perfect separator; its Fisher ratio
-is reported as the finite cap ``F1_CAP``. A dimension whose squared mean
-gap or variance overflows (features near 1e150) is rescaled by a power
-of two, which leaves the ratio as it is.
+is reported as the finite cap ``F1_CAP``. Each dimension is scaled by
+the power of two that puts its largest magnitude in [0.5, 1) before
+anything is squared, so a dimension scaled by 2**k keeps its ratio
+whether its squares would overflow (features near 1e155) or underflow
+(near 1e-163).
 """
 
 from __future__ import annotations
@@ -61,26 +63,21 @@ def _check_pair(target: FeatureMatrix, reference: FeatureMatrix) -> None:
             raise TooFewRowsError(f"class {m.class_label!r} has {m.n_rows} rows, needs >= 2")
 
 
-def _gap_and_variance(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean_gap = (t.mean(axis=0) - r.mean(axis=0)) ** 2
-    return mean_gap, t.var(axis=0) + r.var(axis=0)  # population variance
-
-
 def fisher_per_dim(t: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column Fisher ratio of the rows ``t`` against the rows ``r``
     (either may be a single row), and which columns have zero summed
-    variance."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean_gap, var_sum = _gap_and_variance(t, r)
-    # features near 1e150 overflow the squares; scaling a column's values
-    # by a power of two is exact and scales gap and variance alike
-    big = ~(np.isfinite(mean_gap) & np.isfinite(var_sum))
-    if big.any():
-        peak = np.maximum(np.abs(t[:, big]).max(axis=0), np.abs(r[:, big]).max(axis=0))
-        shift = -np.frexp(peak)[1]
-        mean_gap[big], var_sum[big] = _gap_and_variance(
-            np.ldexp(t[:, big], shift), np.ldexp(r[:, big], shift)
-        )
+    variance.
+
+    Each column of both is first scaled by the power of two that puts its
+    largest magnitude in [0.5, 1). That is exact and scales gap and
+    variance alike, and a column scaled by 2**k scales to the same column,
+    so its squares neither overflow nor underflow with k.
+    """
+    peak = np.maximum(np.abs(t).max(axis=0), np.abs(r).max(axis=0))
+    shift = -np.frexp(peak)[1]
+    t, r = np.ldexp(t, shift), np.ldexp(r, shift)
+    mean_gap = (t.mean(axis=0) - r.mean(axis=0)) ** 2
+    var_sum = t.var(axis=0) + r.var(axis=0)  # population variance
     degenerate = var_sum == 0.0
     per_dim = np.zeros(t.shape[1])
     ok = ~degenerate

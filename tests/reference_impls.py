@@ -119,9 +119,9 @@ def naive_sample_entropy(xs, m, r):
 def candidate_sampen_counts(rows, r, m):
     """Unordered template pairs within r at length m + 1 (A) and m (B), per row.
 
-    The candidate-pair counter ``features._sampen_counts`` replaced: sort
-    each row's templates by their first value, search each template's run
-    of partners within r, and confirm every candidate pair on the other
+    The candidate-pair counter ``sampen.counts`` replaced: sort each
+    row's templates by their first value, search each template's run of
+    partners within r, and confirm every candidate pair on the other
     coordinates, 8,000 pairs at a time. Its cost grows with the number
     of candidates, up to W^2 / 2 on spiky rows.
     """

@@ -24,8 +24,10 @@ from sensoraudit.errors import (
     EXIT_TOO_SMALL,
     OutputExistsError,
 )
+from sensoraudit.features import FEATURE_NAMES
 from sensoraudit.ingest import Recording, RecordingSet
 from sensoraudit.reports import artifact_names, write_dataset
+from sensoraudit.separability import F1_CAP
 from sensoraudit.synthetic import SyntheticSpec
 
 
@@ -131,6 +133,12 @@ BAD_INPUTS = {
     "thresholds-int": ("config", {"thresholds": 5}, EXIT_CONFIG, "Thresholds"),
     "threshold-text": ("config", {"thresholds": {"criticality": "abc"}}, EXIT_CONFIG, "criticality"),
     "threshold-nan": ("config", {"thresholds": {"criticality": NAN}}, EXIT_CONFIG, "criticality"),
+    "thresholds-crossed": (
+        "config",
+        {"thresholds": {"criticality": 0.5, "redundancy": 0.6}},
+        EXIT_CONFIG,
+        "redundancy <= criticality",
+    ),
     "depth-float": ("config", {"ablation": {"combinatorial_depth": 1.5}}, EXIT_CONFIG, "combinatorial_depth"),
     "depth-bool": ("config", {"ablation": {"combinatorial_depth": True}}, EXIT_CONFIG, "combinatorial_depth"),
     "window-len-text": (
@@ -608,6 +616,55 @@ class TestHugeAmplitudes:
         assert err.startswith("error [features]: wavelet_energy: the detail energy of a window")
         assert "overflows float64" in err and "Warning" not in err
         assert not out.exists()
+
+
+class TestTinyAmplitudes:
+    # every extractor but wavelet_energy and fractal_dimension gives the same
+    # value, or the same value times 2**k, for a window scaled by 2**k
+    SCALE_EXACT = [f for f in FEATURE_NAMES if f not in ("wavelet_energy", "fractal_dimension")]
+
+    def audit(self, root: Path, scale: float) -> dict:
+        """``full`` on a 3-class spec with every gain times ``scale``: its f1
+        values, per-dimension Fisher ratios, shifts and MCCs."""
+        root.mkdir()
+        tonic = {c: {"kind": "tonic", "gain": g * scale} for c, g in zip("abc", (1.0, 1.6, 2.2))}
+        noise = {"default": {"kind": "noise", "gain": scale}}
+        spec = {
+            "class_names": list("abc"),
+            "channel_count": 3,
+            "windows_per_class": 20,
+            "window_len_samples": 64,
+            "trials_per_class": 2,
+            "seed": 3,
+            "channels": [{"classes": tonic}, noise, noise],
+        }
+        (root / "spec.json").write_text(json.dumps(spec))
+        cfg = {
+            "features": {"enabled_features": self.SCALE_EXACT},
+            "oracle": {"epochs": 30, "hidden_units": 16, "seed": 3},
+        }
+        (root / "c.json").write_text(json.dumps(cfg))
+        out = root / "out"
+        argv = ["full", "--synthetic", str(root / "spec.json"), "--config", str(root / "c.json")]
+        assert main(argv + ["--out", str(out)]) == 0
+        complexity = json.loads((out / "complexity.json").read_text())
+        pairs = complexity["one_vs_one"]["pairs"] + complexity["one_vs_rest"]["pairs"]
+        return {
+            "f1": [p["f1"] for p in pairs],
+            "fisher": [p["per_dimension"]["fisher"] for p in pairs],
+            "raw_shift": json.loads((out / "ablation.json").read_text())["raw_shift"],
+            "mcc": [row["mcc"] for row in read_csv(out / "validation.csv")],
+        }
+
+    def test_gains_scaled_by_2_to_the_minus_540_give_the_same_audit(self, tmp_path):
+        # squared unscaled, the ~1e-163 rms and waveform_length columns
+        # underflow to zero variance: f1 read F1_CAP and the oracle zeroed
+        # those columns
+        plain = self.audit(tmp_path / "plain", 1.0)
+        tiny = self.audit(tmp_path / "tiny", 2.0**-540)
+        assert tiny == plain
+        assert F1_CAP not in [v for dims in tiny["fisher"] for v in dims]
+        assert F1_CAP not in tiny["f1"]
 
 
 class TestUnsafeClassLabels:

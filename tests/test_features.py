@@ -198,7 +198,7 @@ class TestSampleEntropy:
         rows = rng.normal(size=(3, 300))
         rows[1] = np.round(rows[1] * 2)
         x = np.sin(np.arange(500) / 7.0) + 0.2 * rng.normal(size=500)
-        with mock.patch.object(features, "_sampen_work", wraps=features._sampen_work) as work:
+        with mock.patch.object(sampen, "Work", wraps=sampen.Work) as work:
             one = sample_entropy(x)
             several = sample_entropy(rows)
         assert work.call_count == 2
@@ -307,7 +307,7 @@ def test_sample_entropy_counts_equal_references(m, r_coeff, kind, width, one_wor
     with pytest.MonkeyPatch.context() as patch:
         if one_word_tiles:
             patch.setattr(features, "SAMPEN_TABLE_BYTES", 1)
-        counts = features._sampen_counts(row[None], r, m)
+        counts = sampen.counts(row[None], r, sampen.Work(1, w, m, features.SAMPEN_TABLE_BYTES))
         values = sample_entropy(rows, m, r_coeff)
     assert np.array_equal(counts, candidate_sampen_counts(row[None], r, m))
     if w <= 130:  # the naive loops are quadratic in Python
@@ -715,7 +715,7 @@ def test_sample_entropy_is_capped_iff_it_equals_the_cap(kind, rows, m, r_coeff, 
     w = data.draw(st.integers(m + 2, 1000), label="w")
     x = spike_or_quantised_rows(kind, rows, w, data)
     r = r_coeff * x.std(axis=1)
-    a, b = features._sampen_counts(x, r, m)
+    a, b = sampen.counts(x, r, sampen.Work(*x.shape, m, features.SAMPEN_TABLE_BYTES))
     no_pair = ((a == 0) | (b == 0)) & (x.min(axis=1) != x.max(axis=1))
     assert np.array_equal(sample_entropy(x, m, r_coeff) == sampen_cap(w, m), no_pair)
 
@@ -850,7 +850,7 @@ class TestBlockEngine:
         windows = self.windows()
         monkeypatch.setattr(features, "BLOCK_SAMPLES", 5 * 3 * 64)  # four slices
         expected = build_class_matrices(windows, fcfg, fs=200.0)
-        with mock.patch.object(features, "_sampen_work", wraps=features._sampen_work) as work:
+        with mock.patch.object(sampen, "Work", wraps=sampen.Work) as work:
             got = build_class_matrices(windows, fcfg, fs=200.0)
         assert work.call_count == 1
         for label in ("a", "b"):

@@ -8,8 +8,11 @@ from conftest import graded_spec, matrices_of, matrix_from_rows
 from reference_impls import naive_f2, naive_f3, naive_fisher
 
 from sensoraudit.errors import MismatchedColumnsError, TooFewClassesError, TooFewRowsError
+from sensoraudit.features import rms
+from sensoraudit.oracle import standardize
 from sensoraudit.separability import (
     F1_CAP,
+    fisher_per_dim,
     pairwise_audit,
     separability_score,
 )
@@ -225,6 +228,39 @@ def test_affine_invariance_per_column(t, scale, offset, negate, data):
     if not negate:
         assert mapped.f2 == pytest.approx(base.f2, rel=1e-6, abs=1e-12)
         assert mapped.f3 == pytest.approx(base.f3, rel=1e-6, abs=1e-9)
+
+
+# Zero and magnitudes in [1, 2**20] times 2**k stay exact normal floats for
+# every k from -1022 (the smallest normal exponent) to 1003 (2**20 * 2**1003
+# is 2**1023); their squares leave float64's range at either end.
+_unit_to_2_20 = st.floats(1.0, 2.0**20)
+_exact_elements = st.one_of(st.just(0.0), _unit_to_2_20, _unit_to_2_20.map(lambda v: -v))
+_exponents = st.one_of(st.sampled_from([-1022, -1000, -540, 540, 1000, 1003]), st.integers(-1022, 1003))
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_squaring_statistics_commute_with_powers_of_two(data):
+    # rms, Fisher ratios and z-scores scale each row or column to a unit
+    # peak before squaring, so 2**k comes out exactly: rms scales by it,
+    # Fisher ratios and z-scores keep their bits
+    d = data.draw(st.integers(1, 4), label="columns")
+    t, r = (
+        data.draw(arrays(np.float64, (data.draw(st.integers(1, 8)), d), elements=_exact_elements))
+        for _ in range(2)
+    )
+    k = np.array(data.draw(st.lists(_exponents, min_size=d, max_size=d), label="k"))
+    scale = np.ldexp(1.0, k)
+    fisher, degenerate = fisher_per_dim(t, r)
+    scaled_fisher, scaled_degenerate = fisher_per_dim(t * scale, r * scale)
+    assert _same_bits(scaled_fisher, fisher) and np.array_equal(scaled_degenerate, degenerate)
+    for scaled_z, z in zip(standardize(t * scale, r * scale), standardize(t, r)):
+        assert _same_bits(scaled_z, z)
+    assert _same_bits(rms(t.T * scale[:, None]), np.ldexp(rms(t.T), k))
 
 
 class TestPairwiseAudit:
