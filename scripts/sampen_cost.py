@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Cost of sample entropy per channel-window, split into its two passes.
 
-For each window length W, times ``sample_entropy`` on one gather slice:
-``BLOCK_SAMPLES // W`` rows of a noisy sine, in work arrays allocated
-once, as a feature build calls it. The bitset pass is timed inside the
-call; the preparation pass is the rest of the call (scaling, tolerances,
-sorting, run bounds and the prepared table rows). Prints microseconds per
-channel-window for each pass and the minor page faults (``ru_minflt``)
-each pass took over all repeats. Medians over the repeats.
+For each window length W, times ``features.sample_entropy`` on one
+gather slice: ``BLOCK_SAMPLES // W`` rows of a noisy sine, passing it
+work arrays allocated once (``work=``), as a feature build calls it.
+The bitset pass is timed inside the call; the preparation pass is the
+rest of the call (scaling, tolerances, sorting, run bounds and the
+prepared table rows). Prints microseconds per channel-window for each
+pass and the minor page faults (``ru_minflt``) each pass took over all
+repeats. Medians over the repeats.
 
 Usage: python3 scripts/sampen_cost.py [--widths 128,400,1000] [--repeats N] [--m M]
 """
@@ -49,12 +50,12 @@ def measure(w: int, repeats: int, m: int = 2, r_coeff: float = 0.2) -> dict:
 
     sampen.bitsets = timed_bitsets
     try:
-        features._sample_entropy(x, m, r_coeff, work)  # warm-up
+        features.sample_entropy(x, m, r_coeff, work=work)  # warm-up
         prep, bitset, faults = [], [], {"prep": 0, "bitset": 0}
         for _ in range(repeats):
             spent.update(bitset_s=0.0, bitset_faults=0)
             before, started = _minflt(), time.perf_counter()
-            features._sample_entropy(x, m, r_coeff, work)
+            features.sample_entropy(x, m, r_coeff, work=work)
             total = time.perf_counter() - started
             faults["prep"] += _minflt() - before - spent["bitset_faults"]
             faults["bitset"] += spent["bitset_faults"]

@@ -1,12 +1,15 @@
 """Per-channel signal features and per-class feature matrices.
 
-Nine extractors, each written once along the last axis. Given one
-channel's window (a 1-D array) an extractor returns a Python scalar;
-given an array of windows ``(..., W)`` it returns one value per row, of
-shape ``(...)``. A row's value never depends on the other rows or on how
-many there are: every sum runs along the contiguous last axis, where
-numpy applies the same pairwise summation as to a lone 1-D row, so a
-batched value is bitwise equal to the value of that row alone.
+Nine extractors, each written once along the last axis. A feature is
+one ``_FEATURES`` entry: its name (``FEATURE_NAMES`` keeps their order),
+how to call its extractor under a ``FeatureConfig``, and the shortest
+window it takes. Given one channel's window (a 1-D array) an extractor
+returns a Python scalar; given an array of windows ``(..., W)`` it
+returns one value per row, of shape ``(...)``. A row's value never
+depends on the other rows or on how many there are: every sum runs
+along the contiguous last axis, where numpy applies the same pairwise
+summation as to a lone 1-D row, so a batched value is bitwise equal to
+the value of that row alone.
 
 ``build_class_matrices`` takes a ``Windows`` record of shape ``(N, C, W)``
 and returns an ``(n, C * F)`` matrix per class. It gathers the windows in
@@ -32,7 +35,8 @@ Two extractors take care to stay exact per row:
 ``sample_entropy`` counts template pairs exactly, 64 at a time, with
 bitsets (``sensoraudit.sampen``): one preparation pass over all the rows
 of a call, then cache-sized blocks of rows. The counts do not depend on
-a row's call or block.
+a row's call or block. It takes an optional ``work``, the work arrays
+of both passes; a call without one allocates its own.
 
 One rule holds at both ends of float64's range: scale before squaring.
 ``rms``, ``median_frequency`` and ``sample_entropy`` first scale each row
@@ -83,17 +87,25 @@ from .errors import (
 )
 from .ingest import JsonConfig, Windows
 
-FEATURE_NAMES: tuple[str, ...] = (
-    "shannon_entropy",
-    "sample_entropy",
-    "zero_crossings",
-    "waveform_length",
-    "rms",
-    "slope_sign_changes",
-    "median_frequency",
-    "wavelet_energy",
-    "fractal_dimension",
-)
+# feature name -> (extractor over an array of windows, one value per row;
+# its shortest window under cfg). ``work`` is sample entropy's work arrays
+# (None: it allocates its own).
+_FEATURES = {
+    "shannon_entropy": (lambda x, cfg, fs, work: shannon_entropy(x, cfg.entropy_bins), lambda cfg: 1),
+    "sample_entropy": (
+        lambda x, cfg, fs, work: sample_entropy(x, cfg.sampen_m, cfg.sampen_r_coeff, work=work),
+        lambda cfg: cfg.sampen_m + 2,
+    ),
+    "zero_crossings": (lambda x, cfg, fs, work: zero_crossings(x, cfg.zc_threshold), lambda cfg: 2),
+    "waveform_length": (lambda x, cfg, fs, work: waveform_length(x), lambda cfg: 1),
+    "rms": (lambda x, cfg, fs, work: rms(x), lambda cfg: 1),
+    "slope_sign_changes": (lambda x, cfg, fs, work: slope_sign_changes(x, cfg.ssc_threshold), lambda cfg: 3),
+    "median_frequency": (lambda x, cfg, fs, work: median_frequency(x, fs), lambda cfg: 2),
+    "wavelet_energy": (lambda x, cfg, fs, work: wavelet_energy(x, cfg.wavelet_levels), lambda cfg: 1),
+    "fractal_dimension": (lambda x, cfg, fs, work: fractal_dimension(x), lambda cfg: 1),
+}
+
+FEATURE_NAMES: tuple[str, ...] = tuple(_FEATURES)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -164,14 +176,10 @@ def _histogram_entropy(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: i
         raise UnbinnableWindowError("shannon_entropy: the range of a window is not finite")
     n, w = rows.shape
     delta = hi - lo
-    # np.linspace(lo, hi, bins + 1) per row, with its branch for a step
-    # that underflows to zero.
-    steps = np.arange(bins + 1, dtype=float)
-    step = delta / bins
-    edges = steps * step[:, None]
-    tiny = step == 0
-    if tiny.any():
-        edges[tiny] = steps / bins * delta[tiny, None]
+    # np.linspace(lo, hi, bins + 1) per row. Where its step underflows to
+    # zero, linspace takes another branch, but the range then holds fewer
+    # than bins distinct values, so the edges collapse either way.
+    edges = np.arange(bins + 1, dtype=float) * (delta / bins)[:, None]
     edges += lo[:, None]
     edges[:, -1] = hi
     collapsed = (edges[:, :-1] >= edges[:, 1:]).any(axis=1)
@@ -214,6 +222,7 @@ def sample_entropy(
     signal: np.ndarray,
     m: int = 2,
     r_coeff: float = 0.2,
+    work: sampen.Work | None = None,
 ):
     """Sample entropy with Chebyshev distance and tolerance r_coeff * SD.
 
@@ -236,12 +245,11 @@ def sample_entropy(
     largest magnitude in [0.5, 1). That is exact and keeps every count,
     and a row scaled by 2**k becomes the same row, so its SD neither
     overflows nor underflows with k.
+
+    ``work`` is the work arrays to count in, ``sampen.Work(rows, W, m,
+    SAMPEN_TABLE_BYTES)`` for at least the call's rows, and can be reused
+    from call to call; with None the call allocates its own.
     """
-    return _sample_entropy(signal, m, r_coeff, None)
-
-
-def _sample_entropy(signal, m: int, r_coeff: float, work: sampen.Work | None):
-    """``sample_entropy`` in the work arrays ``work``, or in its own if None."""
     x = np.asarray(signal, dtype=float)
     n = x.shape[-1]
     if n <= m + 1:
@@ -268,7 +276,7 @@ def _sample_entropy(signal, m: int, r_coeff: float, work: sampen.Work | None):
         # math.log row by row: numpy's vectorised log need not round as libm's does
         for k, a_k, b_k in zip(live.tolist(), a.tolist(), b.tolist()):
             values[k] = cap if a_k == 0 or b_k == 0 else -math.log(a_k / b_k)
-    return float(values[0]) if x.ndim == 1 else values.reshape(x.shape[:-1])
+    return _scalar_or_rows(values.reshape(x.shape[:-1]))
 
 
 def zero_crossings(signal: np.ndarray, threshold: float = 0.0):
@@ -413,33 +421,6 @@ def _katz(n: int, extent: float, length: float) -> float:
     return math.log10(n) / denominator
 
 
-# feature name -> extractor over an array of windows, one value per row;
-# ``work`` is sample entropy's work arrays (None: it allocates its own)
-_EXTRACTORS = {
-    "shannon_entropy": lambda x, cfg, fs, work: shannon_entropy(x, cfg.entropy_bins),
-    "sample_entropy": lambda x, cfg, fs, work: _sample_entropy(x, cfg.sampen_m, cfg.sampen_r_coeff, work),
-    "zero_crossings": lambda x, cfg, fs, work: zero_crossings(x, cfg.zc_threshold),
-    "waveform_length": lambda x, cfg, fs, work: waveform_length(x),
-    "rms": lambda x, cfg, fs, work: rms(x),
-    "slope_sign_changes": lambda x, cfg, fs, work: slope_sign_changes(x, cfg.ssc_threshold),
-    "median_frequency": lambda x, cfg, fs, work: median_frequency(x, fs),
-    "wavelet_energy": lambda x, cfg, fs, work: wavelet_energy(x, cfg.wavelet_levels),
-    "fractal_dimension": lambda x, cfg, fs, work: fractal_dimension(x),
-}
-
-
-def _min_window_len(cfg: FeatureConfig) -> int:
-    need = 1
-    for name in cfg.enabled_features:
-        if name == "sample_entropy":
-            need = max(need, cfg.sampen_m + 2)
-        elif name == "slope_sign_changes":
-            need = max(need, 3)
-        elif name in ("zero_crossings", "median_frequency"):
-            need = max(need, 2)
-    return need
-
-
 def feature_columns(channel_count: int, cfg: FeatureConfig) -> tuple[tuple[int, str], ...]:
     """Column -> (channel, feature name), channel-major."""
     return tuple(
@@ -452,27 +433,30 @@ def column_labels(column_index: tuple[tuple[int, str], ...]) -> list[str]:
 
 
 def _check_window_len(w: int, cfg: FeatureConfig) -> None:
-    if w < _min_window_len(cfg):
+    need = max(_FEATURES[name][1](cfg) for name in cfg.enabled_features)
+    if w < need:
         raise WindowTooShortError(
-            f"window of {w} samples is below the "
-            f"{_min_window_len(cfg)}-sample minimum for the enabled features"
+            f"window of {w} samples is below the {need}-sample minimum for the enabled features"
         )
 
 
 def _feature_rows(
     windows: np.ndarray, cfg: FeatureConfig, fs: float, work: sampen.Work | None = None
 ) -> np.ndarray:
-    """``(n, C, W)`` windows -> ``(n, C * F)`` channel-major feature rows."""
-    n, channels, w = windows.shape
-    _check_window_len(w, cfg)
+    """``(n, C, W)`` windows -> ``(n, C * F)`` channel-major feature rows.
+
+    The caller has checked W against the minimum (``_check_window_len``).
+    """
+    n, channels, _ = windows.shape
     out = np.empty((n, channels, len(cfg.enabled_features)))
     for k, name in enumerate(cfg.enabled_features):
-        out[:, :, k] = _EXTRACTORS[name](windows, cfg, fs, work)
+        out[:, :, k] = _FEATURES[name][0](windows, cfg, fs, work)
     return out.reshape(n, -1)
 
 
 def zero_window_features(cfg: FeatureConfig, window_len: int, fs: float) -> np.ndarray:
     """Feature values of an all-zero window (one value per enabled feature)."""
+    _check_window_len(window_len, cfg)
     return _feature_rows(np.zeros((1, 1, window_len)), cfg, fs)[0]
 
 

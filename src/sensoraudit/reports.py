@@ -148,9 +148,9 @@ def complexity_payload(audit: PairwiseAudit, columns: list[str]) -> dict:
                 "f3_argmax_column": int(s.f3_argmax),
                 "normalized_fdr": float(r.normalized_fdr),
                 "per_dimension": {
-                    "fisher": [float(v) for v in s.per_dim_fisher],
-                    "overlap": [float(v) for v in s.per_dim_overlap],
-                    "range": [float(v) for v in s.per_dim_range],
+                    "fisher": s.per_dim_fisher.tolist(),
+                    "overlap": s.per_dim_overlap.tolist(),
+                    "range": s.per_dim_range.tolist(),
                 },
                 "degenerate_dims": list(s.degenerate_dims),
             }
@@ -208,7 +208,7 @@ def _advice(report: AblationReport) -> dict:
                 channel_name(n.sensor): {
                     "class": n.class_label,
                     "neighbours": [channel_name(x) for x in n.neighbours],
-                    "neighbour_criticality": [float(v) for v in n.neighbour_criticality],
+                    "neighbour_criticality": list(n.neighbour_criticality),
                 }
                 for n in report.compensation
                 if n.verdict == "uncompensated"
@@ -235,15 +235,9 @@ def ablation_payload(report: AblationReport, config_echo: dict) -> dict:
         "classes": list(report.classes),
         "channel_count": report.channel_count,
         "subsets": [list(s) for s in report.subsets],
-        "raw_shift": {
-            label: [float(v) for v in report.raw_shift[ci]]
-            for ci, label in enumerate(report.classes)
-        },
-        "normalized_criticality": {
-            label: [float(v) for v in report.normalized_criticality[ci]]
-            for ci, label in enumerate(report.classes)
-        },
-        "mean_criticality": [float(v) for v in report.mean_criticality],
+        "raw_shift": dict(zip(report.classes, report.raw_shift.tolist())),
+        "normalized_criticality": dict(zip(report.classes, report.normalized_criticality.tolist())),
+        "mean_criticality": report.mean_criticality.tolist(),
         "ranking": list(report.ranking),
         "ring_topology": list(report.ring_topology),
         "criticality_threshold": float(report.criticality_threshold),
@@ -257,7 +251,7 @@ def ablation_payload(report: AblationReport, config_echo: dict) -> dict:
                 "sensor": n.sensor,
                 "criticality": float(n.criticality),
                 "neighbours": list(n.neighbours),
-                "neighbour_criticality": [float(v) for v in n.neighbour_criticality],
+                "neighbour_criticality": list(n.neighbour_criticality),
                 "verdict": n.verdict,
             }
             for n in report.compensation
@@ -374,8 +368,8 @@ def write_feature_matrices(
     rows = []
     for label in labels:
         m = matrices[label]
-        for i, (trial, start) in enumerate(m.row_provenance):
-            rows.append([label, trial, start, *[float(v) for v in m.values[i]]])
+        for (trial, start), values in zip(m.row_provenance, m.values.tolist()):
+            rows.append([label, trial, start, *values])
     write_csv(csv_path, ["class", "trial", "start", *columns], rows)
     write_json(
         json_path,
@@ -411,7 +405,7 @@ def write_dataset(root: Path, rset: RecordingSet) -> list[Path]:
         session = rec.session_id or "s00"
         path = root / participant / session / f"{rec.class_label}_{rec.trial_id}.csv"
         header = ["t", *[channel_name(c) for c in range(rec.channel_count)]]
-        rows = [[t, *[float(v) for v in rec.samples[:, t]]] for t in range(rec.length)]
+        rows = [[t, *row] for t, row in enumerate(rec.samples.T.tolist())]
         write_csv(path, header, rows)
         paths.append(path)
     return paths

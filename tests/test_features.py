@@ -198,10 +198,13 @@ class TestSampleEntropy:
         rows = rng.normal(size=(3, 300))
         rows[1] = np.round(rows[1] * 2)
         x = np.sin(np.arange(500) / 7.0) + 0.2 * rng.normal(size=500)
+        given = sampen.Work(3, 300, 2, features.SAMPEN_TABLE_BYTES)
         with mock.patch.object(sampen, "Work", wraps=sampen.Work) as work:
             one = sample_entropy(x)
             several = sample_entropy(rows)
+            in_given = sample_entropy(rows, work=given)
         assert work.call_count == 2
+        assert same_bits(in_given, several)
         assert one == float.fromhex("0x1.24aa7501f2d36p+0")
         assert several.tolist() == [
             float.fromhex(v) for v in ("0x1.292b47928e877p+1", "0x1.032f5a0533373p+1", "0x1.ebd4e9979e5d6p+0")
@@ -541,6 +544,16 @@ class TestFeatureRow:
         with pytest.raises(WindowTooShortError):
             feature_row(np.ones((1, 3)), fcfg, fs=200.0)
 
+    @pytest.mark.parametrize(
+        "enabled, need",
+        [(("zero_crossings",), 2), (("median_frequency",), 2), (("slope_sign_changes",), 3), (FEATURE_NAMES, 4)],
+    )
+    def test_zero_window_below_the_minimum_is_refused(self, enabled, need):
+        cfg = FeatureConfig(enabled_features=enabled)
+        assert zero_window_features(cfg, need, 200.0).shape == (len(enabled),)
+        with pytest.raises(WindowTooShortError, match=f"below the {need}-sample minimum"):
+            zero_window_features(cfg, need - 1, 200.0)
+
     def test_deterministic_repeat(self, fcfg):
         rng = np.random.default_rng(5)
         s = rng.standard_normal((4, 256))
@@ -790,6 +803,25 @@ class TestBatchedExtractors:
         assert "3.0000000000000004" in str(err.value)
         assert shannon_entropy(x, 1) == 0.0  # one bin needs no inner edge
 
+    @pytest.mark.parametrize("bins", [2, 3, 16, 128, 1000])
+    @pytest.mark.parametrize("lo", [0.0, -1e-310, 1e-320])
+    def test_shannon_underflowing_step_is_refused(self, lo, bins):
+        # (hi - lo) / bins underflows to zero: np.linspace computes such
+        # edges another way, but they collapse all the same
+        refused = 0
+        for k in range(1, bins + 1):
+            hi = lo + k * 5e-324
+            if (hi - lo) / bins != 0.0:
+                continue
+            with pytest.raises(UnbinnableWindowError) as err:
+                shannon_entropy(np.array([lo, hi, lo]), bins)
+            assert str(err.value) == (
+                f"shannon_entropy: a near-constant window spans only [{lo!r}, {hi!r}], "
+                f"too few distinct values for {bins} equal-width bins (entropy_bins)"
+            )
+            refused += 1
+        assert refused == bins // 2
+
     def test_median_frequency_matches_searchsorted(self):
         rows = np.vstack([awkward_rows(400, seed=3), awkward_rows(400, seed=4)])
         freqs = np.fft.rfftfreq(400, d=1.0 / 200.0)[1:]
@@ -850,9 +882,13 @@ class TestBlockEngine:
         windows = self.windows()
         monkeypatch.setattr(features, "BLOCK_SAMPLES", 5 * 3 * 64)  # four slices
         expected = build_class_matrices(windows, fcfg, fs=200.0)
-        with mock.patch.object(sampen, "Work", wraps=sampen.Work) as work:
+        calls = mock.patch.object(features, "sample_entropy", wraps=features.sample_entropy)
+        with mock.patch.object(sampen, "Work", wraps=sampen.Work) as work, calls as sampen_calls:
             got = build_class_matrices(windows, fcfg, fs=200.0)
         assert work.call_count == 1
+        given = [call.kwargs["work"] for call in sampen_calls.call_args_list]
+        assert len(given) == 4 and given[0] is not None
+        assert all(w is given[0] for w in given)
         for label in ("a", "b"):
             assert same_bits(got[label].values, expected[label].values)
 

@@ -285,6 +285,13 @@ class TestRunOracleAudit:
             assert mcc_from_counts(tp, tn, fp, fn) == pytest.approx(r.mcc, abs=1e-12)
             assert (tp + tn) / (tp + tn + fp + fn) == pytest.approx(r.accuracy, abs=1e-12)
 
+    @pytest.mark.parametrize("n, n_test", [(6, 2), (10, 2), (14, 4), (18, 4)])
+    def test_split_rounds_the_test_count_half_to_even(self, n, n_test):
+        # n * 0.25 ends in .5; round half up would give 2, 3, 4 and 5
+        a_train, a_test, b_train, b_test = oracle._stratified_split(n, n, 0.25, np.random.default_rng(0))
+        assert (len(a_test), len(b_test)) == (n_test, n_test)
+        assert sorted([*a_train, *a_test]) == sorted([*b_train, *b_test]) == list(range(n))
+
     def test_pair_rng_stable(self):
         a = pair_rng(5, "x", "y").integers(0, 1 << 30, size=4)
         b = pair_rng(5, "x", "y").integers(0, 1 << 30, size=4)
