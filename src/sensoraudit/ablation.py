@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import JsonConfig
 from .errors import (
     InvalidSpecError,
     MismatchedColumnsError,
@@ -47,7 +48,6 @@ from .errors import (
     TopologyMismatchError,
 )
 from .features import FeatureMatrix
-from .ingest import JsonConfig
 from .separability import fisher_per_dim
 
 DEFAULT_CRITICALITY_THRESHOLD = 0.8

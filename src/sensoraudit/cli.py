@@ -41,9 +41,10 @@ from .ablation import (
     check_scope,
     run_ablation_audit,
 )
+from .config import JsonConfig
 from .errors import AuditError, ConfigError, InvalidSpecError, TooFewRowsError
 from .features import FeatureConfig, build_class_matrices, column_labels, zero_window_features
-from .ingest import REST_CLASS, JsonConfig, SegmentationConfig, Windows, load_dataset, segment
+from .ingest import REST_CLASS, SegmentationConfig, Windows, load_dataset, segment
 from .oracle import OracleConfig, run_oracle_audit
 from .reports import (
     ARTIFACTS,

@@ -79,13 +79,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sampen
+from .config import JsonConfig
 from .errors import (
     DataFormatError,
     InvalidSpecError,
     UnbinnableWindowError,
     WindowTooShortError,
 )
-from .ingest import JsonConfig, Windows
+from .ingest import Windows
 
 # feature name -> (extractor over an array of windows, one value per row;
 # its shortest window under cfg). ``work`` is sample entropy's work arrays

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import JsonConfig
 from .errors import (
     EmptyTrainingSetError,
     InvalidSpecError,
@@ -39,7 +40,6 @@ from .errors import (
     TooFewRowsError,
 )
 from .features import FeatureMatrix
-from .ingest import JsonConfig
 
 # Indices per chunk of epoch orders that train_stack draws at once: 62.5 KiB
 # of int64, below the 64 KiB from which glibc's free() may trim the heap.

@@ -41,8 +41,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import FrozenMap, JsonConfig
 from .errors import InvalidSpecError
-from .ingest import FrozenMap, JsonConfig, Recording, RecordingSet, SegmentationConfig, is_safe_label
+from .ingest import Recording, RecordingSet, SegmentationConfig, is_safe_label
 
 PROFILE_KINDS = ("tonic", "noise")
 

@@ -102,6 +102,18 @@ class TestSynthAndIngestCheck:
         assert "--out" in capsys.readouterr().err
         assert afile.read_text() == "kept\n"
 
+    def test_ingest_check_refuses_a_repeated_class_name(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json")
+        ds = tmp_path / "ds"
+        assert main(["synth", "--synthetic", str(spec), "--out", str(ds)]) == 0
+        manifest = json.loads((ds / "dataset.json").read_text())
+        manifest["class_names"].append("alpha")
+        (ds / "dataset.json").write_text(json.dumps(manifest))
+        assert main(["ingest-check", "--data", str(ds)]) == EXIT_BAD_DATA
+        captured = capsys.readouterr()
+        assert "class_names repeats 'alpha'" in captured.err
+        assert "ok:" not in captured.out
+
     def test_ingest_check_missing_dataset(self, tmp_path, capsys):
         code = main(["ingest-check", "--data", str(tmp_path / "missing")])
         assert code == EXIT_MISSING_FILE
@@ -198,6 +210,12 @@ BAD_INPUTS = {
     "manifest-rate-nan": ("manifest", {"sampling_rate_hz": NAN}, EXIT_BAD_DATA, "sampling_rate_hz"),
     "manifest-channels-float": ("manifest", {"channel_count": 3.7}, EXIT_BAD_DATA, "channel_count"),
     "manifest-classes-text": ("manifest", {"class_names": "ab"}, EXIT_BAD_DATA, "class_names"),
+    "manifest-classes-repeated": (
+        "manifest",
+        {"class_names": ["alpha", "beta", "gamma", "alpha"]},
+        EXIT_BAD_DATA,
+        "class_names repeats 'alpha'",
+    ),
     "learning-rate-huge": ("config", {"oracle": {"learning_rate": 1e300}}, EXIT_CONFIG, "learning_rate"),
     "trim-past-float-range": (
         "data-config",

@@ -29,15 +29,14 @@ from sensoraudit.errors import (
     UnknownClassLabelError,
 )
 from sensoraudit.cli import ConfigFile
+from sensoraudit.config import JsonConfig, check_type
 from sensoraudit.ingest import (
-    JsonConfig,
     Recording,
     RecordingSet,
     SegmentationConfig,
     Windows,
     load_dataset,
     round_half_up,
-    check_type,
     segment,
     trim,
 )
@@ -162,6 +161,12 @@ class TestSegment:
         )
         out = segment(rset, seg_cfg(), classes=["a"])
         assert set(out.labels) == {"a"}
+
+    def test_repeated_class_name_is_refused(self):
+        rset = RecordingSet([rec(400, label="a")], 200.0, ["a", "b", "a"], 2)
+        with pytest.raises(DataFormatError, match="^class_names repeats 'a'$") as err:
+            segment(rset, seg_cfg())
+        assert err.value.exit_code == 4
 
 
 class TestSegmentArray:

@@ -40,3 +40,15 @@ def test_sampen_cost_runs(capsys):
     assert [line.split()[:2] for line in lines[1:3]] == [["64", "256"], ["90", "182"]]
     assert all(float(v) > 0 for line in lines[1:3] for v in line.split()[2:5])
     assert cost.sampen.bitsets is bitsets  # the timing wrapper is removed
+
+
+def test_ranking_scorecard_runs(capsys):
+    card = load_script("ranking_scorecard")
+    assert card.main(["--seeds", "7", "--sizes", "smoke"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "seeds: 7 (1)"
+    assert lines[1].split() == ["workload", "size", "runs", "fdr", "mcc", "tonic"]
+    rows = [line.split() for line in lines[2:5]]
+    assert [row[:3] for row in rows] == [[name, "smoke", "1"] for name in card.workloads.WORKLOADS]
+    assert all(row[3:] == ["1", "1", "1"] for row in rows)  # seed 7 passes, as in perfbench's own test
+    assert lines[5] == "failed rules: 0"
