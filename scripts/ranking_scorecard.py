@@ -22,7 +22,7 @@ is seeds 3000-3059, and a ranking change is not tuned on it: it is run to
 confirm a change built on ``dev``. The script writes only to its
 temporary directory and reads ``perfbench/`` without changing it.
 
-Usage: python3 scripts/ranking_scorecard.py [--set dev|held-out] [--seeds 4,9] [--sizes timed,smoke]
+Usage: python3 scripts/ranking_scorecard.py [--set dev|held-out] [--sizes timed,smoke]
 """
 
 import argparse
@@ -68,15 +68,14 @@ def failed_rules(workload, seed: int, smoke: bool, work: Path) -> dict[str, str]
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--set", choices=SEED_SETS, default="dev", help="fixed seed list")
-    parser.add_argument("--seeds", help="comma-separated seeds in place of --set")
     parser.add_argument("--sizes", default=",".join(SIZES), help="timed, smoke or both")
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else SEED_SETS[args.set]
+    seeds = SEED_SETS[args.set]
     sizes = args.sizes.split(",")
     if not set(sizes) <= set(SIZES):
         parser.error(f"--sizes takes {' and '.join(SIZES)}, got {args.sizes!r}")
 
-    print(f"seeds: {args.seeds or args.set} ({len(seeds)})")
+    print(f"seeds: {args.set} ({len(seeds)})")
     print(f"{'workload':<14}{'size':<7}{'runs':>5}" + "".join(f"{r:>7}" for r in RULES))
     failures = []
     for name, workload in workloads.WORKLOADS.items():

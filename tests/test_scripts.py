@@ -42,11 +42,12 @@ def test_sampen_cost_runs(capsys):
     assert cost.sampen.bitsets is bitsets  # the timing wrapper is removed
 
 
-def test_ranking_scorecard_runs(capsys):
+def test_ranking_scorecard_runs(monkeypatch, capsys):
     card = load_script("ranking_scorecard")
-    assert card.main(["--seeds", "7", "--sizes", "smoke"]) == 0
+    monkeypatch.setitem(card.SEED_SETS, "dev", (7,))
+    assert card.main(["--sizes", "smoke"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "seeds: 7 (1)"
+    assert lines[0] == "seeds: dev (1)"
     assert lines[1].split() == ["workload", "size", "runs", "fdr", "mcc", "tonic"]
     rows = [line.split() for line in lines[2:5]]
     assert [row[:3] for row in rows] == [[name, "smoke", "1"] for name in card.workloads.WORKLOADS]
