@@ -51,16 +51,18 @@ def measure(w: int, repeats: int, m: int = 2, r_coeff: float = 0.2) -> dict:
     sampen.bitsets = timed_bitsets
     try:
         features.sample_entropy(x, m, r_coeff, work=work)  # warm-up
-        prep, bitset, faults = [], [], {"prep": 0, "bitset": 0}
-        for _ in range(repeats):
+        # filled in place: growing a list can fault in a heap page that
+        # would be counted as the preparation pass's
+        prep, bitset, faults = [0.0] * repeats, [0.0] * repeats, {"prep": 0, "bitset": 0}
+        for i in range(repeats):
             spent.update(bitset_s=0.0, bitset_faults=0)
             before, started = _minflt(), time.perf_counter()
             features.sample_entropy(x, m, r_coeff, work=work)
             total = time.perf_counter() - started
             faults["prep"] += _minflt() - before - spent["bitset_faults"]
             faults["bitset"] += spent["bitset_faults"]
-            prep.append((total - spent["bitset_s"]) / rows)
-            bitset.append(spent["bitset_s"] / rows)
+            prep[i] = (total - spent["bitset_s"]) / rows
+            bitset[i] = spent["bitset_s"] / rows
     finally:
         sampen.bitsets = bitsets
     return {

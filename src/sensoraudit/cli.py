@@ -51,6 +51,7 @@ from .reports import (
     ablation_payload,
     artifact_names,
     complexity_payload,
+    ensure_dataset_writable,
     ensure_writable,
     oracle_payload,
     write_ablation,
@@ -295,8 +296,8 @@ def cmd_synth(cfg_args: argparse.Namespace) -> int:
         if cfg_args.seed is not None:
             spec = replace(spec, seed=cfg_args.seed)
         root = Path(cfg_args.out)
-        ensure_writable(root, ["dataset.json"], cfg_args.overwrite)
         rset = generate_recordings(spec)
+        ensure_dataset_writable(root, rset, cfg_args.overwrite)
         write_dataset(root, rset)
         print(f"wrote {len(rset.recordings)} recordings under {root}")
     return 0

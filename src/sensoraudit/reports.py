@@ -55,12 +55,16 @@ def artifact_names(groups, classes=()) -> list[str]:
 
 def ensure_writable(out: Path, names: list[str], overwrite: bool) -> None:
     """Refuse an ``out`` whose nearest existing path (itself or a parent) is
-    not a directory, and, without ``overwrite``, one that holds any of the
-    files ``names``."""
+    not a directory, one where any of the files ``names`` exists as
+    something other than a regular file, and, without ``overwrite``, one
+    that holds any of them."""
     nearest = next(p for p in (out, *out.parents) if p.exists())
     if not nearest.is_dir():
         raise ConfigError(f"--out {out}: {nearest} is not a directory")
     existing = [out / n for n in names if (out / n).exists()]
+    for path in existing:
+        if not path.is_file():  # a file cannot replace it, so the set would be left half written
+            raise OutputExistsError(f"refusing to replace {path}: it is not a regular file")
     if existing and not overwrite:
         raise OutputExistsError(
             f"refusing to overwrite {existing[0]} (pass --overwrite to allow)"
@@ -387,25 +391,42 @@ def write_feature_matrices(
 
 # -- datasets ----------------------------------------------------------------
 
+def dataset_names(rset: RecordingSet) -> list[str]:
+    """The files ``write_dataset`` writes, relative to its root: the
+    manifest, then each recording's CSV."""
+    return [MANIFEST_NAME] + [
+        f"{rec.participant_id or 'p00'}/{rec.session_id or 's00'}/{rec.class_label}_{rec.trial_id}.csv"
+        for rec in rset.recordings
+    ]
+
+
+def ensure_dataset_writable(root: Path, rset: RecordingSet, overwrite: bool) -> None:
+    """``ensure_writable`` for the files ``write_dataset`` would write, and
+    refuse, even with ``overwrite``, a ``root`` that holds a trial CSV not
+    among them: the loader would read it as part of the new dataset."""
+    names = dataset_names(rset)
+    ensure_writable(root, names, overwrite)
+    stale = sorted(set(root.glob("*/*/*.csv")) - {root / n for n in names})
+    if stale:
+        raise OutputExistsError(
+            f"refusing to write a dataset into {root}: it holds {stale[0]}, "
+            "which is not part of the new dataset"
+        )
+
+
 def write_dataset(root: Path, rset: RecordingSet) -> list[Path]:
     """Write a RecordingSet in the on-disk CSV layout plus manifest."""
-    paths = []
-    manifest_path = root / MANIFEST_NAME
+    paths = [root / name for name in dataset_names(rset)]
     write_json(
-        manifest_path,
+        paths[0],
         {
             "sampling_rate_hz": rset.sampling_rate_hz,
             "class_names": list(rset.class_names),
             "channel_count": rset.channel_count,
         },
     )
-    paths.append(manifest_path)
-    for rec in rset.recordings:
-        participant = rec.participant_id or "p00"
-        session = rec.session_id or "s00"
-        path = root / participant / session / f"{rec.class_label}_{rec.trial_id}.csv"
+    for rec, path in zip(rset.recordings, paths[1:]):
         header = ["t", *[channel_name(c) for c in range(rec.channel_count)]]
         rows = [[t, *row] for t, row in enumerate(rec.samples.T.tolist())]
         write_csv(path, header, rows)
-        paths.append(path)
     return paths

@@ -10,11 +10,11 @@ It runs in two passes:
 
 * The preparation pass takes all the rows at once. It sorts each row
   once; sorted sample p lies within r of the sorted run [lo[p], hi[p]).
-  hi is found by a search and then settled with the same
+  hi is found by a search of each row and then settled with the same
   ``|x[i] - x[j]| <= r`` comparison as the definition. Because that
   comparison is symmetric, lo[p] is the number of samples whose hi is at
-  most p. This is O(W) work per row, and the call's rows need only one
-  set of numpy calls.
+  most p. Past the sort and the searches this is O(W) work per row, in
+  one set of numpy calls for all the call's rows.
 * The bitset pass takes a block of rows at a time, as many as prefix
   tables of ``budget`` bytes hold, or one row, whose table is built in
   tiles of columns if it alone exceeds the budget. Row c of a prefix
@@ -113,7 +113,7 @@ def prepare(count: int, r: np.ndarray, work: Work) -> None:
     # row k's c smallest samples, up to a constant per row. The samples
     # within r of sorted sample p are the sorted run [lo, hi):
     # table[hi] ^ table[lo].
-    hi = upper_bounds(first, r, samples, np.empty((count, n))).reshape(count, n)
+    hi = upper_bounds(first, r, samples).reshape(count, n)
     # From here on the floats are spent: the samples' memory holds each
     # row's samples in sorted order, as k * n + i, and the sorted samples'
     # memory holds lo.
@@ -193,37 +193,27 @@ def bitsets(start: int, stop: int, work: Work) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def upper_bounds(first: np.ndarray, r: np.ndarray, keys: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def upper_bounds(first: np.ndarray, r: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     """Per sorted row, the prefix-table row that ends each sample's run within r.
 
     ``first`` holds the sorted rows, each followed by +inf. Entry p of row
     k of the result is k * (n + 1) plus the first position after p whose
     value exceeds ``first[k, p]`` by more than ``r[k]``. Differences from
-    a value grow along the sorted row, so a search on keys that lay the
-    rows end to end finds it up to rounding; the exact comparison then
-    moves it to the end of the run. ``keys``, shaped like ``first``, and
-    ``targets``, shaped like the result, are overwritten.
+    a value grow along the sorted row, so a search of each row for
+    ``first[k, p] + r[k]`` finds it up to rounding; the exact comparison
+    then moves it to the end of the run. ``gaps``, contiguous and of at
+    least the result's size, is overwritten.
     """
     count, n = first.shape[0], first.shape[1] - 1
-    low = first[:, :1]
-    span = first[:, n - 1 : n] - low
-    span[span == 0.0] = 1.0
-    base = 2.0 * np.arange(count)[:, None]
-    np.subtract(first, low, out=keys)
-    keys /= span
-    keys += base
-    keys[:, n] = base[:, 0] + 1.5
-    np.add(first[:, :n], r[:, None] - low, out=targets)
-    np.minimum(targets, span, out=targets)
-    targets /= span
-    targets += base
-    # keys and targets are nonnegative (never -0.0), so their bit patterns
-    # order as they do, and comparing integers is cheaper
-    reach = np.searchsorted(keys.reshape(-1).view(np.int64), targets.reshape(-1).view(np.int64), side="right")
+    gaps = gaps.reshape(-1)[: count * n].reshape(count, n)
+    np.add(first[:, :n], r[:, None], out=gaps)
+    reach = np.empty((count, n), dtype=np.intp)
+    for k in range(count):
+        reach[k] = np.searchsorted(first[k, :n], gaps[k], side="right")
+    reach += np.arange(0, count * (n + 1), n + 1)[:, None]
+    reach = reach.reshape(-1)
     flat = first.reshape(-1)
-    gaps = keys.reshape(-1)[: count * n]  # the keys are spent
-    np.take(flat, reach, out=gaps, mode="clip")  # in range; "clip" writes out unbuffered
-    gaps = gaps.reshape(count, n)
+    np.take(flat, reach, out=gaps.reshape(-1), mode="clip")  # in range; "clip" writes out unbuffered
     gaps -= first[:, :n]
     stuck = np.flatnonzero(gaps <= r[:, None])
     while stuck.size:

@@ -88,6 +88,47 @@ class TestSynthAndIngestCheck:
             == 0
         )
 
+    def test_synth_refuses_trial_files_it_would_overwrite(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json")
+        out = tmp_path / "ds"
+        assert main(["synth", "--synthetic", str(spec), "--out", str(out)]) == 0
+        (out / "dataset.json").unlink()
+        trials = sorted(out.glob("*/*/*.csv"))
+        before = {p: p.read_bytes() for p in trials}
+        argv = ["synth", "--synthetic", str(spec), "--out", str(out), "--seed", "5"]
+        assert main(argv) == EXIT_OUTPUT_EXISTS
+        assert f"refusing to overwrite {trials[0]}" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_synth_refuses_a_root_with_trials_it_would_not_write(self, tmp_path, capsys):
+        four = json.loads(write_spec(tmp_path / "four.json").read_text()) | {"trials_per_class": 4}
+        (tmp_path / "four.json").write_text(json.dumps(four))
+        two = write_spec(tmp_path / "two.json")
+        out, fresh = tmp_path / "ds", tmp_path / "fresh"
+        assert main(["synth", "--synthetic", str(tmp_path / "four.json"), "--out", str(out)]) == 0
+        assert main(["synth", "--synthetic", str(two), "--out", str(fresh)]) == 0
+        new = {p.relative_to(fresh) for p in fresh.glob("*/*/*.csv")}
+        stale = sorted(p for p in out.glob("*/*/*.csv") if p.relative_to(out) not in new)
+        assert len(new) == 6 and len(stale) == 6
+
+        def files():
+            return {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        argv = ["synth", "--synthetic", str(two), "--out", str(out)]
+        refusal = f"refusing to write a dataset into {out}: it holds {stale[0]}, which is not part of the new dataset"
+        before = files()
+        capsys.readouterr()
+        assert main(argv + ["--overwrite"]) == EXIT_OUTPUT_EXISTS
+        assert refusal in capsys.readouterr().err
+        assert files() == before
+        # without --overwrite too, once nothing the new set writes is in the way
+        for path in [out / "dataset.json", *(out / name for name in new)]:
+            path.unlink()
+        before = files()
+        assert main(argv) == EXIT_OUTPUT_EXISTS
+        assert refusal in capsys.readouterr().err
+        assert files() == before
+
     @pytest.mark.parametrize(
         "argv",
         [["complexity", "--out", "afile"], ["complexity", "--out", "afile/sub"], ["synth", "--out", "afile"]],
@@ -1033,6 +1074,26 @@ class TestRunner:
         monkeypatch.setattr(cli, "build_class_matrices", fail)
         code = main(["complexity", "--synthetic", str(spec), "--out", str(out)])
         assert code == OutputExistsError.exit_code
+
+    def test_an_artifact_path_that_is_not_a_file_is_refused(self, tmp_path, monkeypatch, capsys):
+        spec = write_spec(tmp_path / "spec.json")
+        cfg = fast_config(tmp_path / "audit.json")
+        out = tmp_path / "out"
+        argv = ["full", "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        (out / "ranking.csv").unlink()
+        (out / "ranking.csv").mkdir()
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        def fail(*args, **kwargs):
+            raise AssertionError("features were computed")
+
+        monkeypatch.setattr(cli, "build_class_matrices", fail)
+        capsys.readouterr()
+        assert main(argv + ["--overwrite", "--seed", "5"]) == OutputExistsError.exit_code
+        assert f"refusing to replace {out / 'ranking.csv'}" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert (out / "ranking.csv").is_dir()
 
     def test_failed_write_leaves_out_unchanged(self, tmp_path, monkeypatch):
         spec = write_spec(tmp_path / "spec.json")

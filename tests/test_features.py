@@ -320,6 +320,22 @@ def test_sample_entropy_counts_equal_references(m, r_coeff, kind, width, one_wor
     assert same_bits(values[2:], [-0.0, -0.0])
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_sample_entropy_run_ends_are_exact_where_the_search_rounds(m):
+    # A search for x + r can end a run short of its end or past it: b lies
+    # beyond fl(a + r) yet b - a <= r, and on a grid of step r some
+    # x + j * r lie within fl(x + r) yet more than r from x. The exact
+    # comparison must settle both ways.
+    a, b, r_ab = -0.31138004239174966, -0.024715739820441316, 0.2866643025713083
+    assert b > a + r_ab and b - a <= r_ab
+    grid = 0.1 + 0.1 * np.arange(12)
+    assert np.any((grid[1:] <= grid[:-1] + 0.1) & (grid[1:] - grid[:-1] > 0.1))
+    rows = np.stack([np.tile([a, b], 6), grid])
+    r = np.array([r_ab, 0.1])
+    counts = sampen.counts(rows, r, sampen.Work(*rows.shape, m, features.SAMPEN_TABLE_BYTES))
+    assert np.array_equal(counts, candidate_sampen_counts(rows, r, m))
+
+
 class TestZeroCrossings:
     def test_alternating(self):
         assert zero_crossings(np.array([1.0, -1.0, 1.0, -1.0])) == 3

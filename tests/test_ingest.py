@@ -747,43 +747,3 @@ class TestTypeRule:
     def test_json_ints_stay_ints_in_float_fields(self):
         payload = OracleConfig.from_json_dict({"learning_rate": 1}).to_json_dict()
         assert type(payload["learning_rate"]) is int
-
-
-# Constructor arguments that are lists and dicts, for every config with a
-# sequence or mapping field.
-MUTABLE_ARGS = {
-    AblationSpec: {"classes": ["a"], "ring_topology": [2, 0, 1]},
-    ChannelSpec: {"classes": {"a": ChannelProfile(kind="tonic")}},
-    FeatureConfig: {"enabled_features": ["rms", "zero_crossings"]},
-    SyntheticSpec: {"class_names": ["a", "b"], "channel_count": 3, "channels": [ChannelSpec()]},
-}
-
-
-class TestFrozenConfigs:
-    @pytest.mark.parametrize("cls", ALL_CONFIGS, ids=lambda c: c.__name__)
-    def test_every_config_is_frozen(self, cls):
-        config = cls.from_json_dict(REQUIRED.get(cls, {}))
-        for f in dataclasses.fields(cls):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(config, f.name, getattr(config, f.name))
-
-    @pytest.mark.parametrize("cls, args", MUTABLE_ARGS.items(), ids=[c.__name__ for c in MUTABLE_ARGS])
-    def test_building_leaves_the_arguments_unmodified(self, cls, args):
-        before = copy.deepcopy(args)
-        cls(**args)
-        assert args == before
-
-    def test_lists_are_stored_as_tuples(self):
-        spec = AblationSpec(**MUTABLE_ARGS[AblationSpec])
-        assert type(spec.classes) is tuple and type(spec.ring_topology) is tuple
-        assert spec.ring_topology == (2, 0, 1)
-        assert FeatureConfig(enabled_features=["rms"]).enabled_features == ("rms",)
-        assert type(SyntheticSpec(**MUTABLE_ARGS[SyntheticSpec]).channels) is tuple
-
-    def test_objects_are_stored_read_only_and_hashable(self):
-        spec = CONFIGS[6]
-        assert hash(spec) == hash(copy.deepcopy(spec))
-        assert len({spec, SyntheticSpec.from_json_dict(spec.to_json_dict())}) == 1
-        with pytest.raises(TypeError):
-            spec.channels[0].classes["x"] = ChannelProfile()
-        assert list(spec.channels[0].classes) == ["b"]
