@@ -157,9 +157,9 @@ def shannon_entropy(signal: np.ndarray, bins: int = 128):
 
     Each row is binned exactly as ``np.histogram(row, bins, range=(min,
     max))`` bins it. Where ``np.histogram`` raises ``ValueError`` (a range
-    that is not finite or too narrow for ``bins`` distinct edges), this
-    raises ``UnbinnableWindowError``, which is both a ``ValueError`` and a
-    ``DataFormatError``.
+    that is not finite, wider than float64 holds, or too narrow for
+    ``bins`` distinct edges), this raises ``UnbinnableWindowError``, which
+    is both a ``ValueError`` and a ``DataFormatError``.
     """
     x = np.asarray(signal, dtype=float)
     rows = x.reshape(-1, x.shape[-1])
@@ -176,7 +176,14 @@ def _histogram_entropy(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: i
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise UnbinnableWindowError("shannon_entropy: the range of a window is not finite")
     n, w = rows.shape
-    delta = hi - lo
+    with np.errstate(over="ignore"):
+        delta = hi - lo
+    if not np.isfinite(delta).all():
+        k = int(np.argmin(np.isfinite(delta)))
+        raise UnbinnableWindowError(
+            f"shannon_entropy: the range [{float(lo[k])!r}, {float(hi[k])!r}] of a window "
+            "overflows float64"
+        )
     # np.linspace(lo, hi, bins + 1) per row. Where its step underflows to
     # zero, linspace takes another branch, but the range then holds fewer
     # than bins distinct values, so the edges collapse either way.

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -54,11 +55,11 @@ def artifact_names(groups, classes=()) -> list[str]:
 
 
 def ensure_writable(out: Path, names: list[str], overwrite: bool) -> None:
-    """Refuse an ``out`` whose nearest existing path (itself or a parent) is
-    not a directory, one where any of the files ``names`` exists as
-    something other than a regular file, and, without ``overwrite``, one
-    that holds any of them."""
-    nearest = next(p for p in (out, *out.parents) if p.exists())
+    """Refuse an ``out`` whose nearest existing path (itself or a parent; a
+    dangling symlink counts) is not a directory, one where any of the files
+    ``names`` exists as something other than a regular file, and, without
+    ``overwrite``, one that holds any of them."""
+    nearest = next(p for p in (out, *out.parents) if os.path.lexists(p))
     if not nearest.is_dir():
         raise ConfigError(f"--out {out}: {nearest} is not a directory")
     existing = [out / n for n in names if (out / n).exists()]

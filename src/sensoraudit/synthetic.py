@@ -16,26 +16,16 @@ Two per-channel signal families:
     are effectively independent.
 
 Generation is bit-reproducible for a fixed seed: draws happen in a fixed
-class -> trial -> channel order from one ``numpy`` generator.
-
-Each recording is rendered into one ``(C, n)`` frame, one run of
-consecutive same-kind channels at a time. A run of k noise channels draws
-one ``(k, 4, n)`` block, channel-major: channel j's envelope, mix,
-broadband and lowpass noise in that order, the same stream as 4k draws of
-n. A tonic channel draws its phase and then its drift and texture noise
-before the next channel draws. The samples are bit for bit those of a
-channel-by-channel renderer: smoothing is one ``np.convolve`` per row
-(batching it would change the dot product behind each output), every
-other step is an elementwise ufunc applied row by row, and a row's mean
-square is ``np.mean``'s own pairwise sum divided by n.
+class -> trial -> channel order from one ``numpy`` generator. A tonic
+channel draws its carrier phase, then n samples of drift noise, then n of
+texture noise; a noise channel draws n samples each of envelope, mix,
+broadband and lowpass noise, in that order.
 
 Smoothing keeps a row's n samples centred as ``np.convolve(mode="same")``
 centres them, so a trial shorter than a smoothing kernel is defined too.
 """
 
-import itertools
 import math
-import mmap
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -134,103 +124,43 @@ def _smooth(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return np.convolve(x, taps)[start : start + n]
 
 
-def _smooth_rows(x: np.ndarray, taps: np.ndarray | None) -> None:
-    """Smooth each row of ``x`` in place; ``taps`` None leaves it as it is."""
-    if taps is not None:
-        for row in x:
-            row[...] = _smooth(row, taps)
-
-
-def _unit_rms(x: np.ndarray, scratch: np.ndarray) -> None:
-    """Scale each row (along the last axis) of ``x`` in place to unit RMS;
-    an all-zero row stays. ``scratch`` is a work array of ``x``'s shape."""
-    power = np.sqrt(np.square(x, out=scratch).sum(axis=-1, keepdims=True) / x.shape[-1])
-    power[~(power > 0)] = 1.0
-    x /= power
-
-
-def _box(kernel: int) -> np.ndarray | None:
-    return np.ones(kernel) / kernel if kernel > 1 else None
-
-
-_ENV_LOG_SD = 0.5  # lognormal amplitude drift
-_LOWPASS_KERNEL = 8  # slow component of the bandwidth mix
-
-
-def _runs(profiles: list[ChannelProfile]) -> list[tuple[slice, str, np.ndarray]]:
-    """``(rows, kind, columns)`` of each run of consecutive same-kind
-    channels. ``columns`` holds the channels' gain, amp_jitter, carrier
-    angular frequency and am_depth as four ``(k, 1)`` columns."""
-    runs = []
-    first = 0
-    for kind, group in itertools.groupby(profiles, key=lambda p: p.kind):
-        params = [(p.gain, p.amp_jitter, 2.0 * math.pi * p.carrier_hz, p.am_depth) for p in group]
-        runs.append((slice(first, first + len(params)), kind, np.array(params).T[:, :, None]))
-        first += len(params)
-    return runs
+def _unit_rms(x: np.ndarray) -> np.ndarray:
+    """``x`` scaled in place to unit RMS; an all-zero ``x`` stays."""
+    power = math.sqrt(np.mean(np.square(x)))
+    if power > 0:
+        x /= power
+    return x
 
 
 # quoted: evaluating np.random would import numpy.random along with this module
-def _render_tonic(
-    rng: "np.random.Generator",
-    out: np.ndarray,
-    work: np.ndarray,
-    scratch: np.ndarray,
-    columns: np.ndarray,
-    t: np.ndarray,
-    taps: tuple,
-) -> None:
-    """Render a run of tonic channels into the rows of ``out``."""
-    gain, amp_jitter, omega, am_depth = columns
-    modulation, texture_taps, _ = taps
-    k = len(out)
-    phase = np.empty((k, 1))
-    for j in range(k):
-        phase[j] = rng.uniform(0.0, 2.0 * math.pi)
-        rng.standard_normal(out=work[j, :2])
-    drift, texture, carrier = work[:k, 0], work[:k, 1], work[:k, 2]
-    _smooth_rows(drift, modulation)
-    _smooth_rows(texture, texture_taps)
-    _unit_rms(work[:k, :2], scratch[:k, :2])
-    drift *= amp_jitter
-    drift += 1.0
-    np.maximum(drift, 0.05, out=drift)
-    drift *= gain  # the envelope
-    np.multiply(omega, t, out=carrier)
-    carrier += phase
-    np.sin(carrier, out=carrier)
-    texture *= am_depth
-    carrier += texture
-    np.multiply(drift, carrier, out=out)
+def _unit_noise(rng: "np.random.Generator", n: int, taps: np.ndarray | None) -> np.ndarray:
+    """``n`` standard normals, smoothed by ``taps`` unless None, at unit RMS."""
+    x = rng.standard_normal(n)
+    return _unit_rms(x if taps is None else _smooth(x, taps))
 
 
-def _render_noise(
-    rng: "np.random.Generator",
-    out: np.ndarray,
-    work: np.ndarray,
-    scratch: np.ndarray,
-    columns: np.ndarray,
-    taps: tuple,
-) -> None:
-    """Render a run of noise channels into the rows of ``out``."""
-    modulation, _, lowpass_taps = taps
-    k = len(out)
-    envelope, mix, broadband, lowpass = rng.standard_normal(out=work[:k]).swapaxes(0, 1)
-    _smooth_rows(envelope, modulation)
-    _smooth_rows(mix, modulation)
-    _smooth_rows(lowpass, lowpass_taps)
-    _unit_rms(work[:k], scratch[:k])
-    envelope *= _ENV_LOG_SD
-    mix *= -2.0
-    np.exp(work[:k, :2], out=work[:k, :2])  # envelope and mix
-    mix += 1.0
-    np.divide(1.0, mix, out=mix)
-    np.subtract(1.0, mix, out=out)
-    out *= broadband
-    lowpass *= mix
-    out += lowpass
-    envelope *= columns[0]  # gain
-    out *= envelope
+_ENV_LOG_SD = 0.5  # lognormal amplitude drift
+_TEXTURE_TAPS = np.ones(5) / 5  # tonic texture
+_LOWPASS_TAPS = np.ones(8) / 8  # slow component of the noise bandwidth mix
+
+
+def _render(
+    rng: "np.random.Generator", t: np.ndarray, p: ChannelProfile, modulation: np.ndarray | None
+) -> np.ndarray:
+    """One channel's samples at times ``t``, drawn in the module docstring's order."""
+    n = len(t)
+    if p.kind == "tonic":
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        drift = _unit_noise(rng, n, modulation)
+        texture = _unit_noise(rng, n, _TEXTURE_TAPS)
+        envelope = p.gain * np.maximum(1.0 + p.amp_jitter * drift, 0.05)
+        carrier = np.sin(2.0 * math.pi * p.carrier_hz * t + phase)
+        return envelope * (carrier + p.am_depth * texture)
+    envelope = np.exp(_ENV_LOG_SD * _unit_noise(rng, n, modulation))
+    mix = 1.0 / (1.0 + np.exp(-2.0 * _unit_noise(rng, n, modulation)))
+    broadband = _unit_noise(rng, n, None)
+    lowpass = _unit_noise(rng, n, _LOWPASS_TAPS)
+    return p.gain * envelope * ((1.0 - mix) * broadband + mix * lowpass)
 
 
 def trial_length(spec: SyntheticSpec) -> int:
@@ -241,39 +171,28 @@ def trial_length(spec: SyntheticSpec) -> int:
 
 
 def generate_recordings(spec: SyntheticSpec, seed: int | None = None) -> RecordingSet:
-    """Render the spec into a RecordingSet; deterministic for a fixed seed."""
+    """Render the spec into a RecordingSet; deterministic for a fixed seed.
+    A channel whose samples overflow float64 raises ``InvalidSpecError``."""
     rng = np.random.default_rng(spec.seed if seed is None else seed)
     n = trial_length(spec)
     t = np.arange(n) / spec.sampling_rate_hz
-    # modulation, tonic texture and noise lowpass
-    taps = (_box(spec.window_len_samples), _box(5), _box(_LOWPASS_KERNEL))
-    # A run's draws and temporaries and the trial being rendered, in one
-    # anonymous mapping that is given back on return. A trial is copied out
-    # once rendered: a recording allocated before its rendering's heap
-    # temporaries sits below them, and on long-window the heap was then no
-    # longer trimmed after the feature build (+0.3 MB peak RSS).
-    channels = spec.channel_count
-    memory = np.frombuffer(mmap.mmap(-1, 8 * 9 * channels * n)).reshape(9 * channels, n)
-    work, scratch = memory[: 8 * channels].reshape(2, channels, 4, n)
-    frame = memory[8 * channels :]
+    w = spec.window_len_samples
+    modulation = np.ones(w) / w if w > 1 else None  # drift on the window timescale
     recordings: list[Recording] = []
     for label in spec.class_names:
-        runs = _runs([spec.profile(ch, label) for ch in range(channels)])
         for trial in range(spec.trials_per_class):
-            for rows, kind, columns in runs:
-                if kind == "tonic":
-                    _render_tonic(rng, frame[rows], work, scratch, columns, t, taps)
-                else:
-                    _render_noise(rng, frame[rows], work, scratch, columns, taps)
-            recordings.append(
-                Recording(
-                    samples=frame.copy(),
-                    class_label=label,
-                    trial_id=f"t{trial:02d}",
-                    session_id="s00",
-                    participant_id="synthetic",
-                )
-            )
+            samples = np.empty((spec.channel_count, n))
+            for ch, row in enumerate(samples):
+                p = spec.profile(ch, label)
+                with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+                    row[...] = _render(rng, t, p, modulation)
+                if not np.isfinite(row).all():
+                    raise InvalidSpecError(
+                        f"class {label!r}, trial {trial}, channel {ch} ({p.kind}, gain "
+                        f"{p.gain!r}): its samples overflow float64"
+                    )
+            trial_id = f"t{trial:02d}"
+            recordings.append(Recording(samples, label, trial_id, "s00", "synthetic"))
     return RecordingSet(
         recordings=recordings,
         sampling_rate_hz=spec.sampling_rate_hz,

@@ -9,9 +9,10 @@ at the end. The per-cell ablation reference zero-fills
 windows and scores one ablated matrix per (class, subset), the path the
 closed-form ablation audit replaces. The per-epoch oracle trainer draws
 one permutation per pair per epoch, the draws ``train_stack`` makes a
-chunk of epochs at a time. The per-channel synthetic renderer draws and
-renders one channel at a time, the path the run-batched
-``generate_recordings`` replaces.
+chunk of epochs at a time. The per-channel synthetic renderer is numpy
+code too: written apart from ``generate_recordings``, which also renders
+one channel at a time, it pins that function's draw order and samples
+bit for bit.
 """
 
 import math

@@ -143,6 +143,21 @@ class TestSynthAndIngestCheck:
         assert "--out" in capsys.readouterr().err
         assert afile.read_text() == "kept\n"
 
+    # mkdir raised FileExistsError on the link itself: exit 1 with a traceback
+    @pytest.mark.parametrize(
+        "command, out",
+        [("full", "link"), ("full", "link/sub"), ("synth", "link")],
+        ids=["audit", "audit-below-link", "synth"],
+    )
+    def test_out_through_a_dangling_symlink_is_config_error(self, tmp_path, capsys, command, out):
+        spec = write_spec(tmp_path / "spec.json")
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "missing" / "target")
+        argv = [command, "--synthetic", str(spec), "--out", str(tmp_path / out)]
+        assert main(argv) == EXIT_CONFIG
+        assert f"{link} is not a directory" in capsys.readouterr().err
+        assert link.is_symlink() and not (tmp_path / "missing").exists()
+
     def test_ingest_check_refuses_a_repeated_class_name(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json")
         ds = tmp_path / "ds"
@@ -674,6 +689,18 @@ class TestHugeAmplitudes:
         err = capsys.readouterr().err
         assert err.startswith("error [features]: wavelet_energy: the detail energy of a window")
         assert "overflows float64" in err and "Warning" not in err
+        assert not out.exists()
+
+    # synth wrote inf cells that its own loader refused with exit 4, and
+    # full exited 4; both printed numpy overflow warnings first
+    @pytest.mark.parametrize("command", ["synth", "full"])
+    def test_a_gain_whose_samples_overflow_is_a_spec_error(self, tmp_path, capsys, command):
+        spec = write_noise_spec(tmp_path / "spec.json", 1e308)
+        out = tmp_path / "out"
+        assert main([command, "--synthetic", str(spec), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "class 'a', trial 0, channel 0 (noise, gain 1e+308)" in err
+        assert "overflow float64" in err and "Warning" not in err
         assert not out.exists()
 
 

@@ -1,17 +1,22 @@
 """The typed-JSON config layer: ``sensoraudit.config`` defines it, no
-module takes it from ``ingest``, and every config built on it is frozen."""
+module takes it from ``ingest``, and every config built on it round-trips
+through JSON and is frozen."""
 
 import ast
 import copy
 import dataclasses
+import json
 from pathlib import Path
 
 import pytest
 
-from test_ingest import ALL_CONFIGS, CONFIGS, REQUIRED
+from test_ingest import ALL_CONFIGS, REQUIRED
 
 from sensoraudit.ablation import AblationSpec
+from sensoraudit.errors import InvalidSpecError
 from sensoraudit.features import FeatureConfig
+from sensoraudit.ingest import SegmentationConfig
+from sensoraudit.oracle import OracleConfig
 from sensoraudit.synthetic import ChannelProfile, ChannelSpec, SyntheticSpec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -82,6 +87,64 @@ def test_no_config_name_is_taken_from_ingest():
 @pytest.mark.parametrize("name", ["oracle.py", "ablation.py"])
 def test_oracle_and_ablation_do_not_import_ingest(name):
     assert imports_from(tree(PACKAGE / name), "ingest") == set()
+
+
+CONFIGS = [
+    SegmentationConfig(trim_head_ms=0.0, window_len_samples=64, overlap_fraction=0.25),
+    FeatureConfig(entropy_bins=16, enabled_features=("rms", "zero_crossings")),
+    OracleConfig(hidden_units=8, epochs=5, seed=9),
+    AblationSpec(combinatorial_depth=2, classes=["a"], ring_topology=(2, 0, 1)),
+    ChannelProfile(kind="tonic", gain=2.5, carrier_hz=40.0),
+    ChannelSpec(classes={"a": ChannelProfile(kind="tonic", gain=3.0)}),
+    SyntheticSpec(
+        class_names=["a", "b"],
+        channel_count=3,
+        seed=4,
+        channels=[ChannelSpec(classes={"b": ChannelProfile(kind="tonic", gain=1.5)})],
+    ),
+]
+
+
+class TestConfigJson:
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: type(c).__name__)
+    def test_round_trip_through_json_text(self, config):
+        text = json.dumps(config.to_json_dict(), indent=2)
+        clone = type(config).from_json_dict(json.loads(text))
+        assert clone == config and json.dumps(clone.to_json_dict(), indent=2) == text
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: type(c).__name__)
+    def test_unknown_key_is_rejected(self, config):
+        payload = config.to_json_dict()
+        payload["bogus"] = 1
+        with pytest.raises(InvalidSpecError, match="bogus"):
+            type(config).from_json_dict(payload)
+
+    def test_channel_spec_keeps_classes_key_and_nested_profiles(self):
+        payload = CONFIGS[5].to_json_dict()
+        assert list(payload) == ["default", "classes"]
+        clone = ChannelSpec.from_json_dict(payload)
+        assert isinstance(clone.classes["a"], ChannelProfile)
+        with pytest.raises(InvalidSpecError, match="per_class"):
+            ChannelSpec.from_json_dict({"per_class": {}})
+        with pytest.raises(InvalidSpecError, match="bogus"):
+            ChannelSpec.from_json_dict({"classes": {"a": {"bogus": 1}}})
+
+    @pytest.mark.parametrize("metric", ["f2", "f3"])
+    def test_flat_shift_metric_is_rejected_on_load(self, metric):
+        # the shift is always f1, so shift_metric is no field at all
+        payload = CONFIGS[3].to_json_dict() | {"shift_metric": metric}
+        with pytest.raises(InvalidSpecError, match="unknown AblationSpec fields: shift_metric") as err:
+            AblationSpec.from_json_dict(payload)
+        assert err.value.exit_code == 2
+
+    def test_sequences_are_written_as_lists(self):
+        payload = CONFIGS[3].to_json_dict()
+        assert payload == {
+            "combinatorial_depth": 2,
+            "classes": ["a"],
+            "ring_topology": [2, 0, 1],
+        }
+        assert CONFIGS[1].to_json_dict()["enabled_features"] == ["rms", "zero_crossings"]
 
 
 # Constructor arguments that are lists and dicts, for every config with a

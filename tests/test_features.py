@@ -819,6 +819,18 @@ class TestBatchedExtractors:
         assert "3.0000000000000004" in str(err.value)
         assert shannon_entropy(x, 1) == 0.0  # one bin needs no inner edge
 
+    def test_shannon_range_that_overflows_is_refused(self):
+        # hi - lo overflowed with two RuntimeWarnings, and the window was
+        # then called near-constant
+        x = np.array([-1.09e308, 0.0, 1.19e308, 5.0])
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="Too many bins"):
+            np.histogram(x, bins=4, range=(x.min(), x.max()))  # which warns on its way
+        with pytest.raises(UnbinnableWindowError) as err:
+            shannon_entropy(np.stack([np.arange(4.0), x]), 4)
+        assert str(err.value) == (
+            "shannon_entropy: the range [-1.09e+308, 1.19e+308] of a window overflows float64"
+        )
+
     @pytest.mark.parametrize("bins", [2, 3, 16, 128, 1000])
     @pytest.mark.parametrize("lo", [0.0, -1e-310, 1e-320])
     def test_shannon_underflowing_step_is_refused(self, lo, bins):
