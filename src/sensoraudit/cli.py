@@ -42,7 +42,7 @@ from .ablation import (
     run_ablation_audit,
 )
 from .config import JsonConfig
-from .errors import AuditError, ConfigError, InvalidSpecError, TooFewRowsError
+from .errors import EXIT_INTERNAL, AuditError, ConfigError, InvalidSpecError, TooFewRowsError
 from .features import FeatureConfig, build_class_matrices, column_labels, zero_window_features
 from .ingest import REST_CLASS, SegmentationConfig, Windows, load_dataset, segment
 from .oracle import OracleConfig, run_oracle_audit
@@ -119,7 +119,7 @@ class _Stage:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, AuditError) and not hasattr(exc, "stage"):
+        if isinstance(exc, (AuditError, MemoryError)) and not hasattr(exc, "stage"):
             exc.stage = self.name
         return False
 
@@ -373,6 +373,10 @@ def main(argv: list[str] | None = None) -> int:
         stage = getattr(exc, "stage", "setup")
         print(f"error [{stage}]: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:  # e.g. a config sized past memory; numpy says how much
+        stage = getattr(exc, "stage", "setup")
+        print(f"error [{stage}]: out of memory ({exc})", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -89,10 +89,6 @@ class EmptyTrainingSetError(InsufficientDataError):
     pass
 
 
-class SingleClassTrainingError(InsufficientDataError):
-    pass
-
-
 class OutputExistsError(AuditError):
     """Refusal to overwrite existing artifacts without --overwrite."""
 

@@ -299,13 +299,19 @@ def _load_trial_csv(
 def _parse_trial_csv(path: Path, channel_count: int) -> np.ndarray:
     """The ``(C, T)`` samples of one trial file, a C-contiguous array that
     owns its memory, parsed as a whole by ``np.loadtxt``. Whenever that
-    parse fails, or could accept what the line parser refuses, the line
-    parser reruns and gives the samples or the error, so the fast path
-    never decides either."""
+    parse fails, or could accept what the line parser refuses (as after a
+    header whose quotes carry it past the first line), the line parser
+    reruns and gives the samples or the error, so the fast path never
+    decides either."""
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), [])
-        if len(header) == channel_count + 1 and not _has_numpy_only_space(path):
+            reader = csv.reader(fh)
+            header = next(reader, [])
+        if (
+            reader.line_num == 1
+            and len(header) == channel_count + 1
+            and not _has_numpy_only_space(path)
+        ):
             with warnings.catch_warnings():  # a header-only file has no rows
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 values = np.loadtxt(

@@ -5,15 +5,15 @@ audit's predictions show up in an actual learner. Everything is
 deterministic for a fixed seed: each pair derives its own generator from
 (seed, sha256(pair)), so no pair's draws depend on the pairs before it.
 
-A classifier is its parameter dict: ``train`` returns it and ``predict``
-labels rows with it. ``run_oracle_audit`` splits every pair first, then
-trains the pairs whose training sets have the same shape in stacks
-(``train_stack``): each mini-batch step is one gather and a few stacked
-``(P, n, d) @ (P, d, h)`` matmuls for all P pairs. A group of such pairs
-becomes the fewest near-equal stacks whose training state fits
+A classifier is its parameter dict: ``train_stack`` returns one per pair
+and ``predict`` labels rows with it. ``run_oracle_audit`` splits every
+pair first, then trains the pairs whose training sets have the same shape
+in stacks (``train_stack``): each mini-batch step is one gather and a few
+stacked ``(P, n, d) @ (P, d, h)`` matmuls for all P pairs. A group of such
+pairs becomes the fewest near-equal stacks whose training state fits
 ``STACK_BYTES``. numpy multiplies a stack slice by slice with the same
 kernel as a lone matrix, so each pair gets the bits it would get alone,
-whatever its stack, and ``train`` is the stack of one.
+in a stack of one, whatever its stack.
 Each pair's test predictions are counted with ``confusion`` into its one
 ``OracleResult``.
 
@@ -35,7 +35,6 @@ from .errors import (
     EmptyTrainingSetError,
     InvalidSpecError,
     LengthMismatchError,
-    SingleClassTrainingError,
     TooFewClassesError,
     TooFewRowsError,
 )
@@ -163,28 +162,6 @@ def gradients(
     return {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
 
 
-def train(
-    x: np.ndarray, y: np.ndarray, cfg: OracleConfig, rng: "np.random.Generator"
-) -> dict[str, np.ndarray]:
-    """Parameters after ``cfg.epochs`` epochs of mini-batch descent on (x, y).
-
-    ``rng`` draws the initial weights, then one permutation per epoch.
-    This is ``train_stack`` with a stack of one.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape[0] != y.shape[0]:
-        raise LengthMismatchError("x and y row counts differ")
-    # np.unique(y).size < 2, NaNs counted as one value, without np.unique,
-    # which imports numpy.ma
-    nan = np.isnan(y)
-    if nan.all() or (not nan.any() and y.min() == y.max()):
-        raise SingleClassTrainingError("training labels contain a single class")
-    (params,) = train_stack(x[None], y[None], cfg, [rng])
-    _check_converged(params, x, y, cfg.learning_rate)
-    return params
-
-
 def train_stack(
     x: np.ndarray, y: np.ndarray, cfg: OracleConfig, rngs: "list[np.random.Generator]"
 ) -> list[dict[str, np.ndarray]]:
@@ -192,8 +169,8 @@ def train_stack(
 
     Classifier p draws its initial weights, then one permutation per epoch,
     from ``rngs[p]`` alone, and each of its steps is the same arithmetic on
-    its own slice as a lone run: the result is bitwise that of ``train``
-    on (x[p], y[p], rngs[p]). The parameters may have diverged; see
+    its own slice as a lone run: the result is bitwise that of a stack of
+    one on (x[p], y[p], rngs[p]). The parameters may have diverged; see
     ``_check_converged``.
 
     The permutations are drawn a chunk of epochs at a time: one

@@ -1122,6 +1122,29 @@ class TestRunner:
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
         assert (out / "ranking.csv").is_dir()
 
+    @pytest.mark.parametrize(
+        "name, stage", [("build_class_matrices", "features"), ("run_oracle_audit", "oracle")]
+    )
+    def test_out_of_memory_is_one_line_naming_the_stage(
+        self, tmp_path, monkeypatch, capsys, name, stage
+    ):
+        spec = write_spec(tmp_path / "spec.json")
+        cfg = fast_config(tmp_path / "audit.json")
+        out = tmp_path / "out"
+        argv = ["full", "--synthetic", str(spec), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*")}
+        message = "Unable to allocate 80.5 GiB for an array with shape (108, 100000000)"
+
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, name, fail)
+        capsys.readouterr()
+        assert main(argv + ["--overwrite", "--seed", "5"]) == 1
+        assert capsys.readouterr().err == f"error [{stage}]: out of memory ({message})\n"
+        assert {p: p.read_bytes() for p in out.rglob("*")} == before
+
     def test_failed_write_leaves_out_unchanged(self, tmp_path, monkeypatch):
         spec = write_spec(tmp_path / "spec.json")
         cfg = fast_config(tmp_path / "audit.json")

@@ -1,18 +1,20 @@
 """The typed-JSON config layer: ``sensoraudit.config`` defines it, no
-module takes it from ``ingest``, and every config built on it round-trips
-through JSON and is frozen."""
+module takes it from ``ingest``, and every config built on it types each
+field by its annotation, round-trips through JSON and is frozen."""
 
 import ast
 import copy
 import dataclasses
 import json
+import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from test_ingest import ALL_CONFIGS, REQUIRED
-
 from sensoraudit.ablation import AblationSpec
+from sensoraudit.cli import ConfigFile
+from sensoraudit.config import JsonConfig, check_type
 from sensoraudit.errors import InvalidSpecError
 from sensoraudit.features import FeatureConfig
 from sensoraudit.ingest import SegmentationConfig
@@ -87,6 +89,17 @@ def test_no_config_name_is_taken_from_ingest():
 @pytest.mark.parametrize("name", ["oracle.py", "ablation.py"])
 def test_oracle_and_ablation_do_not_import_ingest(name):
     assert imports_from(tree(PACKAGE / name), "ingest") == set()
+
+
+def json_configs(cls=JsonConfig):
+    """Every subclass of ``cls``, depth first."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from json_configs(sub)
+
+
+ALL_CONFIGS = sorted(json_configs(), key=lambda c: c.__name__)
+REQUIRED = {SyntheticSpec: {"class_names": ["a"], "channel_count": 1}}
 
 
 CONFIGS = [
@@ -185,3 +198,57 @@ class TestFrozenConfigs:
         with pytest.raises(TypeError):
             spec.channels[0].classes["x"] = ChannelProfile()
         assert list(spec.channels[0].classes) == ["b"]
+
+
+class TestTypeRule:
+    def test_every_config_is_found(self):
+        assert {c.__name__ for c in ALL_CONFIGS} >= {
+            "AblationSpec", "ChannelProfile", "ChannelSpec", "ConfigFile", "FeatureConfig",
+            "OracleConfig", "SegmentationConfig", "SyntheticSpec", "Thresholds",
+        }
+        assert ConfigFile in ALL_CONFIGS
+
+    @pytest.mark.parametrize("cls", ALL_CONFIGS, ids=lambda c: c.__name__)
+    def test_every_field_is_typed_by_its_annotation(self, cls):
+        base = cls.from_json_dict(REQUIRED.get(cls, {}))  # the defaults pass the rule
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            key = f.metadata.get("json", f.name)
+            bad = 1 if hints[f.name] is str else "x"
+            with pytest.raises(InvalidSpecError, match=f"^{key} must be"):
+                cls.from_json_dict(base.to_json_dict() | {key: bad})
+            with pytest.raises(InvalidSpecError, match=f"^{key} must be"):
+                dataclasses.replace(base, **{f.name: bad})
+
+    @pytest.mark.parametrize(
+        "t, value, ok",
+        [
+            (int, 3, True),
+            (int, True, False),
+            (int, 3.0, False),
+            (float, 1, True),
+            (float, np.float64(0.5), True),
+            (float, float("inf"), False),
+            (float, 10**400, False),
+            (float, False, False),
+            (bool, 1, False),
+            (list[str], ("a", "b"), True),
+            (list[str], "ab", False),
+            (tuple[int, ...], [1, 2], True),
+            (dict[str, int], {"a": 1}, True),
+            (dict[str, int], {1: 1}, False),
+            (list[str] | None, None, True),
+            (ChannelProfile, ChannelProfile(), True),
+            (ChannelProfile, {}, False),
+        ],
+    )
+    def test_check_type(self, t, value, ok):
+        if ok:
+            check_type("field", t, value)
+        else:
+            with pytest.raises(InvalidSpecError, match="^field must be"):
+                check_type("field", t, value)
+
+    def test_json_ints_stay_ints_in_float_fields(self):
+        payload = OracleConfig.from_json_dict({"learning_rate": 1}).to_json_dict()
+        assert type(payload["learning_rate"]) is int

@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import json
 import math
-import typing
 from itertools import compress
 from unittest import mock
 
@@ -28,8 +27,6 @@ from sensoraudit.errors import (
     TrimExceedsLengthError,
     UnknownClassLabelError,
 )
-from sensoraudit.cli import ConfigFile
-from sensoraudit.config import JsonConfig, check_type
 from sensoraudit.ingest import (
     Recording,
     RecordingSet,
@@ -44,7 +41,7 @@ from sensoraudit.features import FeatureConfig, build_class_matrices
 from sensoraudit.oracle import OracleConfig, OracleResult
 from sensoraudit.reports import write_dataset
 from sensoraudit.separability import pairwise_audit
-from sensoraudit.synthetic import ChannelProfile, SyntheticSpec, generate_recordings
+from sensoraudit.synthetic import generate_recordings
 
 
 def rec(t, label="a", trial="t0", channels=2, session="s0", participant="p0"):
@@ -451,14 +448,16 @@ def same(got, want):
     return got == want
 
 
-def one_trial_dataset(root, body: bytes, channels=2):
-    """A dataset whose one trial file is the header plus ``body``."""
+def one_trial_dataset(root, body: bytes, channels=2, header=None):
+    """A dataset whose one trial file is ``header`` (by default t, ch1, ...)
+    plus ``body``."""
     (root / "dataset.json").write_text(
         json.dumps({"sampling_rate_hz": 100.0, "class_names": ["a"], "channel_count": channels})
     )
     path = root / "p0" / "s0" / "a_t0.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
-    header = ",".join(["t", *(f"ch{c + 1}" for c in range(channels))])
+    if header is None:
+        header = ",".join(["t", *(f"ch{c + 1}" for c in range(channels))])
     path.write_bytes(header.encode() + b"\n" + body)
     return path
 
@@ -540,6 +539,13 @@ class TestParseRule:
     )
     def test_awkward_files(self, tmp_path, body):
         path = one_trial_dataset(tmp_path, body)
+        assert same(loaded(tmp_path), line_parse(path, 2))
+
+    def test_header_whose_quote_never_closes(self, tmp_path):
+        # csv reads the rest of the file into the header's last field
+        path = one_trial_dataset(tmp_path, b"0,0.0,0.0\n" * 300, header='t,ch1,"ch2')
+        with pytest.raises(MalformedRowError, match=r"a_t0\.csv:1: no data rows"):
+            load_dataset(tmp_path)
         assert same(loaded(tmp_path), line_parse(path, 2))
 
     def test_header_only_file_without_channels(self, tmp_path):
@@ -624,68 +630,3 @@ class TestRecordEquality:
         assert result != dataclasses.replace(result, seed=4)
         note = CompensationNote("a", 0, 1.0, (1, 2), (0.1, 0.2), "compensated")
         assert note == dataclasses.replace(note)
-
-
-def json_configs(cls=JsonConfig):
-    """Every subclass of ``cls``, depth first."""
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from json_configs(sub)
-
-
-ALL_CONFIGS = sorted(json_configs(), key=lambda c: c.__name__)
-REQUIRED = {SyntheticSpec: {"class_names": ["a"], "channel_count": 1}}
-
-
-class TestTypeRule:
-    def test_every_config_is_found(self):
-        assert {c.__name__ for c in ALL_CONFIGS} >= {
-            "AblationSpec", "ChannelProfile", "ChannelSpec", "ConfigFile", "FeatureConfig",
-            "OracleConfig", "SegmentationConfig", "SyntheticSpec", "Thresholds",
-        }
-        assert ConfigFile in ALL_CONFIGS
-
-    @pytest.mark.parametrize("cls", ALL_CONFIGS, ids=lambda c: c.__name__)
-    def test_every_field_is_typed_by_its_annotation(self, cls):
-        base = cls.from_json_dict(REQUIRED.get(cls, {}))  # the defaults pass the rule
-        hints = typing.get_type_hints(cls)
-        for f in dataclasses.fields(cls):
-            key = f.metadata.get("json", f.name)
-            bad = 1 if hints[f.name] is str else "x"
-            with pytest.raises(InvalidSpecError, match=f"^{key} must be"):
-                cls.from_json_dict(base.to_json_dict() | {key: bad})
-            with pytest.raises(InvalidSpecError, match=f"^{key} must be"):
-                dataclasses.replace(base, **{f.name: bad})
-
-    @pytest.mark.parametrize(
-        "t, value, ok",
-        [
-            (int, 3, True),
-            (int, True, False),
-            (int, 3.0, False),
-            (float, 1, True),
-            (float, np.float64(0.5), True),
-            (float, float("inf"), False),
-            (float, 10**400, False),
-            (float, False, False),
-            (bool, 1, False),
-            (list[str], ("a", "b"), True),
-            (list[str], "ab", False),
-            (tuple[int, ...], [1, 2], True),
-            (dict[str, int], {"a": 1}, True),
-            (dict[str, int], {1: 1}, False),
-            (list[str] | None, None, True),
-            (ChannelProfile, ChannelProfile(), True),
-            (ChannelProfile, {}, False),
-        ],
-    )
-    def test_check_type(self, t, value, ok):
-        if ok:
-            check_type("field", t, value)
-        else:
-            with pytest.raises(InvalidSpecError, match="^field must be"):
-                check_type("field", t, value)
-
-    def test_json_ints_stay_ints_in_float_fields(self):
-        payload = OracleConfig.from_json_dict({"learning_rate": 1}).to_json_dict()
-        assert type(payload["learning_rate"]) is int
