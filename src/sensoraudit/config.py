@@ -178,13 +178,14 @@ class JsonConfig:
     @classmethod
     def from_json_file(cls, path: str | Path):
         """The config in the JSON file ``path``; a path that is not a file
-        raises ``MissingFileError``, invalid JSON ``InvalidSpecError``."""
+        raises ``MissingFileError``; invalid JSON, or a file that is not
+        UTF-8 text, ``InvalidSpecError``."""
         path = Path(path)
         if not path.is_file():
             raise MissingFileError(f"{cls.__name__} not found: {path}")
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
             raise InvalidSpecError(f"{path}: invalid JSON ({exc})") from exc
         return cls.from_json_dict(payload)
 

@@ -20,16 +20,18 @@ The manifest carries ``sampling_rate_hz``, ``class_names`` and
 file names, so each must be a safe file-name token (``is_safe_label``),
 and none may be listed twice. Amplitudes are
 decimal text; any non-numeric or non-finite cell, or one with Python's
-digit separator ``_``, rejects the file with its line number. Each file is parsed whole by ``np.loadtxt``; the line
-parser reruns on any file that parse cannot decide (``_parse_trial_csv``).
-Either way a recording's samples are a C-contiguous ``(C, T)`` array that
-owns its memory.
+digit separator ``_``, rejects the file with its line number; ``t`` is
+read by neither parser and may hold any text. Each file is read once, its
+text parsed whole by ``np.loadtxt``, and the line parser reruns on it
+whenever that parse cannot decide (``_parse_trial_csv``). Either way a
+recording's samples are a C-contiguous ``(C, T)`` array that owns its memory.
 
 ``SegmentationConfig`` is the one config defined here; like every
 config it is a ``config.JsonConfig``.
 """
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -240,7 +242,7 @@ def load_dataset(root_path: str | Path) -> RecordingSet:
         raise MissingFileError(f"manifest not found: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
         raise DataFormatError(f"{manifest_path}: invalid JSON ({exc})") from exc
     if not isinstance(manifest, dict):
         raise DataFormatError(f"{manifest_path}: must be a JSON object")
@@ -298,78 +300,73 @@ def _load_trial_csv(
 
 def _parse_trial_csv(path: Path, channel_count: int) -> np.ndarray:
     """The ``(C, T)`` samples of one trial file, a C-contiguous array that
-    owns its memory, parsed as a whole by ``np.loadtxt``. Whenever that
-    parse fails, or could accept what the line parser refuses (as after a
-    header whose quotes carry it past the first line), the line parser
-    reruns and gives the samples or the error, so the fast path never
-    decides either."""
+    owns its memory. The file is read and decoded once, and its text parsed
+    whole by ``np.loadtxt`` over columns 1..C. The line parser reruns on the
+    text whenever that parse fails or could accept what the line parser
+    refuses: a header whose quotes carry it past the first line, a line of
+    other than C + 1 fields (counted by commas), or a body holding a quote,
+    NUL (``csv`` refuses it before Python 3.11) or a byte 0x1C-0x1F (numpy
+    strips it, ``float()`` does not). So the fast path never decides either."""
+    if not path.is_file():  # a directory, or a symlink to nothing
+        raise MissingFileError(f"trial file not found: {path}")
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRowError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    lines = text.split("\n")  # numpy refuses a line holding a lone \r, csv a header
+    try:
+        reader = csv.reader(lines)
+        header = next(reader, [])
         if (
             reader.line_num == 1
             and len(header) == channel_count + 1
-            and not _has_numpy_only_space(path)
+            and all(text.find(c, len(lines[0])) < 0 for c in '"\0\x1c\x1d\x1e\x1f')
         ):
             with warnings.catch_warnings():  # a header-only file has no rows
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 values = np.loadtxt(
-                    path, delimiter=",", skiprows=1, ndmin=2, comments=None, encoding="utf-8"
+                    lines[1:], delimiter=",", usecols=range(1, channel_count + 1), ndmin=2, comments=None
                 )
-            if values.shape[0] and values.shape[1] == channel_count + 1:
-                samples = np.ascontiguousarray(values[:, 1:].T)  # rows are timestamps
+            if values.shape[0] and text.count(",") == channel_count * (values.shape[0] + 1):
+                samples = np.ascontiguousarray(values.T)  # rows are timestamps
                 if np.isfinite(samples).all():
                     return samples
-    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+    except (ValueError, csv.Error):
         pass
-    return _parse_csv_lines(path, channel_count)
+    return _parse_csv_lines(path, text, channel_count)
 
 
-def _has_numpy_only_space(path: Path) -> bool:
-    """True when the file holds a byte 0x1C-0x1F: cell padding that numpy's
-    float parser strips and Python's ``float()`` refuses."""
-    with path.open("rb") as fh:
-        while chunk := fh.read(1 << 16):
-            if any(b in chunk for b in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
-                return True
-    return False
-
-
-def _parse_csv_lines(path: Path, channel_count: int) -> np.ndarray:
-    """The ``(C, T)`` samples of one trial file, read row by row: the
-    reference parser, and the one that names the file and line of every
-    error. Blank lines are skipped; the ``t`` column is not read."""
+def _parse_csv_lines(path: Path, text: str, channel_count: int) -> np.ndarray:
+    """The ``(C, T)`` samples of the trial file ``path`` from its ``text``,
+    read row by row: the reference parser, and the one that names the file
+    and line of every error. Blank lines are skipped; ``t`` is not read."""
     rows: list[list[float]] = []
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise MalformedRowError(f"{path}:1: empty file") from None
-            if len(header) != channel_count + 1:
-                raise InconsistentChannelCountError(
-                    f"{path}: header has {len(header) - 1} channels, expected {channel_count}"
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedRowError(f"{path}:1: empty file") from None
+        if len(header) != channel_count + 1:
+            raise InconsistentChannelCountError(
+                f"{path}: header has {len(header) - 1} channels, expected {channel_count}"
+            )
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != channel_count + 1:
+                raise MalformedRowError(
+                    f"{path}:{lineno}: {len(row)} fields, expected {channel_count + 1}"
                 )
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != channel_count + 1:
-                    raise MalformedRowError(
-                        f"{path}:{lineno}: {len(row)} fields, expected {channel_count + 1}"
-                    )
-                try:
-                    if any("_" in cell for cell in row[1:]):  # float() reads 1_5 as 15.0 (PEP 515)
-                        raise ValueError
-                    values = [float(cell) for cell in row[1:]]
-                except ValueError:
-                    raise MalformedRowError(f"{path}:{lineno}: non-numeric amplitude") from None
-                if not all(math.isfinite(v) for v in values):
-                    raise MalformedRowError(f"{path}:{lineno}: non-finite amplitude")
-                rows.append(values)
-    except UnicodeDecodeError as exc:
-        raise MalformedRowError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            try:
+                if any("_" in cell for cell in row[1:]):  # float() reads 1_5 as 15.0 (PEP 515)
+                    raise ValueError
+                values = [float(cell) for cell in row[1:]]
+            except ValueError:
+                raise MalformedRowError(f"{path}:{lineno}: non-numeric amplitude") from None
+            if not all(math.isfinite(v) for v in values):
+                raise MalformedRowError(f"{path}:{lineno}: non-finite amplitude")
+            rows.append(values)
     except csv.Error as exc:
         raise MalformedRowError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:

@@ -175,6 +175,51 @@ class TestSynthAndIngestCheck:
         assert code == EXIT_MISSING_FILE
         assert "missing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ingest-check", "full"])
+    @pytest.mark.parametrize("entry", ["directory", "dangling-symlink"])
+    def test_trial_entry_that_is_not_a_file_is_missing_file(self, tmp_path, capsys, command, entry):
+        spec = write_spec(tmp_path / "spec.json")
+        ds = tmp_path / "ds"
+        assert main(["synth", "--synthetic", str(spec), "--out", str(ds)]) == 0
+        victim = sorted(ds.rglob("*.csv"))[0]
+        victim.unlink()
+        if entry == "directory":
+            victim.mkdir()
+        else:
+            victim.symlink_to(tmp_path / "missing.csv")
+        argv = [command, "--data", str(ds)]
+        if command == "full":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_MISSING_FILE
+        assert f"trial file not found: {victim}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # JSON inputs that are not UTF-8 text or not JSON: (file, bytes, exit code)
+    @pytest.mark.parametrize(
+        "where, text, code",
+        [
+            ("manifest", b'{"channel_count": 3\xff}', EXIT_BAD_DATA),
+            ("manifest", b'{"channel_count": 3', EXIT_BAD_DATA),
+            ("config", b'{"oracle": {"epochs": 30}}\xff', EXIT_CONFIG),
+            ("config", b'{"oracle": ', EXIT_CONFIG),
+            ("spec", b"\xff{}", EXIT_CONFIG),
+        ],
+        ids=["manifest-not-utf8", "manifest-not-json", "config-not-utf8", "config-not-json", "spec-not-utf8"],
+    )
+    def test_json_input_that_is_not_utf8_json_is_a_typed_error(self, tmp_path, capsys, where, text, code):
+        spec = write_spec(tmp_path / "spec.json")
+        ds = tmp_path / "ds"
+        assert main(["synth", "--synthetic", str(spec), "--out", str(ds)]) == 0
+        victim = {"manifest": ds / "dataset.json", "config": tmp_path / "audit.json", "spec": spec}[where]
+        victim.write_bytes(text)
+        source = ["--synthetic", str(spec)] if where == "spec" else ["--data", str(ds)]
+        argv = ["full", *source, "--config", str(tmp_path / "audit.json"), "--out", str(tmp_path / "out")]
+        if where != "config":
+            (tmp_path / "audit.json").write_text("{}")
+        assert main(argv) == code
+        assert f"{victim}: invalid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 def with_profile(spec, **changes):
     """The spec with ``changes`` made to channel 0's alpha profile."""

@@ -2,7 +2,11 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from itertools import compress
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -427,7 +431,11 @@ class TestLoadDataset:
 def line_parse(path, channel_count):
     """The reference line parser's samples or error, as one comparable value."""
     try:
-        return ingest._parse_csv_lines(path, channel_count)
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return MalformedRowError, f"{path}: not UTF-8 text ({exc.reason})"
+    try:
+        return ingest._parse_csv_lines(path, text, channel_count)
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -535,6 +543,9 @@ class TestParseRule:
             b"0,1,2\x1f\n",
             b"0,1,nan\n",
             b"x,1,2\n",
+            b'"0,1,2\n1,3,4\n',  # csv reads the rest of the file into t
+            b"\0,1,2\n",  # csv refuses NUL before Python 3.11
+            b"0,1,2\n1,3,4,5\n",  # numpy reads columns 1..C and would drop the 5
         ],
     )
     def test_awkward_files(self, tmp_path, body):
@@ -548,6 +559,41 @@ class TestParseRule:
             load_dataset(tmp_path)
         assert same(loaded(tmp_path), line_parse(path, 2))
 
+    def test_header_name_holding_a_quoted_comma(self, tmp_path):
+        path = one_trial_dataset(tmp_path, b"0,1,2\n1,3,4\n", header='t,"ch,1",ch2')
+        assert same(loaded(tmp_path), line_parse(path, 2))
+
+    def test_iso_timestamps_stay_on_the_whole_file_parse(self, tmp_path):
+        body = b"2024-05-01T12:00:00.000Z,1.5,-2\n2024-05-01T12:00:00.001Z,3,4e-3\n"
+        path = one_trial_dataset(tmp_path, body)
+        with mock.patch.object(ingest, "_parse_csv_lines", wraps=ingest._parse_csv_lines) as lines:
+            samples = loaded(tmp_path)
+        assert lines.call_count == 0
+        assert same(samples, line_parse(path, 2))
+
+    def test_each_trial_file_is_read_once(self, tmp_path):
+        # one file for the whole-file parse, one for the line parser; every
+        # open of a file, by Python or numpy, raises an "open" audit event
+        one_trial_dataset(tmp_path, b"0,1,2\n")
+        (tmp_path / "p0" / "s0" / "a_t1.csv").write_bytes(b't,ch1,ch2\n0,"1",2\n')
+        code = (
+            "import collections, os, sys\n"
+            "from sensoraudit import ingest\n"
+            "opens = collections.Counter()\n"
+            "def hook(event, args):\n"
+            "    if event == 'open' and str(args[0]).endswith('.csv'):\n"
+            "        opens[os.path.basename(args[0])] += 1\n"
+            "sys.addaudithook(hook)\n"
+            "lines = ingest._parse_csv_lines\n"
+            "called = []\n"
+            "ingest._parse_csv_lines = lambda path, *a: called.append(path.name) or lines(path, *a)\n"
+            f"ingest.load_dataset({str(tmp_path)!r})\n"
+            "print(sorted(opens.items()), called)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(ingest.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.stdout == "[('a_t0.csv', 1), ('a_t1.csv', 1)] ['a_t1.csv']\n", proc.stderr
+
     def test_header_only_file_without_channels(self, tmp_path):
         # a t-only header matches channel_count 0, and so does loadtxt's empty result
         path = one_trial_dataset(tmp_path, b"", channels=0)
@@ -555,7 +601,7 @@ class TestParseRule:
 
     @pytest.mark.parametrize("body", [b"0,1.5,-2\n1,3,4e-3\n2,5,6\n", b"x,1.5,-2\ny,3,4e-3\n"])
     def test_samples_own_c_contiguous_memory(self, tmp_path, body):
-        # the second file's t column sends it to the line parser
+        # the second file's t column is read by neither parser
         one_trial_dataset(tmp_path, body)
         samples = loaded(tmp_path)
         assert samples.flags.c_contiguous and samples.base is None
@@ -591,6 +637,11 @@ class TestParseRule:
     def test_long_numeric_field_is_read_whole(self, tmp_path):
         one_trial_dataset(tmp_path, b"0,1,2\n1,0." + b"0" * 200_000 + b"25,2\n")
         assert load_dataset(tmp_path).recordings[0].samples.tolist() == [[1.0, 0.0], [2.0, 2.0]]
+
+    def test_long_t_field_is_read_whole(self, tmp_path):
+        # t is read by neither parser, so its length is not checked either
+        one_trial_dataset(tmp_path, b"0,1,2\n" + b"x" * 200_000 + b",0.25,2\n")
+        assert load_dataset(tmp_path).recordings[0].samples.tolist() == [[1.0, 0.25], [2.0, 2.0]]
 
 
 class TestRecordEquality:
