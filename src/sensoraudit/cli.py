@@ -44,12 +44,13 @@ from .ablation import (
 from .config import JsonConfig
 from .errors import EXIT_INTERNAL, AuditError, ConfigError, InvalidSpecError, TooFewRowsError
 from .features import FeatureConfig, build_class_matrices, column_labels, zero_window_features
-from .ingest import REST_CLASS, SegmentationConfig, Windows, load_dataset, segment
+from .ingest import REST_CLASS, SegmentationConfig, Windows, load_dataset, segment, trim
 from .oracle import OracleConfig, run_oracle_audit
 from .reports import (
     ARTIFACTS,
     ablation_payload,
     artifact_names,
+    channel_name,
     complexity_payload,
     ensure_dataset_writable,
     ensure_writable,
@@ -306,13 +307,25 @@ def cmd_synth(cfg_args: argparse.Namespace) -> int:
 def cmd_ingest_check(cfg_args: argparse.Namespace) -> int:
     with _Stage("ingest"):
         rset = load_dataset(Path(cfg_args.data))
-        counts = Counter(segment(rset, _config_file(cfg_args.config).segmentation).labels)
+        seg = _config_file(cfg_args.config).segmentation
+        counts = Counter(segment(rset, seg).labels)
         print(
             f"ok: {len(rset.recordings)} recordings, "
             f"{rset.channel_count} channels at {rset.sampling_rate_hz:g} Hz"
         )
         for label in rset.class_names:
             print(f"  {label}: {counts[label]} windows")
+        # report only: a channel whose trimmed samples are all equal carries no signal
+        for rec in rset.recordings:
+            x = trim(rec, seg, rset.sampling_rate_hz).samples
+            if x.shape[1] < 2:
+                continue
+            for c, row in enumerate(x):
+                if row.min() == row.max():
+                    print(
+                        f"flat: {channel_name(c)} in {rec.class_label} trial {rec.provenance()} "
+                        f"({len(row)} trimmed samples, all {float(row[0])!r})"
+                    )
     return 0
 
 

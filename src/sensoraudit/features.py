@@ -316,12 +316,13 @@ def rms(signal: np.ndarray):
 def slope_sign_changes(signal: np.ndarray, threshold: float = 0.0):
     """Interior points where both neighbour slopes oppose beyond threshold."""
     x = np.asarray(signal, dtype=float)
-    left, e_left = np.frexp(x[..., 1:-1] - x[..., :-2])
-    right, e_right = np.frexp(x[..., 1:-1] - x[..., 2:])
-    # left * right > threshold, as mantissas against the exponent-scaled threshold
+    m, e = np.frexp(np.diff(x, axis=-1))
+    # point i's slopes are d[i-1] and -d[i] (negation is exact), so their
+    # product beats threshold when m[i-1] * m[i] is below the negated,
+    # exponent-scaled threshold
     with np.errstate(over="ignore"):
-        limit = np.ldexp(threshold, -(e_left + e_right))
-    return _scalar_or_rows(np.count_nonzero(left * right > limit, axis=-1), int)
+        limit = np.ldexp(-threshold, -(e[..., :-1] + e[..., 1:]))
+    return _scalar_or_rows(np.count_nonzero(m[..., :-1] * m[..., 1:] < limit, axis=-1), int)
 
 
 def median_frequency(signal: np.ndarray, fs: float):

@@ -182,42 +182,31 @@ def write_complexity(
 # -- ablation (stage 2) ------------------------------------------------------
 
 def _advice(report: AblationReport) -> dict:
-    crit = report.criticality_threshold
-    critical_for: dict[int, list[str]] = {}
-    for ci, label in enumerate(report.classes):
-        for sensor in range(report.channel_count):
-            if report.normalized_criticality[ci, sensor] >= crit:
-                critical_for.setdefault(sensor, []).append(label)
+    # report.compensation holds one note per (class, sensor) at or above the
+    # criticality threshold; sorting by sensor is stable, so classes keep report order
+    critical: dict[int, list[str]] = {}
+    uncompensated: dict[int, list[str]] = {}
+    for n in sorted(report.compensation, key=lambda n: n.sensor):
+        critical.setdefault(n.sensor, []).append(n.class_label)
+        if n.verdict == "uncompensated":
+            uncompensated.setdefault(n.sensor, []).append(n.class_label)
     always_redundant = [
         sensor
         for sensor in range(report.channel_count)
         if all(sensor in report.redundancy_notes[label] for label in report.classes)
     ]
-    uncompensated = sorted(
-        {n.sensor for n in report.compensation if n.verdict == "uncompensated"}
-    )
     return {
         "reinforce_critical_components": {
-            "sensors": sorted(critical_for),
-            "detail": {
-                channel_name(s): classes for s, classes in sorted(critical_for.items())
-            },
+            "sensors": list(critical),
+            "detail": {channel_name(s): classes for s, classes in critical.items()},
             "note": (
                 "These positions drive at least one class; give them robust "
                 "mounting and monitor their signal integrity."
             ),
         },
         "implement_graceful_degradation": {
-            "sensors": uncompensated,
-            "detail": {
-                channel_name(n.sensor): {
-                    "class": n.class_label,
-                    "neighbours": [channel_name(x) for x in n.neighbours],
-                    "neighbour_criticality": list(n.neighbour_criticality),
-                }
-                for n in report.compensation
-                if n.verdict == "uncompensated"
-            },
+            "sensors": list(uncompensated),
+            "detail": {channel_name(s): classes for s, classes in uncompensated.items()},
             "note": (
                 "Ring neighbours cannot stand in for these sensors; on failure, "
                 "flag the affected classes as unreliable instead of failing whole."

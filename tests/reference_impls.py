@@ -1,11 +1,14 @@
 """Naive reference implementations used as independent oracles.
 
 Plain-Python loops, written without reusing any library helpers, so a
-bug in the vectorized code cannot hide in its own mirror. Three
+bug in the vectorized code cannot hide in its own mirror. Four
 exceptions. ``candidate_sampen_counts`` is the vectorised candidate-pair
 sample entropy counter that the bit-parallel one replaced; it is fast
-enough to check windows too long for the naive loops. The other two are
-at the end. The per-cell ablation reference zero-fills
+enough to check windows too long for the naive loops.
+``two_slope_sign_changes`` is the slope sign change count that takes
+each point's two slopes by their own subtractions and ``frexp`` calls,
+the formula the one-difference count replaced. The other two are at the
+end. The per-cell ablation reference zero-fills
 windows and scores one ablated matrix per (class, subset), the path the
 closed-form ablation audit replaces. The per-epoch oracle trainer draws
 one permutation per pair per epoch, the draws ``train_stack`` makes a
@@ -189,6 +192,18 @@ def candidate_sampen_counts(rows, r, m):
         last = coords[m]
         a += np.diff(np.searchsorted(i[np.abs(last[i] - last[j]) <= r_ij], row_starts))
     return a, b
+
+
+def two_slope_sign_changes(x, threshold=0.0):
+    """Slope sign changes of each row of ``x`` from each interior point's
+    left and right slopes, ``x[i] - x[i-1]`` and ``x[i] - x[i+1]``: their
+    product, as mantissas against the threshold scaled by both exponents,
+    exceeds ``threshold``."""
+    left, e_left = np.frexp(x[..., 1:-1] - x[..., :-2])
+    right, e_right = np.frexp(x[..., 1:-1] - x[..., 2:])
+    with np.errstate(over="ignore"):
+        limit = np.ldexp(threshold, -(e_left + e_right))
+    return np.count_nonzero(left * right > limit, axis=-1)
 
 
 def naive_katz(xs):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from run_synthetic_audit import DEMO_SPEC
 
 import sensoraudit
 from sensoraudit import cli, reports
@@ -174,6 +175,54 @@ class TestSynthAndIngestCheck:
         code = main(["ingest-check", "--data", str(tmp_path / "missing")])
         assert code == EXIT_MISSING_FILE
         assert "missing" in capsys.readouterr().err
+
+    # ch6 (channel index 5) set to 0.0 in the first `trials` grip trials of
+    # the demo spec, from data row `first_row` on; the head trim drops row 0
+    @pytest.mark.parametrize(
+        "trials, first_row",
+        [(4, 0), (2, 0), (4, 1)],
+        ids=["every-grip-trial", "two-grip-trials", "flat-after-trim-only"],
+    )
+    def test_ingest_check_lists_channels_flat_after_trim(self, tmp_path, capsys, trials, first_row):
+        spec = tmp_path / "demo.json"
+        spec.write_text(json.dumps(DEMO_SPEC))
+        ds = tmp_path / "ds"
+        assert main(["synth", "--synthetic", str(spec), "--out", str(ds), "--seed", "3"]) == 0
+        capsys.readouterr()
+        assert main(["ingest-check", "--data", str(ds)]) == 0
+        clean = capsys.readouterr().out
+        assert "flat" not in clean
+        zeroed = sorted(ds.glob("*/*/grip_*.csv"))[:trials]
+        for path in zeroed:
+            lines = path.read_text().splitlines()
+            for i in range(1 + first_row, len(lines)):
+                cells = lines[i].split(",")
+                cells[6] = "0.0"  # column 0 is t
+                lines[i] = ",".join(cells)
+            path.write_text("\n".join(lines) + "\n")
+        assert main(["ingest-check", "--data", str(ds)]) == 0
+        printed = capsys.readouterr().out
+        listed = [line for line in printed.splitlines() if line.startswith("flat:")]
+        # 200 Hz, 600 ms trimmed from each end
+        length = len(lines) - 1 - 2 * 120
+        assert listed == [
+            f"flat: ch6 in grip trial synthetic/s00/{path.stem.split('_')[1]} "
+            f"({length} trimmed samples, all 0.0)"
+            for path in zeroed
+        ]
+        assert printed.replace("".join(f"{line}\n" for line in listed), "") == clean
+
+    def test_ingest_check_lists_no_channel_of_one_trimmed_sample(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json")
+        ds = tmp_path / "ds"
+        assert main(["synth", "--synthetic", str(spec), "--out", str(ds)]) == 0
+        rows = len(sorted(ds.glob("*/*/*.csv"))[0].read_text().splitlines()) - 1
+        cfg = tmp_path / "audit.json"  # 200 Hz: 5 ms a sample
+        cfg.write_text(json.dumps({"segmentation": {"trim_head_ms": 5.0 * (rows - 1), "trim_tail_ms": 0.0}}))
+        capsys.readouterr()
+        assert main(["ingest-check", "--data", str(ds), "--config", str(cfg)]) == 0
+        printed = capsys.readouterr().out
+        assert "alpha: 0 windows" in printed and "flat" not in printed
 
     @pytest.mark.parametrize("command", ["ingest-check", "full"])
     @pytest.mark.parametrize("entry", ["directory", "dangling-symlink"])
@@ -625,7 +674,7 @@ class TestAblate:
             assert note["neighbours"] == note["neighbour_criticality"] == []
         degradation = payload["advice"]["implement_graceful_degradation"]
         assert degradation["sensors"] == [0]
-        assert degradation["detail"]["ch1"]["neighbours"] == []
+        assert degradation["detail"] == {"ch1": ["alpha", "beta", "gamma"]}
 
     @pytest.mark.parametrize("command", ["ablate", "full"])
     def test_zero_window_constants_computed_once(self, tmp_path, monkeypatch, command):

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import feature_row, windows_from
-from reference_impls import candidate_sampen_counts, materialize, naive_katz, naive_sample_entropy
+from reference_impls import (
+    candidate_sampen_counts,
+    materialize,
+    naive_katz,
+    naive_sample_entropy,
+    two_slope_sign_changes,
+)
 
 from sensoraudit import features, sampen
 from sensoraudit.errors import (
@@ -384,6 +390,27 @@ class TestSlopeSignChanges:
 
     def test_constant(self):
         assert slope_sign_changes(np.full(10, 1.0)) == 0
+
+    def test_one_difference_keeps_the_two_subtraction_counts(self):
+        # 3,000 arrays of 5 rows from across float64's range; no difference
+        # overflows, as a sample at 1e308 only meets ones far below it
+        rng = np.random.default_rng(31)
+        kinds = (
+            lambda n: rng.standard_normal(n),
+            lambda n: np.round(rng.standard_normal(n) * 4),
+            lambda n: rng.standard_normal(n) * 1e-160,
+            lambda n: rng.standard_normal(n) * 1e154,
+            lambda n: rng.choice([-1e-300, 1e-300], n) * (1.0 + rng.integers(-4, 5, n) * 2.0**-52),
+            lambda n: np.where(
+                rng.random(n) < 0.3, rng.choice([5e-324, -5e-324, 1e308], n), rng.standard_normal(n)
+            ),
+        )
+        for _ in range(3000):
+            n = int(rng.integers(0, 40))
+            x = np.stack([kinds[k](n) for k in rng.integers(0, len(kinds), 5)])
+            for threshold in (0.0, 5e-324, 1e-3, 0.5, 1e300):
+                counts = slope_sign_changes(x, threshold)
+                assert np.array_equal(counts, two_slope_sign_changes(x, threshold))
 
 
 class TestMedianFrequency:

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import ablate, windows_from
 from kendall import kendall_tau
+from test_ablation import report_from_normalized
 
-from sensoraudit.ablation import AblationSpec
+from sensoraudit.ablation import AblationSpec, neighbour_compensation
 from sensoraudit.errors import InvalidSpecError
 from sensoraudit.features import FeatureConfig
 from sensoraudit.reports import (
@@ -98,6 +99,65 @@ class TestAblationCsv:
         with (tmp_path / "ablation.csv").open(newline="") as fh:
             cells = [row["raw_shift"] for row in csv.DictReader(fh)]
         assert [float(c) for c in cells] == report.raw_shift.ravel().tolist()
+
+
+def advice_of(normalized, classes):
+    report = report_from_normalized(normalized, classes)
+    report.compensation = neighbour_compensation(report)
+    report.redundancy_notes = {
+        label: tuple(np.flatnonzero(row < report.redundancy_threshold).tolist())
+        for label, row in zip(classes, report.normalized_criticality)
+    }
+    return report, ablation_payload(report, {})["advice"]
+
+
+# normalized criticalities on both sides of the 0.3 and 0.8 thresholds
+_scores = st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.79, 0.8, 0.9, 1.0])
+
+
+class TestAdvice:
+    def test_sensor_uncompensated_for_two_classes_lists_both(self):
+        # ch2 is critical for a and c with both ring neighbours low, for b
+        # with ch3 carrying it
+        _, advice = advice_of(
+            [[0.0, 1.0, 0.1, 0.0], [0.0, 0.9, 0.5, 1.0], [0.2, 1.0, 0.0, 0.0]], ("a", "b", "c")
+        )
+        degradation = advice["implement_graceful_degradation"]
+        assert degradation["sensors"] == [1]
+        assert degradation["detail"] == {"ch2": ["a", "c"]}
+        reinforce = advice["reinforce_critical_components"]
+        assert reinforce["sensors"] == [1, 3]
+        assert reinforce["detail"] == {"ch2": ["a", "b", "c"], "ch4": ["b"]}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda channels: st.lists(
+                st.lists(_scores, min_size=channels, max_size=channels),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    def test_detail_groups_the_classes_at_or_above_the_threshold(self, normalized):
+        classes = tuple(f"k{i}" for i in range(len(normalized)))
+        report, advice = advice_of(normalized, classes)
+        critical = {}
+        for sensor in range(report.channel_count):
+            for ci, label in enumerate(classes):
+                if report.normalized_criticality[ci, sensor] >= report.criticality_threshold:
+                    critical.setdefault(f"ch{sensor + 1}", []).append(label)
+        reinforce = advice["reinforce_critical_components"]
+        assert reinforce["detail"] == critical
+        assert [f"ch{s + 1}" for s in reinforce["sensors"]] == list(critical)
+        degradation = advice["implement_graceful_degradation"]
+        uncompensated = {}
+        for sensor in range(report.channel_count):
+            for n in report.compensation:
+                if n.sensor == sensor and n.verdict == "uncompensated":
+                    uncompensated.setdefault(f"ch{sensor + 1}", []).append(n.class_label)
+        assert degradation["detail"] == uncompensated
+        assert [f"ch{s + 1}" for s in degradation["sensors"]] == list(degradation["detail"])
 
 
 class TestKendallTau:
