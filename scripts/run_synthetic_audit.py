@@ -74,8 +74,8 @@ def run(out_dir: Path, seed: int) -> int:
     print("\nsensor criticality ranking (most critical first):")
     ablation = summary["ablation"]
     for rank, sensor in enumerate(ablation["ranking"], start=1):
-        mean = ablation["mean_criticality"][sensor]
-        print(f"  {rank}. ch{sensor + 1}  mean normalized criticality {mean:.3f}")
+        mean = ablation["mean_log1p_max_fdr"][sensor]
+        print(f"  {rank}. ch{sensor + 1}  class mean of log1p(max FDR) {mean:.3f}")
     advice = ablation["advice"]
     print("\nadvice:")
     print(f"  reinforce: {[f'ch{s + 1}' for s in advice['reinforce_critical_components']['sensors']]}")

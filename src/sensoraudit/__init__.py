@@ -15,7 +15,6 @@ from .features import (
     FeatureConfig,
     FeatureMatrix,
     build_class_matrices,
-    zero_window_features,
 )
 from .ingest import (
     Recording,
@@ -75,5 +74,4 @@ __all__ = [
     "separability_score",
     "standardize",
     "trim",
-    "zero_window_features",
 ]

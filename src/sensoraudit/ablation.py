@@ -1,37 +1,29 @@
 """Simulated sensor failure and per-sensor criticality ranking.
 
-A failed sensor reads zero. Every feature is computed per channel, so
-after a failure that channel's feature columns hold the feature values of
-an all-zero window (the *failed row*, one value per feature) in every row
-and the other columns are unchanged. A subset's shift is the maximum
-Fisher ratio (f1) between the class's intact feature matrix and that
-ablated matrix.
+A sensor is crucial to a class when the class's max-FDR separability
+drops as it fails: f1, the largest per-column Fisher ratio (Ho & Basu
+2002, *IEEE TPAMI* 24(3)), of the class against the pooled rest, as the
+complexity stage's one-vs-rest audit scores it.
 
-``run_ablation_audit`` reads the per-class matrices of the run's one
-feature pass and needs one ``fisher_per_dim`` call per class: the matrix
-against the single failed row tiled over every channel.
+A failed sensor reads zero in every class, so each of its feature
+columns holds the all-zero window's value (0.0, -0.0 or 1.0; see
+``features``) in every row of the class and of the rest: equal exact
+means, no variance, ratio 0. Every other column keeps its ratio. With
+``m_c`` the largest ratio among channel c's columns, losing sensors S
+costs ``f1 - max(m_c for c not in S)``, with f1 the max of every
+``m_c`` and the max over no channel 0. That is bitwise the f1 drop of
+nullifying S in every class and scoring each class against the rest
+again, read off the C values ``m_c`` with no Fisher pass of its own.
 
-* A kept column is compared with itself: its mean gap is exactly zero,
-  so its Fisher ratio is 0.0 and never raises the maximum.
-* A failed column's ratio depends only on that column of the two
-  matrices, so it is the same float whichever other sensors fail. The
-  ablated column holds one value in every row, so its mean is that value
-  and its variance 0, and one row stands for all of them: the all-zero
-  window's features are 0.0, -0.0 and 1.0, whose mean over any number of
-  rows is exact.
-
-So a sensor's shift is the max of its feature columns' ratios, and a
-subset's shift is the max of its members' shifts, bitwise equal to
-scoring each ablated matrix on its own. The subsets are every sensor
-set of size 1 .. ``combinatorial_depth``, so depth > 1 adds no
-information under f1; the larger subsets are still reported. The f2 and
-f3 shifts are not offered: against a point mass every cell reads f2 = 0
-and f3 = 1, which ranks sensors by index.
-
-Criticality is each sensor's shift divided by its class's largest (0
-when every shift of the class is 0), so it is 1 for the top sensor of a
-class with any positive shift; the global ranking orders sensors by the
-mean of those normalized scores across classes.
+* Only a class's top sensor has a nonzero singleton loss: f1 minus the
+  runner-up's ``m_c``. The subsets are every sensor set of size 1 ..
+  ``combinatorial_depth``; the worst loss over d failures is f1 minus
+  the (d+1)-th largest ``m_c``.
+* Criticality is ``m_c / f1`` (0 when f1 is 0): 1 for the top sensor,
+  near 1 for a runner-up that can replace it.
+* The global ranking orders sensors by the class mean of ``log1p(m_c)``,
+  ties by index. The log bounds a column at ``F1_CAP`` (a perfect
+  separator) to log1p(1e12) ~ 27.6.
 """
 
 import itertools
@@ -41,18 +33,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import JsonConfig
-from .errors import (
-    InvalidSpecError,
-    MismatchedColumnsError,
-    TooFewRowsError,
-    TopologyMismatchError,
-)
-from .features import FeatureMatrix
-from .separability import fisher_per_dim
+from .errors import ConfigError, InvalidSpecError, TooFewRowsError, TopologyMismatchError
+from .separability import PairwiseAudit
 
 DEFAULT_CRITICALITY_THRESHOLD = 0.8
 DEFAULT_REDUNDANCY_THRESHOLD = 0.3
-SHIFT_METRIC = "f1"  # the one shift the artifacts report
+SHIFT_METRIC = "f1"  # the separability whose loss the artifacts report
 
 
 @dataclass(frozen=True)
@@ -109,9 +95,9 @@ class AblationReport:
     classes: tuple[str, ...]
     channel_count: int
     subsets: tuple[tuple[int, ...], ...]
-    raw_shift: np.ndarray  # classes x subsets
-    normalized_criticality: np.ndarray  # classes x channels
-    mean_criticality: np.ndarray  # channels
+    raw_shift: np.ndarray  # classes x subsets: each subset's f1 loss
+    normalized_criticality: np.ndarray  # classes x channels: m_c / f1
+    mean_log1p_max_fdr: np.ndarray  # channels: class mean of log1p(m_c)
     ranking: tuple[int, ...]
     ring_topology: tuple[int, ...]
     criticality_threshold: float
@@ -160,65 +146,38 @@ def neighbour_compensation(report: AblationReport) -> tuple[CompensationNote, ..
 
 
 def run_ablation_audit(
-    matrices: dict[str, FeatureMatrix],
+    audit: PairwiseAudit,
+    channel_count: int,
     spec: AblationSpec,
-    failed_row: np.ndarray,
     criticality_threshold: float = DEFAULT_CRITICALITY_THRESHOLD,
     redundancy_threshold: float = DEFAULT_REDUNDANCY_THRESHOLD,
 ) -> AblationReport:
-    """Evaluate every (class, sensor subset) shift and rank sensors.
+    """Every (class, sensor subset) f1 loss, criticality and ranking.
 
-    ``matrices`` are the per-class feature matrices (``build_class_matrices``)
-    and ``failed_row`` the F feature values a dead sensor's columns read
-    (``zero_window_features`` at the run's window length). Every audited
-    class must share one channel-major column map of C * F columns, or
-    ``MismatchedColumnsError`` is raised.
-
-    One ``fisher_per_dim`` call per class gives every sensor's shift;
-    a subset's shift is the max of its members' (see the module
-    docstring). Output ordering is fixed (classes as configured or
+    ``audit`` is the one-vs-rest ``pairwise_audit`` of the run's per-class
+    matrices, whose columns are channel-major over ``channel_count``
+    channels. Every loss is read off its per-channel maxima (see the
+    module docstring). Output ordering is fixed (classes as configured or
     sorted, subsets as ``enumerate_subsets``).
     """
-    classes = spec.classes or tuple(sorted(matrices))
-    if not classes:
-        raise TooFewRowsError("no windows to audit")
-    first = matrices.get(classes[0])
-    columns = first.column_index if first is not None else ()
-    width = len(failed_row)
-    channel_count = len(columns) // width if width else 0
-    check_scope(spec, channel_count, matrices)
-    for label in classes:
-        n_rows = matrices[label].n_rows
-        if n_rows < 2:
-            raise TooFewRowsError(f"class {label!r} has {n_rows} windows, needs >= 2")
-
-    names = [name for _, name in columns[:width]]
-    if (
-        not channel_count
-        or columns != tuple((ch, name) for ch in range(channel_count) for name in names)
-        or any(matrices[label].column_index != columns for label in classes)
-    ):
-        raise MismatchedColumnsError(
-            f"classes {classes} do not share one channel-major column map "
-            f"of C * {width} columns for a {width}-value failed row"
-        )
+    if audit.mode != "one-vs-rest":
+        raise ConfigError(f"the ablation reads a one-vs-rest audit, got {audit.mode!r}")
+    by_class = {r.target: r.score.per_dim_fisher for r in audit.results}
+    classes = spec.classes or tuple(by_class)
+    check_scope(spec, channel_count, by_class)
     subsets = tuple(enumerate_subsets(channel_count, spec.combinatorial_depth))
     topology = spec.ring_topology if spec.ring_topology is not None else tuple(range(channel_count))
 
-    failed_values = np.tile(failed_row, channel_count)
-    sensor_shift = np.empty((len(classes), channel_count))
-    for ci, label in enumerate(classes):
-        fisher, _ = fisher_per_dim(matrices[label].values, failed_values[None])
-        sensor_shift[ci] = fisher.reshape(channel_count, -1).max(axis=1)
-    # pad each subset with its first member, which leaves its max alone
-    width = max(len(subset) for subset in subsets)
-    members = np.array([subset + subset[:1] * (width - len(subset)) for subset in subsets])
-    raw = sensor_shift[:, members].max(axis=2)
+    max_fdr = np.array([by_class[label].reshape(channel_count, -1).max(axis=1) for label in classes])
+    peak = max_fdr.max(axis=1, keepdims=True)
+    failed = np.zeros((len(subsets), channel_count), dtype=bool)
+    for k, subset in enumerate(subsets):
+        failed[k, list(subset)] = True
+    raw = peak - np.where(failed, 0.0, max_fdr[:, None, :]).max(axis=-1)
 
-    peak = sensor_shift.max(axis=1, keepdims=True)
-    normalized = np.divide(sensor_shift, peak, out=np.zeros_like(sensor_shift), where=peak > 0.0)
-    mean_crit = normalized.mean(axis=0)
-    ranking = tuple(sorted(range(channel_count), key=lambda s: (-mean_crit[s], s)))
+    normalized = np.divide(max_fdr, peak, out=np.zeros_like(max_fdr), where=peak > 0.0)
+    mean_log = np.log1p(max_fdr).mean(axis=0)
+    ranking = tuple(sorted(range(channel_count), key=lambda s: (-mean_log[s], s)))
     redundancy_notes = {
         label: tuple(np.flatnonzero(normalized[ci] < redundancy_threshold).tolist())
         for ci, label in enumerate(classes)
@@ -230,7 +189,7 @@ def run_ablation_audit(
         subsets=subsets,
         raw_shift=raw,
         normalized_criticality=normalized,
-        mean_criticality=mean_crit,
+        mean_log1p_max_fdr=mean_log,
         ranking=ranking,
         ring_topology=topology,
         criticality_threshold=criticality_threshold,

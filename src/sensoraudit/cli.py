@@ -13,15 +13,17 @@ The four audit commands share one runner (``_run``): it ingests and builds
 features once, runs the command's stages, and writes their artifacts into
 a staging directory under --out that is moved into place only when every
 writer has finished. The overwrite check runs before any feature is
-computed, on the names in ``reports.ARTIFACTS``, and so does the check
+computed, on the names in ``reports.ARTIFACTS``, and so do the check
 of the ablation config against the ingested channels and classes
-(``ablation.check_scope``).
+(``ablation.check_scope``) and the refusal of a channel that is dead in
+every recording of one audited class (``ingest.refuse_dead_channels``).
 
 Every run embeds its resolved configuration and seed in the JSON
 artifacts, and a fixed seed reproduces outputs byte for byte. --jobs is
 validated and accepted for compatibility; every stage runs in one thread,
-so it cannot change the outputs. --metric accepts only f1, the one shift
-the ablation reports, and is likewise accepted for compatibility.
+so it cannot change the outputs. --metric accepts only f1, the
+separability whose loss the ablation reports, and is likewise accepted
+for compatibility.
 """
 
 import argparse
@@ -43,14 +45,22 @@ from .ablation import (
 )
 from .config import JsonConfig
 from .errors import EXIT_INTERNAL, AuditError, ConfigError, InvalidSpecError, TooFewRowsError
-from .features import FeatureConfig, build_class_matrices, column_labels, zero_window_features
-from .ingest import REST_CLASS, SegmentationConfig, Windows, load_dataset, segment, trim
+from .features import FeatureConfig, build_class_matrices, column_labels
+from .ingest import (
+    REST_CLASS,
+    SegmentationConfig,
+    Windows,
+    channel_name,
+    flat_channels,
+    load_dataset,
+    refuse_dead_channels,
+    segment,
+)
 from .oracle import OracleConfig, run_oracle_audit
 from .reports import (
     ARTIFACTS,
     ablation_payload,
     artifact_names,
-    channel_name,
     complexity_payload,
     ensure_dataset_writable,
     ensure_writable,
@@ -66,7 +76,7 @@ from .reports import (
 from .separability import pairwise_audit
 from .synthetic import SyntheticSpec, generate_recordings
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -132,13 +142,11 @@ class _PipelineData:
     window_counts: Counter
 
 
-def _ingest(
-    cfg: ConfigFile, args: argparse.Namespace, wanted: tuple[str, ...] | None
-) -> tuple[Windows, _PipelineData, ConfigFile]:
-    """The windows of every class but rest (unless --include-rest), or of
-    those among them that ``wanted`` names, and ``cfg`` with the
-    segmentation and seed the run used: a --synthetic run segments with
-    its spec's own geometry and, without --seed, seeds with the spec's."""
+def _ingest(cfg: ConfigFile, args: argparse.Namespace) -> tuple[Windows, _PipelineData, ConfigFile]:
+    """The windows of every class but rest (unless --include-rest), and
+    ``cfg`` with the segmentation and seed the run used: a --synthetic run
+    segments with its spec's own geometry and, without --seed, seeds with
+    the spec's."""
     with _Stage("ingest"):
         if args.synthetic:
             spec = SyntheticSpec.from_json_file(args.synthetic)
@@ -152,8 +160,6 @@ def _ingest(
         classes = [c for c in rset.class_names if args.include_rest or c != REST_CLASS]
         if not classes:
             raise ConfigError("no classes left after excluding the rest class")
-        if wanted:
-            classes = [c for c in classes if c in wanted]
         windows = segment(rset, cfg.segmentation, classes=classes)
         counts = Counter(windows.labels)
         present = sorted(counts)
@@ -162,6 +168,7 @@ def _ingest(
             raise TooFewRowsError(
                 f"class {missing[0]!r} produced no windows after segmentation"
             )
+        refuse_dead_channels(rset, flat_channels(rset, cfg.segmentation, classes), classes)
         return windows, _PipelineData(rset.sampling_rate_hz, present, counts), cfg
 
 
@@ -201,9 +208,7 @@ def _run(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
         raise ConfigError("exactly one of --data and --synthetic must be given")
     if args.jobs < 1:
         raise ConfigError("--jobs must be positive")
-    # an ablation run alone segments only the classes it audits
-    wanted = cfg.ablation.classes if stages == ("ablation",) else None
-    windows, data, cfg = _ingest(cfg, args, wanted)
+    windows, data, cfg = _ingest(cfg, args)
     if "ablation" in stages:
         with _Stage("ablation"):
             check_scope(cfg.ablation, windows.channels, data.classes)
@@ -230,29 +235,29 @@ def _run(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
         "redundancy_threshold": float(cfg.thresholds.redundancy),
     }
 
-    width = windows.width
+    channel_count = windows.channels
     with _Stage("features"):
         matrices = build_class_matrices(windows, cfg.features, data.fs)
     del windows  # the units' samples are not needed past here; free them before the oracle
     # each group's payload, built once for its own files and the summary
     payloads = {}
-    if "complexity" in stages or "oracle" in stages:
-        with _Stage("separability"):
+    with _Stage("separability"):
+        if "complexity" in stages or "oracle" in stages:
             ovo = pairwise_audit(matrices, mode="one-vs-one")
-            if "complexity" in stages:
-                ovr = pairwise_audit(matrices, mode="one-vs-rest")
-                columns = column_labels(next(iter(matrices.values())).column_index)
-                payloads["complexity"] = {
-                    "one_vs_one": complexity_payload(ovo, columns),
-                    "one_vs_rest": complexity_payload(ovr, columns),
-                }
+        if "complexity" in stages or "ablation" in stages:
+            ovr = pairwise_audit(matrices, mode="one-vs-rest")
+        if "complexity" in stages:
+            columns = column_labels(next(iter(matrices.values())).column_index)
+            payloads["complexity"] = {
+                "one_vs_one": complexity_payload(ovo, columns),
+                "one_vs_rest": complexity_payload(ovr, columns),
+            }
     if "ablation" in stages:
         with _Stage("ablation"):
-            failed_row = zero_window_features(cfg.features, width, data.fs)
             report = run_ablation_audit(
-                matrices,
+                ovr,
+                channel_count,
                 cfg.ablation,
-                failed_row,
                 criticality_threshold=float(cfg.thresholds.criticality),
                 redundancy_threshold=float(cfg.thresholds.redundancy),
             )
@@ -315,17 +320,15 @@ def cmd_ingest_check(cfg_args: argparse.Namespace) -> int:
         )
         for label in rset.class_names:
             print(f"  {label}: {counts[label]} windows")
-        # report only: a channel whose trimmed samples are all equal carries no signal
-        for rec in rset.recordings:
-            x = trim(rec, seg, rset.sampling_rate_hz).samples
-            if x.shape[1] < 2:
-                continue
-            for c, row in enumerate(x):
-                if row.min() == row.max():
-                    print(
-                        f"flat: {channel_name(c)} in {rec.class_label} trial {rec.provenance()} "
-                        f"({len(row)} trimmed samples, all {float(row[0])!r})"
-                    )
+        flat = flat_channels(rset, seg)
+        for rec, c in flat:
+            row = rec.samples[c]
+            print(
+                f"flat: {channel_name(c)} in {rec.class_label} trial {rec.provenance()} "
+                f"({len(row)} trimmed samples, all {float(row[0])!r})"
+            )
+        # refused as the audit commands refuse it, on the classes they audit by default
+        refuse_dead_channels(rset, flat, [c for c in rset.class_names if c != REST_CLASS])
     return 0
 
 

@@ -19,7 +19,6 @@ C-contiguous buffer, allocated once per call, and calls each enabled
 extractor once per slice. Each window is copied once, into that buffer,
 and no array of all N windows is made. Sample entropy's work arrays are
 also allocated once per call and reused for every slice.
-``zero_window_features`` is the same path with one all-zero window.
 
 Two extractors take care to stay exact per row:
 
@@ -48,11 +47,11 @@ overflow or underflow, and a row whose squares stay normal keeps the bits
 of the plain formula. ``wavelet_energy`` and ``fractal_dimension`` square
 at the samples' own scale, and that is inherent: a detail energy or Katz
 curve length beyond float64 (samples from about 1e154) raises
-``DataFormatError``, and a detail energy below 2**-1022 is subnormal and
-keeps fewer bits.
+``DataFormatError``, as does a waveform length beyond it (from about
+1e308), and a detail energy below 2**-1022 is subnormal and keeps fewer bits.
 
-Degenerate inputs map to fixed finite values so that a matrix built from
-nullified (all-zero) channels stays finite:
+Degenerate inputs map to fixed finite values, so a channel that reads
+zero has finite features, each 0.0, -0.0 or 1.0:
 
 ====================  =======================================
 extractor             constant-signal value
@@ -288,17 +287,29 @@ def sample_entropy(
 
 
 def zero_crossings(signal: np.ndarray, threshold: float = 0.0):
-    """Sign changes between neighbours; exact zeros never cross."""
+    """Sign changes between neighbours; exact zeros never cross. A jump that
+    overflows float64 reads inf and still beats any threshold, unwarned."""
     x = np.asarray(signal, dtype=float)
     pos, neg = x > 0.0, x < 0.0
     opposite = pos[..., :-1] & neg[..., 1:] | neg[..., :-1] & pos[..., 1:]
-    crossings = opposite & (np.abs(x[..., :-1] - x[..., 1:]) >= threshold)
+    with np.errstate(over="ignore"):
+        crossings = opposite & (np.abs(x[..., :-1] - x[..., 1:]) >= threshold)
     return _scalar_or_rows(np.count_nonzero(crossings, axis=-1), int)
 
 
 def waveform_length(signal: np.ndarray):
+    """Sum of absolute differences between neighbours. A sum that exceeds
+    float64 (samples near 1e308) raises ``DataFormatError``."""
     x = np.asarray(signal, dtype=float)
-    return _scalar_or_rows(np.abs(np.diff(x, axis=-1)).sum(axis=-1))
+    with np.errstate(over="ignore"):
+        length = np.abs(np.diff(x, axis=-1)).sum(axis=-1)
+    overflow = np.isinf(length) & np.isfinite(x).all(axis=-1)
+    if overflow.any():
+        raise DataFormatError(
+            "waveform_length: the waveform length of a window with samples up to "
+            f"{np.abs(x[overflow]).max():.3g} overflows float64"
+        )
+    return _scalar_or_rows(length)
 
 
 def rms(signal: np.ndarray):
@@ -314,13 +325,14 @@ def rms(signal: np.ndarray):
 
 
 def slope_sign_changes(signal: np.ndarray, threshold: float = 0.0):
-    """Interior points where both neighbour slopes oppose beyond threshold."""
+    """Interior points where both neighbour slopes oppose beyond threshold.
+    A slope that overflows float64 reads inf of its sign and counts by it, unwarned."""
     x = np.asarray(signal, dtype=float)
-    m, e = np.frexp(np.diff(x, axis=-1))
-    # point i's slopes are d[i-1] and -d[i] (negation is exact), so their
-    # product beats threshold when m[i-1] * m[i] is below the negated,
-    # exponent-scaled threshold
     with np.errstate(over="ignore"):
+        m, e = np.frexp(np.diff(x, axis=-1))
+        # point i's slopes are d[i-1] and -d[i] (negation is exact), so their
+        # product beats threshold when m[i-1] * m[i] is below the negated,
+        # exponent-scaled threshold
         limit = np.ldexp(-threshold, -(e[..., :-1] + e[..., 1:]))
     return _scalar_or_rows(np.count_nonzero(m[..., :-1] * m[..., 1:] < limit, axis=-1), int)
 
@@ -461,12 +473,6 @@ def _feature_rows(
     for k, name in enumerate(cfg.enabled_features):
         out[:, :, k] = _FEATURES[name][0](windows, cfg, fs, work)
     return out.reshape(n, -1)
-
-
-def zero_window_features(cfg: FeatureConfig, window_len: int, fs: float) -> np.ndarray:
-    """Feature values of an all-zero window (one value per enabled feature)."""
-    _check_window_len(window_len, cfg)
-    return _feature_rows(np.zeros((1, 1, window_len)), cfg, fs)[0]
 
 
 @dataclass(eq=False)

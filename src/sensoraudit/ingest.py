@@ -69,6 +69,10 @@ def is_safe_label(label) -> bool:
     )
 
 
+def channel_name(channel: int) -> str:
+    return f"ch{channel + 1}"
+
+
 def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -389,6 +393,38 @@ def trim(recording: Recording, cfg: SegmentationConfig, fs: float) -> Recording:
             f"trim removes {head}+{tail}"
         )
     return replace(recording, samples=recording.samples[:, head : recording.length - tail])
+
+
+def flat_channels(rset: RecordingSet, cfg: SegmentationConfig, classes=None) -> list[tuple[Recording, int]]:
+    """Each (trimmed recording, channel) of ``classes`` (default: all)
+    whose two or more trimmed samples are all equal, as a lifted electrode
+    or a dead amplifier reads, in recording and then channel order."""
+    flat = []
+    for rec in rset.recordings:
+        if classes is None or rec.class_label in classes:
+            x = trim(rec, cfg, rset.sampling_rate_hz)
+            same = x.samples.min(axis=1) == x.samples.max(axis=1)
+            flat += [(x, c) for c in np.flatnonzero(same & (x.length >= 2)).tolist()]
+    return flat
+
+
+def refuse_dead_channels(rset: RecordingSet, flat: list[tuple[Recording, int]], classes: list[str]) -> None:
+    """Raise ``DataFormatError`` for a channel that ``flat`` (from
+    ``flat_channels``) lists in every recording of one of ``classes`` but
+    not in every recording of them all: any separability that involves
+    that class would read the failure. One flat in every recording passes."""
+    labels = [rec.class_label for rec in rset.recordings if rec.class_label in classes]
+    names: dict[tuple[int, str], list[str]] = {}  # (channel, class) -> its flat recordings
+    for rec, c in flat:
+        if rec.class_label in classes:
+            names.setdefault((c, rec.class_label), []).append(rec.provenance())
+    for (c, label), listed in sorted(names.items()):
+        everywhere = sum(len(v) for (k, _), v in names.items() if k == c) == len(labels)
+        if len(listed) == labels.count(label) and not everywhere:
+            raise DataFormatError(
+                f"{channel_name(c)} is flat after trim in every recording of class {label!r} "
+                f"({', '.join(listed)}): a dead sensor there would separate the failure, not the class"
+            )
 
 
 def segment(

@@ -24,7 +24,7 @@ import numpy as np
 from .ablation import SHIFT_METRIC, AblationReport
 from .errors import ConfigError, InvalidSpecError, OutputExistsError
 from .features import FeatureMatrix, column_labels
-from .ingest import MANIFEST_NAME, RecordingSet, is_safe_label
+from .ingest import MANIFEST_NAME, RecordingSet, channel_name, is_safe_label
 from .oracle import OracleResult
 from .separability import PairwiseAudit
 
@@ -126,10 +126,6 @@ def subset_label(subset: tuple[int, ...]) -> str:
     return "+".join(str(s) for s in subset)
 
 
-def channel_name(sensor: int) -> str:
-    return f"ch{sensor + 1}"
-
-
 # -- complexity (stage 1) ----------------------------------------------------
 
 # complexity.csv: one one-vs-one pair record per row, these keys as columns
@@ -229,9 +225,9 @@ def ablation_payload(report: AblationReport, config_echo: dict) -> dict:
         "classes": list(report.classes),
         "channel_count": report.channel_count,
         "subsets": [list(s) for s in report.subsets],
-        "raw_shift": dict(zip(report.classes, report.raw_shift.tolist())),
+        "f1_loss": dict(zip(report.classes, report.raw_shift.tolist())),
         "normalized_criticality": dict(zip(report.classes, report.normalized_criticality.tolist())),
-        "mean_criticality": report.mean_criticality.tolist(),
+        "mean_log1p_max_fdr": report.mean_log1p_max_fdr.tolist(),
         "ranking": list(report.ranking),
         "ring_topology": list(report.ring_topology),
         "criticality_threshold": float(report.criticality_threshold),
@@ -264,16 +260,16 @@ def write_ablation(out_dir: Path, payload: dict, texts: dict | None = None) -> l
 
     rows = []
     for label in classes:
-        for subset, shift in zip(payload["subsets"], payload["raw_shift"][label]):
+        for subset, loss in zip(payload["subsets"], payload["f1_loss"][label]):
             single = normalized[label][subset[0]] if len(subset) == 1 else ""
-            rows.append([label, subset_label(subset), SHIFT_METRIC, shift, single])
-    write_csv(csv_path, ["class", "subset", "shift_metric", "raw_shift", "normalized"], rows)
+            rows.append([label, subset_label(subset), SHIFT_METRIC, loss, single])
+    write_csv(csv_path, ["class", "subset", "shift_metric", "f1_loss", "normalized"], rows)
 
     write_csv(
         ranking_path,
-        ["rank", "sensor", "channel", "mean_normalized_criticality"],
+        ["rank", "sensor", "channel", "mean_log1p_max_fdr"],
         [
-            [rank + 1, sensor, channel_name(sensor), payload["mean_criticality"][sensor]]
+            [rank + 1, sensor, channel_name(sensor), payload["mean_log1p_max_fdr"][sensor]]
             for rank, sensor in enumerate(payload["ranking"])
         ],
     )

@@ -8,13 +8,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))  # the scripts' shared modules
 
 from sensoraudit.ablation import run_ablation_audit
-from sensoraudit.features import (
-    FeatureConfig,
-    FeatureMatrix,
-    build_class_matrices,
-    zero_window_features,
-)
+from sensoraudit.features import FeatureConfig, FeatureMatrix, build_class_matrices
 from sensoraudit.ingest import Windows, segment
+from sensoraudit.separability import pairwise_audit
 from sensoraudit.synthetic import (
     ChannelProfile,
     ChannelSpec,
@@ -86,10 +82,10 @@ def windows_from(rows) -> Windows:
 
 
 def ablate(windows: Windows, spec, fcfg: FeatureConfig, fs: float):
-    """``run_ablation_audit`` on the matrices and failed row the CLI passes it
+    """``run_ablation_audit`` on the one-vs-rest audit the CLI passes it
     for these windows."""
-    failed_row = zero_window_features(fcfg, windows.width, fs)
-    return run_ablation_audit(build_class_matrices(windows, fcfg, fs), spec, failed_row)
+    audit = pairwise_audit(build_class_matrices(windows, fcfg, fs), mode="one-vs-rest")
+    return run_ablation_audit(audit, windows.channels, spec)
 
 
 def feature_row(data, cfg: FeatureConfig, fs: float) -> np.ndarray:

@@ -8,9 +8,9 @@ enough to check windows too long for the naive loops.
 ``two_slope_sign_changes`` is the slope sign change count that takes
 each point's two slopes by their own subtractions and ``frexp`` calls,
 the formula the one-difference count replaced. The other two are at the
-end. The per-cell ablation reference zero-fills
-windows and scores one ablated matrix per (class, subset), the path the
-closed-form ablation audit replaces. The per-epoch oracle trainer draws
+end. The ablation reference zero-fills a subset's
+channels in every class and scores each class against the rest again,
+the path that reading the per-channel maxima replaces. The per-epoch oracle trainer draws
 one permutation per pair per epoch, the draws ``train_stack`` makes a
 chunk of epochs at a time. The per-channel synthetic renderer is numpy
 code too: written apart from ``generate_recordings``, which also renders
@@ -23,10 +23,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from sensoraudit.errors import InvalidSpecError, TooFewRowsError
-from sensoraudit.features import FeatureMatrix, build_class_matrices, zero_window_features
+from sensoraudit.features import FeatureMatrix, build_class_matrices
+from sensoraudit.ingest import Windows
 from sensoraudit.oracle import gradients, init_params
-from sensoraudit.separability import separability_score
 from sensoraudit.synthetic import trial_length
 
 
@@ -267,25 +266,11 @@ def ablated_matrix(baseline, sensors, cfg, window_len, fs):
     nullified channels' column blocks hold the all-zero window's values."""
     n_features = len(cfg.enabled_features)
     values = baseline.values.copy()
-    constants = zero_window_features(cfg, window_len, fs)
+    zero = Windows([np.zeros((1, window_len))], [(0, 0)], ["zero"], [("zero", 0)], 1, window_len)
+    constants = build_class_matrices(zero, cfg, fs)["zero"].values[0]
     for s in _sensor_indices(sensors, baseline.n_columns // n_features):
         values[:, s * n_features : (s + 1) * n_features] = constants
     return FeatureMatrix(values, baseline.class_label, baseline.column_index, baseline.row_provenance)
-
-
-def ablated_shift(class_samples, sensors, fcfg, fs, metric="f1", baseline=None):
-    """Per-cell shift of one class: ``metric`` ("f1", "f2" or "f3") of
-    its baseline against the matrix with ``sensors`` nullified."""
-    if len(class_samples) < 2:
-        raise TooFewRowsError(f"class needs >= 2 windows, got {len(class_samples)}")
-    if baseline is None:
-        matrices = build_class_matrices(class_samples, fcfg, fs)
-        if len(matrices) != 1:
-            raise InvalidSpecError("ablated_shift expects samples from a single class")
-        (baseline,) = matrices.values()
-    window_len = class_samples.width
-    ablated = ablated_matrix(baseline, sensors, fcfg, window_len, fs)
-    return getattr(separability_score(baseline, ablated), metric)
 
 
 def per_epoch_train_stack(x, y, cfg, rngs):

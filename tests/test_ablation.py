@@ -1,13 +1,13 @@
 from dataclasses import replace
-from itertools import combinations, compress
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CLASSES, ablate, criticality_spec, windows_from, windows_of
-from reference_impls import IndexOutOfRangeError, ablated_matrix, ablated_shift, materialize, nullify
+from conftest import CLASSES, ablate, criticality_spec, feature_row, windows_from, windows_of
+from reference_impls import IndexOutOfRangeError, ablated_matrix, materialize, nullify
 
 from sensoraudit import ablation
 from sensoraudit.ablation import (
@@ -18,8 +18,9 @@ from sensoraudit.ablation import (
     run_ablation_audit,
 )
 from sensoraudit.errors import (
+    ConfigError,
     InvalidSpecError,
-    MismatchedColumnsError,
+    TooFewClassesError,
     TooFewRowsError,
     TopologyMismatchError,
 )
@@ -29,26 +30,26 @@ from sensoraudit.features import (
     FeatureMatrix,
     build_class_matrices,
     feature_columns,
-    zero_window_features,
 )
-from sensoraudit.separability import separability_score
-
-
-def rows_of(windows, label):
-    """The windows of one class, in their order."""
-    mask = np.array(windows.labels) == label
-    return replace(
-        windows,
-        index=windows.index[mask],
-        labels=compress(windows.labels, mask),
-        provenance=compress(windows.provenance, mask),
-    )
+from sensoraudit.separability import pairwise_audit
 
 
 def make_windows(n=6, channels=4, width=64, label="a", seed=0):
     rng = np.random.default_rng(seed)
     return windows_from(
         [(rng.standard_normal((channels, width)), label, f"t{i}", i) for i in range(n)]
+    )
+
+
+def two_class_windows(n=(6, 6), channels=4, width=64, seed=0):
+    """Noise windows of classes "a" and "b", ``n`` of each; "b" is twice as loud."""
+    rng = np.random.default_rng(seed)
+    return windows_from(
+        [
+            (gain * rng.standard_normal((channels, width)), label, f"t{i}", i)
+            for label, count, gain in (("a", n[0], 1.0), ("b", n[1], 2.0))
+            for i in range(count)
+        ]
     )
 
 
@@ -84,21 +85,7 @@ class TestNullify:
             nullify(make_windows(1), {9})
 
 
-class TestAblatedShift:
-    def test_empty_subset_shifts(self, fcfg):
-        windows = make_windows()
-        assert ablated_shift(windows, (), fcfg, 200.0, metric="f1") == 0.0
-        assert ablated_shift(windows, (), fcfg, 200.0, metric="f2") == 1.0
-        assert ablated_shift(windows, (), fcfg, 200.0, metric="f3") == 0.0
-
-    def test_already_zero_channel_shifts_zero(self, fcfg):
-        windows = nullify(make_windows(), {1})
-        assert ablated_shift(windows, {1}, fcfg, 200.0, metric="f1") == 0.0
-
-    def test_live_channel_shifts_positive(self, fcfg):
-        windows = make_windows()
-        assert ablated_shift(windows, {0}, fcfg, 200.0, metric="f1") > 0.0
-
+class TestAblatedMatrix:
     def test_fast_path_matches_literal_reextraction(self, fcfg):
         windows = make_windows(n=8, channels=3, width=96, seed=3)
         fs = 200.0
@@ -107,17 +94,6 @@ class TestAblatedShift:
             fast = ablated_matrix(baseline, subset, fcfg, 96, fs)
             literal = build_class_matrices(nullify(windows, subset), fcfg, fs)["a"]
             assert np.array_equal(fast.values, literal.values)
-
-    def test_too_few_rows(self, fcfg):
-        with pytest.raises(TooFewRowsError):
-            ablated_shift(make_windows(n=1), {0}, fcfg, 200.0)
-
-    def test_nested_subsets_both_reported(self, fcfg):
-        # no monotonicity claim; both values simply exist and are finite
-        windows = make_windows(n=10, seed=5)
-        small = ablated_shift(windows, {0}, fcfg, 200.0)
-        large = ablated_shift(windows, {0, 1}, fcfg, 200.0)
-        assert np.isfinite(small) and np.isfinite(large)
 
 
 class TestEnumerateSubsets:
@@ -164,7 +140,7 @@ def report_from_normalized(normalized, classes=("a",), topology=None):
         subsets=tuple((s,) for s in range(channels)),
         raw_shift=normalized.copy(),
         normalized_criticality=normalized,
-        mean_criticality=normalized.mean(axis=0),
+        mean_log1p_max_fdr=normalized.mean(axis=0),
         ranking=tuple(range(channels)),
         ring_topology=tuple(topology) if topology else tuple(range(channels)),
         criticality_threshold=0.8,
@@ -241,52 +217,55 @@ class TestRunAblationAudit:
         windows, fs = windows_of(criticality_spec(2))
         report = ablate(windows, AblationSpec(combinatorial_depth=depth), fcfg, fs)
         normalized = report.normalized_criticality
-        assert normalized.shape == (3, 5) and report.mean_criticality.shape == (5,)
-        assert not np.isnan(normalized).any() and not np.isnan(report.mean_criticality).any()
+        assert normalized.shape == (3, 5) and report.mean_log1p_max_fdr.shape == (5,)
+        assert not np.isnan(normalized).any() and not np.isnan(report.mean_log1p_max_fdr).any()
         assert normalized.min() >= 0.0
         assert normalized.max(axis=1).tolist() == [1.0, 1.0, 1.0]
-        assert same_bits(report.mean_criticality, normalized.mean(axis=0))
+        order = sorted(range(5), key=lambda s: (-report.mean_log1p_max_fdr[s], s))
+        assert report.ranking == tuple(order)
+        # only a class's top sensor loses anything alone, and it loses f1
+        # down to the runner-up's maximum
         singletons = report.raw_shift[:, :5]  # every depth reports the singletons first
-        assert same_bits(normalized, singletons / singletons.max(axis=1, keepdims=True))
-        assert sorted(report.ranking) == list(range(report.channel_count))
+        top = normalized.argmax(axis=1)
+        assert (singletons[np.arange(3), top] > 0.0).all()
+        singletons[np.arange(3), top] = 0.0
+        assert not singletons.any()
 
     def test_combinatorial_depth_two(self, fcfg):
-        windows = make_windows(n=6, channels=4, width=64)
+        windows = two_class_windows()
         spec = AblationSpec(combinatorial_depth=2)
         report = ablate(windows, spec, fcfg, 200.0)
         assert len(report.subsets) == 4 + 6
-        assert report.raw_shift.shape == (1, 10)
+        assert report.raw_shift.shape == (2, 10)
 
-    def test_column_map_and_failed_row_mismatch_rejected(self, fcfg):
-        matrices = build_class_matrices(make_windows(n=6, channels=3, width=64), fcfg, 200.0)
-        matrices["b"] = build_class_matrices(
-            make_windows(n=6, channels=2, width=64, label="b"), fcfg, 200.0
-        )["b"]
-        failed_row = zero_window_features(fcfg, 64, 200.0)
-        with pytest.raises(MismatchedColumnsError):  # 3 channels against 2
-            run_ablation_audit(matrices, AblationSpec(), failed_row)
-        one_class = AblationSpec(classes=["a"])
-        for bad_row in (failed_row[:-1], failed_row[:3], np.tile(failed_row, 3), failed_row[:0]):
-            with pytest.raises(MismatchedColumnsError):
-                run_ablation_audit(matrices, one_class, bad_row)
-        report = run_ablation_audit(matrices, one_class, failed_row)
-        assert report.channel_count == 3
+    def test_every_channel_lost_loses_the_whole_f1(self, fcfg):
+        windows = two_class_windows(channels=3)
+        audit = pairwise_audit(build_class_matrices(windows, fcfg, 200.0), mode="one-vs-rest")
+        report = run_ablation_audit(audit, 3, AblationSpec(combinatorial_depth=3))
+        assert report.subsets[-1] == (0, 1, 2)
+        assert report.raw_shift[:, -1].tolist() == [r.raw_fdr for r in audit.results]
 
-    def test_f2_f3_are_flat_per_cell(self, fcfg):
-        # why they are not offered: every cell reads f2 = 0 and f3 = 1
-        windows, fs = windows_of(criticality_spec(0))
-        for label in CLASSES:
-            class_windows = rows_of(windows, label)
-            matrix = build_class_matrices(class_windows, fcfg, fs)[label]
-            for sensor in range(5):
-                assert ablated_shift(class_windows, {sensor}, fcfg, fs, "f2", matrix) == 0.0
-                assert ablated_shift(class_windows, {sensor}, fcfg, fs, "f3", matrix) == 1.0
+    def test_named_classes_are_scored_against_every_class(self, fcfg):
+        windows, fs = windows_of(criticality_spec(3))
+        audit = pairwise_audit(build_class_matrices(windows, fcfg, fs), mode="one-vs-rest")
+        every = run_ablation_audit(audit, 5, AblationSpec())
+        named = run_ablation_audit(audit, 5, AblationSpec(classes=("gamma", "alpha")))
+        assert named.classes == ("gamma", "alpha")
+        assert same_bits(named.raw_shift, every.raw_shift[[2, 0]])
+        assert same_bits(named.normalized_criticality, every.normalized_criticality[[2, 0]])
+
+    def test_a_one_vs_one_audit_is_refused(self, fcfg):
+        matrices = build_class_matrices(two_class_windows(), fcfg, 200.0)
+        with pytest.raises(ConfigError, match="one-vs-rest"):
+            run_ablation_audit(pairwise_audit(matrices), 4, AblationSpec())
 
     def test_class_with_too_few_windows(self, fcfg):
-        windows = make_windows(n=1)
+        windows = two_class_windows(n=(1, 6))
         with pytest.raises(TooFewRowsError) as err:
             ablate(windows, AblationSpec(), fcfg, 200.0)
         assert "'a'" in str(err.value)
+        with pytest.raises(TooFewClassesError):
+            ablate(make_windows(), AblationSpec(), fcfg, 200.0)
 
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpecError):
@@ -300,8 +279,8 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-# Column kinds for the closed-form property test; "zero" repeats the
-# all-zero-window constant, so that column has no range once nullified.
+# Column kinds for the property test; "zero" repeats the all-zero window's
+# value, so that column is already what a failed sensor reads.
 COLUMN_KINDS = ("normal", "huge", "quantised", "constant", "zero", "capped", "tiny")
 TINY = 1.6369616873214544e-139  # identical copies have an inexact mean
 
@@ -341,7 +320,7 @@ def ablation_cases(draw):
                 )
             ),
         )
-        for label in ("a", "b")[: draw(st.integers(1, 2))]
+        for label in ("a", "b", "c")[: draw(st.integers(2, 3))]
     }
     seed = draw(st.integers(0, 2**32 - 1))
     return fcfg, channels, AblationSpec(combinatorial_depth=depth), classes, seed
@@ -349,11 +328,11 @@ def ablation_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(ablation_cases())
-def test_closed_form_matches_per_cell_bits(case):
+def test_losses_match_nullify_and_rescore_bits(case):
     fcfg, channels, spec, classes, seed = case
     width, fs = 32, 200.0
     rng = np.random.default_rng(seed)
-    constants = zero_window_features(fcfg, width, fs)
+    constants = feature_row(np.zeros((1, width)), fcfg, fs)
     columns = feature_columns(channels, fcfg)
     baselines = {}
     for label, (rows, kinds) in classes.items():
@@ -366,48 +345,38 @@ def test_closed_form_matches_per_cell_bits(case):
         provenance = tuple(("t", i) for i in range(rows))
         baselines[label] = FeatureMatrix(values, label, columns, provenance)
 
-    report = run_ablation_audit(baselines, spec, constants)
-    expected = [
+    intact = pairwise_audit(baselines, mode="one-vs-rest")
+    report = run_ablation_audit(intact, channels, spec)
+    # the failed sensors read zero in every class, and each class is
+    # scored against the rest again
+    expected = np.array(
         [
-            separability_score(
-                baselines[label], ablated_matrix(baselines[label], subset, fcfg, width, fs)
-            ).f1
+            [
+                before.raw_fdr - after.raw_fdr
+                for before, after in zip(
+                    intact.results,
+                    pairwise_audit(
+                        {
+                            label: ablated_matrix(matrix, subset, fcfg, width, fs)
+                            for label, matrix in baselines.items()
+                        },
+                        mode="one-vs-rest",
+                    ).results,
+                )
+            ]
             for subset in report.subsets
         ]
-        for label in report.classes
-    ]
+    ).T
     assert same_bits(report.raw_shift, expected)
 
 
-class TestClosedFormAblation:
-    @pytest.mark.parametrize("depth", [1, 3])
-    def test_one_separability_pass_per_class(self, fcfg, monkeypatch, depth):
-        windows, fs = windows_of(criticality_spec(6))
-        matrices = build_class_matrices(windows, fcfg, fs)
-        calls = []
-        kernel = ablation.fisher_per_dim
-
-        def counting(*args):
-            calls.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(ablation, "fisher_per_dim", counting)
-        report = run_ablation_audit(
-            matrices, AblationSpec(combinatorial_depth=depth), zero_window_features(fcfg, 128, fs)
+def test_depth_three_matches_literal_nullify_and_rescore(fcfg):
+    windows, fs = windows_of(criticality_spec(7))
+    intact = pairwise_audit(build_class_matrices(windows, fcfg, fs), mode="one-vs-rest")
+    report = run_ablation_audit(intact, 5, AblationSpec(combinatorial_depth=3))
+    for k, subset in enumerate(report.subsets):
+        ablated = pairwise_audit(
+            build_class_matrices(nullify(windows, subset), fcfg, fs), mode="one-vs-rest"
         )
-        assert len(report.subsets) == len(enumerate_subsets(5, depth))
-        assert len(calls) == len(report.classes)
-
-    def test_depth_three_matches_ablated_shift(self, fcfg):
-        windows, fs = windows_of(criticality_spec(7))
-        matrices = build_class_matrices(windows, fcfg, fs)
-        report = run_ablation_audit(
-            matrices, AblationSpec(combinatorial_depth=3), zero_window_features(fcfg, 128, fs)
-        )
-        for ci, label in enumerate(report.classes):
-            class_windows = rows_of(windows, label)
-            expected = [
-                ablated_shift(class_windows, subset, fcfg, fs, baseline=matrices[label])
-                for subset in report.subsets
-            ]
-            assert same_bits(report.raw_shift[ci], expected)
+        expected = [b.raw_fdr - a.raw_fdr for b, a in zip(intact.results, ablated.results)]
+        assert same_bits(report.raw_shift[:, k], expected)

@@ -30,7 +30,6 @@ from sensoraudit.features import (
     median_frequency,
     sample_entropy,
     wavelet_energy,
-    zero_window_features,
 )
 from sensoraudit.ingest import SegmentationConfig, load_dataset, segment
 from sensoraudit.oracle import (
@@ -209,9 +208,9 @@ def test_criterion_5_stage2_criticality_recovery():
     for seed in range(n_seeds):
         windows, fs = windows_of(criticality_spec(seed))
         report = run_ablation_audit(
-            build_class_matrices(windows, fcfg, fs),
+            pairwise_audit(build_class_matrices(windows, fcfg, fs), mode="one-vs-rest"),
+            windows.channels,
             AblationSpec(),
-            zero_window_features(fcfg, windows.width, fs),
         )
         seed_clean = True
         for ci, label in enumerate(report.classes):
@@ -257,9 +256,7 @@ def test_criterion_6_dataset_reproduction():
     assert all(mcc[hard] < mcc[p] for p in mcc if p != hard), mcc
 
     report = run_ablation_audit(
-        matrices,
-        AblationSpec(),
-        zero_window_features(fcfg, windows.width, rset.sampling_rate_hz),
+        pairwise_audit(matrices, mode="one-vs-rest"), windows.channels, AblationSpec()
     )
     bottom_three = set(report.ranking[-3:])
     assert {5, 6}.issubset(bottom_three), report.ranking  # channels ch6 and ch7

@@ -66,6 +66,35 @@ def read_csv(path: Path):
         return list(csv.DictReader(fh))
 
 
+def demo_root(tmp_path: Path) -> Path:
+    """The demo spec of scripts/run_synthetic_audit.py written by ``synth --seed 3``."""
+    spec = tmp_path / "demo.json"
+    spec.write_text(json.dumps(DEMO_SPEC))
+    ds = tmp_path / "ds"
+    assert main(["synth", "--synthetic", str(spec), "--out", str(ds), "--seed", "3"]) == 0
+    return ds
+
+
+def zero_channel(paths, first_row=0, column=6):
+    """Set one channel (ch6 by default; column 0 is t) to 0.0 in each trial
+    CSV of ``paths``, from data row ``first_row`` on; returns ``paths``."""
+    for path in paths:
+        lines = path.read_text().splitlines()
+        for i in range(1 + first_row, len(lines)):
+            cells = lines[i].split(",")
+            cells[column] = "0.0"
+            lines[i] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+    return paths
+
+
+DEAD_GRIP_CH6 = (
+    "ch6 is flat after trim in every recording of class 'grip' (synthetic/s00/t00, "
+    "synthetic/s00/t01, synthetic/s00/t02, synthetic/s00/t03): a dead sensor there "
+    "would separate the failure, not the class"
+)
+
+
 class TestSynthAndIngestCheck:
     def test_synth_writes_loadable_dataset(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json")
@@ -177,40 +206,32 @@ class TestSynthAndIngestCheck:
         assert "missing" in capsys.readouterr().err
 
     # ch6 (channel index 5) set to 0.0 in the first `trials` grip trials of
-    # the demo spec, from data row `first_row` on; the head trim drops row 0
+    # the demo spec, from data row `first_row` on; the head trim drops row 0.
+    # Flat in every grip trial, it is a dead sensor of that class
     @pytest.mark.parametrize(
-        "trials, first_row",
-        [(4, 0), (2, 0), (4, 1)],
+        "trials, first_row, code",
+        [(4, 0, EXIT_BAD_DATA), (2, 0, 0), (4, 1, EXIT_BAD_DATA)],
         ids=["every-grip-trial", "two-grip-trials", "flat-after-trim-only"],
     )
-    def test_ingest_check_lists_channels_flat_after_trim(self, tmp_path, capsys, trials, first_row):
-        spec = tmp_path / "demo.json"
-        spec.write_text(json.dumps(DEMO_SPEC))
-        ds = tmp_path / "ds"
-        assert main(["synth", "--synthetic", str(spec), "--out", str(ds), "--seed", "3"]) == 0
+    def test_ingest_check_lists_channels_flat_after_trim(self, tmp_path, capsys, trials, first_row, code):
+        ds = demo_root(tmp_path)
         capsys.readouterr()
         assert main(["ingest-check", "--data", str(ds)]) == 0
         clean = capsys.readouterr().out
         assert "flat" not in clean
-        zeroed = sorted(ds.glob("*/*/grip_*.csv"))[:trials]
-        for path in zeroed:
-            lines = path.read_text().splitlines()
-            for i in range(1 + first_row, len(lines)):
-                cells = lines[i].split(",")
-                cells[6] = "0.0"  # column 0 is t
-                lines[i] = ",".join(cells)
-            path.write_text("\n".join(lines) + "\n")
-        assert main(["ingest-check", "--data", str(ds)]) == 0
-        printed = capsys.readouterr().out
+        zeroed = zero_channel(sorted(ds.glob("*/*/grip_*.csv"))[:trials], first_row)
+        assert main(["ingest-check", "--data", str(ds)]) == code
+        printed, err = capsys.readouterr()
         listed = [line for line in printed.splitlines() if line.startswith("flat:")]
         # 200 Hz, 600 ms trimmed from each end
-        length = len(lines) - 1 - 2 * 120
+        length = len(zeroed[0].read_text().splitlines()) - 1 - 2 * 120
         assert listed == [
             f"flat: ch6 in grip trial synthetic/s00/{path.stem.split('_')[1]} "
             f"({length} trimmed samples, all 0.0)"
             for path in zeroed
         ]
         assert printed.replace("".join(f"{line}\n" for line in listed), "") == clean
+        assert err == ("" if code == 0 else f"error [ingest]: {DEAD_GRIP_CH6}\n")
 
     def test_ingest_check_lists_no_channel_of_one_trimmed_sample(self, tmp_path, capsys):
         spec = write_spec(tmp_path / "spec.json")
@@ -383,6 +404,40 @@ BAD_INPUTS = {
 }
 
 
+class TestDeadChannels:
+    @pytest.mark.parametrize("command", ["full", "ablate", "complexity", "oracle"])
+    def test_channel_flat_in_every_trial_of_a_class_is_refused_before_features(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        ds = demo_root(tmp_path)
+        zero_channel(sorted(ds.glob("*/*/grip_*.csv")))
+        builds = []
+        monkeypatch.setattr(cli, "build_class_matrices", lambda *args: builds.append(args))
+        out = tmp_path / "out"
+        assert main([command, "--data", str(ds), "--out", str(out)]) == EXIT_BAD_DATA
+        assert capsys.readouterr().err == f"error [ingest]: {DEAD_GRIP_CH6}\n"
+        assert builds == [] and not out.exists()
+
+    @pytest.mark.parametrize("pattern", ["grip_t0[01].csv", "*.csv"], ids=["two-grip-trials", "every-trial"])
+    def test_channel_flat_in_some_trials_or_everywhere_is_audited(self, tmp_path, pattern):
+        ds = demo_root(tmp_path)
+        zero_channel(sorted(ds.glob(f"*/*/{pattern}")))
+        assert main(["full", "--data", str(ds), "--seed", "1", "--out", str(tmp_path / "out")]) == 0
+
+    def test_a_rest_class_is_checked_only_when_audited(self, tmp_path, capsys):
+        spec = write_spec(tmp_path / "spec.json", classes=("alpha", "beta", "rest"))
+        ds = tmp_path / "ds"
+        assert main(["synth", "--synthetic", str(spec), "--out", str(ds)]) == 0
+        zero_channel(sorted(ds.glob("*/*/rest_*.csv")), column=2)
+        cfg = tmp_path / "audit.json"
+        cfg.write_text(json.dumps({"segmentation": {"window_len_samples": 64}, "oracle": {"epochs": 30}}))
+        argv = ["full", "--data", str(ds), "--config", str(cfg)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert main(["ingest-check", "--data", str(ds), "--config", str(cfg)]) == 0
+        assert main([*argv, "--include-rest", "--out", str(tmp_path / "rest")]) == EXIT_BAD_DATA
+        assert "ch2 is flat after trim in every recording of class 'rest'" in capsys.readouterr().err
+
+
 class TestComplexity:
     def test_three_pair_table(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json")
@@ -399,7 +454,7 @@ class TestComplexity:
             "beta vs gamma",
         }
         payload = json.loads((out / "complexity.json").read_text())
-        assert payload["config"]["schema_version"] == 1
+        assert payload["config"]["schema_version"] == 2
         assert len(payload["one_vs_rest"]["pairs"]) == 3
 
     def test_missing_source_is_config_error(self, tmp_path, capsys):
@@ -489,11 +544,14 @@ class TestComplexity:
         assert "near-constant" in err and "entropy_bins" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_single_class_too_few(self, tmp_path, capsys):
+    # the ablation scores each class against the rest, so it needs two too
+    @pytest.mark.parametrize("command", ["complexity", "ablate"])
+    def test_single_class_too_few(self, tmp_path, capsys, command):
         spec = write_spec(tmp_path / "spec.json", classes=("alpha",))
-        code = main(["complexity", "--synthetic", str(spec), "--out", str(tmp_path / "o")])
+        code = main([command, "--synthetic", str(spec), "--out", str(tmp_path / "o")])
         assert code == EXIT_TOO_SMALL
-        assert "separability" in capsys.readouterr().err
+        assert "error [separability]: need >= 2 classes, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_class_with_no_windows_named_in_error(self, tmp_path, capsys):
         # one class's trials are shorter than a window after trimming
@@ -603,7 +661,7 @@ class TestAblate:
             assert "unknown AblationSpec fields: shift_metric" in capsys.readouterr().err
             assert not (tmp_path / metric).exists()
 
-    def test_ablated_classes_alone_get_features(self, tmp_path, monkeypatch):
+    def test_ablated_classes_are_scored_against_every_class(self, tmp_path, monkeypatch):
         spec = write_spec(tmp_path / "spec.json")
         cfg = tmp_path / "audit.json"
         cfg.write_text(
@@ -620,7 +678,7 @@ class TestAblate:
 
         monkeypatch.setattr(cli, "build_class_matrices", counting)
         assert main(["ablate", *source, "--out", str(tmp_path / "ablate")]) == 0
-        assert counted == [(["alpha", "gamma"], 40)]  # 20 windows per class
+        assert counted == [(["alpha", "beta", "gamma"], 60)]  # 20 windows per class
         for path in (tmp_path / "ablate").iterdir():
             assert path.read_bytes() == (tmp_path / "full" / path.name).read_bytes()
 
@@ -676,22 +734,21 @@ class TestAblate:
         assert degradation["sensors"] == [0]
         assert degradation["detail"] == {"ch1": ["alpha", "beta", "gamma"]}
 
-    @pytest.mark.parametrize("command", ["ablate", "full"])
-    def test_zero_window_constants_computed_once(self, tmp_path, monkeypatch, command):
+    @pytest.mark.parametrize("command, one_vs_one", [("ablate", 0), ("complexity", 1), ("full", 1)])
+    def test_one_vs_rest_audit_runs_once(self, tmp_path, monkeypatch, command, one_vs_one):
         spec = write_spec(tmp_path / "spec.json")
         cfg = fast_config(tmp_path / "audit.json")
-        calls = []
-        compute = cli.zero_window_features
+        modes = []
+        audit = cli.pairwise_audit
 
-        def counting(*args):
-            calls.append(args)
-            return compute(*args)
+        def counting(matrices, mode):
+            modes.append(mode)
+            return audit(matrices, mode)
 
-        monkeypatch.setattr(cli, "zero_window_features", counting)
-        argv = [command, "--synthetic", str(spec), "--config", str(cfg), "--depth", "3"]
+        monkeypatch.setattr(cli, "pairwise_audit", counting)
+        argv = [command, "--synthetic", str(spec), "--config", str(cfg)]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 0
-        assert len(calls) == 1
-        assert calls[0][1:] == (64, 200.0)  # the run's window length and rate
+        assert Counter(modes) == Counter({"one-vs-rest": 1, "one-vs-one": one_vs_one})
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_every_channel_is_scored_at_every_depth(self, tmp_path, depth):
@@ -699,12 +756,22 @@ class TestAblate:
         out = tmp_path / "out"
         assert main(["ablate", "--synthetic", str(spec), "--out", str(out), "--depth", str(depth)]) == 0
         payload = json.loads((out / "ablation.json").read_text())
-        for values in [*payload["normalized_criticality"].values(), payload["mean_criticality"]]:
+        for values in [*payload["normalized_criticality"].values(), payload["mean_log1p_max_fdr"]]:
             assert len(values) == 4 and all(isinstance(v, float) for v in values)
         for label in ("alpha", "beta", "gamma"):
             rows = read_csv(out / f"criticality_{label}.csv")
             assert [r["sensor"] for r in rows] == ["0", "1", "2", "3"]
             assert all(float(r["normalized_criticality"]) >= 0.0 for r in rows)
+
+    def test_every_class_has_a_runner_up_on_the_demo_spec(self, tmp_path):
+        # scored against the all-zero window, every class's top sensor read
+        # F1_CAP and every other sensor about 1e-9 of it
+        ds = demo_root(tmp_path)
+        assert main(["ablate", "--data", str(ds), "--seed", "1", "--out", str(tmp_path / "out")]) == 0
+        payload = json.loads((tmp_path / "out" / "ablation.json").read_text())
+        for label, scores in payload["normalized_criticality"].items():
+            top, runner_up = sorted(scores, reverse=True)[:2]
+            assert top == 1.0 and runner_up > 1e-3, label
 
     def test_overwrite_refusal(self, tmp_path):
         spec = write_spec(tmp_path / "spec.json")
@@ -805,7 +872,7 @@ class TestTinyAmplitudes:
 
     def audit(self, root: Path, scale: float) -> dict:
         """``full`` on a 3-class spec with every gain times ``scale``: its f1
-        values, per-dimension Fisher ratios, shifts and MCCs."""
+        values, per-dimension Fisher ratios, f1 losses and MCCs."""
         root.mkdir()
         tonic = {c: {"kind": "tonic", "gain": g * scale} for c, g in zip("abc", (1.0, 1.6, 2.2))}
         noise = {"default": {"kind": "noise", "gain": scale}}
@@ -832,7 +899,7 @@ class TestTinyAmplitudes:
         return {
             "f1": [p["f1"] for p in pairs],
             "fisher": [p["per_dimension"]["fisher"] for p in pairs],
-            "raw_shift": json.loads((out / "ablation.json").read_text())["raw_shift"],
+            "f1_loss": json.loads((out / "ablation.json").read_text())["f1_loss"],
             "mcc": [row["mcc"] for row in read_csv(out / "validation.csv")],
         }
 
@@ -977,7 +1044,7 @@ class TestFull:
         }
         assert expected.issubset(set(self.artifact_blobs(out)))
         summary = json.loads((out / "audit_summary.json").read_text())
-        assert summary["schema_version"] == 1
+        assert summary["schema_version"] == 2
         assert summary["config"]["seed"] == 11
         assert summary["classes"] == ["alpha", "beta", "gamma"]
         assert summary["window_counts"]["alpha"] == 20

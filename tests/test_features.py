@@ -38,7 +38,6 @@ from sensoraudit.features import (
     waveform_length,
     wavelet_energy,
     zero_crossings,
-    zero_window_features,
 )
 from sensoraudit.ingest import Recording, RecordingSet, SegmentationConfig, Windows, segment
 
@@ -549,6 +548,16 @@ class TestAmplitudeFree:
         assert slope_sign_changes(x * scale) == slope_sign_changes(x) == 267
         assert same_bits(rms(x * scale), math.ldexp(rms(x), k))
 
+    def test_neighbour_differences_past_float64(self):
+        # every difference of neighbours overflows; before, each of the three
+        # warned "overflow encountered in subtract"
+        x = np.array([1e308, -1e308] * 50)
+        for t in (0.0, 1e300):
+            assert zero_crossings(x, t) == 99
+            assert slope_sign_changes(x, t) == 98
+        with pytest.raises(DataFormatError, match="waveform_length.*1e\\+308 overflows"):
+            waveform_length(np.stack([np.ones(100), x]))
+
     def test_nonzero_slope_threshold_over_overflowing_products(self):
         # every product of slopes is far above 1.0 at this scale
         x = np.random.default_rng(1).standard_normal(200)
@@ -567,7 +576,6 @@ class TestFeatureRow:
         vec = feature_row(np.zeros((2, 100)), fcfg, fs=200.0)
         per_channel = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
         assert vec.tolist() == per_channel * 2
-        assert zero_window_features(fcfg, 100, 200.0).tolist() == per_channel
 
     def test_channel_major_ordering(self):
         cfg = FeatureConfig(enabled_features=("rms", "waveform_length", "zero_crossings"))
@@ -593,9 +601,9 @@ class TestFeatureRow:
     )
     def test_zero_window_below_the_minimum_is_refused(self, enabled, need):
         cfg = FeatureConfig(enabled_features=enabled)
-        assert zero_window_features(cfg, need, 200.0).shape == (len(enabled),)
+        assert feature_row(np.zeros((1, need)), cfg, 200.0).shape == (len(enabled),)
         with pytest.raises(WindowTooShortError, match=f"below the {need}-sample minimum"):
-            zero_window_features(cfg, need - 1, 200.0)
+            feature_row(np.zeros((1, need - 1)), cfg, 200.0)
 
     def test_deterministic_repeat(self, fcfg):
         rng = np.random.default_rng(5)
@@ -979,7 +987,7 @@ class TestBlockEngine:
 
     def test_zero_window_keeps_negative_zero_sample_entropy(self, fcfg):
         k = FEATURE_NAMES.index("sample_entropy")
-        constants = zero_window_features(fcfg, 100, 200.0)
+        constants = feature_row(np.zeros((1, 100)), fcfg, fs=200.0)
         assert math.copysign(1.0, constants[k]) == -1.0
         row = feature_row(np.zeros((2, 100)), fcfg, fs=200.0)
         assert same_bits(row, np.concatenate([constants, constants]))

@@ -84,7 +84,7 @@ class TestUnsafeLabelInWriter:
 
 
 class TestAblationCsv:
-    def test_raw_shift_cells_are_plain_numbers(self, tmp_path):
+    def test_f1_loss_cells_are_plain_numbers(self, tmp_path):
         rng = np.random.default_rng(1)
         windows = windows_from(
             [
@@ -97,7 +97,7 @@ class TestAblationCsv:
         report = ablate(windows, AblationSpec(combinatorial_depth=2), fcfg, 100.0)
         write_ablation(tmp_path, ablation_payload(report, {}))
         with (tmp_path / "ablation.csv").open(newline="") as fh:
-            cells = [row["raw_shift"] for row in csv.DictReader(fh)]
+            cells = [row["f1_loss"] for row in csv.DictReader(fh)]
         assert [float(c) for c in cells] == report.raw_shift.ravel().tolist()
 
 

@@ -53,3 +53,10 @@ def test_ranking_scorecard_runs(monkeypatch, capsys):
     assert [row[:3] for row in rows] == [[name, "smoke", "1"] for name in card.workloads.WORKLOADS]
     assert all(row[3:] == ["1", "1", "1"] for row in rows)  # seed 7 passes, as in perfbench's own test
     assert lines[5] == "failed rules: 0"
+
+
+def test_pairs_short_seed_24_ranks_every_tonic_channel_first(tmp_path):
+    # at timed size, scored against the all-zero window, noise ch10 ranked
+    # above tonic ch3 (worst tonic rank 7, best noise rank 6)
+    card = load_script("ranking_scorecard")
+    assert card.failed_rules(card.workloads.WORKLOADS["pairs-short"], 24, False, tmp_path) == {}
